@@ -48,36 +48,18 @@ class EntityAllocation:
         object.__setattr__(self, "per_entity", arr)
 
 
-def _flow_arrays(scenario):
-    flows = scenario.flows
-    ent = np.array([f.entity_id for f in flows], dtype=int)
-    el = np.array([f.element_id for f in flows], dtype=int)
-    app = np.array([f.app_id for f in flows], dtype=int)
-    bw = np.array([f.demand_bw for f in flows], dtype=float)
-    p = scenario.ratios.values[el, app] if len(flows) else np.zeros(0)
-    return ent, el, app, bw, bw * p, p
+def _fill_pools(scenario, budget):
+    """Water-fill each (entity, element) pool of flows under its budget[e, i]."""
+    cols = scenario.columns
+    num_e, num_i = budget.shape
+    p = scenario.ratios.values[cols.element, cols.app]
+    res_demand = cols.demand * p
+    alloc_res = water_fill(res_demand, budget.ravel(), pool=cols.entity * num_i + cols.element)
 
-
-def _fill_pools(scenario, budget_of_pool):
-    """Water-fill each (entity, element) pool of flows under its resource budget."""
-    ent, el, app, bw, res_demand, p = _flow_arrays(scenario)
-    num_e = len(scenario.entities)
-    num_i = len(scenario.elements)
-    num_k = len(scenario.apps)
-    alloc_res = np.zeros(len(scenario.flows))
-
-    pools: dict = {}
-    for j in range(len(scenario.flows)):
-        pools.setdefault((ent[j], el[j]), []).append(j)
-    for (e, i), members in sorted(pools.items()):
-        budget = budget_of_pool(e, i)
-        idx = np.array(members, dtype=int)
-        alloc_res[idx] = water_fill(res_demand[idx], budget)
-
-    per_entity = np.zeros((num_e, num_i, num_k))
-    np.add.at(per_entity, (ent, el, app), alloc_res)
+    per_entity = np.zeros((num_e, num_i, len(scenario.apps)))
+    np.add.at(per_entity, (cols.entity, cols.element, cols.app), alloc_res)
     flow_alloc = FlowAllocation(
-        flow_ids=tuple(f.id for f in scenario.flows),
+        flow_ids=tuple(cols.id.tolist()),
         bandwidth=np.divide(alloc_res, p, out=np.zeros_like(alloc_res), where=p > 0),
         resource=alloc_res,
         demand_resource=res_demand,
@@ -98,7 +80,7 @@ def per_bs_rsv_allocate(scenario, cfg: ReservationConfig | None = None) -> Entit
             f"{num_e} entities at per_bs_fraction={cfg.per_bs_fraction} oversubscribe elements"
         )
     caps = np.array([el.capacity for el in scenario.elements])
-    return _fill_pools(scenario, lambda e, i: cfg.per_bs_fraction * caps[i])
+    return _fill_pools(scenario, np.tile(cfg.per_bs_fraction * caps, (num_e, 1)))
 
 
 def net_rsv_allocate(scenario, cfg: ReservationConfig | None = None) -> EntityAllocation:
@@ -113,15 +95,15 @@ def net_rsv_allocate(scenario, cfg: ReservationConfig | None = None) -> EntityAl
     use them (reservation semantics).
     """
     cfg = cfg or ReservationConfig()
-    ent, el, app, bw, res_demand, p = _flow_arrays(scenario)
+    cols = scenario.columns
     num_e = len(scenario.entities)
     num_i = len(scenario.elements)
     caps = np.array([e.capacity for e in scenario.elements], dtype=float)
     total_cap = float(caps.sum())
 
     demand_ei = np.zeros((num_e, num_i))
-    if len(scenario.flows):
-        np.add.at(demand_ei, (ent, el), res_demand)
+    res_demand = cols.demand * scenario.ratios.values[cols.element, cols.app]
+    np.add.at(demand_ei, (cols.entity, cols.element), res_demand)
     demand_e = demand_ei.sum(axis=1)
 
     budgets = np.clip(demand_e, cfg.net_min_fraction * total_cap,
@@ -150,4 +132,4 @@ def net_rsv_allocate(scenario, cfg: ReservationConfig | None = None) -> EntityAl
                 break
         reserved[e] = alloc
         remaining -= alloc
-    return _fill_pools(scenario, lambda e, i: reserved[e, i])
+    return _fill_pools(scenario, reserved)

@@ -325,17 +325,12 @@ def build_parser() -> argparse.ArgumentParser:
                         help="write solver trace (single-solve)")
     parser.add_argument("--epsilon", type=float, help="solver suboptimality target")
     parser.add_argument("--mu", type=float, help="barrier growth factor")
-    parser.add_argument("--desk-scale", action="store_true",
-                        help="preset: 100 elements / 10 entities / 20 apps / 500 flows")
     return parser
 
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    overrides = {k: v for k, v in vars(args).items() if k not in ("config", "desk_scale")}
-    if args.desk_scale:
-        overrides.update({"num_elements": 100, "num_entities": 10,
-                          "num_apps": 20, "num_flows": 500})
+    overrides = {k: v for k, v in vars(args).items() if k != "config"}
     try:
         cfg = resolve_config(args.config, overrides)
         status = run(cfg)

@@ -7,7 +7,9 @@ allocation is an |I| x |K| matrix of non-negative resource amounts.
 
 from __future__ import annotations
 
+from collections import namedtuple
 from dataclasses import dataclass, field
+from operator import attrgetter
 from typing import Sequence
 
 import numpy as np
@@ -76,8 +78,25 @@ class Flow:
     demand_bw: float  # Mbps
 
     def __post_init__(self):
-        if self.demand_bw <= 0:
-            raise InvalidParams(f"flow {self.id}: demand_bw must be > 0")
+        if not (self.demand_bw > 0 and np.isfinite(self.demand_bw)):
+            raise InvalidParams(f"flow {self.id}: demand_bw must be finite and > 0")
+
+
+# A flow sequence as aligned read-only arrays: entry j of each describes flow j.
+FlowColumns = namedtuple("FlowColumns", ["id", "entity", "app", "element", "demand"])
+
+
+def flow_columns(flows) -> FlowColumns:
+    """The columns of a sequence of Flow; FlowColumns are returned as they are."""
+    if isinstance(flows, FlowColumns):
+        return flows
+    columns = []
+    for name, dtype in (("id", np.int64), ("entity_id", np.int64), ("app_id", np.int64),
+                        ("element_id", np.int64), ("demand_bw", float)):
+        col = np.fromiter(map(attrgetter(name), flows), dtype, len(flows))
+        col.setflags(write=False)
+        columns.append(col)
+    return FlowColumns(*columns)
 
 
 @dataclass(frozen=True)
@@ -160,6 +179,8 @@ class ProblemInstance:
 
         if self.utility_kind not in UTILITY_KINDS:
             raise InvalidParams(f"utility_kind must be one of {UTILITY_KINDS}")
+        if not all(np.all(np.isfinite(a)) for a in (cap, lo, hi, al, au, co)):
+            raise InvalidParams("instance arrays must be finite")
         if np.any(cap <= 0):
             raise InvalidParams("element capacities must be positive")
         if np.any(lo < 0) or np.any(hi < lo):

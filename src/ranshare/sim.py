@@ -9,7 +9,7 @@ usage, and QoE satisfaction per (scheme, load) cell.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from typing import Sequence
 
 import numpy as np
@@ -17,8 +17,8 @@ import numpy as np
 from .baselines import ReservationConfig, net_rsv_allocate, per_bs_rsv_allocate
 from .errors import InvalidParams, RanShareError
 from .fairshare import water_fill
-from .model import (Application, Entity, Flow, FlowAllocation, ProblemInstance,
-                    RadioElement, expand_bounds)
+from .model import (Application, Entity, Flow, FlowAllocation, FlowColumns,
+                    ProblemInstance, RadioElement, expand_bounds, flow_columns)
 from .solver import SolveResult, SolverConfig, solve
 from .utility import TranslatingRatios, estimate_demand
 
@@ -59,10 +59,6 @@ class ScenarioParams:
             raise InvalidParams("num_focus must lie in [0, num_apps]")
 
     @classmethod
-    def desk_scale(cls, **overrides) -> "ScenarioParams":
-        return cls(**overrides)
-
-    @classmethod
     def full_scale(cls, **overrides) -> "ScenarioParams":
         base = dict(num_elements=1000, num_entities=20, num_apps=100, num_flows=5000)
         base.update(overrides)
@@ -85,12 +81,6 @@ class HotspotParams:
     n_elements: int = 100
     mean_bw: float = 1.0
 
-    @classmethod
-    def full_scale(cls, **overrides) -> "HotspotParams":
-        base = dict(n_flows=2000, n_entities=5, n_elements=200)
-        base.update(overrides)
-        return cls(**base)
-
 
 @dataclass(frozen=True)
 class Scenario:
@@ -101,16 +91,19 @@ class Scenario:
     ratios: TranslatingRatios
     seed: int
     load_multiplier: float = 1.0
+    columns: FlowColumns = field(init=False, repr=False, compare=False)  # flows as arrays
 
     def __post_init__(self):
         num_i, num_k = self.ratios.shape
         if num_i != len(self.elements) or num_k != len(self.apps):
             raise InvalidParams("translating-ratio dimensions do not match the scenario")
-        num_e = len(self.entities)
-        for f in self.flows:
-            if not (0 <= f.element_id < num_i and 0 <= f.app_id < num_k
-                    and 0 <= f.entity_id < num_e):
-                raise InvalidParams(f"flow {f.id} references an unknown object")
+        cols = flow_columns(self.flows)
+        known = ((0 <= cols.element) & (cols.element < num_i)
+                 & (0 <= cols.app) & (cols.app < num_k)
+                 & (0 <= cols.entity) & (cols.entity < len(self.entities)))
+        if not known.all():
+            raise InvalidParams(f"flow {cols.id[np.argmin(known)]} references an unknown object")
+        object.__setattr__(self, "columns", cols)
 
     @property
     def aggregate_capacity(self) -> float:
@@ -160,11 +153,7 @@ def generate_scenario(params: ScenarioParams, seed: int) -> Scenario:
     el_of = rng.integers(0, params.num_elements, params.num_flows)
     ent_of = rng.integers(0, params.num_entities, params.num_flows)
     bw = rng.uniform(*params.demand_range, params.num_flows)
-    flows = tuple(
-        Flow(id=j, entity_id=int(ent_of[j]), app_id=int(app_of[j]),
-             element_id=int(el_of[j]), demand_bw=float(bw[j]))
-        for j in range(params.num_flows)
-    )
+    flows = _flows(np.arange(params.num_flows), ent_of, app_of, el_of, bw)
     return Scenario(elements=elements, entities=entities, apps=tuple(apps),
                     flows=flows, ratios=ratios, seed=seed)
 
@@ -209,13 +198,15 @@ def add_hotspot(scenario: Scenario, params: HotspotParams, seed: int) -> Scenari
     el_of = els[rng.integers(0, params.n_elements, params.n_flows)]
     bw = rng.uniform(0.5 * params.mean_bw, 1.5 * params.mean_bw, params.n_flows)
 
-    next_id = max((f.id for f in scenario.flows), default=-1) + 1
-    extra = tuple(
-        Flow(id=next_id + j, entity_id=int(ent_of[j]), app_id=params.app_id,
-             element_id=int(el_of[j]), demand_bw=float(bw[j]))
-        for j in range(params.n_flows)
-    )
+    next_id = int(scenario.columns.id.max(initial=-1)) + 1
+    extra = _flows(next_id + np.arange(params.n_flows), ent_of,
+                   np.full(params.n_flows, params.app_id), el_of, bw)
     return replace(scenario, flows=scenario.flows + extra)
+
+
+def _flows(*columns) -> tuple:
+    """Flow objects from aligned arrays of id, entity, app, element and demand."""
+    return tuple(map(Flow, *(c.tolist() for c in columns)))
 
 
 def second_phase_allocate(flows: Sequence[Flow], budget: float, ratio: float) -> FlowAllocation:
@@ -229,20 +220,20 @@ def second_phase_allocate(flows: Sequence[Flow], budget: float, ratio: float) ->
         raise InvalidParams("translating ratio must be positive")
     if budget < 0:
         raise InvalidParams("budget must be non-negative")
-    bw_demand = np.array([f.demand_bw for f in flows], dtype=float)
-    granted_bw = water_fill(bw_demand, budget / ratio)
-    return FlowAllocation(
-        flow_ids=tuple(f.id for f in flows),
-        bandwidth=granted_bw,
-        resource=granted_bw * ratio,
-        demand_resource=bw_demand * ratio,
-    )
+    cols = flow_columns(flows)
+    return _granted(cols, water_fill(cols.demand, budget / ratio), ratio)
+
+
+def _granted(cols: FlowColumns, bandwidth, ratio) -> FlowAllocation:
+    """The allocation granting each flow its bandwidth, at its ratio."""
+    return FlowAllocation(flow_ids=tuple(cols.id.tolist()), bandwidth=bandwidth,
+                          resource=bandwidth * ratio, demand_resource=cols.demand * ratio)
 
 
 def build_instance(scenario: Scenario, utility_kind: str) -> ProblemInstance:
     """Expand shares into bounds and estimate demands into utility coefficients."""
     lower, upper, app_lower, app_upper = expand_bounds(scenario.apps, scenario.elements)
-    demand = estimate_demand(scenario.flows, scenario.ratios)
+    demand = estimate_demand(scenario.columns, scenario.ratios)
     return ProblemInstance(
         capacities=np.array([e.capacity for e in scenario.elements]),
         lower=lower, upper=upper,
@@ -260,40 +251,26 @@ def allocate_app_opt(scenario: Scenario, utility_kind: str,
     """
     inst = build_instance(scenario, utility_kind)
     result = solve(inst, solver_config)
-    s = result.allocation.values
-    p = scenario.ratios.values
-
-    n = len(scenario.flows)
-    bandwidth = np.zeros(n)
-    resource = np.zeros(n)
-    demand_resource = np.zeros(n)
-    cells: dict = {}
-    for pos, f in enumerate(scenario.flows):
-        cells.setdefault((f.element_id, f.app_id), []).append(pos)
-    for (i, k), members in cells.items():
-        frag = second_phase_allocate([scenario.flows[pos] for pos in members],
-                                     float(s[i, k]), float(p[i, k]))
-        bandwidth[members] = frag.bandwidth
-        resource[members] = frag.resource
-        demand_resource[members] = frag.demand_resource
-
-    flow_alloc = FlowAllocation(
-        flow_ids=tuple(f.id for f in scenario.flows),
-        bandwidth=bandwidth, resource=resource, demand_resource=demand_resource,
-    )
-    return flow_alloc, result
+    cols = scenario.columns
+    cell = cols.element * len(scenario.apps) + cols.app
+    p = scenario.ratios.values.ravel()
+    # the second phase of every cell at once: each cell's grant, turned into
+    # bandwidth by its ratio, is water-filled across the cell's flows
+    bandwidth = water_fill(cols.demand, result.allocation.values.ravel() / p, pool=cell)
+    return _granted(cols, bandwidth, p[cell]), result
 
 
-def qoe_satisfied_count(flow_alloc: FlowAllocation, flows: Sequence[Flow]) -> int:
-    """Number of flows whose full bandwidth demand was met."""
-    demand_of = {f.id: f.demand_bw for f in flows}
-    count = 0
-    for j, fid in enumerate(flow_alloc.flow_ids):
-        if fid not in demand_of:
-            raise InvalidParams(f"allocation covers unknown flow {fid}")
-        if flow_alloc.bandwidth[j] >= demand_of[fid] - QOE_SLACK:
-            count += 1
-    return count
+def qoe_satisfied_count(flow_alloc: FlowAllocation,
+                        flows: Sequence[Flow] | FlowColumns) -> int:
+    """Number of flows, matched by id (the last of equal ids), whose demand was met."""
+    cols = flow_columns(flows)
+    ids = np.array(flow_alloc.flow_ids, dtype=np.int64)
+    unknown = ~np.isin(ids, cols.id)
+    if unknown.any():
+        raise InvalidParams(f"allocation covers unknown flow {ids[np.argmax(unknown)]}")
+    order = np.argsort(cols.id, kind="stable")
+    match = order[np.searchsorted(cols.id, ids, side="right", sorter=order) - 1]
+    return int(np.count_nonzero(flow_alloc.bandwidth >= cols.demand[match] - QOE_SLACK))
 
 
 def flow_utility(flow_alloc: FlowAllocation, kind: str, log_floor: float = 1e-6) -> float:
@@ -333,14 +310,10 @@ class ExperimentReport:
     schemes: tuple
     loads: tuple
 
-    def by_cell(self):
-        return {(r.scheme, r.load): r for r in self.rows}
-
 
 def _allocate_for_scheme(scheme, scenario, utility_kind, solver_config, reservation_config):
     if scheme == SCHEME_APP_OPT:
-        flow_alloc, result = allocate_app_opt(scenario, utility_kind, solver_config)
-        return flow_alloc, result
+        return allocate_app_opt(scenario, utility_kind, solver_config)
     if scheme == SCHEME_NET_RSV:
         return net_rsv_allocate(scenario, reservation_config).flow_alloc, None
     if scheme == SCHEME_PER_BS_RSV:
@@ -363,22 +336,21 @@ def run_experiment(base: Scenario, schemes: Sequence[str], loads: Sequence[float
     rows = []
     for load in loads:
         scen = scale_load(base, float(load), flow_ids=scale_flow_ids)
-        app_of = {f.id: f.app_id for f in scen.flows}
+        # every scheme's allocation is aligned with scen.flows
+        m_mask = scen.columns.app == focus_app_id
         for scheme in schemes:
             try:
                 start = time.perf_counter()
                 flow_alloc, solres = _allocate_for_scheme(
                     scheme, scen, utility_kind, solver_config, reservation_config)
                 elapsed_ms = (time.perf_counter() - start) * 1000.0
-                m_mask = np.array([app_of[fid] == focus_app_id
-                                   for fid in flow_alloc.flow_ids], dtype=bool)
                 app_m_res = float(flow_alloc.resource[m_mask].sum()) if m_mask.any() else 0.0
                 rows.append(ExperimentRow(
                     scheme=scheme, load=float(load), utility_kind=utility_kind,
                     total_utility=flow_utility(flow_alloc, utility_kind, log_floor),
                     app_m_resource=app_m_res,
                     app_m_resource_fraction=app_m_res / base.aggregate_capacity,
-                    qoe_satisfied=qoe_satisfied_count(flow_alloc, scen.flows),
+                    qoe_satisfied=qoe_satisfied_count(flow_alloc, scen.columns),
                     flows_total=len(scen.flows),
                     solve_ms=elapsed_ms,
                     outer_iters=solres.outer_iters if solres is not None else 0,

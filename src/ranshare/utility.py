@@ -9,7 +9,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import DomainError, InvalidParams, UnknownReference
-from .model import AllocationMatrix, Flow, ProblemInstance
+from .model import AllocationMatrix, Flow, FlowColumns, ProblemInstance, flow_columns
 
 
 @dataclass(frozen=True, eq=False)
@@ -22,8 +22,8 @@ class TranslatingRatios:
         arr = np.array(self.values, dtype=float)
         if arr.ndim != 2:
             raise InvalidParams("translating ratios must form a 2-D matrix")
-        if np.any(arr <= 0):
-            raise InvalidParams("translating ratios must be strictly positive")
+        if not np.all((arr > 0) & np.isfinite(arr)):
+            raise InvalidParams("translating ratios must be finite and strictly positive")
         arr.setflags(write=False)
         object.__setattr__(self, "values", arr)
 
@@ -51,22 +51,26 @@ class DemandMatrix:
         object.__setattr__(self, "values", arr)
 
 
-def estimate_demand(flows: Sequence[Flow], ratios: TranslatingRatios) -> DemandMatrix:
+def estimate_demand(flows: Sequence[Flow] | FlowColumns,
+                    ratios: TranslatingRatios) -> DemandMatrix:
     """Aggregate flow bandwidth demands into per-cell resource demands.
 
     d[i, k] = p[i, k] * sum of demand_bw over flows served by element i under
     application k; cells without flows stay 0.
     """
     num_elements, num_apps = ratios.shape
-    bw = np.zeros((num_elements, num_apps))
-    for f in flows:
-        if not (0 <= f.element_id < num_elements) or not (0 <= f.app_id < num_apps):
-            raise UnknownReference(
-                f"flow {f.id} references cell ({f.element_id}, {f.app_id}) "
-                f"outside the {num_elements}x{num_apps} grid"
-            )
-        bw[f.element_id, f.app_id] += f.demand_bw
-    return DemandMatrix(bw * ratios.values)
+    cols = flow_columns(flows)
+    outside = ~((0 <= cols.element) & (cols.element < num_elements)
+                & (0 <= cols.app) & (cols.app < num_apps))
+    if outside.any():
+        j = int(np.argmax(outside))
+        raise UnknownReference(
+            f"flow {cols.id[j]} references cell ({cols.element[j]}, {cols.app[j]}) "
+            f"outside the {num_elements}x{num_apps} grid"
+        )
+    bw = np.bincount(cols.element * num_apps + cols.app, weights=cols.demand,
+                     minlength=num_elements * num_apps)
+    return DemandMatrix(bw.reshape(num_elements, num_apps) * ratios.values)
 
 
 def utility_value(kind: str, coeff: float, amount: float) -> float:

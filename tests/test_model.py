@@ -33,6 +33,19 @@ class TestDomainTypes:
         with pytest.raises(InvalidParams):
             Flow(id=0, entity_id=0, app_id=0, element_id=0, demand_bw=0.0)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_flow_demand_finite(self, bad):
+        with pytest.raises(InvalidParams):
+            Flow(id=0, entity_id=0, app_id=0, element_id=0, demand_bw=bad)
+
+    @pytest.mark.parametrize("field", ["capacities", "lower", "upper", "coeff"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_instance_rejects_non_finite(self, field, bad):
+        arrays = dict(capacities=[10.0], lower=[[2.0]], upper=[[8.0]], coeff=[[1.0]])
+        arrays[field] = np.full_like(np.array(arrays[field]), bad)
+        with pytest.raises(InvalidParams):
+            make_instance(**arrays)
+
     def test_allocation_matrix_rejects_negative(self):
         with pytest.raises(InvalidParams):
             AllocationMatrix([[1.0, -0.5]])

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -47,6 +48,27 @@ class TestGenerateScenario:
         p = ScenarioParams.full_scale()
         assert (p.num_elements, p.num_entities, p.num_apps, p.num_flows) == \
             (1000, 20, 100, 5000)
+
+
+class TestScenarioColumns:
+    def test_columns_mirror_flows(self):
+        scen = generate_scenario(DESK, 3)
+        cols = scen.columns
+        assert cols.id.tolist() == [f.id for f in scen.flows]
+        assert cols.entity.tolist() == [f.entity_id for f in scen.flows]
+        assert cols.app.tolist() == [f.app_id for f in scen.flows]
+        assert cols.element.tolist() == [f.element_id for f in scen.flows]
+        assert cols.demand.tolist() == [f.demand_bw for f in scen.flows]
+        assert "columns" not in repr(scen)
+        with pytest.raises(ValueError):
+            cols.demand[0] = 1.0
+
+    def test_unknown_reference_rejected(self):
+        scen = generate_scenario(DESK, 3)
+        stray = Flow(id=999, entity_id=len(scen.entities), app_id=0, element_id=0,
+                     demand_bw=1.0)
+        with pytest.raises(InvalidParams, match="flow 999"):
+            replace(scen, flows=scen.flows + (stray,))
 
 
 class TestScaleLoad:
@@ -143,6 +165,18 @@ class TestFlowMetrics:
     def test_qoe_zero_when_starved(self):
         flows = [Flow(id=0, entity_id=0, app_id=0, element_id=0, demand_bw=1.0)]
         assert qoe_satisfied_count(self.alloc([0.0], [0.0], [1.0]), flows) == 0
+
+    def test_qoe_matches_flows_by_id_not_position(self):
+        flows = [Flow(id=7, entity_id=0, app_id=0, element_id=0, demand_bw=1.0),
+                 Flow(id=3, entity_id=0, app_id=0, element_id=0, demand_bw=3.0)]
+        alloc = self.alloc([3.0, 1.0], [3.0, 1.0], [3.0, 1.0], ids=(3, 7))
+        assert qoe_satisfied_count(alloc, flows) == 2
+
+    def test_qoe_rejects_unknown_flow_id(self):
+        flows = [Flow(id=0, entity_id=0, app_id=0, element_id=0, demand_bw=1.0)]
+        with pytest.raises(InvalidParams, match="unknown flow 5"):
+            qoe_satisfied_count(self.alloc([1.0, 1.0], [1.0, 1.0], [1.0, 1.0], ids=(0, 5)),
+                                flows)
 
     def test_flow_utility_empty(self):
         empty = self.alloc([], [], [])

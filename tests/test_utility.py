@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from ranshare.errors import DomainError, UnknownReference
+from ranshare.errors import DomainError, InvalidParams, UnknownReference
 from ranshare.model import AllocationMatrix, Flow
 from ranshare.utility import (TranslatingRatios, estimate_demand,
                               total_utility, utility_value)
@@ -13,6 +13,12 @@ from conftest import make_instance, random_instance
 
 def flow(fid, element, app, bw, entity=0):
     return Flow(id=fid, entity_id=entity, app_id=app, element_id=element, demand_bw=bw)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, 0.0])
+def test_translating_ratios_finite_and_positive(bad):
+    with pytest.raises(InvalidParams):
+        TranslatingRatios([[1.0, bad]])
 
 
 class TestEstimateDemand:
