@@ -216,9 +216,9 @@ def second_phase_allocate(flows: Sequence[Flow], budget: float, ratio: float) ->
     translating ratio and water-filled across flow demands; leftover budget
     stays unassigned.
     """
-    if ratio <= 0:
-        raise InvalidParams("translating ratio must be positive")
-    if budget < 0:
+    if not (0 < ratio < np.inf):
+        raise InvalidParams("translating ratio must be finite and positive")
+    if not budget >= 0:
         raise InvalidParams("budget must be non-negative")
     cols = flow_columns(flows)
     return _granted(cols, water_fill(cols.demand, budget / ratio), ratio)
@@ -233,12 +233,11 @@ def _granted(cols: FlowColumns, bandwidth, ratio) -> FlowAllocation:
 def build_instance(scenario: Scenario, utility_kind: str) -> ProblemInstance:
     """Expand shares into bounds and estimate demands into utility coefficients."""
     lower, upper, app_lower, app_upper = expand_bounds(scenario.apps, scenario.elements)
-    demand = estimate_demand(scenario.columns, scenario.ratios)
     return ProblemInstance(
         capacities=np.array([e.capacity for e in scenario.elements]),
         lower=lower, upper=upper,
         app_lower=app_lower, app_upper=app_upper,
-        coeff=demand.values,
+        coeff=estimate_demand(scenario.columns, scenario.ratios),
         utility_kind=utility_kind,
     )
 

@@ -9,13 +9,14 @@ below the requested suboptimality epsilon.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import EmptyInterior, InvalidParams, NotInterior
 from .model import AllocationMatrix, ProblemInstance
-from .utility import marginal_utility, total_utility
+from .utility import _utility_sum, marginal_utility, total_utility
 
 _ARMIJO = 1e-4
 _CONTRACTION = 0.5
@@ -35,6 +36,8 @@ class SolverConfig:
     interior_shift: float = 0.5  # theta for the starting-point perturbation
 
     def __post_init__(self):
+        if not all(math.isfinite(v) for v in (self.epsilon, self.t0, self.mu, self.inner_tol)):
+            raise InvalidParams("epsilon, t0, mu and inner_tol must be finite")
         if self.epsilon <= 0:
             raise InvalidParams("epsilon must be > 0")
         if self.t0 <= 0:
@@ -77,29 +80,34 @@ def _slacks(inst: ProblemInstance, s: np.ndarray):
 
 
 def barrier_value(inst: ProblemInstance, alloc: AllocationMatrix) -> float:
-    """Logarithmic barrier over the coupling constraints at a strictly interior point."""
-    bs, ms, ls = _slacks(inst, alloc.values)
-    if bs.min() <= 0 or ms.min() <= 0 or ls.min() <= 0:
-        raise NotInterior("allocation is not strictly interior to the coupling constraints")
-    return float(np.log(bs).sum() + np.log(ms).sum() + np.log(ls).sum())
+    """Logarithmic barrier over the coupling constraints at a strictly interior point.
+
+    This is the barrier the solver maximizes.  A constraint without a free
+    cell (an element row or application column whose cells all have
+    upper == lower) is constant, so its term is dropped and its slack may be
+    zero; every other slack must be strictly positive (``NotInterior``).
+    """
+    return _InnerProblem(inst).barrier(alloc.values)
 
 
 def interior_objective(inst: ProblemInstance, alloc: AllocationMatrix, t: float) -> float:
-    """t * utility + barrier, the objective of the inner problem."""
-    return t * total_utility(inst, alloc) + barrier_value(inst, alloc)
+    """t * utility + barrier, the objective of the inner problem.
+
+    The barrier is :func:`barrier_value`, so constraints without a free cell
+    contribute nothing.
+    """
+    return _InnerProblem(inst).value(alloc.values, t)
 
 
 def interior_gradient(inst: ProblemInstance, alloc: AllocationMatrix, t: float) -> np.ndarray:
-    """Gradient of the inner objective on the full grid."""
-    s = alloc.values
-    bs, ms, ls = _slacks(inst, s)
-    if bs.min() <= 0 or ms.min() <= 0 or ls.min() <= 0:
-        raise NotInterior("gradient requested outside the barrier domain")
-    g = t * marginal_utility(inst.utility_kind, inst.coeff, s)
-    g -= 1.0 / bs[:, None]
-    g -= 1.0 / ms[None, :]
-    g += 1.0 / ls[None, :]
-    return g
+    """Gradient of :func:`interior_objective` at every cell, pinned ones included.
+
+    Raises ``NotInterior`` where :func:`barrier_value` does; constraints
+    without a free cell contribute no term.
+    """
+    work = _InnerProblem(inst)
+    work.interior_slacks(alloc.values)
+    return work.gradient(alloc.values, t)
 
 
 def gap_bound(inst: ProblemInstance, t: float) -> float:
@@ -148,7 +156,11 @@ def interior_start(inst: ProblemInstance, shift: float = 0.5) -> AllocationMatri
 
 
 class _InnerProblem:
-    """Reduced inner problem: pinned cells fixed, their degenerate barrier terms dropped."""
+    """The inner problem at fixed t; the public barrier functions are views of it.
+
+    Pinned cells (upper == lower) stay fixed, and the constant barrier terms
+    of constraints without a free cell are dropped.
+    """
 
     def __init__(self, inst: ProblemInstance):
         self.inst = inst
@@ -160,21 +172,19 @@ class _InnerProblem:
         bs, ms, ls = _slacks(self.inst, s)
         return bs[self.el_active], ms[self.app_active], ls[self.app_active]
 
+    def interior_slacks(self, s):
+        """The slacks, which must all be strictly positive."""
+        slacks = self.slacks(s)
+        if not all((x > 0).all() for x in slacks):
+            raise NotInterior("allocation is not strictly interior to the coupling constraints")
+        return slacks
+
     def barrier(self, s) -> float:
-        bs, ms, ls = self.slacks(s)
-        if len(bs) and bs.min() <= 0:
-            raise NotInterior("element slack not positive")
-        if len(ms) and (ms.min() <= 0 or ls.min() <= 0):
-            raise NotInterior("application slack not positive")
+        bs, ms, ls = self.interior_slacks(s)
         return float(np.log(bs).sum() + np.log(ms).sum() + np.log(ls).sum())
 
     def value(self, s, t) -> float:
-        inst = self.inst
-        if inst.utility_kind == "linear":
-            u = float(np.vdot(inst.coeff, s))
-        else:
-            u = float(np.vdot(inst.coeff, np.log(s)))
-        return t * u + self.barrier(s)
+        return t * _utility_sum(self.inst, s) + self.barrier(s)
 
     def gradient(self, s, t):
         inst = self.inst
@@ -184,11 +194,10 @@ class _InnerProblem:
         col = np.where(self.app_active, 1.0 / np.where(self.app_active, ms, 1.0), 0.0)
         col -= np.where(self.app_active, 1.0 / np.where(self.app_active, ls, 1.0), 0.0)
         g -= col[None, :]
-        g[~self.free] = 0.0
         return g
 
     def curvature_terms(self, s, t):
-        """Pieces of the negated inner Hessian.
+        """Pieces of the negated inner Hessian and its diagonal, the preconditioner.
 
         H = diag(d) + sum_i w_i (row_i)(row_i)^T + sum_k v_k (col_k)(col_k)^T
         with d from the utility term, w from element slacks, v from the two
@@ -202,23 +211,19 @@ class _InnerProblem:
         w_el = np.where(self.el_active, 1.0 / np.where(self.el_active, bs * bs, 1.0), 0.0)
         v_app = np.where(self.app_active, 1.0 / np.where(self.app_active, ms * ms, 1.0), 0.0)
         v_app += np.where(self.app_active, 1.0 / np.where(self.app_active, ls * ls, 1.0), 0.0)
-        return diag, w_el, v_app
-
-    def curvature(self, s, t):
-        """Diagonal of the negated Hessian, used as a preconditioner."""
-        diag, w_el, v_app = self.curvature_terms(s, t)
-        return np.maximum(diag + w_el[:, None] + v_app[None, :], 1e-300)
+        precond = np.maximum(diag + w_el[:, None] + v_app[None, :], 1e-300)
+        return diag, w_el, v_app, precond
 
 
-def _newton_cg_direction(work: _InnerProblem, s, t, g, mask, max_cg: int = 25):
+def _newton_cg_direction(terms, g, mask, max_cg: int = 25):
     """Approximately solve H d = g on the unmasked coordinates by CG.
 
-    The Hessian has diagonal-plus-rank-one-per-row/column structure, so each
+    ``terms`` is ``_InnerProblem.curvature_terms`` at the current point.  The
+    Hessian has diagonal-plus-rank-one-per-row/column structure, so each
     matrix-vector product costs one pass over the grid.  Truncated CG output
     always has positive inner product with g (an ascent direction).
     """
-    diag, w_el, v_app = work.curvature_terms(s, t)
-    precond = np.maximum(diag + w_el[:, None] + v_app[None, :], 1e-300)
+    diag, w_el, v_app, precond = terms
     damping = 1e-12 * float(precond.max())
 
     def matvec(v):
@@ -270,11 +275,7 @@ def _inner_loop(work: _InnerProblem, s: np.ndarray, t: float, cfg: SolverConfig)
 
     Returns (s, iterations, status, objective_history).
     """
-    inst = work.inst
-    lo, hi = inst.lower, inst.upper
-    if not work.free.any():
-        return s, 0, "converged", [work.value(s, t)]
-
+    lo, hi = work.inst.lower, work.inst.upper
     history = [work.value(s, t)]
     status = "max_iters"
     iters = 0
@@ -289,9 +290,10 @@ def _inner_loop(work: _InnerProblem, s: np.ndarray, t: float, cfg: SolverConfig)
             break
 
         mask = work.free & ~((s <= lo) & (g < 0)) & ~((s >= hi) & (g > 0))
-        newton = _newton_cg_direction(work, s, t, g, mask)
-        fallback = np.where(mask, g, 0.0) / work.curvature(s, t)
-        bs, ms, ls = work.slacks(s)
+        terms = work.curvature_terms(s, t)
+        newton = _newton_cg_direction(terms, g, mask)
+        fallback = np.where(mask, g, 0.0) / terms[-1]  # scaled by the preconditioner
+        base = work.slacks(s)
         f_cur = history[-1]
 
         accepted = False
@@ -299,13 +301,8 @@ def _inner_loop(work: _InnerProblem, s: np.ndarray, t: float, cfg: SolverConfig)
             alpha = 1.0
             for _ in range(_MAX_BACKTRACKS):
                 trial = np.clip(s + alpha * d, lo, hi)
-                tbs, tms, tls = work.slacks(trial)
-                interior_ok = (
-                    (not len(tbs) or (np.all(tbs >= _BOUNDARY_FRACTION * bs) and tbs.min() > 0))
-                    and (not len(tms) or (np.all(tms >= _BOUNDARY_FRACTION * ms)
-                                          and np.all(tls >= _BOUNDARY_FRACTION * ls)
-                                          and min(tms.min(), tls.min()) > 0))
-                )
+                interior_ok = all(((x >= _BOUNDARY_FRACTION * x0) & (x > 0)).all()
+                                  for x, x0 in zip(work.slacks(trial), base))
                 if interior_ok:
                     gain = float(np.vdot(g, trial - s))
                     if gain > 0:
@@ -359,7 +356,7 @@ def solve(inst: ProblemInstance, config: SolverConfig | None = None) -> SolveRes
         trace.append(OuterTrace(
             t=t,
             objective=total_utility(inst, AllocationMatrix(s)),
-            barrier=work.barrier(s) if work.free.any() else 0.0,
+            barrier=work.barrier(s),
             gap_bound=gap_bound(inst, t),
             inner_iters=iters,
             inner_status=status,

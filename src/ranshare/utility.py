@@ -35,28 +35,13 @@ class TranslatingRatios:
         return isinstance(other, TranslatingRatios) and np.array_equal(self.values, other.values)
 
 
-@dataclass(frozen=True)
-class DemandMatrix:
-    """Resource units demanded this period per (element, application) cell."""
-
-    values: np.ndarray  # (I, K), non-negative
-
-    def __post_init__(self):
-        arr = np.array(self.values, dtype=float)
-        if arr.ndim != 2:
-            raise InvalidParams("demand matrix must be 2-D")
-        if np.any(arr < 0):
-            raise InvalidParams("demands must be non-negative")
-        arr.setflags(write=False)
-        object.__setattr__(self, "values", arr)
-
-
 def estimate_demand(flows: Sequence[Flow] | FlowColumns,
-                    ratios: TranslatingRatios) -> DemandMatrix:
+                    ratios: TranslatingRatios) -> np.ndarray:
     """Aggregate flow bandwidth demands into per-cell resource demands.
 
-    d[i, k] = p[i, k] * sum of demand_bw over flows served by element i under
-    application k; cells without flows stay 0.
+    Returns the read-only (I, K) array d with d[i, k] = p[i, k] * sum of
+    demand_bw over flows served by element i under application k; cells
+    without flows stay 0.
     """
     num_elements, num_apps = ratios.shape
     cols = flow_columns(flows)
@@ -70,7 +55,9 @@ def estimate_demand(flows: Sequence[Flow] | FlowColumns,
         )
     bw = np.bincount(cols.element * num_apps + cols.app, weights=cols.demand,
                      minlength=num_elements * num_apps)
-    return DemandMatrix(bw.reshape(num_elements, num_apps) * ratios.values)
+    demand = bw.reshape(num_elements, num_apps) * ratios.values
+    demand.setflags(write=False)
+    return demand
 
 
 def utility_value(kind: str, coeff: float, amount: float) -> float:
@@ -88,14 +75,18 @@ def utility_value(kind: str, coeff: float, amount: float) -> float:
 
 def total_utility(inst: ProblemInstance, alloc: AllocationMatrix) -> float:
     """Sum of per-cell utilities over the whole grid."""
-    s = alloc.values
+    return _utility_sum(inst, alloc.values)
+
+
+def _utility_sum(inst: ProblemInstance, s: np.ndarray) -> float:
+    """Sum of per-cell utilities of the allocation array ``s``."""
     if s.shape != inst.coeff.shape:
         raise InvalidParams(
             f"allocation shape {s.shape} does not match instance {inst.coeff.shape}"
         )
     if inst.utility_kind == "linear":
         return float(np.vdot(inst.coeff, s))
-    if np.any(s <= 0):
+    if (s <= 0).any():
         raise DomainError("logarithmic utility requires strictly positive allocations")
     return float(np.vdot(inst.coeff, np.log(s)))
 

@@ -41,6 +41,12 @@ def random_instance(rng, num_elements=None, num_apps=None, kind=None,
     )
 
 
+def pin_cells(inst, pin):
+    """`inst` with the cells where `pin` is True pinned at their lower bound."""
+    upper = np.where(pin, inst.lower, inst.upper)
+    return make_instance(inst.capacities, inst.lower, upper, inst.coeff, inst.utility_kind)
+
+
 @pytest.fixture
 def tiny_instance():
     """1x1 instance: capacity 10, box [2, 8], aggregate bounds [2, 8], c=1."""

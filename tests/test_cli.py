@@ -55,6 +55,11 @@ class TestMain:
         assert main(["--experiment", "utility"]) == 2
         assert "seed" in capsys.readouterr().err
 
+    def test_non_finite_epsilon_exit_code(self, tmp_path, capsys):
+        assert main(["--config", write_config(tmp_path), "--experiment", "single-solve",
+                     "--seed", "1", "--epsilon", "nan", "--out", str(tmp_path / "run")]) == 1
+        assert "InvalidParams" in capsys.readouterr().err
+
     def test_utility_experiment_row_count(self, tmp_path):
         out = tmp_path / "run"
         status = main(["--config", write_config(tmp_path, epsilon=1.0),

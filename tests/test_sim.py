@@ -84,8 +84,8 @@ class TestScaleLoad:
 
     def test_demand_estimation_scales_linearly(self):
         scen = generate_scenario(DESK, 3)
-        d1 = estimate_demand(scen.flows, scen.ratios).values
-        d4 = estimate_demand(scale_load(scen, 4.0).flows, scen.ratios).values
+        d1 = estimate_demand(scen.flows, scen.ratios)
+        d4 = estimate_demand(scale_load(scen, 4.0).flows, scen.ratios)
         assert np.allclose(d4, 4.0 * d1, rtol=1e-12)
 
     def test_subset_scaling(self):
@@ -149,6 +149,11 @@ class TestSecondPhase:
     def test_resource_is_bandwidth_times_ratio(self):
         out = second_phase_allocate(self.flows([0.5, 2.5]), budget=3.0, ratio=1.7)
         assert np.allclose(out.resource, out.bandwidth * 1.7, rtol=1e-12)
+
+    @pytest.mark.parametrize("budget, ratio", [(np.nan, 1.0), (1.0, np.nan), (1.0, np.inf)])
+    def test_non_finite_input_rejected(self, budget, ratio):
+        with pytest.raises(InvalidParams):
+            second_phase_allocate(self.flows([1.0]), budget=budget, ratio=ratio)
 
 
 class TestFlowMetrics:

@@ -3,14 +3,14 @@ import math
 import numpy as np
 import pytest
 
-from ranshare.errors import EmptyInterior, NotInterior
+from ranshare.errors import EmptyInterior, InvalidParams, NotInterior
 from ranshare.model import AllocationMatrix, check_feasible
 from ranshare.oracle import oracle_solve
 from ranshare.solver import (SolverConfig, _InnerProblem, _inner_loop, barrier_value,
                              gap_bound, interior_gradient, interior_objective,
                              interior_start, solve, solve_inner)
 
-from conftest import make_instance, random_instance
+from conftest import make_instance, pin_cells, random_instance
 
 
 class TestBarrier:
@@ -24,8 +24,18 @@ class TestBarrier:
         assert barrier_value(inst, AllocationMatrix([[5.0]])) == pytest.approx(0.0, abs=1e-14)
 
     def test_boundary_rejected(self, tiny_instance):
+        on_floor = AllocationMatrix([[2.0]])  # sits on app floor
         with pytest.raises(NotInterior):
-            barrier_value(tiny_instance, AllocationMatrix([[2.0]]))  # sits on app floor
+            barrier_value(tiny_instance, on_floor)
+        with pytest.raises(NotInterior):
+            interior_gradient(tiny_instance, on_floor, 1.0)
+
+    def test_fully_pinned_application_dropped(self):
+        # application 0 is pinned, so its zero slacks carry no term:
+        # slacks 10-7=3, 7-5=2, 5-3=2 -> ln 12
+        inst = make_instance([10.0], [[2.0, 3.0]], [[2.0, 7.0]], [[1.0, 1.0]])
+        got = barrier_value(inst, AllocationMatrix([[2.0, 5.0]]))
+        assert got == pytest.approx(math.log(12.0), rel=1e-14)
 
 
 class TestInteriorObjective:
@@ -52,8 +62,14 @@ class TestInteriorGradient:
     def test_matches_central_differences(self):
         rng = np.random.default_rng(17)
         h = 1e-6
-        for _ in range(30):
-            inst = random_instance(rng)
+        for pinned in [False] * 30 + [True] * 30:
+            inst = random_instance(rng, num_elements=3 if pinned else None,
+                                   num_apps=2 if pinned else None)
+            if pinned:
+                # element 0 and application 0 fully pinned, and some other cells
+                pin = rng.random(inst.lower.shape) < 0.3
+                pin[0, :] = pin[:, 0] = True
+                inst = pin_cells(inst, pin)
             t = float(rng.uniform(0.1, 10.0))
             span = inst.upper - inst.lower
             s = inst.lower + rng.uniform(0.2, 0.8, span.shape) * span
@@ -166,7 +182,23 @@ class TestSolveInner:
             assert check_feasible(inst, AllocationMatrix(s), tol=0.0).feasible
 
 
+class TestSolverConfig:
+    @pytest.mark.parametrize("field", ["epsilon", "t0", "mu", "inner_tol"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_non_finite_rejected(self, field, value):
+        with pytest.raises(InvalidParams):
+            SolverConfig(**{field: value})
+
+
 class TestSolve:
+    def test_fully_pinned_instance_returns_lower(self):
+        inst = make_instance([10.0], [[2.0, 3.0]], [[2.0, 3.0]], [[1.0, 1.0]])
+        r = solve(inst, SolverConfig(epsilon=1e-2))
+        assert np.array_equal(r.allocation.values, inst.lower)
+        assert r.inner_iters_total == 0
+        assert r.trace and all(tr.barrier == 0.0 and tr.inner_status == "converged"
+                               for tr in r.trace)
+
     def test_1x1_linear_reaches_box_cap(self, tiny_instance):
         r = solve(tiny_instance, SolverConfig(epsilon=1e-3))
         assert r.converged

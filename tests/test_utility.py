@@ -25,18 +25,19 @@ class TestEstimateDemand:
     def test_no_flows_gives_zero_matrix(self):
         ratios = TranslatingRatios(np.full((3, 2), 1.5))
         d = estimate_demand([], ratios)
-        assert np.array_equal(d.values, np.zeros((3, 2)))
+        assert np.array_equal(d, np.zeros((3, 2)))
+        assert not d.flags.writeable
 
     def test_single_flow_scaled_by_ratio(self):
         ratios = TranslatingRatios([[1.0, 1.5]])
         d = estimate_demand([flow(0, 0, 1, 2.0)], ratios)
-        assert d.values[0, 1] == pytest.approx(3.0)
+        assert d[0, 1] == pytest.approx(3.0)
 
     def test_flows_at_same_cell_sum_before_scaling(self):
         ratios = TranslatingRatios([[2.0]])
         flows = [flow(0, 0, 0, 0.5), flow(1, 0, 0, 1.0), flow(2, 0, 0, 0.5)]
         d = estimate_demand(flows, ratios)
-        assert d.values[0, 0] == pytest.approx(4.0)
+        assert d[0, 0] == pytest.approx(4.0)
 
     def test_unknown_cell_rejected(self):
         ratios = TranslatingRatios([[1.0]])
@@ -53,7 +54,7 @@ class TestEstimateDemand:
             cut = float(rng.uniform(0.1, 0.9)) * bw
             whole = estimate_demand([flow(0, i, k, bw)], ratios)
             split = estimate_demand([flow(0, i, k, cut), flow(1, i, k, bw - cut)], ratios)
-            assert np.allclose(whole.values, split.values, rtol=1e-12, atol=1e-12)
+            assert np.allclose(whole, split, rtol=1e-12, atol=1e-12)
 
 
 class TestUtilityValue:
