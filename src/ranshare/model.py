@@ -132,6 +132,8 @@ class AllocationMatrix:
         arr = np.array(self.values, dtype=float)
         if arr.ndim != 2:
             raise DimensionMismatch(f"allocation must be 2-D, got shape {arr.shape}")
+        if not np.isfinite(arr).all():
+            raise InvalidParams("allocation amounts must be finite")
         if np.any(arr < 0):
             raise InvalidParams("allocation amounts must be non-negative")
         arr.setflags(write=False)

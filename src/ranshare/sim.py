@@ -168,14 +168,20 @@ def scale_load(scenario: Scenario, multiplier: float, flow_ids=None) -> Scenario
         raise InvalidParams("load multiplier must be >= 1")
     if multiplier == 1.0:
         return scenario
-    chosen = None if flow_ids is None else set(flow_ids)
-    flows = tuple(
-        replace(f, demand_bw=f.demand_bw * multiplier)
-        if chosen is None or f.id in chosen else f
-        for f in scenario.flows
-    )
-    new_mult = scenario.load_multiplier * multiplier if chosen is None else scenario.load_multiplier
-    return replace(scenario, flows=flows, load_multiplier=new_mult)
+    cols = scenario.columns
+    if flow_ids is None:
+        chosen = np.arange(len(cols.id))
+        new_mult = scenario.load_multiplier * multiplier
+    else:
+        chosen = np.flatnonzero(np.isin(cols.id, np.fromiter(flow_ids, np.int64)))
+        new_mult = scenario.load_multiplier
+    # only the scaled flows are rebuilt; the others are kept as they are
+    flows = list(scenario.flows)
+    scaled = _flows(cols.id[chosen], cols.entity[chosen], cols.app[chosen],
+                    cols.element[chosen], cols.demand[chosen] * multiplier)
+    for j, flow in zip(chosen.tolist(), scaled):
+        flows[j] = flow
+    return replace(scenario, flows=tuple(flows), load_multiplier=new_mult)
 
 
 def add_hotspot(scenario: Scenario, params: HotspotParams, seed: int) -> Scenario:

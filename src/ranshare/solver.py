@@ -10,6 +10,7 @@ below the requested suboptimality epsilon.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -46,6 +47,9 @@ class SolverConfig:
             raise InvalidParams("mu must be > 1")
         if not (0 < self.interior_shift < 1):
             raise InvalidParams("interior_shift must lie in (0, 1)")
+        if not all(isinstance(n, numbers.Integral) and not isinstance(n, bool)
+                   for n in (self.max_inner_iters, self.max_outer_iters)):
+            raise InvalidParams("max_inner_iters and max_outer_iters must be integers")
         if self.inner_tol <= 0 or self.max_inner_iters < 1 or self.max_outer_iters < 1:
             raise InvalidParams("tolerances and iteration caps must be positive")
 
@@ -215,6 +219,79 @@ class _InnerProblem:
         return diag, w_el, v_app, precond
 
 
+def _damping(precond) -> float:
+    """The diagonal shift that keeps the masked Hessian nonsingular."""
+    return 1e-12 * float(precond.max())
+
+
+def _scaled_gradient(g, mask, precond):
+    """The gradient on the mask cells, scaled by the Hessian diagonal."""
+    return np.where(mask, g, 0.0) / precond
+
+
+def _exact_newton_direction(terms, g, mask, s, lo, hi):
+    """Projected Newton step for logarithmic utility: H d = g solved exactly.
+
+    ``terms`` is ``_InnerProblem.curvature_terms`` at ``s``; H is the damped
+    negated Hessian restricted to the ``mask`` cells.  Each element row of
+    H is diag(d + damping) + w_i 11^T, inverted by Sherman-Morrison; the
+    application columns are then eliminated through the |K| x |K| Woodbury
+    system S = I + V^1/2 C^T A^-1 C V^1/2, which stays valid where v_k = 0.
+
+    Cells the step would push past ``lo``/``hi`` are fixed at that bound,
+    their moves go to the right-hand side and the rest is solved again,
+    until no free cell is pushed out (Bertsekas 1982, projected Newton).
+    The free set shrinks every round, so the loop ends.  When the Woodbury
+    solve fails, or the moves to a bound leave a step that is no ascent
+    direction, the diagonally scaled gradient is returned instead.
+    """
+    diag, w_el, v_app, precond = terms
+    # the inverse diagonal of the row blocks A on the free cells, zero elsewhere
+    e = np.where(mask, 1.0 / (diag + _damping(precond)), 0.0)
+    root_v = np.sqrt(v_app)
+    num_app = g.shape[1]
+    free = mask.copy()
+    step = np.zeros_like(g)  # the moves of the cells fixed at a bound
+    rhs = np.where(mask, g, 0.0)
+    while True:
+        rho = w_el / (1.0 + w_el * e.sum(axis=1))
+
+        def row_solve(y):
+            """A^-1 y, in place: Sherman-Morrison on every row block."""
+            y -= (rho * np.einsum("ik,ik->i", e, y))[:, None]
+            y *= e
+            return y
+
+        # C^T A^-1 C = diag(column sums of e) - (rho^1/2 e)^T (rho^1/2 e)
+        root_rho_e = e * np.sqrt(rho)[:, None]
+        schur = -(root_rho_e.T @ root_rho_e)
+        del root_rho_e
+        schur[np.diag_indices(num_app)] += e.sum(axis=0)
+        schur *= root_v[:, None] * root_v[None, :]
+        schur[np.diag_indices(num_app)] += 1.0
+        col_rhs = root_v * row_solve(rhs.copy()).sum(axis=0)
+        try:
+            u = root_v * np.linalg.solve(schur, col_rhs)
+        except np.linalg.LinAlgError:
+            return _scaled_gradient(g, mask, precond)
+        x = row_solve(rhs - u[None, :])
+        if not np.isfinite(x).all():
+            return _scaled_gradient(g, mask, precond)
+        trial = s + x
+        rows, cols = np.nonzero(free & ((trial > hi) | (trial < lo)))
+        if rows.size == 0:
+            x += step  # x is zero off the free cells
+            # the moves to a bound can turn the step away from g
+            return x if float(np.vdot(g, x)) > 0.0 else _scaled_gradient(g, mask, precond)
+        bound = np.where(trial[rows, cols] > hi[rows, cols], hi[rows, cols], lo[rows, cols])
+        move = bound - s[rows, cols]
+        step[rows, cols] = move
+        free[rows, cols] = False
+        e[rows, cols] = 0.0
+        rhs -= w_el[:, None] * np.bincount(rows, move, len(w_el))[:, None]
+        rhs -= v_app * np.bincount(cols, move, num_app)
+
+
 def _newton_cg_direction(terms, g, mask, max_cg: int = 25):
     """Approximately solve H d = g on the unmasked coordinates by CG.
 
@@ -224,7 +301,7 @@ def _newton_cg_direction(terms, g, mask, max_cg: int = 25):
     always has positive inner product with g (an ascent direction).
     """
     diag, w_el, v_app, precond = terms
-    damping = 1e-12 * float(precond.max())
+    damping = _damping(precond)
 
     def matvec(v):
         out = (diag + damping) * v
@@ -267,15 +344,19 @@ def _newton_cg_direction(terms, g, mask, max_cg: int = 25):
 def _inner_loop(work: _InnerProblem, s: np.ndarray, t: float, cfg: SolverConfig):
     """Projected ascent with Armijo backtracking on the inner objective.
 
-    The search direction is a truncated-Newton step on the inactive
-    coordinates, falling back to the diagonally scaled gradient when the
-    Newton step fails the line search.  Accepted steps never decrease the
-    inner objective, and every iterate keeps all active barrier slacks
-    strictly positive (fraction-to-boundary rule).
+    The search direction is a Newton step on the inactive coordinates:
+    exact, with the cells it would push out of their box fixed at the
+    bound, for logarithmic utility (:func:`_exact_newton_direction`), and
+    truncated CG for linear utility, whose Hessian is singular
+    (:func:`_newton_cg_direction`).  When the Newton step fails the line
+    search, the diagonally scaled gradient is tried.  Accepted steps never
+    decrease the inner objective, and every iterate keeps all active
+    barrier slacks strictly positive (fraction-to-boundary rule).
 
     Returns (s, iterations, status, objective_history).
     """
     lo, hi = work.inst.lower, work.inst.upper
+    exact = work.inst.utility_kind == "logarithmic"
     history = [work.value(s, t)]
     status = "max_iters"
     iters = 0
@@ -291,8 +372,11 @@ def _inner_loop(work: _InnerProblem, s: np.ndarray, t: float, cfg: SolverConfig)
 
         mask = work.free & ~((s <= lo) & (g < 0)) & ~((s >= hi) & (g > 0))
         terms = work.curvature_terms(s, t)
-        newton = _newton_cg_direction(terms, g, mask)
-        fallback = np.where(mask, g, 0.0) / terms[-1]  # scaled by the preconditioner
+        if exact:
+            newton = _exact_newton_direction(terms, g, mask, s, lo, hi)
+        else:
+            newton = _newton_cg_direction(terms, g, mask)
+        fallback = _scaled_gradient(g, mask, terms[-1])
         base = work.slacks(s)
         f_cur = history[-1]
 

@@ -50,6 +50,11 @@ class TestDomainTypes:
         with pytest.raises(InvalidParams):
             AllocationMatrix([[1.0, -0.5]])
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_allocation_matrix_rejects_non_finite(self, bad):
+        with pytest.raises(InvalidParams):
+            AllocationMatrix([[1.0, bad]])
+
     def test_instance_requires_log_positive_lower(self):
         with pytest.raises(InvalidParams):
             make_instance([10.0], [[0.0]], [[8.0]], [[1.0]], kind="logarithmic")

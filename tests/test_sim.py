@@ -95,6 +95,20 @@ class TestScaleLoad:
         assert scaled.flows[0].demand_bw == pytest.approx(5.0 * scen.flows[0].demand_bw)
         assert scaled.flows[2].demand_bw == scen.flows[2].demand_bw
 
+    @pytest.mark.parametrize("multiplier", [1.7, 10.0, 3])
+    def test_matches_per_flow_scaling(self, multiplier):
+        base = generate_scenario(DESK, 3)
+        hot = add_hotspot(base, HotspotParams(n_flows=40, n_elements=20), 4)
+        ids = tuple(f.id for f in hot.flows[len(base.flows):])
+        for flow_ids in (None, ids, set(ids[::3]), ()):
+            chosen = None if flow_ids is None else set(flow_ids)
+            want = tuple(replace(f, demand_bw=f.demand_bw * multiplier)
+                         if chosen is None or f.id in chosen else f for f in hot.flows)
+            scaled = scale_load(hot, multiplier, flow_ids=flow_ids)
+            assert scaled.flows == want
+            assert all(type(f.demand_bw) is float for f in scaled.flows)
+            assert scaled.load_multiplier == (multiplier if flow_ids is None else 1.0)
+
     def test_rejects_below_one(self):
         with pytest.raises(InvalidParams):
             scale_load(generate_scenario(DESK, 3), 0.5)

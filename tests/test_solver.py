@@ -6,9 +6,10 @@ import pytest
 from ranshare.errors import EmptyInterior, InvalidParams, NotInterior
 from ranshare.model import AllocationMatrix, check_feasible
 from ranshare.oracle import oracle_solve
-from ranshare.solver import (SolverConfig, _InnerProblem, _inner_loop, barrier_value,
-                             gap_bound, interior_gradient, interior_objective,
-                             interior_start, solve, solve_inner)
+from ranshare.solver import (SolverConfig, _InnerProblem, _exact_newton_direction,
+                             _inner_loop, _scaled_gradient, barrier_value, gap_bound,
+                             interior_gradient, interior_objective, interior_start, solve,
+                             solve_inner)
 
 from conftest import make_instance, pin_cells, random_instance
 
@@ -182,12 +183,137 @@ class TestSolveInner:
             assert check_feasible(inst, AllocationMatrix(s), tol=0.0).feasible
 
 
+def _masked_hessian(terms, mask):
+    """The damped negated inner Hessian on the mask cells, as an explicit matrix."""
+    diag, w_el, v_app, precond = terms
+    num_el, num_app = diag.shape
+    rows = np.repeat(np.eye(num_el), num_app, axis=1)  # rows[i] marks element i's cells
+    cols = np.tile(np.eye(num_app), num_el)            # cols[k] marks application k's cells
+    h = np.diag((diag + 1e-12 * precond.max()).ravel())
+    h += rows.T @ (w_el[:, None] * rows) + cols.T @ (v_app[:, None] * cols)
+    m = mask.ravel()
+    return h[np.ix_(m, m)]
+
+
+def _random_terms(rng, num_el, num_app):
+    """Curvature terms with the row and column weights over eight decades."""
+    diag = 10.0 ** rng.uniform(-2, 2, (num_el, num_app))
+    w_el = 10.0 ** rng.uniform(-2, 6, num_el)
+    v_app = 10.0 ** rng.uniform(-2, 6, num_app)
+    return diag, w_el, v_app, diag + w_el[:, None] + v_app[None, :]
+
+
+DIRECTION_CASES = ("free", "pinned", "pinned_row_and_column", "zero_app_weight", "empty_mask")
+
+
+class TestExactNewtonDirection:
+    @pytest.mark.parametrize("case", DIRECTION_CASES)
+    def test_matches_explicit_solve(self, case):
+        rng = np.random.default_rng(DIRECTION_CASES.index(case))
+        for _ in range(10):
+            inst = random_instance(rng, num_elements=int(rng.integers(2, 6)),
+                                   num_apps=int(rng.integers(2, 5)), kind="logarithmic",
+                                   zero_coeff_prob=0.0)
+            if case.startswith("pinned"):
+                pin = rng.random(inst.lower.shape) < 0.3
+                if case == "pinned_row_and_column":
+                    pin[0, :] = pin[:, 0] = True
+                inst = pin_cells(inst, pin)
+            work = _InnerProblem(inst)
+            s = interior_start(inst, 0.5).values
+            t = float(rng.uniform(0.1, 100.0))
+            g = work.gradient(s, t)
+            diag, w_el, v_app, precond = work.curvature_terms(s, t)
+            if case == "zero_app_weight":
+                v_app[0] = 0.0
+            mask = work.free & (rng.random(s.shape) < 0.8)
+            if case == "empty_mask":
+                mask[:] = False
+            unbounded = np.full(s.shape, np.inf)
+            d = _exact_newton_direction((diag, w_el, v_app, precond), g, mask, s,
+                                        -unbounded, unbounded)
+            want = np.zeros_like(g)
+            if mask.any():
+                want[mask] = np.linalg.solve(_masked_hessian((diag, w_el, v_app, precond), mask),
+                                             g[mask])
+            assert np.all(np.abs(d - want) <= 1e-8 * np.abs(want).max())
+
+    def test_bound_hit_fixes_cells_and_solves_the_rest(self):
+        rng = np.random.default_rng(7)
+        hit_cases = fallback_cases = 0
+        for _ in range(300):
+            num_el, num_app = int(rng.integers(1, 4)), int(rng.integers(2, 4))
+            terms = _random_terms(rng, num_el, num_app)
+            g = rng.normal(size=(num_el, num_app))
+            s = rng.uniform(1.0, 2.0, g.shape)
+            lo = s - 10.0 ** rng.uniform(-3, 1, g.shape)
+            hi = s + 10.0 ** rng.uniform(-3, 1, g.shape)
+            mask = rng.random(g.shape) < 0.9
+            d = _exact_newton_direction(terms, g, mask, s, lo, hi)
+            assert np.all(d[~mask] == 0.0)
+            if np.array_equal(d, _scaled_gradient(g, mask, terms[-1])):
+                fallback_cases += 1
+                continue
+            assert np.vdot(g, d) > 0.0
+            fixed = mask & ((d == hi - s) | (d == lo - s))
+            free = mask & ~fixed
+            # fixed cells land on their bound, free cells stay in their box
+            bound = np.where(d > 0, hi, lo)
+            np.testing.assert_array_max_ulp(np.clip(s + d, lo, hi)[fixed], bound[fixed], 1)
+            assert np.all((s + d)[free] >= lo[free]) and np.all((s + d)[free] <= hi[free])
+            # the free cells solve the system whose right-hand side holds the fixed moves
+            h = _masked_hessian(terms, mask)
+            f_idx, b_idx = free[mask], fixed[mask]
+            lhs = h[np.ix_(f_idx, f_idx)] @ d[free]
+            rhs = g[free] - h[np.ix_(f_idx, b_idx)] @ d[fixed]
+            assert np.all(np.abs(lhs - rhs) <= 1e-8 * max(np.abs(lhs).max(initial=0.0),
+                                                          np.abs(rhs).max(initial=1.0)))
+            hit_cases += bool(fixed.any())
+        # fixing moves at a bound can leave no ascent step; then the scaled gradient is used
+        assert hit_cases >= 100 and fallback_cases >= 1
+
+
+# Objectives the truncated-CG Newton step reached on _log_case(0..19) at
+# epsilon 1e-4; the exact step must reach the same central-path points.
+CG_LOG_OBJECTIVES = (
+    278.68401087518686, 122.16104538391812, 160.84249439889268, 69.64145351191688,
+    351.3260325983554, 246.13133215201276, 146.68645488750317, 265.3565216830325,
+    99.6146177936419, 185.8496099249405, 303.95229598547877, 20.58417203131218,
+    119.78235311018669, 365.1718190249412, 131.37815768804157, 257.75764957138904,
+    116.05171800213867, 258.09288196916106, 188.68472552238518, 140.98528512400287,
+)
+
+
+def _log_case(seed):
+    rng = np.random.default_rng(seed)
+    inst = random_instance(rng, num_elements=int(rng.integers(2, 9)),
+                           num_apps=int(rng.integers(1, 6)), kind="logarithmic")
+    if seed % 2:
+        inst = pin_cells(inst, rng.random(inst.lower.shape) < 0.25)
+    return inst
+
+
+@pytest.mark.parametrize("seed", range(len(CG_LOG_OBJECTIVES)))
+def test_log_solve_matches_cg_objective(seed):
+    r = solve(_log_case(seed), SolverConfig(epsilon=1e-4))
+    assert r.objective == pytest.approx(CG_LOG_OBJECTIVES[seed], rel=1e-9, abs=0.0)
+
+
 class TestSolverConfig:
     @pytest.mark.parametrize("field", ["epsilon", "t0", "mu", "inner_tol"])
     @pytest.mark.parametrize("value", [math.nan, math.inf])
     def test_non_finite_rejected(self, field, value):
         with pytest.raises(InvalidParams):
             SolverConfig(**{field: value})
+
+    @pytest.mark.parametrize("field", ["max_inner_iters", "max_outer_iters"])
+    @pytest.mark.parametrize("value", [2.5, 3.0, True, "3"])
+    def test_non_integer_iteration_cap_rejected(self, field, value):
+        with pytest.raises(InvalidParams):
+            SolverConfig(**{field: value})
+
+    def test_numpy_integer_iteration_cap_accepted(self):
+        assert SolverConfig(max_inner_iters=np.int64(7)).max_inner_iters == 7
 
 
 class TestSolve:
