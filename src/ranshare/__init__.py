@@ -8,7 +8,7 @@ from .errors import (ConfigError, DimensionMismatch, DomainError, EmptyInterior,
                      UnknownReference)
 from .fairshare import water_fill
 from .model import (AllocationMatrix, Application, Entity, FeasibilityReport,
-                    Flow, FlowAllocation, ProblemInstance, RadioElement,
+                    Flow, FlowAllocation, Flows, ProblemInstance, RadioElement,
                     check_feasible, expand_bounds)
 from .oracle import OracleResult, oracle_solve
 from .sim import (ALL_SCHEMES, ExperimentReport, ExperimentRow, HotspotParams,

@@ -50,20 +50,17 @@ class EntityAllocation:
 
 def _fill_pools(scenario, budget):
     """Water-fill each (entity, element) pool of flows under its budget[e, i]."""
-    cols = scenario.columns
+    flows = scenario.flows
     num_e, num_i = budget.shape
-    p = scenario.ratios.values[cols.element, cols.app]
-    res_demand = cols.demand * p
-    alloc_res = water_fill(res_demand, budget.ravel(), pool=cols.entity * num_i + cols.element)
+    p = scenario.ratios.values[flows.element, flows.app]
+    res_demand = flows.demand * p
+    alloc_res = water_fill(res_demand, budget.ravel(), pool=flows.entity * num_i + flows.element)
 
     per_entity = np.zeros((num_e, num_i, len(scenario.apps)))
-    np.add.at(per_entity, (cols.entity, cols.element, cols.app), alloc_res)
-    flow_alloc = FlowAllocation(
-        flow_ids=tuple(cols.id.tolist()),
-        bandwidth=np.divide(alloc_res, p, out=np.zeros_like(alloc_res), where=p > 0),
-        resource=alloc_res,
-        demand_resource=res_demand,
-    )
+    np.add.at(per_entity, (flows.entity, flows.element, flows.app), alloc_res)
+    # TranslatingRatios are strictly positive, so the division is safe
+    flow_alloc = FlowAllocation(flow_ids=flows.id, bandwidth=alloc_res / p,
+                                resource=alloc_res, demand_resource=res_demand)
     return EntityAllocation(per_entity=per_entity, flow_alloc=flow_alloc)
 
 
@@ -95,15 +92,15 @@ def net_rsv_allocate(scenario, cfg: ReservationConfig | None = None) -> EntityAl
     use them (reservation semantics).
     """
     cfg = cfg or ReservationConfig()
-    cols = scenario.columns
+    flows = scenario.flows
     num_e = len(scenario.entities)
     num_i = len(scenario.elements)
     caps = np.array([e.capacity for e in scenario.elements], dtype=float)
     total_cap = float(caps.sum())
 
     demand_ei = np.zeros((num_e, num_i))
-    res_demand = cols.demand * scenario.ratios.values[cols.element, cols.app]
-    np.add.at(demand_ei, (cols.entity, cols.element), res_demand)
+    res_demand = flows.demand * scenario.ratios.values[flows.element, flows.app]
+    np.add.at(demand_ei, (flows.entity, flows.element), res_demand)
     demand_e = demand_ei.sum(axis=1)
 
     budgets = np.clip(demand_e, cfg.net_min_fraction * total_cap,

@@ -279,7 +279,7 @@ def _run_sweep(cfg, out_dir: Path) -> dict:
         )
         n_base = len(base.flows)
         base = add_hotspot(base, hp, cfg["seed"] + int(cfg["hotspot_seed_offset"]))
-        scale_ids = tuple(f.id for f in base.flows[n_base:])
+        scale_ids = base.flows.id[n_base:]
     report = run_experiment(
         base, cfg["schemes"], cfg["loads"], cfg["utility"],
         solver_config=_solver_config(cfg),

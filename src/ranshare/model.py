@@ -7,6 +7,7 @@ allocation is an |I| x |K| matrix of non-negative resource amounts.
 
 from __future__ import annotations
 
+import numbers
 from collections import namedtuple
 from dataclasses import dataclass, field
 from operator import attrgetter
@@ -19,12 +20,17 @@ from .errors import DimensionMismatch, InfeasibleConfig, InvalidParams
 UTILITY_KINDS = ("linear", "logarithmic")
 
 
-def _frozen_array(values, shape=None, name="array") -> np.ndarray:
-    arr = np.array(values, dtype=float)
+def _frozen_array(values, shape=None, name="array", dtype=float) -> np.ndarray:
+    arr = np.array(values, dtype=dtype)
     if shape is not None and arr.shape != tuple(shape):
         raise DimensionMismatch(f"{name}: expected shape {tuple(shape)}, got {arr.shape}")
     arr.setflags(write=False)
     return arr
+
+
+def integers(*values) -> bool:
+    """Whether every value is an integer; numpy integers count, bools do not."""
+    return all(isinstance(v, numbers.Integral) and not isinstance(v, bool) for v in values)
 
 
 @dataclass(frozen=True)
@@ -67,36 +73,52 @@ class Entity:
     name: str = ""
 
 
-@dataclass(frozen=True)
-class Flow:
-    """One data flow: owning entity, application, serving element, demand."""
+# One flow, built on read from a Flows: owner, application, serving element, demand (Mbps).
+Flow = namedtuple("Flow", ["id", "entity_id", "app_id", "element_id", "demand_bw"])
 
-    id: int
-    entity_id: int
-    app_id: int
-    element_id: int
-    demand_bw: float  # Mbps
+_columns = attrgetter("id", "entity", "app", "element", "demand")
+
+
+@dataclass(frozen=True, eq=False)
+class Flows:
+    """A flow sequence as aligned read-only columns: entry j of each is flow j.
+
+    It reads as a sequence of Flow: an int index gives a Flow, a slice a Flows.
+    """
+
+    id: np.ndarray
+    entity: np.ndarray
+    app: np.ndarray
+    element: np.ndarray
+    demand: np.ndarray  # Mbps
 
     def __post_init__(self):
-        if not (self.demand_bw > 0 and np.isfinite(self.demand_bw)):
-            raise InvalidParams(f"flow {self.id}: demand_bw must be finite and > 0")
+        n = (len(self.id),)
+        for name in ("id", "entity", "app", "element"):
+            object.__setattr__(self, name, _frozen_array(getattr(self, name), n, name, np.int64))
+        object.__setattr__(self, "demand", _frozen_array(self.demand, n, "demand"))
+        bad = ~(np.isfinite(self.demand) & (self.demand > 0))
+        if bad.any():
+            raise InvalidParams(f"flow {self.id[np.argmax(bad)]}: demand_bw must be finite and > 0")
 
+    @classmethod
+    def of(cls, flows) -> "Flows":
+        """The columns of an iterable of Flow."""
+        return cls(*(list(zip(*flows)) or [()] * 5))
 
-# A flow sequence as aligned read-only arrays: entry j of each describes flow j.
-FlowColumns = namedtuple("FlowColumns", ["id", "entity", "app", "element", "demand"])
+    def __len__(self):
+        return len(self.id)
 
+    def __getitem__(self, j):
+        if isinstance(j, slice):
+            return Flows(*(col[j] for col in _columns(self)))
+        return Flow(*(col[j].item() for col in _columns(self)))
 
-def flow_columns(flows) -> FlowColumns:
-    """The columns of a sequence of Flow; FlowColumns are returned as they are."""
-    if isinstance(flows, FlowColumns):
-        return flows
-    columns = []
-    for name, dtype in (("id", np.int64), ("entity_id", np.int64), ("app_id", np.int64),
-                        ("element_id", np.int64), ("demand_bw", float)):
-        col = np.fromiter(map(attrgetter(name), flows), dtype, len(flows))
-        col.setflags(write=False)
-        columns.append(col)
-    return FlowColumns(*columns)
+    def __iter__(self):
+        return map(Flow, *(col.tolist() for col in _columns(self)))
+
+    def __eq__(self, other):
+        return isinstance(other, Flows) and all(map(np.array_equal, _columns(self), _columns(other)))
 
 
 @dataclass(frozen=True)
@@ -107,14 +129,14 @@ class FlowAllocation:
     columns are bandwidth times the translating ratio of the flow's cell.
     """
 
-    flow_ids: tuple
+    flow_ids: np.ndarray         # int64
     bandwidth: np.ndarray        # Mbps actually granted
     resource: np.ndarray         # resource units actually granted
     demand_resource: np.ndarray  # resource units the flow asked for
 
     def __post_init__(self):
         n = len(self.flow_ids)
-        object.__setattr__(self, "flow_ids", tuple(self.flow_ids))
+        object.__setattr__(self, "flow_ids", _frozen_array(self.flow_ids, (n,), "flow_ids", np.int64))
         object.__setattr__(self, "bandwidth", _frozen_array(self.bandwidth, (n,), "bandwidth"))
         object.__setattr__(self, "resource", _frozen_array(self.resource, (n,), "resource"))
         object.__setattr__(

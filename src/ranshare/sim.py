@@ -9,7 +9,7 @@ usage, and QoE satisfaction per (scheme, load) cell.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Sequence
 
 import numpy as np
@@ -17,8 +17,8 @@ import numpy as np
 from .baselines import ReservationConfig, net_rsv_allocate, per_bs_rsv_allocate
 from .errors import InvalidParams, RanShareError
 from .fairshare import water_fill
-from .model import (Application, Entity, Flow, FlowAllocation, FlowColumns,
-                    ProblemInstance, RadioElement, expand_bounds, flow_columns)
+from .model import (Application, Entity, FlowAllocation, Flows, ProblemInstance,
+                    RadioElement, expand_bounds, integers)
 from .solver import SolveResult, SolverConfig, solve
 from .utility import TranslatingRatios, estimate_demand
 
@@ -49,12 +49,15 @@ class ScenarioParams:
     background_max_share: float = 0.15
 
     def __post_init__(self):
+        if not integers(self.num_elements, self.num_entities, self.num_apps, self.num_flows,
+                        self.num_focus):
+            raise InvalidParams("scenario counts must be integers")
         if min(self.num_elements, self.num_entities, self.num_apps) < 1 or self.num_flows < 0:
             raise InvalidParams("element/entity/app counts must be >= 1, flows >= 0")
         for name in ("capacity_range", "qoe_range", "channel_range", "demand_range"):
             lo, hi = getattr(self, name)
-            if not (0 < lo <= hi):
-                raise InvalidParams(f"{name} must satisfy 0 < low <= high")
+            if not (0 < lo <= hi < np.inf):
+                raise InvalidParams(f"{name} must satisfy 0 < low <= high < inf")
         if not (0 <= self.num_focus <= self.num_apps):
             raise InvalidParams("num_focus must lie in [0, num_apps]")
 
@@ -81,29 +84,36 @@ class HotspotParams:
     n_elements: int = 100
     mean_bw: float = 1.0
 
+    def __post_init__(self):
+        if not integers(self.app_id, self.n_flows, self.n_entities, self.n_elements):
+            raise InvalidParams("hotspot app id and counts must be integers")
+        if self.n_flows < 0 or min(self.n_entities, self.n_elements) < 1:
+            raise InvalidParams("hotspot flow count must be >= 0, entity/element counts >= 1")
+        if not 0 < self.mean_bw < np.inf:
+            raise InvalidParams("hotspot mean bandwidth must be finite and > 0")
+
 
 @dataclass(frozen=True)
 class Scenario:
     elements: tuple
     entities: tuple
     apps: tuple
-    flows: tuple
+    flows: Flows
     ratios: TranslatingRatios
     seed: int
     load_multiplier: float = 1.0
-    columns: FlowColumns = field(init=False, repr=False, compare=False)  # flows as arrays
 
     def __post_init__(self):
         num_i, num_k = self.ratios.shape
         if num_i != len(self.elements) or num_k != len(self.apps):
             raise InvalidParams("translating-ratio dimensions do not match the scenario")
-        cols = flow_columns(self.flows)
-        known = ((0 <= cols.element) & (cols.element < num_i)
-                 & (0 <= cols.app) & (cols.app < num_k)
-                 & (0 <= cols.entity) & (cols.entity < len(self.entities)))
+        if not isinstance(self.flows, Flows):
+            raise InvalidParams("scenario flows must be a Flows; build one with Flows.of")
+        f = self.flows
+        known = ((0 <= f.element) & (f.element < num_i) & (0 <= f.app) & (f.app < num_k)
+                 & (0 <= f.entity) & (f.entity < len(self.entities)))
         if not known.all():
-            raise InvalidParams(f"flow {cols.id[np.argmin(known)]} references an unknown object")
-        object.__setattr__(self, "columns", cols)
+            raise InvalidParams(f"flow {f.id[np.argmin(known)]} references an unknown object")
 
     @property
     def aggregate_capacity(self) -> float:
@@ -153,7 +163,7 @@ def generate_scenario(params: ScenarioParams, seed: int) -> Scenario:
     el_of = rng.integers(0, params.num_elements, params.num_flows)
     ent_of = rng.integers(0, params.num_entities, params.num_flows)
     bw = rng.uniform(*params.demand_range, params.num_flows)
-    flows = _flows(np.arange(params.num_flows), ent_of, app_of, el_of, bw)
+    flows = Flows(np.arange(params.num_flows), ent_of, app_of, el_of, bw)
     return Scenario(elements=elements, entities=entities, apps=tuple(apps),
                     flows=flows, ratios=ratios, seed=seed)
 
@@ -164,24 +174,18 @@ def scale_load(scenario: Scenario, multiplier: float, flow_ids=None) -> Scenario
     With ``flow_ids`` given, only those flows are scaled (hotspot sweeps);
     the scenario-level load bookkeeping then stays untouched.
     """
-    if multiplier < 1.0:
-        raise InvalidParams("load multiplier must be >= 1")
+    if not 1.0 <= multiplier < np.inf:
+        raise InvalidParams("load multiplier must be finite and >= 1")
     if multiplier == 1.0:
         return scenario
-    cols = scenario.columns
+    flows = scenario.flows
     if flow_ids is None:
-        chosen = np.arange(len(cols.id))
-        new_mult = scenario.load_multiplier * multiplier
+        chosen, new_mult = True, scenario.load_multiplier * multiplier
     else:
-        chosen = np.flatnonzero(np.isin(cols.id, np.fromiter(flow_ids, np.int64)))
+        chosen = np.isin(flows.id, np.fromiter(flow_ids, np.int64))
         new_mult = scenario.load_multiplier
-    # only the scaled flows are rebuilt; the others are kept as they are
-    flows = list(scenario.flows)
-    scaled = _flows(cols.id[chosen], cols.entity[chosen], cols.app[chosen],
-                    cols.element[chosen], cols.demand[chosen] * multiplier)
-    for j, flow in zip(chosen.tolist(), scaled):
-        flows[j] = flow
-    return replace(scenario, flows=tuple(flows), load_multiplier=new_mult)
+    demand = np.where(chosen, flows.demand * multiplier, flows.demand)
+    return replace(scenario, flows=replace(flows, demand=demand), load_multiplier=new_mult)
 
 
 def add_hotspot(scenario: Scenario, params: HotspotParams, seed: int) -> Scenario:
@@ -194,8 +198,6 @@ def add_hotspot(scenario: Scenario, params: HotspotParams, seed: int) -> Scenari
         raise InvalidParams(f"hotspot app {params.app_id} does not exist")
     if params.n_entities > num_e or params.n_elements > num_i:
         raise InvalidParams("hotspot entity/element counts exceed the scenario sizes")
-    if params.n_flows < 0 or params.mean_bw <= 0:
-        raise InvalidParams("hotspot flow count must be >= 0 and mean bandwidth > 0")
 
     rng = np.random.default_rng(seed)
     ents = rng.choice(num_e, size=params.n_entities, replace=False)
@@ -204,18 +206,15 @@ def add_hotspot(scenario: Scenario, params: HotspotParams, seed: int) -> Scenari
     el_of = els[rng.integers(0, params.n_elements, params.n_flows)]
     bw = rng.uniform(0.5 * params.mean_bw, 1.5 * params.mean_bw, params.n_flows)
 
-    next_id = int(scenario.columns.id.max(initial=-1)) + 1
-    extra = _flows(next_id + np.arange(params.n_flows), ent_of,
-                   np.full(params.n_flows, params.app_id), el_of, bw)
-    return replace(scenario, flows=scenario.flows + extra)
+    f = scenario.flows
+    ids = f.id.max(initial=-1) + 1 + np.arange(params.n_flows)
+    flows = Flows(np.append(f.id, ids), np.append(f.entity, ent_of),
+                  np.append(f.app, np.full(params.n_flows, params.app_id)),
+                  np.append(f.element, el_of), np.append(f.demand, bw))
+    return replace(scenario, flows=flows)
 
 
-def _flows(*columns) -> tuple:
-    """Flow objects from aligned arrays of id, entity, app, element and demand."""
-    return tuple(map(Flow, *(c.tolist() for c in columns)))
-
-
-def second_phase_allocate(flows: Sequence[Flow], budget: float, ratio: float) -> FlowAllocation:
+def second_phase_allocate(flows: Flows, budget: float, ratio: float) -> FlowAllocation:
     """Distribute one cell's resource grant among its flows.
 
     The grant is converted to a bandwidth budget through the cell's
@@ -226,14 +225,13 @@ def second_phase_allocate(flows: Sequence[Flow], budget: float, ratio: float) ->
         raise InvalidParams("translating ratio must be finite and positive")
     if not budget >= 0:
         raise InvalidParams("budget must be non-negative")
-    cols = flow_columns(flows)
-    return _granted(cols, water_fill(cols.demand, budget / ratio), ratio)
+    return _granted(flows, water_fill(flows.demand, budget / ratio), ratio)
 
 
-def _granted(cols: FlowColumns, bandwidth, ratio) -> FlowAllocation:
+def _granted(flows: Flows, bandwidth, ratio) -> FlowAllocation:
     """The allocation granting each flow its bandwidth, at its ratio."""
-    return FlowAllocation(flow_ids=tuple(cols.id.tolist()), bandwidth=bandwidth,
-                          resource=bandwidth * ratio, demand_resource=cols.demand * ratio)
+    return FlowAllocation(flow_ids=flows.id, bandwidth=bandwidth,
+                          resource=bandwidth * ratio, demand_resource=flows.demand * ratio)
 
 
 def build_instance(scenario: Scenario, utility_kind: str) -> ProblemInstance:
@@ -243,7 +241,7 @@ def build_instance(scenario: Scenario, utility_kind: str) -> ProblemInstance:
         capacities=np.array([e.capacity for e in scenario.elements]),
         lower=lower, upper=upper,
         app_lower=app_lower, app_upper=app_upper,
-        coeff=estimate_demand(scenario.columns, scenario.ratios),
+        coeff=estimate_demand(scenario.flows, scenario.ratios),
         utility_kind=utility_kind,
     )
 
@@ -256,26 +254,20 @@ def allocate_app_opt(scenario: Scenario, utility_kind: str,
     """
     inst = build_instance(scenario, utility_kind)
     result = solve(inst, solver_config)
-    cols = scenario.columns
-    cell = cols.element * len(scenario.apps) + cols.app
+    flows = scenario.flows
+    cell = flows.element * len(scenario.apps) + flows.app
     p = scenario.ratios.values.ravel()
     # the second phase of every cell at once: each cell's grant, turned into
     # bandwidth by its ratio, is water-filled across the cell's flows
-    bandwidth = water_fill(cols.demand, result.allocation.values.ravel() / p, pool=cell)
-    return _granted(cols, bandwidth, p[cell]), result
+    bandwidth = water_fill(flows.demand, result.allocation.values.ravel() / p, pool=cell)
+    return _granted(flows, bandwidth, p[cell]), result
 
 
-def qoe_satisfied_count(flow_alloc: FlowAllocation,
-                        flows: Sequence[Flow] | FlowColumns) -> int:
-    """Number of flows, matched by id (the last of equal ids), whose demand was met."""
-    cols = flow_columns(flows)
-    ids = np.array(flow_alloc.flow_ids, dtype=np.int64)
-    unknown = ~np.isin(ids, cols.id)
-    if unknown.any():
-        raise InvalidParams(f"allocation covers unknown flow {ids[np.argmax(unknown)]}")
-    order = np.argsort(cols.id, kind="stable")
-    match = order[np.searchsorted(cols.id, ids, side="right", sorter=order) - 1]
-    return int(np.count_nonzero(flow_alloc.bandwidth >= cols.demand[match] - QOE_SLACK))
+def qoe_satisfied_count(flow_alloc: FlowAllocation, flows: Flows) -> int:
+    """Number of flows whose demand was met; the allocation must be aligned with them."""
+    if not np.array_equal(flow_alloc.flow_ids, flows.id):
+        raise InvalidParams("flow allocation is not aligned with the flows")
+    return int(np.count_nonzero(flow_alloc.bandwidth >= flows.demand - QOE_SLACK))
 
 
 def flow_utility(flow_alloc: FlowAllocation, kind: str, log_floor: float = 1e-6) -> float:
@@ -342,7 +334,7 @@ def run_experiment(base: Scenario, schemes: Sequence[str], loads: Sequence[float
     for load in loads:
         scen = scale_load(base, float(load), flow_ids=scale_flow_ids)
         # every scheme's allocation is aligned with scen.flows
-        m_mask = scen.columns.app == focus_app_id
+        m_mask = scen.flows.app == focus_app_id
         for scheme in schemes:
             try:
                 start = time.perf_counter()
@@ -355,7 +347,7 @@ def run_experiment(base: Scenario, schemes: Sequence[str], loads: Sequence[float
                     total_utility=flow_utility(flow_alloc, utility_kind, log_floor),
                     app_m_resource=app_m_res,
                     app_m_resource_fraction=app_m_res / base.aggregate_capacity,
-                    qoe_satisfied=qoe_satisfied_count(flow_alloc, scen.columns),
+                    qoe_satisfied=qoe_satisfied_count(flow_alloc, scen.flows),
                     flows_total=len(scen.flows),
                     solve_ms=elapsed_ms,
                     outer_iters=solres.outer_iters if solres is not None else 0,

@@ -10,13 +10,12 @@ below the requested suboptimality epsilon.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import EmptyInterior, InvalidParams, NotInterior
-from .model import AllocationMatrix, ProblemInstance
+from .model import AllocationMatrix, ProblemInstance, integers
 from .utility import _utility_sum, marginal_utility, total_utility
 
 _ARMIJO = 1e-4
@@ -47,8 +46,7 @@ class SolverConfig:
             raise InvalidParams("mu must be > 1")
         if not (0 < self.interior_shift < 1):
             raise InvalidParams("interior_shift must lie in (0, 1)")
-        if not all(isinstance(n, numbers.Integral) and not isinstance(n, bool)
-                   for n in (self.max_inner_iters, self.max_outer_iters)):
+        if not integers(self.max_inner_iters, self.max_outer_iters):
             raise InvalidParams("max_inner_iters and max_outer_iters must be integers")
         if self.inner_tol <= 0 or self.max_inner_iters < 1 or self.max_outer_iters < 1:
             raise InvalidParams("tolerances and iteration caps must be positive")

@@ -4,12 +4,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
 from .errors import DomainError, InvalidParams, UnknownReference
-from .model import AllocationMatrix, Flow, FlowColumns, ProblemInstance, flow_columns
+from .model import AllocationMatrix, Flows, ProblemInstance
 
 
 @dataclass(frozen=True, eq=False)
@@ -35,8 +34,7 @@ class TranslatingRatios:
         return isinstance(other, TranslatingRatios) and np.array_equal(self.values, other.values)
 
 
-def estimate_demand(flows: Sequence[Flow] | FlowColumns,
-                    ratios: TranslatingRatios) -> np.ndarray:
+def estimate_demand(flows: Flows, ratios: TranslatingRatios) -> np.ndarray:
     """Aggregate flow bandwidth demands into per-cell resource demands.
 
     Returns the read-only (I, K) array d with d[i, k] = p[i, k] * sum of
@@ -44,16 +42,15 @@ def estimate_demand(flows: Sequence[Flow] | FlowColumns,
     without flows stay 0.
     """
     num_elements, num_apps = ratios.shape
-    cols = flow_columns(flows)
-    outside = ~((0 <= cols.element) & (cols.element < num_elements)
-                & (0 <= cols.app) & (cols.app < num_apps))
+    outside = ~((0 <= flows.element) & (flows.element < num_elements)
+                & (0 <= flows.app) & (flows.app < num_apps))
     if outside.any():
         j = int(np.argmax(outside))
         raise UnknownReference(
-            f"flow {cols.id[j]} references cell ({cols.element[j]}, {cols.app[j]}) "
+            f"flow {flows.id[j]} references cell ({flows.element[j]}, {flows.app[j]}) "
             f"outside the {num_elements}x{num_apps} grid"
         )
-    bw = np.bincount(cols.element * num_apps + cols.app, weights=cols.demand,
+    bw = np.bincount(flows.element * num_apps + flows.app, weights=flows.demand,
                      minlength=num_elements * num_apps)
     demand = bw.reshape(num_elements, num_apps) * ratios.values
     demand.setflags(write=False)

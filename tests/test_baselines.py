@@ -4,7 +4,7 @@ import pytest
 from ranshare.baselines import (ReservationConfig, net_rsv_allocate,
                                 per_bs_rsv_allocate)
 from ranshare.errors import InvalidParams
-from ranshare.model import Application, Entity, Flow, RadioElement
+from ranshare.model import Application, Entity, Flow, Flows, RadioElement
 from ranshare.sim import Scenario, ScenarioParams, generate_scenario
 from ranshare.utility import TranslatingRatios
 
@@ -16,7 +16,7 @@ def scenario_from(flows, capacities, num_entities=2, num_apps=2, ratio=1.0):
                              min_share=0.0, max_share=1.0) for k in range(num_apps))
     ratios = TranslatingRatios(np.full((len(capacities), num_apps), ratio))
     return Scenario(elements=elements, entities=entities, apps=apps,
-                    flows=tuple(flows), ratios=ratios, seed=0)
+                    flows=Flows.of(flows), ratios=ratios, seed=0)
 
 
 def flow(fid, entity, element, bw, app=0):

@@ -60,6 +60,13 @@ class TestMain:
                      "--seed", "1", "--epsilon", "nan", "--out", str(tmp_path / "run")]) == 1
         assert "InvalidParams" in capsys.readouterr().err
 
+    def test_non_finite_hotspot_bandwidth_exit_code(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setenv("RANSHARE_HOTSPOT_MEAN_BW", "inf")
+        path = write_config(tmp_path, hotspot_flows=20, hotspot_elements=6)
+        assert main(["--config", path, "--experiment", "hotspot",
+                     "--loads", "1", "--seed", "1", "--out", str(tmp_path / "run")]) == 1
+        assert "InvalidParams" in capsys.readouterr().err
+
     def test_utility_experiment_row_count(self, tmp_path):
         out = tmp_path / "run"
         status = main(["--config", write_config(tmp_path, epsilon=1.0),

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from ranshare.errors import DimensionMismatch, InfeasibleConfig, InvalidParams
-from ranshare.model import (AllocationMatrix, Application, Flow, RadioElement,
+from ranshare.model import (AllocationMatrix, Application, Flow, Flows, RadioElement,
                             check_feasible, expand_bounds)
 
 from conftest import make_instance
@@ -30,13 +30,13 @@ class TestDomainTypes:
             RadioElement(id=0, capacity=0.0)
 
     def test_flow_demand_positive(self):
-        with pytest.raises(InvalidParams):
-            Flow(id=0, entity_id=0, app_id=0, element_id=0, demand_bw=0.0)
+        with pytest.raises(InvalidParams, match="flow 0"):
+            Flows.of([Flow(id=0, entity_id=0, app_id=0, element_id=0, demand_bw=0.0)])
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_flow_demand_finite(self, bad):
-        with pytest.raises(InvalidParams):
-            Flow(id=0, entity_id=0, app_id=0, element_id=0, demand_bw=bad)
+        with pytest.raises(InvalidParams, match="flow 0"):
+            Flows.of([Flow(id=0, entity_id=0, app_id=0, element_id=0, demand_bw=bad)])
 
     @pytest.mark.parametrize("field", ["capacities", "lower", "upper", "coeff"])
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
@@ -72,6 +72,54 @@ class TestDomainTypes:
     def test_instance_is_immutable(self, tiny_instance):
         with pytest.raises(ValueError):
             tiny_instance.lower[0, 0] = 5.0
+
+
+class TestFlows:
+    FLOWS = [Flow(id=5, entity_id=1, app_id=2, element_id=3, demand_bw=0.5),
+             Flow(id=2, entity_id=0, app_id=1, element_id=4, demand_bw=1.25),
+             Flow(id=9, entity_id=1, app_id=0, element_id=0, demand_bw=3.0)]
+
+    def test_round_trip(self):
+        f = Flows.of(self.FLOWS)
+        assert Flows.of(list(f)) == f
+        assert list(f) == self.FLOWS
+        assert Flows.of([]) == Flows([], [], [], [], [])
+        assert f != Flows.of(self.FLOWS[:2]) and f != self.FLOWS
+
+    def test_sequence_reads(self):
+        f = Flows.of(self.FLOWS)
+        assert len(f) == 3 and len(Flows.of([])) == 0
+        assert f[1] == self.FLOWS[1] and f[-1] == self.FLOWS[-1]
+        assert type(f[0].id) is int and type(f[0].demand_bw) is float
+        assert isinstance(f[1:], Flows) and list(f[1:]) == self.FLOWS[1:]
+        assert f[::2] == Flows.of(self.FLOWS[::2])
+        assert [g.id for g in f] == [5, 2, 9]
+        with pytest.raises(IndexError):
+            f[3]
+
+    def test_columns_read_only(self):
+        f = Flows.of(self.FLOWS)
+        assert f.id.dtype == np.int64 and f.demand.dtype == float
+        for col in (f.id, f.entity, f.app, f.element, f.demand):
+            with pytest.raises(ValueError):
+                col[0] = 1
+
+    def test_columns_copied(self):
+        demand = np.array([1.0, 2.0])
+        f = Flows([0, 1], [0, 0], [0, 0], [0, 0], demand)
+        demand[0] = 5.0
+        assert f.demand[0] == 1.0 and demand.flags.writeable
+
+    def test_unequal_lengths_rejected(self):
+        with pytest.raises(DimensionMismatch, match="demand"):
+            Flows([0, 1], [0, 0], [0, 0], [0, 0], [1.0])
+        with pytest.raises(DimensionMismatch, match="app"):
+            Flows([0, 1], [0, 0], [0], [0, 0], [1.0, 1.0])
+
+    @pytest.mark.parametrize("bad", [0.0, -1.0, np.nan, np.inf])
+    def test_bad_demand_names_flow(self, bad):
+        with pytest.raises(InvalidParams, match="flow 7"):
+            Flows([3, 7], [0, 0], [0, 0], [0, 0], [1.0, bad])
 
 
 class TestExpandBounds:

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from ranshare.errors import InvalidParams
-from ranshare.model import Flow, FlowAllocation, check_feasible
+from ranshare.model import Flow, FlowAllocation, Flows, check_feasible
 from ranshare.sim import (ALL_SCHEMES, HotspotParams, ScenarioParams, add_hotspot,
                           allocate_app_opt, build_instance, flow_utility,
                           generate_scenario, qoe_satisfied_count, run_experiment,
@@ -50,16 +50,37 @@ class TestGenerateScenario:
             (1000, 20, 100, 5000)
 
 
+class TestParams:
+    @pytest.mark.parametrize("field, value", [
+        ("demand_range", (0.1, np.inf)), ("capacity_range", (100.0, np.inf)),
+        ("channel_range", (1.0, np.inf)), ("num_flows", 2.5), ("num_elements", True),
+        ("num_focus", 1.0)])
+    def test_scenario_params_rejected(self, field, value):
+        with pytest.raises(InvalidParams, match="range|integers"):
+            ScenarioParams(**{field: value})
+
+    @pytest.mark.parametrize("field, value", [
+        ("mean_bw", np.nan), ("mean_bw", np.inf), ("mean_bw", 0.0), ("n_flows", 2.5),
+        ("n_entities", True), ("app_id", 0.0), ("n_flows", -1), ("n_elements", 0)])
+    def test_hotspot_params_rejected(self, field, value):
+        with pytest.raises(InvalidParams):
+            HotspotParams(**{field: value})
+
+    def test_numpy_integer_counts_accepted(self):
+        assert ScenarioParams(num_flows=np.int64(5)).num_flows == 5
+        assert HotspotParams(n_flows=np.int32(3)).n_flows == 3
+
+
 class TestScenarioColumns:
     def test_columns_mirror_flows(self):
         scen = generate_scenario(DESK, 3)
-        cols = scen.columns
+        cols = scen.flows
+        assert isinstance(cols, Flows) and len(cols) == DESK.num_flows
         assert cols.id.tolist() == [f.id for f in scen.flows]
         assert cols.entity.tolist() == [f.entity_id for f in scen.flows]
         assert cols.app.tolist() == [f.app_id for f in scen.flows]
         assert cols.element.tolist() == [f.element_id for f in scen.flows]
         assert cols.demand.tolist() == [f.demand_bw for f in scen.flows]
-        assert "columns" not in repr(scen)
         with pytest.raises(ValueError):
             cols.demand[0] = 1.0
 
@@ -68,7 +89,12 @@ class TestScenarioColumns:
         stray = Flow(id=999, entity_id=len(scen.entities), app_id=0, element_id=0,
                      demand_bw=1.0)
         with pytest.raises(InvalidParams, match="flow 999"):
-            replace(scen, flows=scen.flows + (stray,))
+            replace(scen, flows=Flows.of([*scen.flows, stray]))
+
+    def test_flow_tuple_rejected(self):
+        scen = generate_scenario(DESK, 3)
+        with pytest.raises(InvalidParams, match="Flows.of"):
+            replace(scen, flows=tuple(scen.flows))
 
 
 class TestScaleLoad:
@@ -102,16 +128,22 @@ class TestScaleLoad:
         ids = tuple(f.id for f in hot.flows[len(base.flows):])
         for flow_ids in (None, ids, set(ids[::3]), ()):
             chosen = None if flow_ids is None else set(flow_ids)
-            want = tuple(replace(f, demand_bw=f.demand_bw * multiplier)
+            want = tuple(f._replace(demand_bw=f.demand_bw * multiplier)
                          if chosen is None or f.id in chosen else f for f in hot.flows)
             scaled = scale_load(hot, multiplier, flow_ids=flow_ids)
-            assert scaled.flows == want
+            assert tuple(scaled.flows) == want
+            assert scaled.flows == Flows.of(want)
             assert all(type(f.demand_bw) is float for f in scaled.flows)
             assert scaled.load_multiplier == (multiplier if flow_ids is None else 1.0)
 
     def test_rejects_below_one(self):
         with pytest.raises(InvalidParams):
             scale_load(generate_scenario(DESK, 3), 0.5)
+
+    @pytest.mark.parametrize("multiplier", [np.nan, np.inf])
+    def test_rejects_non_finite(self, multiplier):
+        with pytest.raises(InvalidParams):
+            scale_load(generate_scenario(DESK, 3), multiplier)
 
 
 class TestAddHotspot:
@@ -143,8 +175,8 @@ class TestAddHotspot:
 
 class TestSecondPhase:
     def flows(self, demands):
-        return [Flow(id=j, entity_id=0, app_id=0, element_id=0, demand_bw=d)
-                for j, d in enumerate(demands)]
+        return Flows.of(Flow(id=j, entity_id=0, app_id=0, element_id=0, demand_bw=d)
+                        for j, d in enumerate(demands))
 
     def test_ample_budget_serves_all(self):
         out = second_phase_allocate(self.flows([1.0, 3.0]), budget=8.0, ratio=2.0)
@@ -157,7 +189,7 @@ class TestSecondPhase:
         assert np.allclose(out.bandwidth, [1.0, 1.0])
 
     def test_no_flows_empty(self):
-        out = second_phase_allocate([], budget=5.0, ratio=1.0)
+        out = second_phase_allocate(Flows.of([]), budget=5.0, ratio=1.0)
         assert out.bandwidth.size == 0
 
     def test_resource_is_bandwidth_times_ratio(self):
@@ -176,24 +208,27 @@ class TestFlowMetrics:
         return FlowAllocation(flow_ids=ids, bandwidth=bw, resource=res, demand_resource=dres)
 
     def test_qoe_counts_fully_served(self):
-        flows = [Flow(id=0, entity_id=0, app_id=0, element_id=0, demand_bw=1.0),
-                 Flow(id=1, entity_id=0, app_id=0, element_id=0, demand_bw=3.0)]
+        flows = Flows.of([Flow(id=0, entity_id=0, app_id=0, element_id=0, demand_bw=1.0),
+                          Flow(id=1, entity_id=0, app_id=0, element_id=0, demand_bw=3.0)])
         alloc = self.alloc([1.0, 1.0], [1.0, 1.0], [1.0, 3.0])
         assert qoe_satisfied_count(alloc, flows) == 1
 
     def test_qoe_zero_when_starved(self):
-        flows = [Flow(id=0, entity_id=0, app_id=0, element_id=0, demand_bw=1.0)]
+        flows = Flows.of([Flow(id=0, entity_id=0, app_id=0, element_id=0, demand_bw=1.0)])
         assert qoe_satisfied_count(self.alloc([0.0], [0.0], [1.0]), flows) == 0
 
-    def test_qoe_matches_flows_by_id_not_position(self):
-        flows = [Flow(id=7, entity_id=0, app_id=0, element_id=0, demand_bw=1.0),
-                 Flow(id=3, entity_id=0, app_id=0, element_id=0, demand_bw=3.0)]
-        alloc = self.alloc([3.0, 1.0], [3.0, 1.0], [3.0, 1.0], ids=(3, 7))
-        assert qoe_satisfied_count(alloc, flows) == 2
+    def test_qoe_rejects_misaligned_allocation(self):
+        flows = Flows.of([Flow(id=7, entity_id=0, app_id=0, element_id=0, demand_bw=1.0),
+                          Flow(id=3, entity_id=0, app_id=0, element_id=0, demand_bw=3.0)])
+        assert qoe_satisfied_count(self.alloc([1.0, 3.0], [1.0, 3.0], [1.0, 3.0],
+                                              ids=(7, 3)), flows) == 2
+        with pytest.raises(InvalidParams, match="not aligned"):
+            qoe_satisfied_count(self.alloc([3.0, 1.0], [3.0, 1.0], [3.0, 1.0], ids=(3, 7)),
+                                flows)
 
     def test_qoe_rejects_unknown_flow_id(self):
-        flows = [Flow(id=0, entity_id=0, app_id=0, element_id=0, demand_bw=1.0)]
-        with pytest.raises(InvalidParams, match="unknown flow 5"):
+        flows = Flows.of([Flow(id=0, entity_id=0, app_id=0, element_id=0, demand_bw=1.0)])
+        with pytest.raises(InvalidParams, match="not aligned"):
             qoe_satisfied_count(self.alloc([1.0, 1.0], [1.0, 1.0], [1.0, 1.0], ids=(0, 5)),
                                 flows)
 

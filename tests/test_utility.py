@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from ranshare.errors import DomainError, InvalidParams, UnknownReference
-from ranshare.model import AllocationMatrix, Flow
+from ranshare.model import AllocationMatrix, Flow, Flows
 from ranshare.utility import (TranslatingRatios, estimate_demand,
                               total_utility, utility_value)
 
@@ -24,25 +24,25 @@ def test_translating_ratios_finite_and_positive(bad):
 class TestEstimateDemand:
     def test_no_flows_gives_zero_matrix(self):
         ratios = TranslatingRatios(np.full((3, 2), 1.5))
-        d = estimate_demand([], ratios)
+        d = estimate_demand(Flows.of([]), ratios)
         assert np.array_equal(d, np.zeros((3, 2)))
         assert not d.flags.writeable
 
     def test_single_flow_scaled_by_ratio(self):
         ratios = TranslatingRatios([[1.0, 1.5]])
-        d = estimate_demand([flow(0, 0, 1, 2.0)], ratios)
+        d = estimate_demand(Flows.of([flow(0, 0, 1, 2.0)]), ratios)
         assert d[0, 1] == pytest.approx(3.0)
 
     def test_flows_at_same_cell_sum_before_scaling(self):
         ratios = TranslatingRatios([[2.0]])
         flows = [flow(0, 0, 0, 0.5), flow(1, 0, 0, 1.0), flow(2, 0, 0, 0.5)]
-        d = estimate_demand(flows, ratios)
+        d = estimate_demand(Flows.of(flows), ratios)
         assert d[0, 0] == pytest.approx(4.0)
 
     def test_unknown_cell_rejected(self):
         ratios = TranslatingRatios([[1.0]])
         with pytest.raises(UnknownReference):
-            estimate_demand([flow(0, 0, 3, 1.0)], ratios)
+            estimate_demand(Flows.of([flow(0, 0, 3, 1.0)]), ratios)
 
     def test_additive_in_flow_splits(self):
         # splitting one flow into two with the same total leaves demand unchanged
@@ -52,8 +52,9 @@ class TestEstimateDemand:
             i, k = int(rng.integers(4)), int(rng.integers(3))
             bw = float(rng.uniform(0.5, 3.0))
             cut = float(rng.uniform(0.1, 0.9)) * bw
-            whole = estimate_demand([flow(0, i, k, bw)], ratios)
-            split = estimate_demand([flow(0, i, k, cut), flow(1, i, k, bw - cut)], ratios)
+            whole = estimate_demand(Flows.of([flow(0, i, k, bw)]), ratios)
+            split = estimate_demand(Flows.of([flow(0, i, k, cut), flow(1, i, k, bw - cut)]),
+                                    ratios)
             assert np.allclose(whole, split, rtol=1e-12, atol=1e-12)
 
 
