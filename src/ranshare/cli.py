@@ -258,6 +258,7 @@ def _run_single_solve(cfg, out_dir: Path) -> dict:
     return {
         "objective": result.objective,
         "gap_bound": result.gap_bound,
+        "dual_gap": result.dual_gap,
         "outer_iters": result.outer_iters,
         "inner_iters_total": result.inner_iters_total,
         "converged": result.converged,

@@ -95,7 +95,14 @@ class Flows:
     def __post_init__(self):
         n = (len(self.id),)
         for name in ("id", "entity", "app", "element"):
-            object.__setattr__(self, name, _frozen_array(getattr(self, name), n, name, np.int64))
+            col = np.asarray(getattr(self, name))
+            if col.dtype.kind == "f":  # whole numbers that fit, or the cast truncates them
+                whole = bool(((np.trunc(col) == col) & (np.abs(col) < 2.0 ** 63)).all())
+            else:
+                whole = col.dtype.kind in "iu"
+            if not whole:
+                raise InvalidParams(f"flow column {name} must hold integers, got {col!r}")
+            object.__setattr__(self, name, _frozen_array(col, n, name, np.int64))
         object.__setattr__(self, "demand", _frozen_array(self.demand, n, "demand"))
         bad = ~(np.isfinite(self.demand) & (self.demand > 0))
         if bad.any():
@@ -104,7 +111,14 @@ class Flows:
     @classmethod
     def of(cls, flows) -> "Flows":
         """The columns of an iterable of Flow."""
-        return cls(*(list(zip(*flows)) or [()] * 5))
+        try:
+            columns = list(zip(*flows, strict=True)) or [()] * len(Flow._fields)
+        except (TypeError, ValueError):  # an item that is no sequence, or of another length
+            columns = ()
+        if len(columns) != len(Flow._fields):
+            raise DimensionMismatch(f"every flow must have the {len(Flow._fields)} fields "
+                                    f"{', '.join(Flow._fields)}")
+        return cls(*columns)
 
     def __len__(self):
         return len(self.id)

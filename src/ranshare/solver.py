@@ -30,7 +30,7 @@ class SolverConfig:
     epsilon: float = 1e-3        # target suboptimality
     t0: float = 1.0              # initial barrier multiplier
     mu: float = 10.0             # outer growth factor
-    inner_tol: float = 1e-8      # projected-gradient stationarity target
+    inner_tol: float = 1e-8      # inner stop: Newton decrement^2 / 2 (log), projected gradient
     max_inner_iters: int = 500
     max_outer_iters: int = 100
     interior_shift: float = 0.5  # theta for the starting-point perturbation
@@ -72,6 +72,7 @@ class SolveResult:
     outer_iters: int
     inner_iters_total: int
     converged: bool
+    dual_gap: float  # computed certificate: optimum - objective <= dual_gap
     trace: tuple = ()
 
 
@@ -216,15 +217,38 @@ class _InnerProblem:
         precond = np.maximum(diag + w_el[:, None] + v_app[None, :], 1e-300)
         return diag, w_el, v_app, precond
 
+    def dual_gap(self, s, t) -> float:
+        """Lagrangian dual at the barrier multipliers of t, minus the utility of ``s``.
+
+        The multipliers are lambda_i = 1/(t bs_i), nu+_k = 1/(t ms_k) and
+        nu-_k = 1/(t ls_k) for the constraints in the barrier, 0 for the
+        constant ones.  With a = lambda_i + nu+_k - nu-_k, each cell of the dual
+        maximizes u(x) - a x over its box: at clip(c/a, lo, hi) for log
+        utility (hi where a <= 0), at a box corner for linear.  By weak
+        duality the utility of ``s`` plus this gap bounds the optimum.  The
+        difference is summed term by term, m/t for the m barrier constraints
+        plus a non-negative term per cell, so a gap far below the utility
+        keeps its digits.
+        """
+        inst = self.inst
+        bs, ms, ls = self.interior_slacks(s)
+        lam = np.zeros(inst.num_elements)
+        lam[self.el_active] = 1.0 / (t * bs)
+        nu = np.zeros(inst.num_apps)
+        nu[self.app_active] = 1.0 / (t * ms) - 1.0 / (t * ls)
+        a = lam[:, None] + nu[None, :]
+        lo, hi, c = inst.lower, inst.upper, inst.coeff
+        if inst.utility_kind == "logarithmic":
+            x = np.where(a > 0, np.clip(c / np.where(a > 0, a, 1.0), lo, hi), hi)
+            cells = c * np.log(x / s) - a * (x - s)
+        else:
+            cells = (c - a) * (np.where(c > a, hi, lo) - s)
+        return float((bs.size + ms.size + ls.size) / t + cells.sum())
+
 
 def _damping(precond) -> float:
     """The diagonal shift that keeps the masked Hessian nonsingular."""
     return 1e-12 * float(precond.max())
-
-
-def _scaled_gradient(g, mask, precond):
-    """The gradient on the mask cells, scaled by the Hessian diagonal."""
-    return np.where(mask, g, 0.0) / precond
 
 
 def _exact_newton_direction(terms, g, mask, s, lo, hi):
@@ -239,9 +263,9 @@ def _exact_newton_direction(terms, g, mask, s, lo, hi):
     Cells the step would push past ``lo``/``hi`` are fixed at that bound,
     their moves go to the right-hand side and the rest is solved again,
     until no free cell is pushed out (Bertsekas 1982, projected Newton).
-    The free set shrinks every round, so the loop ends.  When the Woodbury
-    solve fails, or the moves to a bound leave a step that is no ascent
-    direction, the diagonally scaled gradient is returned instead.
+    The free set shrinks every round, so the loop ends.  Returns None when
+    the Woodbury solve fails, or the moves to a bound leave a step that is
+    no ascent direction; the returned step d always has g^T d > 0.
     """
     diag, w_el, v_app, precond = terms
     # the inverse diagonal of the row blocks A on the free cells, zero elsewhere
@@ -271,16 +295,16 @@ def _exact_newton_direction(terms, g, mask, s, lo, hi):
         try:
             u = root_v * np.linalg.solve(schur, col_rhs)
         except np.linalg.LinAlgError:
-            return _scaled_gradient(g, mask, precond)
+            return None
         x = row_solve(rhs - u[None, :])
         if not np.isfinite(x).all():
-            return _scaled_gradient(g, mask, precond)
+            return None
         trial = s + x
         rows, cols = np.nonzero(free & ((trial > hi) | (trial < lo)))
         if rows.size == 0:
             x += step  # x is zero off the free cells
             # the moves to a bound can turn the step away from g
-            return x if float(np.vdot(g, x)) > 0.0 else _scaled_gradient(g, mask, precond)
+            return x if float(np.vdot(g, x)) > 0.0 else None
         bound = np.where(trial[rows, cols] > hi[rows, cols], hi[rows, cols], lo[rows, cols])
         move = bound - s[rows, cols]
         step[rows, cols] = move
@@ -346,10 +370,18 @@ def _inner_loop(work: _InnerProblem, s: np.ndarray, t: float, cfg: SolverConfig)
     exact, with the cells it would push out of their box fixed at the
     bound, for logarithmic utility (:func:`_exact_newton_direction`), and
     truncated CG for linear utility, whose Hessian is singular
-    (:func:`_newton_cg_direction`).  When the Newton step fails the line
-    search, the diagonally scaled gradient is tried.  Accepted steps never
-    decrease the inner objective, and every iterate keeps all active
-    barrier slacks strictly positive (fraction-to-boundary rule).
+    (:func:`_newton_cg_direction`).  When there is no exact step, or the
+    Newton step fails the line search, the diagonally scaled gradient is
+    tried.  Accepted steps never decrease the inner objective, and every
+    iterate keeps all active barrier slacks strictly positive
+    (fraction-to-boundary rule).
+
+    The loop ends ``converged`` when the projected gradient is within
+    ``inner_tol`` of zero or, on the exact path, when the Newton decrement
+    lambda^2 / 2 = g^T d / 2 is at most ``inner_tol`` (Boyd & Vandenberghe
+    9.5.1); the truncated-CG g^T d is no decrement, so the linear path has
+    only the gradient test.  ``plateau`` (no progress over a window of
+    accepted steps) and ``stalled`` (no step accepted) end it otherwise.
 
     Returns (s, iterations, status, objective_history).
     """
@@ -372,14 +404,21 @@ def _inner_loop(work: _InnerProblem, s: np.ndarray, t: float, cfg: SolverConfig)
         terms = work.curvature_terms(s, t)
         if exact:
             newton = _exact_newton_direction(terms, g, mask, s, lo, hi)
+            # Newton decrement: lambda^2 / 2 = g^T d / 2 estimates the ascent left
+            if newton is not None and float(np.vdot(g, newton)) <= 2.0 * cfg.inner_tol:
+                status = "converged"
+                iters -= 1
+                break
         else:
             newton = _newton_cg_direction(terms, g, mask)
-        fallback = _scaled_gradient(g, mask, terms[-1])
+        fallback = np.where(mask, g, 0.0) / terms[-1]  # the gradient scaled by the Hessian diagonal
         base = work.slacks(s)
         f_cur = history[-1]
 
         accepted = False
         for d in (newton, fallback):
+            if d is None:
+                continue
             alpha = 1.0
             for _ in range(_MAX_BACKTRACKS):
                 trial = np.clip(s + alpha * d, lo, hi)
@@ -454,5 +493,6 @@ def solve(inst: ProblemInstance, config: SolverConfig | None = None) -> SolveRes
         outer_iters=outer,
         inner_iters_total=inner_total,
         converged=gap_bound(inst, t) <= cfg.epsilon,
+        dual_gap=work.dual_gap(s, trace[-1].t if trace else t),
         trace=tuple(trace),
     )

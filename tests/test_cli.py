@@ -89,6 +89,7 @@ class TestMain:
         assert summary["objective"] == pytest.approx(8.0, abs=2e-3)
         assert summary["converged"] is True
         assert summary["feasible"] is True
+        assert 8.0 - 1e-9 <= summary["objective"] + summary["dual_gap"] <= 8.0 + 1e-3
 
     def test_trace_written(self, tmp_path):
         instance = {"capacities": [10.0], "lower": [[2.0]], "upper": [[8.0]],

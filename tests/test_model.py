@@ -116,6 +116,23 @@ class TestFlows:
         with pytest.raises(DimensionMismatch, match="app"):
             Flows([0, 1], [0, 0], [0], [0, 0], [1.0, 1.0])
 
+    @pytest.mark.parametrize("column", range(4))
+    @pytest.mark.parametrize("bad", [1.7, np.nan, np.inf, 1e30, "1"])
+    def test_non_integer_column_rejected(self, column, bad):
+        cols = [[0, 1], [0, 0], [0, 0], [0, 0], [1.0, 1.0]]
+        cols[column] = [1, bad]
+        name = ("id", "entity", "app", "element")[column]
+        with pytest.raises(InvalidParams, match=f"column {name} "):
+            Flows(*cols)
+        cols[column] = [1.0, 2.0]  # whole floats are integers
+        assert Flows(*cols)[1] == Flow(*(c[1] for c in cols))
+
+    @pytest.mark.parametrize("flows", [[(1, 0, 0, 0)], [(1, 0, 0, 0, 1.0, 2)],
+                                       [(1, 0, 0, 0, 1.0), (2, 0, 0, 0)], [1, 2]])
+    def test_of_rejects_wrong_field_count(self, flows):
+        with pytest.raises(DimensionMismatch, match="5 fields"):
+            Flows.of(flows)
+
     @pytest.mark.parametrize("bad", [0.0, -1.0, np.nan, np.inf])
     def test_bad_demand_names_flow(self, bad):
         with pytest.raises(InvalidParams, match="flow 7"):

@@ -7,7 +7,7 @@ from ranshare.errors import EmptyInterior, InvalidParams, NotInterior
 from ranshare.model import AllocationMatrix, check_feasible
 from ranshare.oracle import oracle_solve
 from ranshare.solver import (SolverConfig, _InnerProblem, _exact_newton_direction,
-                             _inner_loop, _scaled_gradient, barrier_value, gap_bound,
+                             _inner_loop, barrier_value, gap_bound,
                              interior_gradient, interior_objective, interior_start, solve,
                              solve_inner)
 
@@ -232,6 +232,9 @@ class TestExactNewtonDirection:
             unbounded = np.full(s.shape, np.inf)
             d = _exact_newton_direction((diag, w_el, v_app, precond), g, mask, s,
                                         -unbounded, unbounded)
+            if case == "empty_mask":
+                assert d is None  # no cell can move, so there is no ascent step
+                continue
             want = np.zeros_like(g)
             if mask.any():
                 want[mask] = np.linalg.solve(_masked_hessian((diag, w_el, v_app, precond), mask),
@@ -250,10 +253,10 @@ class TestExactNewtonDirection:
             hi = s + 10.0 ** rng.uniform(-3, 1, g.shape)
             mask = rng.random(g.shape) < 0.9
             d = _exact_newton_direction(terms, g, mask, s, lo, hi)
-            assert np.all(d[~mask] == 0.0)
-            if np.array_equal(d, _scaled_gradient(g, mask, terms[-1])):
+            if d is None:
                 fallback_cases += 1
                 continue
+            assert np.all(d[~mask] == 0.0)
             assert np.vdot(g, d) > 0.0
             fixed = mask & ((d == hi - s) | (d == lo - s))
             free = mask & ~fixed
@@ -269,7 +272,7 @@ class TestExactNewtonDirection:
             assert np.all(np.abs(lhs - rhs) <= 1e-8 * max(np.abs(lhs).max(initial=0.0),
                                                           np.abs(rhs).max(initial=1.0)))
             hit_cases += bool(fixed.any())
-        # fixing moves at a bound can leave no ascent step; then the scaled gradient is used
+        # fixing moves at a bound can leave no ascent step; then there is no Newton step
         assert hit_cases >= 100 and fallback_cases >= 1
 
 
@@ -297,6 +300,50 @@ def _log_case(seed):
 def test_log_solve_matches_cg_objective(seed):
     r = solve(_log_case(seed), SolverConfig(epsilon=1e-4))
     assert r.objective == pytest.approx(CG_LOG_OBJECTIVES[seed], rel=1e-9, abs=0.0)
+
+
+# Inner iterations _log_case(seed) took at epsilon 1e-4 while its log loops ended on
+# plateau and stall exits, before the Newton-decrement stop.
+PLATEAU_ERA_INNER_ITERS = {0: 119, 2: 114, 4: 148}
+
+
+class TestInnerStop:
+    @pytest.mark.parametrize("seed", sorted(PLATEAU_ERA_INNER_ITERS))
+    def test_log_loops_end_on_the_newton_decrement(self, seed):
+        r = solve(_log_case(seed), SolverConfig(epsilon=1e-4))
+        assert [tr.inner_status for tr in r.trace] == ["converged"] * len(r.trace)
+        assert r.inner_iters_total < PLATEAU_ERA_INNER_ITERS[seed]
+
+    def test_linear_path_unchanged(self):
+        # counts recorded before the decrement stop; the truncated-CG path has no decrement
+        inst = random_instance(np.random.default_rng(0), num_elements=4, num_apps=3,
+                               kind="linear")
+        r = solve(inst, SolverConfig(epsilon=1e-3))
+        assert r.inner_iters_total == 94
+        assert [tr.inner_status for tr in r.trace] == [
+            "converged", "converged", "converged", "stalled", "plateau", "plateau"]
+
+
+class TestDualGap:
+    def test_bounds_the_oracle_optimum(self):
+        rng = np.random.default_rng(97)
+        kinds = []
+        for _ in range(24):
+            inst = random_instance(rng)
+            r = solve(inst, SolverConfig(epsilon=1e-3))
+            o = oracle_solve(inst, tol=1e-6)
+            assert r.dual_gap >= 0.0
+            assert r.objective + r.dual_gap >= o.objective - 1e-9
+            kinds.append(inst.utility_kind)
+        assert set(kinds) == {"linear", "logarithmic"}
+
+    @pytest.mark.parametrize("seed", range(len(CG_LOG_OBJECTIVES)))
+    def test_log_gap_within_epsilon(self, seed):
+        assert solve(_log_case(seed), SolverConfig(epsilon=1e-4)).dual_gap <= 1e-4
+
+    def test_fully_pinned_instance_has_zero_gap(self):
+        inst = make_instance([10.0], [[2.0, 3.0]], [[2.0, 3.0]], [[1.0, 1.0]], "logarithmic")
+        assert solve(inst, SolverConfig(epsilon=1e-2)).dual_gap == 0.0
 
 
 class TestSolverConfig:
