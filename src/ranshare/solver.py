@@ -76,12 +76,6 @@ class SolveResult:
     trace: tuple = ()
 
 
-def _slacks(inst: ProblemInstance, s: np.ndarray):
-    rows = s.sum(axis=1)
-    cols = s.sum(axis=0)
-    return inst.capacities - rows, inst.app_upper - cols, cols - inst.app_lower
-
-
 def barrier_value(inst: ProblemInstance, alloc: AllocationMatrix) -> float:
     """Logarithmic barrier over the coupling constraints at a strictly interior point.
 
@@ -109,8 +103,7 @@ def interior_gradient(inst: ProblemInstance, alloc: AllocationMatrix, t: float) 
     without a free cell contribute no term.
     """
     work = _InnerProblem(inst)
-    work.interior_slacks(alloc.values)
-    return work.gradient(alloc.values, t)
+    return work.gradient(alloc.values, t, work.interior_slacks(alloc.values))
 
 
 def gap_bound(inst: ProblemInstance, t: float) -> float:
@@ -158,6 +151,13 @@ def interior_start(inst: ProblemInstance, shift: float = 0.5) -> AllocationMatri
     return AllocationMatrix(s)
 
 
+def _spread(active, values):
+    """A vector with ``values`` on its ``active`` entries and 0 elsewhere."""
+    out = np.zeros(active.shape)
+    out[active] = values
+    return out
+
+
 class _InnerProblem:
     """The inner problem at fixed t; the public barrier functions are views of it.
 
@@ -170,10 +170,16 @@ class _InnerProblem:
         self.free = inst.upper > inst.lower
         self.el_active = self.free.any(axis=1)
         self.app_active = self.free.any(axis=0)
+        # the bounds of the constraints in the barrier
+        self.capacities = inst.capacities[self.el_active]
+        self.app_upper = inst.app_upper[self.app_active]
+        self.app_lower = inst.app_lower[self.app_active]
 
     def slacks(self, s):
-        bs, ms, ls = _slacks(self.inst, s)
-        return bs[self.el_active], ms[self.app_active], ls[self.app_active]
+        """Element, upper and lower application slacks of the non-constant constraints."""
+        rows = s.sum(axis=1)[self.el_active]
+        cols = s.sum(axis=0)[self.app_active]
+        return self.capacities - rows, self.app_upper - cols, cols - self.app_lower
 
     def interior_slacks(self, s):
         """The slacks, which must all be strictly positive."""
@@ -182,24 +188,22 @@ class _InnerProblem:
             raise NotInterior("allocation is not strictly interior to the coupling constraints")
         return slacks
 
-    def barrier(self, s) -> float:
-        bs, ms, ls = self.interior_slacks(s)
+    def barrier(self, s, slacks=None) -> float:
+        """The barrier at ``s``; ``slacks``, when given, are ``slacks(s)``, all positive."""
+        bs, ms, ls = self.interior_slacks(s) if slacks is None else slacks
         return float(np.log(bs).sum() + np.log(ms).sum() + np.log(ls).sum())
 
-    def value(self, s, t) -> float:
-        return t * _utility_sum(self.inst, s) + self.barrier(s)
+    def value(self, s, t, slacks=None) -> float:
+        return t * _utility_sum(self.inst, s) + self.barrier(s, slacks)
 
-    def gradient(self, s, t):
-        inst = self.inst
-        bs, ms, ls = _slacks(inst, s)
-        g = t * marginal_utility(inst.utility_kind, inst.coeff, s)
-        g -= np.where(self.el_active, 1.0 / np.where(self.el_active, bs, 1.0), 0.0)[:, None]
-        col = np.where(self.app_active, 1.0 / np.where(self.app_active, ms, 1.0), 0.0)
-        col -= np.where(self.app_active, 1.0 / np.where(self.app_active, ls, 1.0), 0.0)
-        g -= col[None, :]
+    def gradient(self, s, t, slacks=None):
+        bs, ms, ls = self.slacks(s) if slacks is None else slacks
+        g = t * marginal_utility(self.inst.utility_kind, self.inst.coeff, s)
+        g -= _spread(self.el_active, 1.0 / bs)[:, None]
+        g -= _spread(self.app_active, 1.0 / ms - 1.0 / ls)[None, :]
         return g
 
-    def curvature_terms(self, s, t):
+    def curvature_terms(self, s, t, slacks=None):
         """Pieces of the negated inner Hessian and its diagonal, the preconditioner.
 
         H = diag(d) + sum_i w_i (row_i)(row_i)^T + sum_k v_k (col_k)(col_k)^T
@@ -207,13 +211,13 @@ class _InnerProblem:
         application slacks; all pieces are positive semidefinite.
         """
         inst = self.inst
-        bs, ms, ls = _slacks(inst, s)
-        diag = np.zeros_like(s)
+        bs, ms, ls = self.slacks(s) if slacks is None else slacks
         if inst.utility_kind == "logarithmic":
             diag = t * inst.coeff / (s * s)
-        w_el = np.where(self.el_active, 1.0 / np.where(self.el_active, bs * bs, 1.0), 0.0)
-        v_app = np.where(self.app_active, 1.0 / np.where(self.app_active, ms * ms, 1.0), 0.0)
-        v_app += np.where(self.app_active, 1.0 / np.where(self.app_active, ls * ls, 1.0), 0.0)
+        else:
+            diag = np.zeros_like(s)
+        w_el = _spread(self.el_active, 1.0 / (bs * bs))
+        v_app = _spread(self.app_active, 1.0 / (ms * ms) + 1.0 / (ls * ls))
         precond = np.maximum(diag + w_el[:, None] + v_app[None, :], 1e-300)
         return diag, w_el, v_app, precond
 
@@ -251,6 +255,109 @@ def _damping(precond) -> float:
     return 1e-12 * float(precond.max())
 
 
+class _GridCells:
+    """Every cell of the (I, K) grid, as (I, K) arrays: the layout for a mostly free grid."""
+
+    def take(self, a):
+        return a  # a view: copy before writing
+
+    def row_dot(self, a, b):
+        return np.einsum("ik,ik->i", a, b)
+
+    def row_sum(self, a):
+        return a.sum(axis=1)
+
+    def col_sum(self, a):
+        return a.sum(axis=0)
+
+    def of_row(self, r):
+        return r[:, None]
+
+    def of_col(self, c):
+        return c
+
+    def gram(self, a):
+        return a.T @ a
+
+    def where(self, flags):
+        """(index, rows, cols) of the flagged cells."""
+        rows, cols = np.nonzero(flags)
+        return (rows, cols), rows, cols
+
+    def grid(self, a):
+        return a
+
+
+class _FlatCells:
+    """The mask cells only, gathered once into flat arrays in row-major order.
+
+    Row and column sums are bincounts over the cells' rows and columns.  The
+    Gram matrix sum_i a_i a_i^T of the rows is a bincount over the pairs of
+    cells that share a row, sum_i n_i^2 of them for n_i mask cells in row i.
+    """
+
+    def __init__(self, mask, per_row):
+        self.shape = mask.shape
+        num_app = mask.shape[1]
+        self.cell = np.flatnonzero(mask)
+        self.row, self.col = np.divmod(self.cell, num_app)
+        n = per_row[self.row]  # the mask cells in each cell's row
+        first_pair = np.cumsum(n) - n
+        row_start = np.cumsum(per_row) - per_row
+        self.pair_a = np.repeat(np.arange(self.cell.size), n)
+        self.pair_b = np.arange(self.pair_a.size) - np.repeat(first_pair - row_start[self.row], n)
+        self.pair_bin = self.col[self.pair_a] * num_app + self.col[self.pair_b]
+
+    def take(self, a):
+        return a.ravel()[self.cell]
+
+    def row_dot(self, a, b):
+        return np.bincount(self.row, a * b, self.shape[0])
+
+    def row_sum(self, a):
+        return np.bincount(self.row, a, self.shape[0])
+
+    def col_sum(self, a):
+        return np.bincount(self.col, a, self.shape[1])
+
+    def of_row(self, r):
+        return r[self.row]
+
+    def of_col(self, c):
+        return c[self.col]
+
+    def gram(self, a):
+        num_app = self.shape[1]
+        pairs = a[self.pair_a] * a[self.pair_b]
+        return np.bincount(self.pair_bin, pairs, num_app * num_app).reshape(num_app, num_app)
+
+    def where(self, flags):
+        """(index, rows, cols) of the flagged cells."""
+        index = np.flatnonzero(flags)
+        return index, self.row[index], self.col[index]
+
+    def grid(self, a):
+        out = np.zeros(self.shape)
+        out.ravel()[self.cell] = a
+        return out
+
+
+def _mask_cells(mask):
+    """The layout of a Newton step on the ``mask`` cells, chosen by how free the grid is.
+
+    The mask cells are gathered into flat arrays when their same-row pairs,
+    sum_i n_i^2, are no more than the grid's cells: then every pass over
+    them and the Gram bincount cost less than a pass over the grid, and the
+    pair arrays take no more memory than a grid array.  A fuller mask, as in
+    the first steps of a solve or on a small grid that is mostly free, stays
+    on the grid.
+    """
+    per_row = np.count_nonzero(mask, axis=1)
+    if int(per_row @ per_row) <= mask.size:
+        return _FlatCells(mask, per_row)
+    return _GridCells()
+
+
 def _exact_newton_direction(terms, g, mask, s, lo, hi):
     """Projected Newton step for logarithmic utility: H d = g solved exactly.
 
@@ -259,59 +366,63 @@ def _exact_newton_direction(terms, g, mask, s, lo, hi):
     H is diag(d + damping) + w_i 11^T, inverted by Sherman-Morrison; the
     application columns are then eliminated through the |K| x |K| Woodbury
     system S = I + V^1/2 C^T A^-1 C V^1/2, which stays valid where v_k = 0.
+    The work runs on the mask cells only when the mask is sparse
+    (:func:`_mask_cells`), so a step costs passes over the free cells.
 
     Cells the step would push past ``lo``/``hi`` are fixed at that bound,
     their moves go to the right-hand side and the rest is solved again,
     until no free cell is pushed out (Bertsekas 1982, projected Newton).
     The free set shrinks every round, so the loop ends.  Returns None when
-    the Woodbury solve fails, or the moves to a bound leave a step that is
-    no ascent direction; the returned step d always has g^T d > 0.
+    the mask is empty, the Woodbury solve fails, or the moves to a bound
+    leave a step that is no ascent direction; the returned step d always
+    has g^T d > 0.
     """
     diag, w_el, v_app, precond = terms
+    num_el, num_app = g.shape
+    cells = _mask_cells(mask)
+    free = cells.take(mask).copy()
+    if not free.any():
+        return None  # no cell can move
     # the inverse diagonal of the row blocks A on the free cells, zero elsewhere
-    e = np.where(mask, 1.0 / (diag + _damping(precond)), 0.0)
+    e = np.where(free, 1.0 / (cells.take(diag) + _damping(precond)), 0.0)
+    rhs = np.where(free, cells.take(g), 0.0)
+    s, lo, hi = cells.take(s), cells.take(lo), cells.take(hi)
     root_v = np.sqrt(v_app)
-    num_app = g.shape[1]
-    free = mask.copy()
-    step = np.zeros_like(g)  # the moves of the cells fixed at a bound
-    rhs = np.where(mask, g, 0.0)
+    step = np.zeros_like(e)  # the moves of the cells fixed at a bound
     while True:
-        rho = w_el / (1.0 + w_el * e.sum(axis=1))
+        rho = w_el / (1.0 + w_el * cells.row_sum(e))
 
         def row_solve(y):
             """A^-1 y, in place: Sherman-Morrison on every row block."""
-            y -= (rho * np.einsum("ik,ik->i", e, y))[:, None]
+            y -= cells.of_row(rho * cells.row_dot(e, y))
             y *= e
             return y
 
         # C^T A^-1 C = diag(column sums of e) - (rho^1/2 e)^T (rho^1/2 e)
-        root_rho_e = e * np.sqrt(rho)[:, None]
-        schur = -(root_rho_e.T @ root_rho_e)
-        del root_rho_e
-        schur[np.diag_indices(num_app)] += e.sum(axis=0)
+        schur = -cells.gram(e * cells.of_row(np.sqrt(rho)))
+        schur[np.diag_indices(num_app)] += cells.col_sum(e)
         schur *= root_v[:, None] * root_v[None, :]
         schur[np.diag_indices(num_app)] += 1.0
-        col_rhs = root_v * row_solve(rhs.copy()).sum(axis=0)
+        col_rhs = root_v * cells.col_sum(row_solve(rhs.copy()))
         try:
             u = root_v * np.linalg.solve(schur, col_rhs)
         except np.linalg.LinAlgError:
             return None
-        x = row_solve(rhs - u[None, :])
+        x = row_solve(rhs - cells.of_col(u))
         if not np.isfinite(x).all():
             return None
         trial = s + x
-        rows, cols = np.nonzero(free & ((trial > hi) | (trial < lo)))
+        index, rows, cols = cells.where(free & ((trial > hi) | (trial < lo)))
         if rows.size == 0:
-            x += step  # x is zero off the free cells
+            x += step  # x is zero on the fixed cells
             # the moves to a bound can turn the step away from g
-            return x if float(np.vdot(g, x)) > 0.0 else None
-        bound = np.where(trial[rows, cols] > hi[rows, cols], hi[rows, cols], lo[rows, cols])
-        move = bound - s[rows, cols]
-        step[rows, cols] = move
-        free[rows, cols] = False
-        e[rows, cols] = 0.0
-        rhs -= w_el[:, None] * np.bincount(rows, move, len(w_el))[:, None]
-        rhs -= v_app * np.bincount(cols, move, num_app)
+            return cells.grid(x) if float(np.vdot(cells.take(g), x)) > 0.0 else None
+        move = np.where(trial[index] > hi[index], hi[index], lo[index]) - s[index]
+        step[index] = move
+        free[index] = False
+        e[index] = 0.0
+        rhs -= cells.of_row(w_el * np.bincount(rows, move, num_el))
+        rhs -= cells.of_col(v_app * np.bincount(cols, move, num_app))
 
 
 def _newton_cg_direction(terms, g, mask, max_cg: int = 25):
@@ -363,6 +474,29 @@ def _newton_cg_direction(terms, g, mask, max_cg: int = 25):
     return x
 
 
+def _line_search(work: _InnerProblem, s, slacks, d, g, t: float, f_cur: float):
+    """Armijo backtracking along ``d``, clipped to the box, from ``s`` with ``slacks``.
+
+    A trial must keep every barrier slack positive and at least a fraction
+    of its value at ``s``.  Returns (point, its slacks, its value), or None
+    when no step within ``_MAX_BACKTRACKS`` halvings is accepted.
+    """
+    lo, hi = work.inst.lower, work.inst.upper
+    alpha = 1.0
+    for _ in range(_MAX_BACKTRACKS):
+        trial = np.clip(s + alpha * d, lo, hi)
+        trial_slacks = work.slacks(trial)
+        if all(((x >= _BOUNDARY_FRACTION * x0) & (x > 0)).all()
+               for x, x0 in zip(trial_slacks, slacks)):
+            gain = float(np.vdot(g, trial - s))
+            if gain > 0:
+                f_new = work.value(trial, t, trial_slacks)
+                if f_new >= f_cur + _ARMIJO * gain:
+                    return trial, trial_slacks, f_new
+        alpha *= _CONTRACTION
+    return None
+
+
 def _inner_loop(work: _InnerProblem, s: np.ndarray, t: float, cfg: SolverConfig):
     """Projected ascent with Armijo backtracking on the inner objective.
 
@@ -379,66 +513,51 @@ def _inner_loop(work: _InnerProblem, s: np.ndarray, t: float, cfg: SolverConfig)
     The loop ends ``converged`` when the projected gradient is within
     ``inner_tol`` of zero or, on the exact path, when the Newton decrement
     lambda^2 / 2 = g^T d / 2 is at most ``inner_tol`` (Boyd & Vandenberghe
-    9.5.1); the truncated-CG g^T d is no decrement, so the linear path has
-    only the gradient test.  ``plateau`` (no progress over a window of
-    accepted steps) and ``stalled`` (no step accepted) end it otherwise.
+    9.5.1) or below the spacing of floats at the inner objective, where the
+    ascent left cannot show in it; the truncated-CG g^T d is no decrement,
+    so the linear path has only the gradient test.  ``plateau`` (no progress
+    over a window of accepted steps) and ``stalled`` (no step accepted) end
+    it otherwise.
 
     Returns (s, iterations, status, objective_history).
     """
     lo, hi = work.inst.lower, work.inst.upper
     exact = work.inst.utility_kind == "logarithmic"
-    history = [work.value(s, t)]
+    slacks = work.interior_slacks(s)  # of the current point, carried over from the line search
+    history = [work.value(s, t, slacks)]
     status = "max_iters"
     iters = 0
     for iters in range(1, cfg.max_inner_iters + 1):
-        g = work.gradient(s, t)
-        pg = g.copy()
-        pg[(s <= lo) & (g < 0)] = 0.0
-        pg[(s >= hi) & (g > 0)] = 0.0
-        if np.abs(pg).max() <= cfg.inner_tol:
+        g = work.gradient(s, t, slacks)
+        blocked = ((s <= lo) & (g < 0)) | ((s >= hi) & (g > 0))
+        if np.abs(np.where(blocked, 0.0, g)).max() <= cfg.inner_tol:
             status = "converged"
             iters -= 1
             break
 
-        mask = work.free & ~((s <= lo) & (g < 0)) & ~((s >= hi) & (g > 0))
-        terms = work.curvature_terms(s, t)
+        mask = work.free & ~blocked
+        terms = work.curvature_terms(s, t, slacks)
+        f_cur = history[-1]
         if exact:
             newton = _exact_newton_direction(terms, g, mask, s, lo, hi)
-            # Newton decrement: lambda^2 / 2 = g^T d / 2 estimates the ascent left
-            if newton is not None and float(np.vdot(g, newton)) <= 2.0 * cfg.inner_tol:
+            # Newton decrement: lambda^2 / 2 = g^T d / 2 estimates the ascent left; below
+            # the rounding floor of f it cannot show in f
+            floor = max(cfg.inner_tol, float(np.spacing(abs(f_cur))))
+            if newton is not None and float(np.vdot(g, newton)) <= 2.0 * floor:
                 status = "converged"
                 iters -= 1
                 break
         else:
             newton = _newton_cg_direction(terms, g, mask)
-        fallback = np.where(mask, g, 0.0) / terms[-1]  # the gradient scaled by the Hessian diagonal
-        base = work.slacks(s)
-        f_cur = history[-1]
-
-        accepted = False
-        for d in (newton, fallback):
-            if d is None:
-                continue
-            alpha = 1.0
-            for _ in range(_MAX_BACKTRACKS):
-                trial = np.clip(s + alpha * d, lo, hi)
-                interior_ok = all(((x >= _BOUNDARY_FRACTION * x0) & (x > 0)).all()
-                                  for x, x0 in zip(work.slacks(trial), base))
-                if interior_ok:
-                    gain = float(np.vdot(g, trial - s))
-                    if gain > 0:
-                        f_new = work.value(trial, t)
-                        if f_new >= f_cur + _ARMIJO * gain:
-                            s = trial
-                            history.append(f_new)
-                            accepted = True
-                            break
-                alpha *= _CONTRACTION
-            if accepted:
-                break
-        if not accepted:
+        step = None if newton is None else _line_search(work, s, slacks, newton, g, t, f_cur)
+        if step is None:
+            # the gradient scaled by the Hessian diagonal
+            step = _line_search(work, s, slacks, np.where(mask, g, 0.0) / terms[-1], g, t, f_cur)
+        if step is None:
             status = "stalled"
             break
+        s, slacks, f_new = step
+        history.append(f_new)
         # plateau exit: no measurable progress over a window of accepted steps
         if len(history) > _PLATEAU_WINDOW:
             ref = history[-_PLATEAU_WINDOW - 1]

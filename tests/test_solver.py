@@ -6,8 +6,8 @@ import pytest
 from ranshare.errors import EmptyInterior, InvalidParams, NotInterior
 from ranshare.model import AllocationMatrix, check_feasible
 from ranshare.oracle import oracle_solve
-from ranshare.solver import (SolverConfig, _InnerProblem, _exact_newton_direction,
-                             _inner_loop, barrier_value, gap_bound,
+from ranshare.solver import (SolverConfig, _FlatCells, _InnerProblem, _exact_newton_direction,
+                             _inner_loop, _mask_cells, barrier_value, gap_bound,
                              interior_gradient, interior_objective, interior_start, solve,
                              solve_inner)
 
@@ -203,7 +203,21 @@ def _random_terms(rng, num_el, num_app):
     return diag, w_el, v_app, diag + w_el[:, None] + v_app[None, :]
 
 
-DIRECTION_CASES = ("free", "pinned", "pinned_row_and_column", "zero_app_weight", "empty_mask")
+DIRECTION_CASES = ("free", "pinned", "pinned_row_and_column", "zero_app_weight", "empty_mask",
+                   "sparse_mask")
+
+
+def _sparse_mask(rng, free):
+    """At most 5% of the grid, drawn from ``free``, none in the first element row or column.
+
+    At full scale the cells without demand (zero coefficient) sit at their
+    lower bound, outside the mask, and a few percent of the grid is free.
+    """
+    mask = free & (rng.random(free.shape) < 0.04)
+    mask[0, :] = mask[:, 0] = False
+    assert mask.any() and mask.mean() <= 0.05
+    assert isinstance(_mask_cells(mask), _FlatCells)  # the step runs on the mask cells only
+    return mask
 
 
 class TestExactNewtonDirection:
@@ -211,9 +225,13 @@ class TestExactNewtonDirection:
     def test_matches_explicit_solve(self, case):
         rng = np.random.default_rng(DIRECTION_CASES.index(case))
         for _ in range(10):
-            inst = random_instance(rng, num_elements=int(rng.integers(2, 6)),
-                                   num_apps=int(rng.integers(2, 5)), kind="logarithmic",
-                                   zero_coeff_prob=0.0)
+            if case == "sparse_mask":
+                inst = random_instance(rng, num_elements=40, num_apps=25, kind="logarithmic",
+                                       zero_coeff_prob=0.2)
+            else:
+                inst = random_instance(rng, num_elements=int(rng.integers(2, 6)),
+                                       num_apps=int(rng.integers(2, 5)), kind="logarithmic",
+                                       zero_coeff_prob=0.0)
             if case.startswith("pinned"):
                 pin = rng.random(inst.lower.shape) < 0.3
                 if case == "pinned_row_and_column":
@@ -229,6 +247,8 @@ class TestExactNewtonDirection:
             mask = work.free & (rng.random(s.shape) < 0.8)
             if case == "empty_mask":
                 mask[:] = False
+            if case == "sparse_mask":
+                mask = _sparse_mask(rng, work.free & (inst.coeff > 0))
             unbounded = np.full(s.shape, np.inf)
             d = _exact_newton_direction((diag, w_el, v_app, precond), g, mask, s,
                                         -unbounded, unbounded)
@@ -241,39 +261,57 @@ class TestExactNewtonDirection:
                                              g[mask])
             assert np.all(np.abs(d - want) <= 1e-8 * np.abs(want).max())
 
+    @staticmethod
+    def _bound_hit_case(terms, g, mask, s, lo, hi):
+        """Check one bound-hit step; None when there is no step, else whether a cell was fixed."""
+        d = _exact_newton_direction(terms, g, mask, s, lo, hi)
+        if d is None:
+            return None
+        assert np.all(d[~mask] == 0.0)
+        assert np.vdot(g, d) > 0.0
+        fixed = mask & ((d == hi - s) | (d == lo - s))
+        free = mask & ~fixed
+        # fixed cells land on their bound, free cells stay in their box
+        bound = np.where(d > 0, hi, lo)
+        np.testing.assert_array_max_ulp(np.clip(s + d, lo, hi)[fixed], bound[fixed], 1)
+        assert np.all((s + d)[free] >= lo[free]) and np.all((s + d)[free] <= hi[free])
+        # the free cells solve the system whose right-hand side holds the fixed moves
+        h = _masked_hessian(terms, mask)
+        f_idx, b_idx = free[mask], fixed[mask]
+        lhs = h[np.ix_(f_idx, f_idx)] @ d[free]
+        rhs = g[free] - h[np.ix_(f_idx, b_idx)] @ d[fixed]
+        assert np.all(np.abs(lhs - rhs) <= 1e-8 * max(np.abs(lhs).max(initial=0.0),
+                                                      np.abs(rhs).max(initial=1.0)))
+        return bool(fixed.any())
+
+    @staticmethod
+    def _box(rng, shape):
+        s = rng.uniform(1.0, 2.0, shape)
+        return s, s - 10.0 ** rng.uniform(-3, 1, shape), s + 10.0 ** rng.uniform(-3, 1, shape)
+
     def test_bound_hit_fixes_cells_and_solves_the_rest(self):
         rng = np.random.default_rng(7)
-        hit_cases = fallback_cases = 0
+        outcomes = []
         for _ in range(300):
             num_el, num_app = int(rng.integers(1, 4)), int(rng.integers(2, 4))
             terms = _random_terms(rng, num_el, num_app)
             g = rng.normal(size=(num_el, num_app))
-            s = rng.uniform(1.0, 2.0, g.shape)
-            lo = s - 10.0 ** rng.uniform(-3, 1, g.shape)
-            hi = s + 10.0 ** rng.uniform(-3, 1, g.shape)
+            s, lo, hi = self._box(rng, g.shape)
             mask = rng.random(g.shape) < 0.9
-            d = _exact_newton_direction(terms, g, mask, s, lo, hi)
-            if d is None:
-                fallback_cases += 1
-                continue
-            assert np.all(d[~mask] == 0.0)
-            assert np.vdot(g, d) > 0.0
-            fixed = mask & ((d == hi - s) | (d == lo - s))
-            free = mask & ~fixed
-            # fixed cells land on their bound, free cells stay in their box
-            bound = np.where(d > 0, hi, lo)
-            np.testing.assert_array_max_ulp(np.clip(s + d, lo, hi)[fixed], bound[fixed], 1)
-            assert np.all((s + d)[free] >= lo[free]) and np.all((s + d)[free] <= hi[free])
-            # the free cells solve the system whose right-hand side holds the fixed moves
-            h = _masked_hessian(terms, mask)
-            f_idx, b_idx = free[mask], fixed[mask]
-            lhs = h[np.ix_(f_idx, f_idx)] @ d[free]
-            rhs = g[free] - h[np.ix_(f_idx, b_idx)] @ d[fixed]
-            assert np.all(np.abs(lhs - rhs) <= 1e-8 * max(np.abs(lhs).max(initial=0.0),
-                                                          np.abs(rhs).max(initial=1.0)))
-            hit_cases += bool(fixed.any())
+            outcomes.append(self._bound_hit_case(terms, g, mask, s, lo, hi))
         # fixing moves at a bound can leave no ascent step; then there is no Newton step
-        assert hit_cases >= 100 and fallback_cases >= 1
+        assert outcomes.count(True) >= 100 and outcomes.count(None) >= 1
+
+        # a 40 x 25 grid with at most 5% of its cells in the mask
+        rng = np.random.default_rng(8)
+        outcomes = []
+        for _ in range(40):
+            terms = _random_terms(rng, 40, 25)
+            g = rng.normal(size=(40, 25))
+            s, lo, hi = self._box(rng, g.shape)
+            outcomes.append(self._bound_hit_case(terms, g, _sparse_mask(rng, np.ones(g.shape, bool)),
+                                                 s, lo, hi))
+        assert outcomes.count(True) >= 20
 
 
 # Objectives the truncated-CG Newton step reached on _log_case(0..19) at
@@ -313,6 +351,14 @@ class TestInnerStop:
         r = solve(_log_case(seed), SolverConfig(epsilon=1e-4))
         assert [tr.inner_status for tr in r.trace] == ["converged"] * len(r.trace)
         assert r.inner_iters_total < PLATEAU_ERA_INNER_ITERS[seed]
+
+    def test_decrement_below_the_objective_spacing_converges(self):
+        # At t near 1e11 the inner objective is about 3e13, so an ascent of inner_tol
+        # cannot show in it; with the stop at inner_tol alone this solve took 98 inner
+        # iterations and its last loop ended plateau.
+        r = solve(_log_case(0), SolverConfig(epsilon=1e-8))
+        assert [tr.inner_status for tr in r.trace] == ["converged"] * len(r.trace)
+        assert r.inner_iters_total < 98
 
     def test_linear_path_unchanged(self):
         # counts recorded before the decrement stop; the truncated-CG path has no decrement
