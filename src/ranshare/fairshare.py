@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from .errors import DimensionMismatch, InvalidParams
+
 
 def water_fill(demands, capacity, pool=None) -> np.ndarray:
     """Max-min fair split of each pool's budget across its demands.
@@ -12,22 +14,31 @@ def water_fill(demands, capacity, pool=None) -> np.ndarray:
     demand j draws on ``capacity[pool[j]]``.  A pool whose budget covers its
     demand gets exactly its demands, one with budget <= 0 nothing, any other
     min(d, w) at the unique level w with sum(min(d, w)) == budget.  Permuting
-    the input permutes the output identically.
+    the input permutes the output identically.  Demands that are not a 1-D
+    array of finite non-negative values, NaN budgets and pool entries that
+    do not index ``capacity`` raise ``InvalidParams``; a pool array of
+    another length than the demands raises ``DimensionMismatch``.
     """
     d = np.asarray(demands, dtype=float)
     if d.ndim != 1:
-        raise ValueError("demands must be a 1-D array")
+        raise InvalidParams("demands must be a 1-D array")
     if not np.all(np.isfinite(d) & (d >= 0)):
-        raise ValueError("demands must be finite and non-negative")
+        raise InvalidParams("demands must be finite and non-negative")
     if pool is None:
         pool, capacity = np.zeros(d.size, dtype=np.intp), [capacity]
     pool, cap = np.asarray(pool), np.asarray(capacity, dtype=float)
-    if cap.ndim != 1 or np.any(np.isnan(cap)) or pool.shape != d.shape:
-        raise ValueError("need one budget per pool and one pool per demand")
+    if cap.ndim != 1 or np.any(np.isnan(cap)):
+        raise InvalidParams("capacity must be a 1-D array of budgets, none of them NaN")
+    if pool.shape != d.shape:
+        raise DimensionMismatch(f"{pool.shape} pool entries for {d.shape} demands")
     if pool.dtype.kind not in "iu" or np.any(pool < 0) or np.any(pool >= cap.size):
-        raise ValueError("pool entries must index into capacity")
+        raise InvalidParams("pool entries must be integers indexing into capacity")
 
-    order = np.lexsort((d, pool))
+    # by pool, then by demand: a stable sort of a narrow pool key lets numpy use radix
+    # sort; the order of equal demands does not matter, as the levels depend only on
+    # each pool's sorted values
+    by_d = np.argsort(d)
+    order = by_d[np.argsort(pool[by_d].astype(np.min_scalar_type(cap.size - 1)), kind="stable")]
     ds, ps = d[order], pool[order].astype(np.intp)
     sizes = np.bincount(ps, minlength=cap.size)
     starts = np.cumsum(sizes) - sizes

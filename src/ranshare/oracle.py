@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ProjectionNotConverged, TooLarge
+from .errors import InvalidParams, ProjectionNotConverged, TooLarge
 from .model import AllocationMatrix, ProblemInstance
 from .utility import total_utility
 
@@ -261,4 +261,4 @@ def oracle_solve(inst: ProblemInstance, tol: float = 1e-6, method: str = "auto")
         return _grid_refine(inst, tol)
     if method == "long_run_projected_gradient":
         return _projected_gradient(inst, tol)
-    raise ValueError(f"unknown oracle method {method!r}")
+    raise InvalidParams(f"unknown oracle method {method!r}")

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -203,21 +204,31 @@ class _InnerProblem:
         g -= _spread(self.app_active, 1.0 / ms - 1.0 / ls)[None, :]
         return g
 
+    def weights(self, slacks):
+        """Row and column weights w, v of the negated inner Hessian, 0 on constant constraints.
+
+        ``slacks`` are :meth:`slacks` at the point: w_i = 1/bs_i^2 per element,
+        v_k = 1/ms_k^2 + 1/ls_k^2 per application.
+        """
+        bs, ms, ls = slacks
+        return (_spread(self.el_active, 1.0 / (bs * bs)),
+                _spread(self.app_active, 1.0 / (ms * ms) + 1.0 / (ls * ls)))
+
     def curvature_terms(self, s, t, slacks=None):
-        """Pieces of the negated inner Hessian and its diagonal, the preconditioner.
+        """The negated inner Hessian's pieces and its diagonal, the preconditioner, on the grid.
 
         H = diag(d) + sum_i w_i (row_i)(row_i)^T + sum_k v_k (col_k)(col_k)^T
-        with d from the utility term, w from element slacks, v from the two
-        application slacks; all pieces are positive semidefinite.
+        with d from the utility term and w, v from :meth:`weights`; all
+        pieces are positive semidefinite.  The truncated-CG step and the
+        scaled-gradient fallback read these (I, K) arrays; the exact step
+        builds its diagonal on the mask cells only, from t c and the weights.
         """
         inst = self.inst
-        bs, ms, ls = self.slacks(s) if slacks is None else slacks
+        w_el, v_app = self.weights(self.slacks(s) if slacks is None else slacks)
         if inst.utility_kind == "logarithmic":
             diag = t * inst.coeff / (s * s)
         else:
             diag = np.zeros_like(s)
-        w_el = _spread(self.el_active, 1.0 / (bs * bs))
-        v_app = _spread(self.app_active, 1.0 / (ms * ms) + 1.0 / (ls * ls))
         precond = np.maximum(diag + w_el[:, None] + v_app[None, :], 1e-300)
         return diag, w_el, v_app, precond
 
@@ -250,11 +261,6 @@ class _InnerProblem:
         return float((bs.size + ms.size + ls.size) / t + cells.sum())
 
 
-def _damping(precond) -> float:
-    """The diagonal shift that keeps the masked Hessian nonsingular."""
-    return 1e-12 * float(precond.max())
-
-
 class _GridCells:
     """Every cell of the (I, K) grid, as (I, K) arrays: the layout for a mostly free grid."""
 
@@ -281,11 +287,14 @@ class _GridCells:
 
     def where(self, flags):
         """(index, rows, cols) of the flagged cells."""
-        rows, cols = np.nonzero(flags)
+        rows, cols = np.divmod(np.flatnonzero(flags), flags.shape[1])  # faster than np.nonzero
         return (rows, cols), rows, cols
 
-    def grid(self, a):
+    def grid(self, a, out=None):
         return a
+
+
+_GRID = _GridCells()
 
 
 class _FlatCells:
@@ -293,20 +302,27 @@ class _FlatCells:
 
     Row and column sums are bincounts over the cells' rows and columns.  The
     Gram matrix sum_i a_i a_i^T of the rows is a bincount over the pairs of
-    cells that share a row, sum_i n_i^2 of them for n_i mask cells in row i.
+    cells that share a row, sum_i n_i^2 of them for n_i mask cells in row i;
+    the pairs are built on the first Gram product, so a line search can run
+    on the cells of a mask too full for them.
     """
 
-    def __init__(self, mask, per_row):
+    def __init__(self, mask):
         self.shape = mask.shape
-        num_app = mask.shape[1]
         self.cell = np.flatnonzero(mask)
-        self.row, self.col = np.divmod(self.cell, num_app)
+        self.row, self.col = np.divmod(self.cell, mask.shape[1])
+
+    @cached_property
+    def _pairs(self):
+        """(a, b, bin): the two cells of every same-row pair and its Gram entry, K a_col + b_col."""
+        num_app = self.shape[1]
+        per_row = np.bincount(self.row, minlength=self.shape[0])
         n = per_row[self.row]  # the mask cells in each cell's row
         first_pair = np.cumsum(n) - n
         row_start = np.cumsum(per_row) - per_row
-        self.pair_a = np.repeat(np.arange(self.cell.size), n)
-        self.pair_b = np.arange(self.pair_a.size) - np.repeat(first_pair - row_start[self.row], n)
-        self.pair_bin = self.col[self.pair_a] * num_app + self.col[self.pair_b]
+        pair_a = np.repeat(np.arange(self.cell.size), n)
+        pair_b = np.arange(pair_a.size) - np.repeat(first_pair - row_start[self.row], n)
+        return pair_a, pair_b, self.col[pair_a] * num_app + self.col[pair_b]
 
     def take(self, a):
         return a.ravel()[self.cell]
@@ -328,16 +344,18 @@ class _FlatCells:
 
     def gram(self, a):
         num_app = self.shape[1]
-        pairs = a[self.pair_a] * a[self.pair_b]
-        return np.bincount(self.pair_bin, pairs, num_app * num_app).reshape(num_app, num_app)
+        pair_a, pair_b, pair_bin = self._pairs
+        gram = np.bincount(pair_bin, a[pair_a] * a[pair_b], num_app * num_app)
+        return gram.reshape(num_app, num_app)
 
     def where(self, flags):
         """(index, rows, cols) of the flagged cells."""
         index = np.flatnonzero(flags)
         return index, self.row[index], self.col[index]
 
-    def grid(self, a):
-        out = np.zeros(self.shape)
+    def grid(self, a, out=None):
+        """``a`` scattered onto the grid: into ``out``, which is 0 on the mask cells, or zeros."""
+        out = np.zeros(self.shape) if out is None else out
         out.ravel()[self.cell] = a
         return out
 
@@ -354,53 +372,82 @@ def _mask_cells(mask):
     """
     per_row = np.count_nonzero(mask, axis=1)
     if int(per_row @ per_row) <= mask.size:
-        return _FlatCells(mask, per_row)
-    return _GridCells()
+        return _FlatCells(mask)
+    return _GRID
 
 
 def _exact_newton_direction(terms, g, mask, s, lo, hi):
     """Projected Newton step for logarithmic utility: H d = g solved exactly.
 
-    ``terms`` is ``_InnerProblem.curvature_terms`` at ``s``; H is the damped
-    negated Hessian restricted to the ``mask`` cells.  Each element row of
-    H is diag(d + damping) + w_i 11^T, inverted by Sherman-Morrison; the
-    application columns are then eliminated through the |K| x |K| Woodbury
-    system S = I + V^1/2 C^T A^-1 C V^1/2, which stays valid where v_k = 0.
-    The work runs on the mask cells only when the mask is sparse
-    (:func:`_mask_cells`), so a step costs passes over the free cells.
+    ``terms`` is (t c, w, v): the coefficients times t and the weights of
+    :meth:`_InnerProblem.weights` at ``s``.  H is the negated inner Hessian
+    diag(t c / s^2) + sum_i w_i (row_i)(row_i)^T + sum_k v_k (col_k)(col_k)^T
+    restricted to the ``mask`` cells, its diagonal damped by 1e-12 times its
+    largest entry; the diagonal is built on the mask cells only.  Each
+    element row of H is diag(d + damping) + w_i 11^T, inverted by
+    Sherman-Morrison; the application columns are then eliminated through
+    the |K| x |K| Woodbury system S = I + V^1/2 C^T A^-1 C V^1/2, which stays
+    valid where v_k = 0.  The work runs on the mask cells only when the mask
+    is sparse (:func:`_mask_cells`), so a step costs passes over the free
+    cells.  There a row can hold a single free cell, whose 1 - rho e
+    cancels to sigma = 1 / (1 + w e) when w e is large; the flat layout
+    forms 1 - rho e_j as sigma + rho (sum e - e_j), exact for such a cell.
 
     Cells the step would push past ``lo``/``hi`` are fixed at that bound,
     their moves go to the right-hand side and the rest is solved again,
     until no free cell is pushed out (Bertsekas 1982, projected Newton).
-    The free set shrinks every round, so the loop ends.  Returns None when
-    the mask is empty, the Woodbury solve fails, or the moves to a bound
-    leave a step that is no ascent direction; the returned step d always
-    has g^T d > 0.
+    The free set shrinks every round, so the loop ends.  A round on the
+    grid layout re-applies the :func:`_mask_cells` rule to the cells still
+    free, and once it allows, gathers them into flat arrays for the rounds
+    left.  Returns (layout, d), the step d on the cells of a layout: the
+    grid for a call that never left it, else the mask cells, flat.  Returns
+    None when the mask is empty, the Woodbury solve fails, or the moves to a
+    bound leave a step that is no ascent direction; the returned step
+    always has g^T d > 0.
     """
-    diag, w_el, v_app, precond = terms
+    tc, w_el, v_app = terms
     num_el, num_app = g.shape
     cells = _mask_cells(mask)
     free = cells.take(mask).copy()
-    if not free.any():
+    num_free = int(np.count_nonzero(free))
+    if num_free == 0:
         return None  # no cell can move
-    # the inverse diagonal of the row blocks A on the free cells, zero elsewhere
-    e = np.where(free, 1.0 / (cells.take(diag) + _damping(precond)), 0.0)
-    rhs = np.where(free, cells.take(g), 0.0)
     s, lo, hi = cells.take(s), cells.take(lo), cells.take(hi)
+    diag = cells.take(tc) / (s * s)
+    hess_diag = diag + cells.of_row(w_el) + cells.of_col(v_app)
+    damping = 1e-12 * float(np.max(hess_diag, where=free, initial=0.0))
+    # the inverse diagonal of the row blocks A on the free cells, zero elsewhere
+    e = np.where(free, 1.0 / (diag + damping), 0.0)
+    rhs = np.where(free, cells.take(g), 0.0)
     root_v = np.sqrt(v_app)
     step = np.zeros_like(e)  # the moves of the cells fixed at a bound
+    done, done_gain = None, 0.0  # the grid moves fixed before the switch to flat arrays
     while True:
-        rho = w_el / (1.0 + w_el * cells.row_sum(e))
+        # Sherman-Morrison on a row block: A^-1 y = e (y - rho (e^T y)), rho = w / (1 + w sum e)
+        row_e = cells.row_sum(e)
+        rho = w_el / (1.0 + w_el * row_e)
+        keep = None  # 1 - rho e, formed without cancellation on the flat layout
+        if cells is not _GRID:
+            keep = cells.of_row(rho) * (cells.of_row(row_e) - e)
+            keep += cells.of_row(1.0 / (1.0 + w_el * row_e))
 
         def row_solve(y):
-            """A^-1 y, in place: Sherman-Morrison on every row block."""
-            y -= cells.of_row(rho * cells.row_dot(e, y))
+            """A^-1 y, in place, on every row block."""
+            if keep is None:
+                y -= cells.of_row(rho * cells.row_dot(e, y))
+            else:  # y (1 - rho e) - rho (e^T y - e y)
+                ey = e * y
+                y *= keep
+                y -= cells.of_row(rho) * (cells.of_row(cells.row_sum(ey)) - ey)
             y *= e
             return y
 
-        # C^T A^-1 C = diag(column sums of e) - (rho^1/2 e)^T (rho^1/2 e)
+        # C^T A^-1 C = diag(sum_i e (1 - rho e)) - (rho^1/2 e)^T (rho^1/2 e) off the diagonal
         schur = -cells.gram(e * cells.of_row(np.sqrt(rho)))
-        schur[np.diag_indices(num_app)] += cells.col_sum(e)
+        if keep is None:
+            schur[np.diag_indices(num_app)] += cells.col_sum(e)
+        else:
+            schur[np.diag_indices(num_app)] = cells.col_sum(e * keep)
         schur *= root_v[:, None] * root_v[None, :]
         schur[np.diag_indices(num_app)] += 1.0
         col_rhs = root_v * cells.col_sum(row_solve(rhs.copy()))
@@ -416,13 +463,26 @@ def _exact_newton_direction(terms, g, mask, s, lo, hi):
         if rows.size == 0:
             x += step  # x is zero on the fixed cells
             # the moves to a bound can turn the step away from g
-            return cells.grid(x) if float(np.vdot(cells.take(g), x)) > 0.0 else None
+            if float(np.vdot(cells.take(g), x)) + done_gain <= 0.0:
+                return None
+            if done is None:
+                return cells, x
+            moved = _FlatCells(mask)  # the step moves the mask cells, fixed or free
+            return moved, moved.take(cells.grid(x, done))
         move = np.where(trial[index] > hi[index], hi[index], lo[index]) - s[index]
         step[index] = move
         free[index] = False
         e[index] = 0.0
         rhs -= cells.of_row(w_el * np.bincount(rows, move, num_el))
         rhs -= cells.of_col(v_app * np.bincount(cols, move, num_app))
+        num_free -= rows.size
+        # the rule needs sum_i n_i^2 <= I K, and sum_i n_i^2 >= num_free^2 / I
+        if cells is _GRID and 0 < num_free and num_free * num_free <= num_el * free.size:
+            cells = _mask_cells(free)  # the layout for the cells still free
+            if isinstance(cells, _FlatCells):
+                done, done_gain = step, float(np.vdot(g, step))
+                free, e, rhs, s, lo, hi = (cells.take(a) for a in (free, e, rhs, s, lo, hi))
+                step = np.zeros_like(e)
 
 
 def _newton_cg_direction(terms, g, mask, max_cg: int = 25):
@@ -434,7 +494,7 @@ def _newton_cg_direction(terms, g, mask, max_cg: int = 25):
     always has positive inner product with g (an ascent direction).
     """
     diag, w_el, v_app, precond = terms
-    damping = _damping(precond)
+    damping = 1e-12 * float(precond.max())  # keeps the masked Hessian nonsingular
 
     def matvec(v):
         out = (diag + damping) * v
@@ -474,13 +534,55 @@ def _newton_cg_direction(terms, g, mask, max_cg: int = 25):
     return x
 
 
-def _line_search(work: _InnerProblem, s, slacks, d, g, t: float, f_cur: float):
-    """Armijo backtracking along ``d``, clipped to the box, from ``s`` with ``slacks``.
+def _line_search(work: _InnerProblem, s, slacks, direction, g, t: float, f_cur: float):
+    """Armijo backtracking along a step, clipped to the box, on the cells of its layout.
 
-    A trial must keep every barrier slack positive and at least a fraction
-    of its value at ``s``.  Returns (point, its slacks, its value), or None
-    when no step within ``_MAX_BACKTRACKS`` halvings is accepted.
+    For logarithmic utility.  ``direction`` is (layout, d) as
+    :func:`_exact_newton_direction` returns it; s, the box, g and the
+    coefficients c are gathered once over the layout's cells, the mask
+    cells of a sparse step.  A trial's slacks are ``slacks`` minus the row
+    and column sums (bincounts) of its moves, and its value is ``f_cur``
+    plus t sum c (log trial - log s) over those cells plus the change of the
+    barrier, so a trial costs passes over the moved cells and the I + 2K
+    slacks, not over the grid.  The tests are those of
+    :func:`_grid_line_search`; the accepted point is scattered into a copy
+    of ``s``.  Returns (point, its slacks, its value), or None when no step
+    within ``_MAX_BACKTRACKS`` halvings is accepted.
     """
+    cells, d = direction
+    inst = work.inst
+    s0, lo, hi, g, c = (cells.take(a) for a in (s, inst.lower, inst.upper, g, inst.coeff))
+    log_s0 = np.log(s0)
+    bs, ms, ls = slacks
+    alpha = 1.0
+    for _ in range(_MAX_BACKTRACKS):
+        trial = np.clip(s0 + alpha * d, lo, hi)
+        move = trial - s0
+        row_move = cells.row_sum(move)[work.el_active]
+        col_move = cells.col_sum(move)[work.app_active]
+        trial_slacks = (bs - row_move, ms - col_move, ls + col_move)
+        if all(((x >= _BOUNDARY_FRACTION * x0) & (x > 0)).all()
+               for x, x0 in zip(trial_slacks, slacks)):
+            gain = float(np.vdot(g, move))
+            if gain > 0:
+                change = (t * float(np.vdot(c, np.log(trial) - log_s0))
+                          + sum(float(np.log(x / x0).sum()) for x, x0 in zip(trial_slacks, slacks)))
+                if change >= _ARMIJO * gain:
+                    return cells.grid(trial, s.copy()), trial_slacks, f_cur + change
+        alpha *= _CONTRACTION
+    return None
+
+
+def _grid_line_search(work: _InnerProblem, s, slacks, direction, g, t: float, f_cur: float):
+    """Armijo backtracking along a grid step (layout, d), clipped to the box, from ``s``.
+
+    Every trial is a point of the whole grid, its slacks and value computed
+    afresh; the linear path searches this way.  A trial must keep every
+    barrier slack positive and at least a fraction of its value at ``s``
+    (``slacks``).  Returns (point, its slacks, its value), or None when no
+    step within ``_MAX_BACKTRACKS`` halvings is accepted.
+    """
+    _, d = direction
     lo, hi = work.inst.lower, work.inst.upper
     alpha = 1.0
     for _ in range(_MAX_BACKTRACKS):
@@ -508,7 +610,10 @@ def _inner_loop(work: _InnerProblem, s: np.ndarray, t: float, cfg: SolverConfig)
     Newton step fails the line search, the diagonally scaled gradient is
     tried.  Accepted steps never decrease the inner objective, and every
     iterate keeps all active barrier slacks strictly positive
-    (fraction-to-boundary rule).
+    (fraction-to-boundary rule).  The log path searches on the cells a step
+    moves (:func:`_line_search`), carrying the slacks and the objective from
+    step to step; the linear path searches on the grid
+    (:func:`_grid_line_search`).
 
     The loop ends ``converged`` when the projected gradient is within
     ``inner_tol`` of zero or, on the exact path, when the Newton decrement
@@ -523,6 +628,8 @@ def _inner_loop(work: _InnerProblem, s: np.ndarray, t: float, cfg: SolverConfig)
     """
     lo, hi = work.inst.lower, work.inst.upper
     exact = work.inst.utility_kind == "logarithmic"
+    search = _line_search if exact else _grid_line_search
+    tc = t * work.inst.coeff  # the log utility's curvature is t c / s^2
     slacks = work.interior_slacks(s)  # of the current point, carried over from the line search
     history = [work.value(s, t, slacks)]
     status = "max_iters"
@@ -536,23 +643,26 @@ def _inner_loop(work: _InnerProblem, s: np.ndarray, t: float, cfg: SolverConfig)
             break
 
         mask = work.free & ~blocked
-        terms = work.curvature_terms(s, t, slacks)
         f_cur = history[-1]
+        terms = None
         if exact:
-            newton = _exact_newton_direction(terms, g, mask, s, lo, hi)
+            newton = _exact_newton_direction((tc, *work.weights(slacks)), g, mask, s, lo, hi)
             # Newton decrement: lambda^2 / 2 = g^T d / 2 estimates the ascent left; below
             # the rounding floor of f it cannot show in f
             floor = max(cfg.inner_tol, float(np.spacing(abs(f_cur))))
-            if newton is not None and float(np.vdot(g, newton)) <= 2.0 * floor:
+            if newton is not None and float(np.vdot(newton[0].take(g), newton[1])) <= 2.0 * floor:
                 status = "converged"
                 iters -= 1
                 break
         else:
-            newton = _newton_cg_direction(terms, g, mask)
-        step = None if newton is None else _line_search(work, s, slacks, newton, g, t, f_cur)
+            terms = work.curvature_terms(s, t, slacks)
+            newton = (_GRID, _newton_cg_direction(terms, g, mask))
+        step = None if newton is None else search(work, s, slacks, newton, g, t, f_cur)
         if step is None:
-            # the gradient scaled by the Hessian diagonal
-            step = _line_search(work, s, slacks, np.where(mask, g, 0.0) / terms[-1], g, t, f_cur)
+            # the gradient scaled by the Hessian diagonal, built on the grid only here
+            precond = (terms or work.curvature_terms(s, t, slacks))[-1]
+            scaled = np.where(mask, g, 0.0) / precond
+            step = search(work, s, slacks, (_GRID, scaled), g, t, f_cur)
         if step is None:
             status = "stalled"
             break

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from ranshare.fairshare import water_fill
+from ranshare.errors import DimensionMismatch, InvalidParams
+from ranshare.fairshare import _segment_cumsum, water_fill
 
 
 def test_capacity_covers_demand():
@@ -55,15 +56,57 @@ def test_conservation_and_caps():
 @pytest.mark.parametrize("demands, capacity", [([1.0, np.nan], 1.0), ([1.0, np.inf], 1.0),
                                                ([1.0, 2.0], np.nan)])
 def test_non_finite_input_rejected(demands, capacity):
-    with pytest.raises(ValueError):
+    with pytest.raises(InvalidParams):
         water_fill(np.array(demands), capacity)
 
 
 def test_pool_must_index_capacity():
-    with pytest.raises(ValueError):
+    with pytest.raises(InvalidParams):
         water_fill(np.array([1.0, 2.0]), np.array([1.0]), pool=np.array([0, 1]))
-    with pytest.raises(ValueError):
+    with pytest.raises(DimensionMismatch):
         water_fill(np.array([1.0, 2.0]), np.array([1.0, 1.0]), pool=np.array([0]))
+
+
+@pytest.mark.parametrize("demands, pool", [([[1.0, 2.0]], None), ([1.0, -2.0], None),
+                                           ([1.0, 2.0], [0.0, 1.0]), ([1.0, 2.0], [0, -1])])
+def test_malformed_demands_and_pools_raise_invalid_params(demands, pool):
+    capacity = 3.0 if pool is None else np.array([1.0, 1.0])
+    with pytest.raises(InvalidParams):
+        water_fill(np.array(demands), capacity, pool=None if pool is None else np.array(pool))
+
+
+def _lexsort_fill(d, cap, pool):
+    """``water_fill`` with its pool-then-demand order taken by ``np.lexsort``."""
+    order = np.lexsort((d, pool))
+    ds, ps = d[order], pool[order].astype(np.intp)
+    sizes = np.bincount(ps, minlength=cap.size)
+    starts = np.cumsum(sizes) - sizes
+    rank = np.arange(d.size) - starts[ps]
+    csum = _segment_cumsum(ds, starts, sizes)
+    candidate = (cap[ps] - np.where(rank > 0, np.roll(csum, 1), 0.0)) / (sizes[ps] - rank)
+    hit = np.flatnonzero(candidate <= ds)
+    first = hit[np.diff(ps[hit], prepend=-1) != 0]
+    level = np.full(cap.size, np.inf)
+    level[ps[first]] = np.maximum(candidate[first], 0.0)
+    total = np.zeros(cap.size)
+    total[sizes > 0] = csum[(starts + sizes - 1)[sizes > 0]]
+    level[total <= cap] = np.inf
+    level[cap <= 0] = 0.0
+    return np.minimum(d, level[pool])
+
+
+@pytest.mark.parametrize("num_pools", [1, 7, 300, 70_000])
+def test_sort_matches_lexsort_bit_for_bit(num_pools):
+    # demands drawn from a few values, so most pools hold ties; 70,000 pools need a
+    # wider pool key than 16 bits
+    rng = np.random.default_rng(num_pools)
+    for _ in range(5):
+        n = int(rng.integers(1, 4 * num_pools + 50))
+        d = rng.choice([0.0, 0.5, 1.0, 2.0, 3.0, 7.5], n) * rng.choice([1.0, 1.0, 1.0 + 1e-12], n)
+        pool = rng.integers(0, num_pools, n)
+        cap = rng.uniform(0.0, 2.0, num_pools) * np.bincount(pool, d, num_pools)
+        cap[rng.random(num_pools) < 0.1] = 0.0
+        assert np.array_equal(water_fill(d, cap, pool=pool), _lexsort_fill(d, cap, pool))
 
 
 def reference_fill(d, capacity):

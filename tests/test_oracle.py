@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from ranshare.errors import TooLarge
+from ranshare.errors import InvalidParams, TooLarge
 from ranshare.model import check_feasible
 from ranshare.oracle import dykstra_project, oracle_solve
 from ranshare.solver import SolverConfig, solve
@@ -30,6 +30,11 @@ def test_grid_rejects_large_instances():
     # projected gradient handles any size
     o = oracle_solve(inst, tol=1e-4, method="long_run_projected_gradient")
     assert o.method == "long_run_projected_gradient"
+
+
+def test_unknown_method_rejected(tiny_instance):
+    with pytest.raises(InvalidParams):
+        oracle_solve(tiny_instance, method="simplex")
 
 
 def test_oracle_allocations_feasible():

@@ -6,8 +6,10 @@ import pytest
 from ranshare.errors import EmptyInterior, InvalidParams, NotInterior
 from ranshare.model import AllocationMatrix, check_feasible
 from ranshare.oracle import oracle_solve
-from ranshare.solver import (SolverConfig, _FlatCells, _InnerProblem, _exact_newton_direction,
-                             _inner_loop, _mask_cells, barrier_value, gap_bound,
+import ranshare.solver
+from ranshare.solver import (_GRID, SolverConfig, _FlatCells, _InnerProblem,
+                             _exact_newton_direction, _grid_line_search, _inner_loop,
+                             _line_search, _mask_cells, barrier_value, gap_bound,
                              interior_gradient, interior_objective, interior_start, solve,
                              solve_inner)
 
@@ -183,28 +185,44 @@ class TestSolveInner:
             assert check_feasible(inst, AllocationMatrix(s), tol=0.0).feasible
 
 
-def _masked_hessian(terms, mask):
-    """The damped negated inner Hessian on the mask cells, as an explicit matrix."""
-    diag, w_el, v_app, precond = terms
-    num_el, num_app = diag.shape
+def _masked_hessian(terms, s, mask):
+    """The damped negated inner Hessian on the mask cells, as an explicit matrix.
+
+    ``terms`` is (t c, w, v) at ``s``; the damping is 1e-12 times the largest
+    diagonal entry of the masked Hessian.
+    """
+    tc, w_el, v_app = terms
+    num_el, num_app = s.shape
     rows = np.repeat(np.eye(num_el), num_app, axis=1)  # rows[i] marks element i's cells
     cols = np.tile(np.eye(num_app), num_el)            # cols[k] marks application k's cells
-    h = np.diag((diag + 1e-12 * precond.max()).ravel())
+    h = np.diag((tc / (s * s)).ravel())
     h += rows.T @ (w_el[:, None] * rows) + cols.T @ (v_app[:, None] * cols)
     m = mask.ravel()
-    return h[np.ix_(m, m)]
+    h = h[np.ix_(m, m)]
+    h[np.diag_indices_from(h)] += 1e-12 * h.diagonal().max(initial=0.0)
+    return h
 
 
 def _random_terms(rng, num_el, num_app):
-    """Curvature terms with the row and column weights over eight decades."""
+    """A Hessian diagonal over four decades, row and column weights over eight."""
     diag = 10.0 ** rng.uniform(-2, 2, (num_el, num_app))
     w_el = 10.0 ** rng.uniform(-2, 6, num_el)
     v_app = 10.0 ** rng.uniform(-2, 6, num_app)
-    return diag, w_el, v_app, diag + w_el[:, None] + v_app[None, :]
+    return diag, w_el, v_app
+
+
+def _on_grid(step):
+    """A step of ``_exact_newton_direction``, (layout, d), as an (I, K) array; None stays."""
+    return None if step is None else step[0].grid(step[1])
+
+
+def _terms_at(s, diag, w_el, v_app):
+    """(t c, w, v) whose Hessian diagonal at ``s`` is ``diag``."""
+    return diag * s * s, w_el, v_app
 
 
 DIRECTION_CASES = ("free", "pinned", "pinned_row_and_column", "zero_app_weight", "empty_mask",
-                   "sparse_mask")
+                   "sparse_mask", "dense_then_sparse")
 
 
 def _sparse_mask(rng, free):
@@ -222,12 +240,17 @@ def _sparse_mask(rng, free):
 
 class TestExactNewtonDirection:
     @pytest.mark.parametrize("case", DIRECTION_CASES)
-    def test_matches_explicit_solve(self, case):
+    def test_matches_explicit_solve(self, case, monkeypatch):
+        layouts = []  # the layout of every bound-hit round
+        choose = ranshare.solver._mask_cells
+        monkeypatch.setattr(ranshare.solver, "_mask_cells",
+                            lambda mask: layouts.append(choose(mask)) or layouts[-1])
         rng = np.random.default_rng(DIRECTION_CASES.index(case))
         for _ in range(10):
-            if case == "sparse_mask":
+            if case in ("sparse_mask", "dense_then_sparse"):
+                # the dense mask holds every cell, so none may lack curvature of its own
                 inst = random_instance(rng, num_elements=40, num_apps=25, kind="logarithmic",
-                                       zero_coeff_prob=0.2)
+                                       zero_coeff_prob=0.2 if case == "sparse_mask" else 0.0)
             else:
                 inst = random_instance(rng, num_elements=int(rng.integers(2, 6)),
                                        num_apps=int(rng.integers(2, 5)), kind="logarithmic",
@@ -241,30 +264,63 @@ class TestExactNewtonDirection:
             s = interior_start(inst, 0.5).values
             t = float(rng.uniform(0.1, 100.0))
             g = work.gradient(s, t)
-            diag, w_el, v_app, precond = work.curvature_terms(s, t)
+            w_el, v_app = work.weights(work.slacks(s))
             if case == "zero_app_weight":
                 v_app[0] = 0.0
+            terms = (t * inst.coeff, w_el, v_app)
             mask = work.free & (rng.random(s.shape) < 0.8)
             if case == "empty_mask":
                 mask[:] = False
             if case == "sparse_mask":
                 mask = _sparse_mask(rng, work.free & (inst.coeff > 0))
             unbounded = np.full(s.shape, np.inf)
-            d = _exact_newton_direction((diag, w_el, v_app, precond), g, mask, s,
-                                        -unbounded, unbounded)
+            lo, hi = -unbounded, unbounded
+            if case == "dense_then_sparse":
+                # the whole grid in the mask, 90% of it in boxes too narrow for the step
+                mask = work.free.copy()
+                narrow = rng.random(s.shape) < 0.9
+                lo = np.where(narrow, s - 1e-9, -np.inf)
+                hi = np.where(narrow, s + 1e-9, np.inf)
+            layouts.clear()
+            d = _on_grid(_exact_newton_direction(terms, g, mask, s, lo, hi))
             if case == "empty_mask":
                 assert d is None  # no cell can move, so there is no ascent step
                 continue
-            want = np.zeros_like(g)
-            if mask.any():
-                want[mask] = np.linalg.solve(_masked_hessian((diag, w_el, v_app, precond), mask),
-                                             g[mask])
+            # the cells fixed at a bound, whose moves go to the right-hand side
+            fixed = mask & ((d == hi - s) | (d == lo - s))
+            free = mask & ~fixed
+            want = np.where(fixed, d, 0.0)
+            if free.any():
+                h = _masked_hessian(terms, s, mask)
+                f_idx, b_idx = free[mask], fixed[mask]
+                want[free] = np.linalg.solve(h[np.ix_(f_idx, f_idx)],
+                                             g[free] - h[np.ix_(f_idx, b_idx)] @ d[fixed])
             assert np.all(np.abs(d - want) <= 1e-8 * np.abs(want).max())
+            if case == "dense_then_sparse":
+                # round 1 on the grid fixes most cells; the rounds after it run on the rest, flat
+                assert fixed.sum() >= 0.8 * mask.sum()
+                assert layouts[0] is _GRID and isinstance(layouts[-1], _FlatCells)
+            else:
+                assert not fixed.any()
+
+    def test_stiff_row_with_one_free_cell_keeps_its_digits(self):
+        # A^-1 of a row block with one free cell is e / (1 + w e); as e - rho e^2 with
+        # w e = 1e8 it keeps only about 8 digits
+        s = np.ones((4, 3))
+        mask = np.zeros(s.shape, bool)
+        mask[[0, 1, 2, 3], [0, 1, 2, 0]] = True
+        assert isinstance(_mask_cells(mask), _FlatCells)
+        terms = (s * s, np.array([1e8, 1e8, 1.0, 1.0]), np.ones(3))
+        g = np.random.default_rng(5).normal(size=s.shape)
+        unbounded = np.full(s.shape, np.inf)
+        d = _on_grid(_exact_newton_direction(terms, g, mask, s, -unbounded, unbounded))
+        want = np.linalg.solve(_masked_hessian(terms, s, mask), g[mask])
+        np.testing.assert_allclose(d[mask], want, rtol=1e-12, atol=0)
 
     @staticmethod
     def _bound_hit_case(terms, g, mask, s, lo, hi):
         """Check one bound-hit step; None when there is no step, else whether a cell was fixed."""
-        d = _exact_newton_direction(terms, g, mask, s, lo, hi)
+        d = _on_grid(_exact_newton_direction(terms, g, mask, s, lo, hi))
         if d is None:
             return None
         assert np.all(d[~mask] == 0.0)
@@ -276,7 +332,7 @@ class TestExactNewtonDirection:
         np.testing.assert_array_max_ulp(np.clip(s + d, lo, hi)[fixed], bound[fixed], 1)
         assert np.all((s + d)[free] >= lo[free]) and np.all((s + d)[free] <= hi[free])
         # the free cells solve the system whose right-hand side holds the fixed moves
-        h = _masked_hessian(terms, mask)
+        h = _masked_hessian(terms, s, mask)
         f_idx, b_idx = free[mask], fixed[mask]
         lhs = h[np.ix_(f_idx, f_idx)] @ d[free]
         rhs = g[free] - h[np.ix_(f_idx, b_idx)] @ d[fixed]
@@ -294,11 +350,11 @@ class TestExactNewtonDirection:
         outcomes = []
         for _ in range(300):
             num_el, num_app = int(rng.integers(1, 4)), int(rng.integers(2, 4))
-            terms = _random_terms(rng, num_el, num_app)
+            diag = _random_terms(rng, num_el, num_app)
             g = rng.normal(size=(num_el, num_app))
             s, lo, hi = self._box(rng, g.shape)
             mask = rng.random(g.shape) < 0.9
-            outcomes.append(self._bound_hit_case(terms, g, mask, s, lo, hi))
+            outcomes.append(self._bound_hit_case(_terms_at(s, *diag), g, mask, s, lo, hi))
         # fixing moves at a bound can leave no ascent step; then there is no Newton step
         assert outcomes.count(True) >= 100 and outcomes.count(None) >= 1
 
@@ -306,12 +362,49 @@ class TestExactNewtonDirection:
         rng = np.random.default_rng(8)
         outcomes = []
         for _ in range(40):
-            terms = _random_terms(rng, 40, 25)
+            diag = _random_terms(rng, 40, 25)
             g = rng.normal(size=(40, 25))
             s, lo, hi = self._box(rng, g.shape)
-            outcomes.append(self._bound_hit_case(terms, g, _sparse_mask(rng, np.ones(g.shape, bool)),
-                                                 s, lo, hi))
+            mask = _sparse_mask(rng, np.ones(g.shape, bool))
+            outcomes.append(self._bound_hit_case(_terms_at(s, *diag), g, mask, s, lo, hi))
         assert outcomes.count(True) >= 20
+
+
+class TestLineSearch:
+    @staticmethod
+    def _halvings(s, d, lo, hi, point):
+        """The k for which ``point`` is the trial clip(s + 2^-k d, lo, hi)."""
+        return next(k for k in range(80)
+                    if np.array_equal(np.clip(s + 0.5 ** k * d, lo, hi), point))
+
+    def test_moved_cell_search_matches_grid_search(self):
+        rng = np.random.default_rng(23)
+        halvings = []
+        for _ in range(20):
+            inst = random_instance(rng, num_elements=40, num_apps=25, kind="logarithmic",
+                                   zero_coeff_prob=0.2)
+            work = _InnerProblem(inst)
+            s = interior_start(inst, 0.5).values
+            t = float(rng.uniform(0.1, 100.0))
+            slacks = work.interior_slacks(s)
+            g = work.gradient(s, t, slacks)
+            f = work.value(s, t, slacks)
+            mask = _sparse_mask(rng, work.free & (inst.coeff > 0))
+            newton = _exact_newton_direction((t * inst.coeff, *work.weights(slacks)), g, mask,
+                                             s, inst.lower, inst.upper)
+            # the Newton step on the flat mask cells, and the steepest ascent on the grid
+            for step in (newton, (_GRID, np.where(mask, g, 0.0))):
+                d = _on_grid(step)
+                moved = _line_search(work, s, slacks, step, g, t, f)
+                grid = _grid_line_search(work, s, slacks, (_GRID, d), g, t, f)
+                k = self._halvings(s, d, inst.lower, inst.upper, grid[0])
+                assert k == self._halvings(s, d, inst.lower, inst.upper, moved[0])
+                np.testing.assert_allclose(moved[0], grid[0], rtol=1e-12, atol=0)
+                for x, y in zip(moved[1], grid[1]):
+                    np.testing.assert_allclose(x, y, rtol=1e-12, atol=0)
+                assert moved[2] == pytest.approx(grid[2], rel=1e-12, abs=0)
+                halvings.append(k)
+        assert min(halvings) == 0 and max(halvings) >= 3  # full steps and backtracked ones
 
 
 # Objectives the truncated-CG Newton step reached on _log_case(0..19) at
