@@ -3,14 +3,12 @@
 from .baselines import (EntityAllocation, ReservationConfig, net_rsv_allocate,
                         per_bs_rsv_allocate)
 from .errors import (ConfigError, DimensionMismatch, DomainError, EmptyInterior,
-                     InfeasibleConfig, InvalidParams, NotInterior,
-                     ProjectionNotConverged, RanShareError, TooLarge,
+                     InfeasibleConfig, InvalidParams, NotInterior, RanShareError,
                      UnknownReference)
 from .fairshare import water_fill
 from .model import (AllocationMatrix, Application, Entity, FeasibilityReport,
                     Flow, FlowAllocation, Flows, ProblemInstance, RadioElement,
                     check_feasible, expand_bounds)
-from .oracle import OracleResult, oracle_solve
 from .sim import (ALL_SCHEMES, ExperimentReport, ExperimentRow, HotspotParams,
                   SCHEME_APP_OPT, SCHEME_NET_RSV, SCHEME_PER_BS_RSV, Scenario,
                   ScenarioParams, add_hotspot, allocate_app_opt, build_instance,

@@ -146,6 +146,9 @@ def resolve_config(path=None, flag_overrides=None, env=None) -> dict:
     for scheme in cfg["schemes"]:
         if scheme not in ALL_SCHEMES:
             raise ConfigError(f"unknown scheme {scheme!r}; valid: {ALL_SCHEMES}")
+    focus = cfg["focus_app_id"]
+    if isinstance(focus, bool) or not isinstance(focus, int) or focus < 0:
+        raise ConfigError(f"focus_app_id must be a non-negative integer, got {focus!r}")
     return cfg
 
 
@@ -210,6 +213,8 @@ def _write_summary(path: Path, cfg, extra) -> None:
 
 
 def _instance_from_config(spec) -> ProblemInstance:
+    if not isinstance(spec, dict):
+        raise ConfigError(f"instance must be a JSON object of arrays, got {spec!r}")
     try:
         return ProblemInstance(
             capacities=np.array(spec["capacities"], dtype=float),
@@ -222,6 +227,8 @@ def _instance_from_config(spec) -> ProblemInstance:
         )
     except KeyError as exc:
         raise ConfigError(f"instance config missing field {exc}") from exc
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"instance arrays must be numeric: {exc}") from exc
 
 
 def _run_single_solve(cfg, out_dir: Path) -> dict:

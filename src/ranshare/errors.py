@@ -33,13 +33,5 @@ class EmptyInterior(RanShareError):
     """The instance admits no strictly interior point for its free variables."""
 
 
-class TooLarge(RanShareError):
-    """The instance exceeds the size limit of the exhaustive grid oracle."""
-
-
-class ProjectionNotConverged(RanShareError):
-    """Alternating projection onto the constraint intersection did not converge."""
-
-
 class ConfigError(RanShareError):
     """The run configuration is missing or malformed."""

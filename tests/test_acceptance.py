@@ -17,7 +17,6 @@ import pytest
 from ranshare.baselines import net_rsv_allocate, per_bs_rsv_allocate
 from ranshare.cli import RESULT_COLUMNS, main as cli_main
 from ranshare.model import AllocationMatrix, ProblemInstance, check_feasible
-from ranshare.oracle import oracle_solve
 from ranshare.sim import (ALL_SCHEMES, HotspotParams, ScenarioParams,
                           SCHEME_APP_OPT, SCHEME_NET_RSV, SCHEME_PER_BS_RSV,
                           add_hotspot, allocate_app_opt, build_instance,
@@ -26,6 +25,7 @@ from ranshare.solver import (SolverConfig, interior_gradient, interior_objective
                              solve)
 
 from conftest import random_instance
+from oracles import _repair, optimum_bracket
 
 DESK = ScenarioParams()  # 100 elements / 10 entities / 20 apps / 500 flows
 DESK_HOTSPOT = HotspotParams()  # 600 flows from 2 entities over all 100 elements
@@ -61,7 +61,8 @@ def _aggregate_entity_matrix(entity_alloc) -> AllocationMatrix:
 
 
 def test_criterion_1_eps_suboptimality():
-    """u_oracle - u_solver <= eps + 1e-6 on >= 200 random small instances."""
+    """u_upper - u_solver <= eps + 1e-6 on >= 200 random small instances, where
+    u_upper >= the optimum is the upper end of ``oracles.optimum_bracket``."""
     rng = np.random.default_rng(2024)
     eps = 1e-3
     start = time.perf_counter()
@@ -71,8 +72,7 @@ def test_criterion_1_eps_suboptimality():
         kind = "linear" if trial % 2 == 0 else "logarithmic"
         inst = random_instance(rng, kind=kind)
         result = solve(inst, SolverConfig(epsilon=eps))
-        oracle = oracle_solve(inst, tol=1e-6)
-        gap = oracle.objective - result.objective
+        gap = optimum_bracket(inst).upper - result.objective
         worst = max(worst, gap)
         if gap > eps + 1e-6:
             failures += 1
@@ -117,7 +117,6 @@ def test_criterion_2_feasibility_everywhere():
 
 def test_criterion_3_gradient_matches_finite_differences():
     """Analytic gradient vs central differences (h = 1e-6) at >= 100 points."""
-    from ranshare.oracle import _repair
     from ranshare.solver import interior_start
 
     rng = np.random.default_rng(5150)

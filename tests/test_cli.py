@@ -43,6 +43,11 @@ class TestResolveConfig:
     def test_utility_alias(self):
         assert resolve_config(None, {"seed": 1, "utility": "log"})["utility"] == "logarithmic"
 
+    @pytest.mark.parametrize("value", ["-1", "2.5", "x", "true", "[0]"])
+    def test_malformed_focus_app_id_rejected(self, value):
+        with pytest.raises(ConfigError, match="focus_app_id"):
+            resolve_config(None, {"seed": 1}, env={"RANSHARE_FOCUS_APP_ID": value})
+
     def test_unknown_keys_rejected(self, tmp_path):
         path = tmp_path / "bad.json"
         path.write_text(json.dumps({"seed": 1, "nonsense": 2}))
@@ -90,6 +95,17 @@ class TestMain:
         assert summary["converged"] is True
         assert summary["feasible"] is True
         assert 8.0 - 1e-9 <= summary["objective"] + summary["dual_gap"] <= 8.0 + 1e-3
+
+    @pytest.mark.parametrize("spec", [
+        "[1,2]",
+        '{"capacities": "abc", "lower": [[1]], "upper": [[2]], "app_lower": [1], '
+        '"app_upper": [2], "coeff": [[1]]}',
+    ])
+    def test_malformed_instance_exit_code(self, tmp_path, capsys, monkeypatch, spec):
+        monkeypatch.setenv("RANSHARE_INSTANCE", spec)
+        assert main(["--experiment", "single-solve", "--seed", "1",
+                     "--out", str(tmp_path / "run")]) == 2
+        assert "instance" in capsys.readouterr().err
 
     def test_trace_written(self, tmp_path):
         instance = {"capacities": [10.0], "lower": [[2.0]], "upper": [[8.0]],

@@ -5,7 +5,7 @@ import pytest
 
 from ranshare.errors import EmptyInterior, InvalidParams, NotInterior
 from ranshare.model import AllocationMatrix, check_feasible
-from ranshare.oracle import oracle_solve
+from ranshare.sim import ScenarioParams, build_instance, generate_scenario
 import ranshare.solver
 from ranshare.solver import (_GRID, SolverConfig, _FlatCells, _InnerProblem,
                              _exact_newton_direction, _grid_line_search, _inner_loop,
@@ -14,6 +14,7 @@ from ranshare.solver import (_GRID, SolverConfig, _FlatCells, _InnerProblem,
                              solve_inner)
 
 from conftest import make_instance, pin_cells, random_instance
+from oracles import optimum_bracket
 
 
 class TestBarrier:
@@ -470,9 +471,8 @@ class TestDualGap:
         for _ in range(24):
             inst = random_instance(rng)
             r = solve(inst, SolverConfig(epsilon=1e-3))
-            o = oracle_solve(inst, tol=1e-6)
             assert r.dual_gap >= 0.0
-            assert r.objective + r.dual_gap >= o.objective - 1e-9
+            assert r.objective + r.dual_gap >= optimum_bracket(inst).lower - 1e-9
             kinds.append(inst.utility_kind)
         assert set(kinds) == {"linear", "logarithmic"}
 
@@ -483,6 +483,30 @@ class TestDualGap:
     def test_fully_pinned_instance_has_zero_gap(self):
         inst = make_instance([10.0], [[2.0, 3.0]], [[2.0, 3.0]], [[1.0, 1.0]], "logarithmic")
         assert solve(inst, SolverConfig(epsilon=1e-2)).dual_gap == 0.0
+
+
+@pytest.fixture(scope="module")
+def desk_linear_5000():
+    """The desk grid (100 x 20) with 5,000 flows at load 1, linear, eps 1.0:
+    the scale of the desk-linear benchmark, solved once for both tests."""
+    inst = build_instance(generate_scenario(ScenarioParams(num_flows=5000), 42), "linear")
+    cfg = SolverConfig(epsilon=1.0)
+    return inst, cfg, solve(inst, cfg), optimum_bracket(inst).upper
+
+
+class TestLinearAtBenchmarkScale:
+    def test_dual_certificate_bounds_highs_optimum(self, desk_linear_5000):
+        inst, _, r, optimum = desk_linear_5000
+        assert check_feasible(inst, r.allocation, 1e-9).feasible
+        assert r.objective + r.dual_gap >= optimum
+
+    @pytest.mark.xfail(strict=True, reason=(
+        "ROADMAP open item 'Linear utility returns a false certificate': every linear "
+        "inner loop ends at max_iters, 334.6 below the HiGHS optimum while converged "
+        "is True and gap_bound is 0.198"))
+    def test_within_epsilon_of_highs_optimum(self, desk_linear_5000):
+        _, cfg, r, optimum = desk_linear_5000
+        assert optimum - r.objective <= cfg.epsilon
 
 
 class TestSolverConfig:
@@ -530,8 +554,7 @@ class TestSolve:
         for _ in range(15):
             inst = random_instance(rng, num_elements=2, num_apps=2, kind="linear")
             r = solve(inst, SolverConfig(epsilon=1e-3))
-            o = oracle_solve(inst, tol=1e-6)
-            assert o.objective - r.objective <= 1e-3 + 1e-6
+            assert optimum_bracket(inst).upper - r.objective <= 1e-3 + 1e-6
 
     def test_outer_iteration_count_formula(self):
         rng = np.random.default_rng(61)
