@@ -239,14 +239,17 @@ def _run_single_solve(cfg, out_dir: Path) -> dict:
         from .sim import build_instance, scale_load
         base = generate_scenario(_scenario_params(cfg), cfg["seed"])
         inst = build_instance(scale_load(base, cfg["loads"][0]), cfg["utility"])
+    focus = int(cfg["focus_app_id"])
+    if focus >= inst.num_apps:
+        raise ConfigError(f"focus_app_id {focus} is not an application of the instance "
+                          f"({inst.num_apps} applications)")
     start = time.perf_counter()
     result = solve(inst, scfg)
     elapsed_ms = (time.perf_counter() - start) * 1000.0
     report = check_feasible(inst, result.allocation, 1e-9)
 
     from .sim import ExperimentRow
-    focus = int(cfg["focus_app_id"])
-    granted_m = float(result.allocation.values[:, focus].sum()) if focus < inst.num_apps else 0.0
+    granted_m = float(result.allocation.values[:, focus].sum())
     row = ExperimentRow(
         scheme="app-opt", load=float(cfg["loads"][0]),
         utility_kind=inst.utility_kind,

@@ -329,7 +329,12 @@ def run_experiment(base: Scenario, schemes: Sequence[str], loads: Sequence[float
 
     ``scale_flow_ids`` restricts load scaling to a flow subset (hotspot
     sweeps).  A failing cell contributes an error row instead of vanishing.
+    ``focus_app_id``, the application whose resource the rows report, must
+    be one of the scenario's (``InvalidParams``).
     """
+    if not integers(focus_app_id) or not 0 <= focus_app_id < len(base.apps):
+        raise InvalidParams(f"focus_app_id must be an application index below {len(base.apps)}, "
+                            f"got {focus_app_id!r}")
     rows = []
     for load in loads:
         scen = scale_load(base, float(load), flow_ids=scale_flow_ids)

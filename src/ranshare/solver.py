@@ -2,9 +2,10 @@
 
 The coupling constraints (element capacities and per-application aggregate
 bounds) are folded into a logarithmic barrier; the per-cell box bounds stay
-explicit and are handled by projection.  An outer loop sharpens the barrier
-multiplier t by a factor mu until the certified bound (B + |K|) / t drops
-below the requested suboptimality epsilon.
+explicit and are handled by projection.  For logarithmic utility the
+barrier leaves out the aggregate bounds the boxes already enforce.  An outer
+loop sharpens the barrier multiplier t by a factor mu until the certified
+bound (B + |K|) / t drops below the requested suboptimality epsilon.
 """
 
 from __future__ import annotations
@@ -83,7 +84,11 @@ def barrier_value(inst: ProblemInstance, alloc: AllocationMatrix) -> float:
     This is the barrier the solver maximizes.  A constraint without a free
     cell (an element row or application column whose cells all have
     upper == lower) is constant, so its term is dropped and its slack may be
-    zero; every other slack must be strictly positive (``NotInterior``).
+    zero.  For logarithmic utility an application bound that the cell boxes
+    enforce (``app_lower[k] <= lower[:, k].sum()``, or
+    ``app_upper[k] >= upper[:, k].sum()``, as on every generated instance)
+    has no term either.  Every slack with a term must be strictly positive
+    (``NotInterior``).
     """
     return _InnerProblem(inst).barrier(alloc.values)
 
@@ -91,7 +96,8 @@ def barrier_value(inst: ProblemInstance, alloc: AllocationMatrix) -> float:
 def interior_objective(inst: ProblemInstance, alloc: AllocationMatrix, t: float) -> float:
     """t * utility + barrier, the objective of the inner problem.
 
-    The barrier is :func:`barrier_value`, so constraints without a free cell
+    The barrier is :func:`barrier_value`, so constraints without a free cell,
+    and for logarithmic utility the application bounds the boxes enforce,
     contribute nothing.
     """
     return _InnerProblem(inst).value(alloc.values, t)
@@ -100,8 +106,8 @@ def interior_objective(inst: ProblemInstance, alloc: AllocationMatrix, t: float)
 def interior_gradient(inst: ProblemInstance, alloc: AllocationMatrix, t: float) -> np.ndarray:
     """Gradient of :func:`interior_objective` at every cell, pinned ones included.
 
-    Raises ``NotInterior`` where :func:`barrier_value` does; constraints
-    without a free cell contribute no term.
+    Raises ``NotInterior`` where :func:`barrier_value` does; the constraints
+    without a term there contribute none here.
     """
     work = _InnerProblem(inst)
     return work.gradient(alloc.values, t, work.interior_slacks(alloc.values))
@@ -163,24 +169,47 @@ class _InnerProblem:
     """The inner problem at fixed t; the public barrier functions are views of it.
 
     Pinned cells (upper == lower) stay fixed, and the constant barrier terms
-    of constraints without a free cell are dropped.
+    of constraints without a free cell are dropped.  For logarithmic utility
+    the barrier also leaves out every application bound that the cell boxes
+    already enforce (presolve; Andersen & Andersen 1995): the lower term of
+    column k where ``app_lower[k] <= lower[:, k].sum()``, its upper term
+    where ``app_upper[k] >= upper[:, k].sum()``.  Floating-point summation is
+    monotone, so any point of the box meets those bounds exactly.  A cell with
+    c = 0 in a column without a lower term then has gradient -1/bs_i, minus
+    1/ms_k where the upper term is kept, < 0 everywhere: it never leaves its
+    lower bound, so the solver holds it there (``pinned``) and it is not free.
     """
 
     def __init__(self, inst: ProblemInstance):
         self.inst = inst
-        self.free = inst.upper > inst.lower
-        self.el_active = self.free.any(axis=1)
-        self.app_active = self.free.any(axis=0)
+        box_free = inst.upper > inst.lower
+        self.el_active = box_free.any(axis=1)
+        app_free = box_free.any(axis=0)
+        self.low_active = self.up_active = app_free
+        self.pinned = np.zeros(box_free.shape, bool)
+        # Linear utility keeps the full barrier until it has an exact inner loop
+        # (ROADMAP item 1): its truncated-CG results move with the barrier's terms.
+        if inst.utility_kind == "logarithmic":
+            self.low_active = app_free & (inst.app_lower > inst.lower.sum(axis=0))
+            self.up_active = app_free & (inst.app_upper < inst.upper.sum(axis=0))
+            self.pinned = box_free & (inst.coeff == 0) & ~self.low_active[None, :]
+        self.free = box_free & ~self.pinned
         # the bounds of the constraints in the barrier
         self.capacities = inst.capacities[self.el_active]
-        self.app_upper = inst.app_upper[self.app_active]
-        self.app_lower = inst.app_lower[self.app_active]
+        self.app_upper = inst.app_upper[self.up_active]
+        self.app_lower = inst.app_lower[self.low_active]
+
+    def start(self, s):
+        """``s`` with the ``pinned`` cells at their lower bound, in place; still interior."""
+        s[self.pinned] = self.inst.lower[self.pinned]
+        return s
 
     def slacks(self, s):
-        """Element, upper and lower application slacks of the non-constant constraints."""
+        """Element, upper and lower application slacks of the constraints in the barrier."""
         rows = s.sum(axis=1)[self.el_active]
-        cols = s.sum(axis=0)[self.app_active]
-        return self.capacities - rows, self.app_upper - cols, cols - self.app_lower
+        cols = s.sum(axis=0)
+        return (self.capacities - rows, self.app_upper - cols[self.up_active],
+                cols[self.low_active] - self.app_lower)
 
     def interior_slacks(self, s):
         """The slacks, which must all be strictly positive."""
@@ -197,22 +226,28 @@ class _InnerProblem:
     def value(self, s, t, slacks=None) -> float:
         return t * _utility_sum(self.inst, s) + self.barrier(s, slacks)
 
+    def col_terms(self, up, low):
+        """Per application, ``up`` where its upper term is in the barrier plus ``low`` where its
+        lower term is."""
+        return _spread(self.up_active, up) + _spread(self.low_active, low)
+
     def gradient(self, s, t, slacks=None):
         bs, ms, ls = self.slacks(s) if slacks is None else slacks
         g = t * marginal_utility(self.inst.utility_kind, self.inst.coeff, s)
         g -= _spread(self.el_active, 1.0 / bs)[:, None]
-        g -= _spread(self.app_active, 1.0 / ms - 1.0 / ls)[None, :]
+        g -= self.col_terms(1.0 / ms, -1.0 / ls)[None, :]
         return g
 
     def weights(self, slacks):
-        """Row and column weights w, v of the negated inner Hessian, 0 on constant constraints.
+        """Row and column weights w, v of the negated inner Hessian, 0 off the barrier.
 
         ``slacks`` are :meth:`slacks` at the point: w_i = 1/bs_i^2 per element,
-        v_k = 1/ms_k^2 + 1/ls_k^2 per application.
+        v_k = 1/ms_k^2 + 1/ls_k^2 per application, each term only where its
+        constraint is in the barrier.
         """
         bs, ms, ls = slacks
-        return (_spread(self.el_active, 1.0 / (bs * bs)),
-                _spread(self.app_active, 1.0 / (ms * ms) + 1.0 / (ls * ls)))
+        w_el = _spread(self.el_active, 1.0 / (bs * bs))
+        return w_el, self.col_terms(1.0 / (ms * ms), 1.0 / (ls * ls))
 
     def curvature_terms(self, s, t, slacks=None):
         """The negated inner Hessian's pieces and its diagonal, the preconditioner, on the grid.
@@ -237,20 +272,19 @@ class _InnerProblem:
 
         The multipliers are lambda_i = 1/(t bs_i), nu+_k = 1/(t ms_k) and
         nu-_k = 1/(t ls_k) for the constraints in the barrier, 0 for the
-        constant ones.  With a = lambda_i + nu+_k - nu-_k, each cell of the dual
+        others.  With a = lambda_i + nu+_k - nu-_k, each cell of the dual
         maximizes u(x) - a x over its box: at clip(c/a, lo, hi) for log
         utility (hi where a <= 0), at a box corner for linear.  By weak
-        duality the utility of ``s`` plus this gap bounds the optimum.  The
-        difference is summed term by term, m/t for the m barrier constraints
-        plus a non-negative term per cell, so a gap far below the utility
-        keeps its digits.
+        duality the utility of ``s`` plus this gap bounds the optimum; the
+        dual keeps the cell boxes, which enforce every bound the barrier
+        leaves out.  The difference is summed term by term, m/t for the m
+        constraints in the barrier plus a non-negative term per cell, so a
+        gap far below the utility keeps its digits.
         """
         inst = self.inst
         bs, ms, ls = self.interior_slacks(s)
-        lam = np.zeros(inst.num_elements)
-        lam[self.el_active] = 1.0 / (t * bs)
-        nu = np.zeros(inst.num_apps)
-        nu[self.app_active] = 1.0 / (t * ms) - 1.0 / (t * ls)
+        lam = _spread(self.el_active, 1.0 / (t * bs))
+        nu = self.col_terms(1.0 / (t * ms), -1.0 / (t * ls))
         a = lam[:, None] + nu[None, :]
         lo, hi, c = inst.lower, inst.upper, inst.coeff
         if inst.utility_kind == "logarithmic":
@@ -385,11 +419,13 @@ def _exact_newton_direction(terms, g, mask, s, lo, hi):
     restricted to the ``mask`` cells, its diagonal damped by 1e-12 times its
     largest entry; the diagonal is built on the mask cells only.  Each
     element row of H is diag(d + damping) + w_i 11^T, inverted by
-    Sherman-Morrison; the application columns are then eliminated through
-    the |K| x |K| Woodbury system S = I + V^1/2 C^T A^-1 C V^1/2, which stays
-    valid where v_k = 0.  The work runs on the mask cells only when the mask
-    is sparse (:func:`_mask_cells`), so a step costs passes over the free
-    cells.  There a row can hold a single free cell, whose 1 - rho e
+    Sherman-Morrison; the application columns with v_k > 0, those with a
+    term in the barrier, are then eliminated through the Woodbury system
+    S = I + V^1/2 C^T A^-1 C V^1/2 on them.  Without such a column, as on
+    every generated log instance, the step is the row-block solve alone,
+    with no Gram product and no dense solve.  The work runs on the mask
+    cells only when the mask is sparse (:func:`_mask_cells`), so a step
+    costs passes over the free cells.  There a row can hold a single free cell, whose 1 - rho e
     cancels to sigma = 1 / (1 + w e) when w e is large; the flat layout
     forms 1 - rho e_j as sigma + rho (sum e - e_j), exact for such a cell.
 
@@ -419,7 +455,8 @@ def _exact_newton_direction(terms, g, mask, s, lo, hi):
     # the inverse diagonal of the row blocks A on the free cells, zero elsewhere
     e = np.where(free, 1.0 / (diag + damping), 0.0)
     rhs = np.where(free, cells.take(g), 0.0)
-    root_v = np.sqrt(v_app)
+    in_barrier = v_app > 0  # the columns of the Woodbury system
+    root_v = np.sqrt(v_app[in_barrier])
     step = np.zeros_like(e)  # the moves of the cells fixed at a bound
     done, done_gain = None, 0.0  # the grid moves fixed before the switch to flat arrays
     while True:
@@ -442,20 +479,23 @@ def _exact_newton_direction(terms, g, mask, s, lo, hi):
             y *= e
             return y
 
-        # C^T A^-1 C = diag(sum_i e (1 - rho e)) - (rho^1/2 e)^T (rho^1/2 e) off the diagonal
-        schur = -cells.gram(e * cells.of_row(np.sqrt(rho)))
-        if keep is None:
-            schur[np.diag_indices(num_app)] += cells.col_sum(e)
+        if in_barrier.any():
+            # C^T A^-1 C = diag(sum_i e (1 - rho e)) - (rho^1/2 e)^T (rho^1/2 e) off the diagonal
+            schur = -cells.gram(e * cells.of_row(np.sqrt(rho)))[np.ix_(in_barrier, in_barrier)]
+            if keep is None:
+                schur[np.diag_indices_from(schur)] += cells.col_sum(e)[in_barrier]
+            else:
+                schur[np.diag_indices_from(schur)] = cells.col_sum(e * keep)[in_barrier]
+            schur *= root_v[:, None] * root_v[None, :]
+            schur[np.diag_indices_from(schur)] += 1.0
+            col_rhs = root_v * cells.col_sum(row_solve(rhs.copy()))[in_barrier]
+            try:
+                u = _spread(in_barrier, root_v * np.linalg.solve(schur, col_rhs))
+            except np.linalg.LinAlgError:
+                return None
+            x = row_solve(rhs - cells.of_col(u))
         else:
-            schur[np.diag_indices(num_app)] = cells.col_sum(e * keep)
-        schur *= root_v[:, None] * root_v[None, :]
-        schur[np.diag_indices(num_app)] += 1.0
-        col_rhs = root_v * cells.col_sum(row_solve(rhs.copy()))
-        try:
-            u = root_v * np.linalg.solve(schur, col_rhs)
-        except np.linalg.LinAlgError:
-            return None
-        x = row_solve(rhs - cells.of_col(u))
+            x = row_solve(rhs.copy())
         if not np.isfinite(x).all():
             return None
         trial = s + x
@@ -559,8 +599,9 @@ def _line_search(work: _InnerProblem, s, slacks, direction, g, t: float, f_cur: 
         trial = np.clip(s0 + alpha * d, lo, hi)
         move = trial - s0
         row_move = cells.row_sum(move)[work.el_active]
-        col_move = cells.col_sum(move)[work.app_active]
-        trial_slacks = (bs - row_move, ms - col_move, ls + col_move)
+        col_move = cells.col_sum(move)
+        trial_slacks = (bs - row_move, ms - col_move[work.up_active],
+                        ls + col_move[work.low_active])
         if all(((x >= _BOUNDARY_FRACTION * x0) & (x > 0)).all()
                for x, x0 in zip(trial_slacks, slacks)):
             gain = float(np.vdot(g, move))
@@ -679,10 +720,14 @@ def _inner_loop(work: _InnerProblem, s: np.ndarray, t: float, cfg: SolverConfig)
 
 def solve_inner(inst: ProblemInstance, start: AllocationMatrix, t: float,
                 config: SolverConfig | None = None) -> AllocationMatrix:
-    """Solve the inner problem at fixed t from a strictly interior start."""
+    """Solve the inner problem at fixed t from a strictly interior start.
+
+    The cells the presolve holds (:class:`_InnerProblem`) start at their
+    lower bound.
+    """
     cfg = config or SolverConfig()
     work = _InnerProblem(inst)
-    s, _, _, _ = _inner_loop(work, start.values.copy(), t, cfg)
+    s, _, _, _ = _inner_loop(work, work.start(start.values.copy()), t, cfg)
     return AllocationMatrix(s)
 
 
@@ -694,7 +739,7 @@ def solve(inst: ProblemInstance, config: SolverConfig | None = None) -> SolveRes
     """
     cfg = config or SolverConfig()
     work = _InnerProblem(inst)
-    s = interior_start(inst, cfg.interior_shift).values.copy()
+    s = work.start(interior_start(inst, cfg.interior_shift).values.copy())
 
     t = cfg.t0
     outer = 0

@@ -89,8 +89,12 @@ def _feasible_point(inst: ProblemInstance, x: np.ndarray) -> AllocationMatrix:
     return AllocationMatrix(_repair(inst, clipped.reshape(1, -1)).reshape(clipped.shape))
 
 
-def optimum_bracket(inst: ProblemInstance) -> Bracket:
-    """Bounds on the optimal utility of ``inst`` and a feasible point."""
+def optimum_bracket(inst: ProblemInstance, rtol: float = _BRACKET_RTOL) -> Bracket:
+    """Bounds on the optimal utility of ``inst`` and a feasible point.
+
+    Log utility stops once the bracket is within ``rtol`` relative; the last
+    decades cost the most rounds, so a check that needs less can ask for less.
+    """
     lo, hi = inst.lower.reshape(-1), inst.upper.reshape(-1)
     coeff = inst.coeff.reshape(-1)
     n = lo.size
@@ -126,7 +130,7 @@ def optimum_bracket(inst: ProblemInstance) -> Bracket:
         value = total_utility(inst, candidate)
         if value > lower:
             lower, point = value, candidate
-        if upper - lower <= _BRACKET_RTOL * max(1.0, abs(upper)):
+        if upper - lower <= rtol * max(1.0, abs(upper)):
             break
         tangents = [xy[:n]]
     return Bracket(lower, upper, point)

@@ -107,6 +107,14 @@ class TestMain:
                      "--out", str(tmp_path / "run")]) == 2
         assert "instance" in capsys.readouterr().err
 
+    def test_focus_app_id_beyond_the_applications_exit_code(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setenv("RANSHARE_FOCUS_APP_ID", "5")  # TINY has applications 0..4
+        out = tmp_path / "run"
+        assert main(["--config", write_config(tmp_path), "--experiment", "single-solve",
+                     "--loads", "1", "--seed", "1", "--out", str(out)]) == 2
+        assert "focus_app_id" in capsys.readouterr().err
+        assert not (out / "results.csv").exists()
+
     def test_trace_written(self, tmp_path):
         instance = {"capacities": [10.0], "lower": [[2.0]], "upper": [[8.0]],
                     "app_lower": [2.0], "app_upper": [8.0], "coeff": [[1.0]]}

@@ -307,6 +307,13 @@ class TestRunExperiment:
         assert by_scheme[SCHEME_APP_OPT].error == "InvalidParams"
         assert by_scheme["net-rsv"].error is None
 
+    @pytest.mark.parametrize("focus", [4, -1, 1.0])
+    def test_focus_app_id_outside_the_applications_rejected(self, focus):
+        base = generate_scenario(ScenarioParams(num_elements=4, num_entities=2, num_apps=4,
+                                                num_flows=20), 1)
+        with pytest.raises(InvalidParams, match="focus_app_id"):
+            run_experiment(base, ALL_SCHEMES, [1.0], "linear", focus_app_id=focus)
+
     def test_linear_utility_non_decreasing_in_load(self):
         base = generate_scenario(DESK, 6)
         rep = run_experiment(base, [SCHEME_APP_OPT], [1.0, 2.0, 4.0, 8.0], "linear",

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from ranshare.errors import EmptyInterior, InvalidParams, NotInterior
-from ranshare.model import AllocationMatrix, check_feasible
+from ranshare.model import AllocationMatrix, ProblemInstance, check_feasible
 from ranshare.sim import ScenarioParams, build_instance, generate_scenario
 import ranshare.solver
 from ranshare.solver import (_GRID, SolverConfig, _FlatCells, _InnerProblem,
@@ -265,7 +265,10 @@ class TestExactNewtonDirection:
             s = interior_start(inst, 0.5).values
             t = float(rng.uniform(0.1, 100.0))
             g = work.gradient(s, t)
-            w_el, v_app = work.weights(work.slacks(s))
+            w_el, _ = work.weights(work.slacks(s))
+            # generated log instances have no application term in the barrier (v = 0);
+            # positive column weights of their own keep the Woodbury system under test
+            v_app = 10.0 ** rng.uniform(-3, 1, inst.num_apps)
             if case == "zero_app_weight":
                 v_app[0] = 0.0
             terms = (t * inst.coeff, w_el, v_app)
@@ -408,14 +411,15 @@ class TestLineSearch:
         assert min(halvings) == 0 and max(halvings) >= 3  # full steps and backtracked ones
 
 
-# Objectives the truncated-CG Newton step reached on _log_case(0..19) at
-# epsilon 1e-4; the exact step must reach the same central-path points.
+# Objectives the solver reaches on _log_case(0..19) at epsilon 1e-4, with the
+# application bounds the cell boxes enforce left out of the barrier; each one
+# is checked against the oracle's bracket.
 CG_LOG_OBJECTIVES = (
-    278.68401087518686, 122.16104538391812, 160.84249439889268, 69.64145351191688,
-    351.3260325983554, 246.13133215201276, 146.68645488750317, 265.3565216830325,
-    99.6146177936419, 185.8496099249405, 303.95229598547877, 20.58417203131218,
-    119.78235311018669, 365.1718190249412, 131.37815768804157, 257.75764957138904,
-    116.05171800213867, 258.09288196916106, 188.68472552238518, 140.98528512400287,
+    278.6840108752575, 122.16104538392055, 160.84249459889267, 69.64145351191688,
+    351.3260325984225, 246.13133225205334, 146.6864548880392, 265.35652168310287,
+    99.61461779369216, 185.84961092524085, 303.95229598563674, 20.5841730313118,
+    119.78235321018668, 365.17181902502193, 131.37815768804165, 257.7576497714044,
+    116.05171810214122, 258.0928819691629, 188.68472562238523, 140.985285124013,
 )
 
 
@@ -430,8 +434,12 @@ def _log_case(seed):
 
 @pytest.mark.parametrize("seed", range(len(CG_LOG_OBJECTIVES)))
 def test_log_solve_matches_cg_objective(seed):
-    r = solve(_log_case(seed), SolverConfig(epsilon=1e-4))
+    inst = _log_case(seed)
+    r = solve(inst, SolverConfig(epsilon=1e-4))
     assert r.objective == pytest.approx(CG_LOG_OBJECTIVES[seed], rel=1e-9, abs=0.0)
+    # the pin itself is within epsilon of the optimum; a bracket 1e-8 wide suffices
+    optimum = optimum_bracket(inst, rtol=1e-8)
+    assert optimum.upper - 1e-4 <= CG_LOG_OBJECTIVES[seed] <= optimum.upper
 
 
 # Inner iterations _log_case(seed) took at epsilon 1e-4 while its log loops ended on
@@ -507,6 +515,53 @@ class TestLinearAtBenchmarkScale:
     def test_within_epsilon_of_highs_optimum(self, desk_linear_5000):
         _, cfg, r, optimum = desk_linear_5000
         assert optimum - r.objective <= cfg.epsilon
+
+
+class TestPresolve:
+    def test_zero_utility_cells_of_implied_columns_end_at_lower(self):
+        rng = np.random.default_rng(101)
+        pinned = 0
+        for _ in range(20):
+            inst = random_instance(rng, num_elements=int(rng.integers(2, 7)),
+                                   num_apps=int(rng.integers(2, 5)), kind="logarithmic",
+                                   zero_coeff_prob=0.3)
+            work = _InnerProblem(inst)
+            # the generated bounds are the column sums of the boxes: no application term
+            assert not work.low_active.any() and not work.up_active.any()
+            zero = (inst.coeff == 0) & (inst.upper > inst.lower)
+            assert np.array_equal(work.pinned, zero)
+            r = solve(inst, SolverConfig(epsilon=1e-3))
+            assert np.array_equal(r.allocation.values[zero], inst.lower[zero])
+            pinned += int(zero.sum())
+        assert pinned >= 20
+
+    def test_terms_the_boxes_do_not_imply_are_kept(self):
+        rng = np.random.default_rng(103)
+        kept = np.zeros(2, int)
+        for _ in range(12):
+            inst = random_instance(rng, num_elements=int(rng.integers(2, 6)),
+                                   num_apps=int(rng.integers(2, 5)), kind="logarithmic",
+                                   zero_coeff_prob=0.3)
+            keep_low = rng.random(inst.num_apps) < 0.5
+            keep_up = rng.random(inst.num_apps) < 0.5
+            # bounds inside the boxes' column sums, as far as ProblemInstance allows
+            room = 0.5e-9 * max(1.0, float(inst.upper.max()) * inst.num_elements)
+            lower_sum, upper_sum = inst.lower.sum(axis=0), inst.upper.sum(axis=0)
+            inst = ProblemInstance(inst.capacities, inst.lower, inst.upper,
+                                   np.where(keep_low, lower_sum + room, lower_sum),
+                                   np.where(keep_up, upper_sum - room, upper_sum),
+                                   inst.coeff, "logarithmic")
+            work = _InnerProblem(inst)
+            assert np.array_equal(work.low_active, keep_low)
+            assert np.array_equal(work.up_active, keep_up)
+            r = solve(inst, SolverConfig(epsilon=1e-4))
+            assert check_feasible(inst, r.allocation, tol=0.0).feasible
+            optimum = optimum_bracket(inst)
+            assert optimum.upper - r.objective <= 1e-4
+            assert 0.0 <= r.dual_gap <= 1e-4
+            assert r.objective + r.dual_gap >= optimum.lower - 1e-9
+            kept += keep_low.sum(), keep_up.sum()
+        assert kept.min() >= 5
 
 
 class TestSolverConfig:
