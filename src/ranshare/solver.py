@@ -178,6 +178,7 @@ class _InnerProblem:
     c = 0 in a column without a lower term then has gradient -1/bs_i, minus
     1/ms_k where the upper term is kept, < 0 everywhere: it never leaves its
     lower bound, so the solver holds it there (``pinned``) and it is not free.
+    The log inner loop runs on the ``free`` cells alone, the :attr:`support`.
     """
 
     def __init__(self, inst: ProblemInstance):
@@ -198,6 +199,13 @@ class _InnerProblem:
         self.capacities = inst.capacities[self.el_active]
         self.app_upper = inst.app_upper[self.up_active]
         self.app_lower = inst.app_lower[self.low_active]
+
+    @cached_property
+    def support(self):
+        """(cells, lo, hi, c): the free cells and their box and coefficients, flat."""
+        inst = self.inst
+        cells = _FlatCells.of(self.free)
+        return cells, cells.take(inst.lower), cells.take(inst.upper), cells.take(inst.coeff)
 
     def start(self, s):
         """``s`` with the ``pinned`` cells at their lower bound, in place; still interior."""
@@ -231,11 +239,19 @@ class _InnerProblem:
         lower term is."""
         return _spread(self.up_active, up) + _spread(self.low_active, low)
 
-    def gradient(self, s, t, slacks=None):
+    def gradient(self, s, t, slacks=None, on_support=False):
+        """The gradient at ``s``: on the grid, or, ``on_support``, on the :attr:`support` cells,
+        where ``s`` is flat and ``slacks`` are given."""
         bs, ms, ls = self.slacks(s) if slacks is None else slacks
-        g = t * marginal_utility(self.inst.utility_kind, self.inst.coeff, s)
-        g -= _spread(self.el_active, 1.0 / bs)[:, None]
-        g -= self.col_terms(1.0 / ms, -1.0 / ls)[None, :]
+        row, col = _spread(self.el_active, 1.0 / bs), self.col_terms(1.0 / ms, -1.0 / ls)
+        if on_support:
+            cells, _, _, c = self.support
+            row, col = cells.of_row(row), cells.of_col(col)
+        else:
+            c, row, col = self.inst.coeff, row[:, None], col[None, :]
+        g = t * marginal_utility(self.inst.utility_kind, c, s)
+        g -= row
+        g -= col
         return g
 
     def weights(self, slacks):
@@ -249,21 +265,17 @@ class _InnerProblem:
         w_el = _spread(self.el_active, 1.0 / (bs * bs))
         return w_el, self.col_terms(1.0 / (ms * ms), 1.0 / (ls * ls))
 
-    def curvature_terms(self, s, t, slacks=None):
-        """The negated inner Hessian's pieces and its diagonal, the preconditioner, on the grid.
+    def curvature_terms(self, slacks):
+        """The negated inner Hessian's pieces and its diagonal, the preconditioner, for linear
+        utility, on the grid.
 
-        H = diag(d) + sum_i w_i (row_i)(row_i)^T + sum_k v_k (col_k)(col_k)^T
-        with d from the utility term and w, v from :meth:`weights`; all
-        pieces are positive semidefinite.  The truncated-CG step and the
-        scaled-gradient fallback read these (I, K) arrays; the exact step
-        builds its diagonal on the mask cells only, from t c and the weights.
+        H = sum_i w_i (row_i)(row_i)^T + sum_k v_k (col_k)(col_k)^T with w, v
+        from :meth:`weights`; linear utility adds no diagonal of its own, so
+        H is singular.  The truncated-CG step and its scaled-gradient fallback
+        read these (I, K) arrays.
         """
-        inst = self.inst
-        w_el, v_app = self.weights(self.slacks(s) if slacks is None else slacks)
-        if inst.utility_kind == "logarithmic":
-            diag = t * inst.coeff / (s * s)
-        else:
-            diag = np.zeros_like(s)
+        w_el, v_app = self.weights(slacks)
+        diag = np.zeros(self.inst.coeff.shape)
         precond = np.maximum(diag + w_el[:, None] + v_app[None, :], 1e-300)
         return diag, w_el, v_app, precond
 
@@ -295,74 +307,47 @@ class _InnerProblem:
         return float((bs.size + ms.size + ls.size) / t + cells.sum())
 
 
-class _GridCells:
-    """Every cell of the (I, K) grid, as (I, K) arrays: the layout for a mostly free grid."""
-
-    def take(self, a):
-        return a  # a view: copy before writing
-
-    def row_dot(self, a, b):
-        return np.einsum("ik,ik->i", a, b)
-
-    def row_sum(self, a):
-        return a.sum(axis=1)
-
-    def col_sum(self, a):
-        return a.sum(axis=0)
-
-    def of_row(self, r):
-        return r[:, None]
-
-    def of_col(self, c):
-        return c
-
-    def gram(self, a):
-        return a.T @ a
-
-    def where(self, flags):
-        """(index, rows, cols) of the flagged cells."""
-        rows, cols = np.divmod(np.flatnonzero(flags), flags.shape[1])  # faster than np.nonzero
-        return (rows, cols), rows, cols
-
-    def grid(self, a, out=None):
-        return a
-
-
-_GRID = _GridCells()
-
-
 class _FlatCells:
-    """The mask cells only, gathered once into flat arrays in row-major order.
+    """Some cells of the (I, K) grid, as flat arrays of their rows and columns, in row-major order.
 
     Row and column sums are bincounts over the cells' rows and columns.  The
     Gram matrix sum_i a_i a_i^T of the rows is a bincount over the pairs of
-    cells that share a row, sum_i n_i^2 of them for n_i mask cells in row i;
-    the pairs are built on the first Gram product, so a line search can run
-    on the cells of a mask too full for them.
+    cells that share a row, sum_i n_i^2 of them for n_i cells in row i, when
+    the pairs are no more than the grid's cells; with more (:attr:`dense`) it
+    is a dense product of the rows scattered onto the grid, which builds no
+    pair arrays.
     """
 
-    def __init__(self, mask):
-        self.shape = mask.shape
-        self.cell = np.flatnonzero(mask)
-        self.row, self.col = np.divmod(self.cell, mask.shape[1])
+    def __init__(self, shape, row, col):
+        self.shape, self.row, self.col = shape, row, col
+
+    @classmethod
+    def of(cls, mask):
+        """The ``mask`` cells of a grid."""
+        row, col = np.divmod(np.flatnonzero(mask), mask.shape[1])  # faster than np.nonzero
+        return cls(mask.shape, row, col)
+
+    @cached_property
+    def dense(self):
+        """Whether the same-row pairs outnumber the grid's cells: then the Gram product is
+        formed on the grid, and the inner loop's steps on a support this dense gather nothing."""
+        per_row = np.bincount(self.row, minlength=self.shape[0])
+        return int(per_row @ per_row) > self.shape[0] * self.shape[1]
 
     @cached_property
     def _pairs(self):
         """(a, b, bin): the two cells of every same-row pair and its Gram entry, K a_col + b_col."""
         num_app = self.shape[1]
         per_row = np.bincount(self.row, minlength=self.shape[0])
-        n = per_row[self.row]  # the mask cells in each cell's row
+        n = per_row[self.row]  # the cells in each cell's row
         first_pair = np.cumsum(n) - n
         row_start = np.cumsum(per_row) - per_row
-        pair_a = np.repeat(np.arange(self.cell.size), n)
+        pair_a = np.repeat(np.arange(self.row.size), n)
         pair_b = np.arange(pair_a.size) - np.repeat(first_pair - row_start[self.row], n)
         return pair_a, pair_b, self.col[pair_a] * num_app + self.col[pair_b]
 
     def take(self, a):
-        return a.ravel()[self.cell]
-
-    def row_dot(self, a, b):
-        return np.bincount(self.row, a * b, self.shape[0])
+        return a[self.row, self.col]
 
     def row_sum(self, a):
         return np.bincount(self.row, a, self.shape[0])
@@ -377,6 +362,9 @@ class _FlatCells:
         return c[self.col]
 
     def gram(self, a):
+        if self.dense:
+            on_grid = self.grid(a)
+            return on_grid.T @ on_grid
         num_app = self.shape[1]
         pair_a, pair_b, pair_bin = self._pairs
         gram = np.bincount(pair_bin, a[pair_a] * a[pair_b], num_app * num_app)
@@ -388,104 +376,74 @@ class _FlatCells:
         return index, self.row[index], self.col[index]
 
     def grid(self, a, out=None):
-        """``a`` scattered onto the grid: into ``out``, which is 0 on the mask cells, or zeros."""
+        """``a`` scattered onto the grid: into ``out``, or zeros."""
         out = np.zeros(self.shape) if out is None else out
-        out.ravel()[self.cell] = a
+        out[self.row, self.col] = a
         return out
 
 
-def _mask_cells(mask):
-    """The layout of a Newton step on the ``mask`` cells, chosen by how free the grid is.
+def _exact_newton_direction(terms, g, cells, s, lo, hi, free):
+    """Projected Newton step for logarithmic utility: H d = g solved exactly on ``cells``.
 
-    The mask cells are gathered into flat arrays when their same-row pairs,
-    sum_i n_i^2, are no more than the grid's cells: then every pass over
-    them and the Gram bincount cost less than a pass over the grid, and the
-    pair arrays take no more memory than a grid array.  A fuller mask, as in
-    the first steps of a solve or on a small grid that is mostly free, stays
-    on the grid.
-    """
-    per_row = np.count_nonzero(mask, axis=1)
-    if int(per_row @ per_row) <= mask.size:
-        return _FlatCells(mask)
-    return _GRID
-
-
-def _exact_newton_direction(terms, g, mask, s, lo, hi):
-    """Projected Newton step for logarithmic utility: H d = g solved exactly.
-
-    ``terms`` is (t c, w, v): the coefficients times t and the weights of
-    :meth:`_InnerProblem.weights` at ``s``.  H is the negated inner Hessian
-    diag(t c / s^2) + sum_i w_i (row_i)(row_i)^T + sum_k v_k (col_k)(col_k)^T
-    restricted to the ``mask`` cells, its diagonal damped by 1e-12 times its
-    largest entry; the diagonal is built on the mask cells only.  Each
+    ``cells`` is a :class:`_FlatCells`, and g, s, the box lo, hi and the
+    flags ``free`` are flat arrays on them; the step moves the ``free``
+    cells and holds the others.  ``terms`` is (t c, w, v): the coefficients
+    times t on the cells and the weights of :meth:`_InnerProblem.weights` at
+    ``s``.  H is the negated inner Hessian diag(t c / s^2) +
+    sum_i w_i (row_i)(row_i)^T + sum_k v_k (col_k)(col_k)^T on the free
+    cells, its diagonal damped by 1e-12 times its largest entry.  Each
     element row of H is diag(d + damping) + w_i 11^T, inverted by
-    Sherman-Morrison; the application columns with v_k > 0, those with a
-    term in the barrier, are then eliminated through the Woodbury system
-    S = I + V^1/2 C^T A^-1 C V^1/2 on them.  Without such a column, as on
-    every generated log instance, the step is the row-block solve alone,
-    with no Gram product and no dense solve.  The work runs on the mask
-    cells only when the mask is sparse (:func:`_mask_cells`), so a step
-    costs passes over the free cells.  There a row can hold a single free cell, whose 1 - rho e
-    cancels to sigma = 1 / (1 + w e) when w e is large; the flat layout
-    forms 1 - rho e_j as sigma + rho (sum e - e_j), exact for such a cell.
+    Sherman-Morrison; a row can hold a single free cell, whose 1 - rho e
+    cancels to sigma = 1 / (1 + w e) when w e is large, so 1 - rho e_j is
+    formed as sigma + rho (sum e - e_j), exact for such a cell.  The
+    application columns with v_k > 0, those with a term in the barrier, are
+    then eliminated through the Woodbury system S = I + V^1/2 C^T A^-1 C V^1/2
+    on them (:meth:`_FlatCells.gram`).  Without such a column, as on every
+    generated log instance, the step is the row-block solve alone, with no
+    Gram product and no dense solve.  Every pass is over the cells.
 
     Cells the step would push past ``lo``/``hi`` are fixed at that bound,
     their moves go to the right-hand side and the rest is solved again,
     until no free cell is pushed out (Bertsekas 1982, projected Newton).
-    The free set shrinks every round, so the loop ends.  A round on the
-    grid layout re-applies the :func:`_mask_cells` rule to the cells still
-    free, and once it allows, gathers them into flat arrays for the rounds
-    left.  Returns (layout, d), the step d on the cells of a layout: the
-    grid for a call that never left it, else the mask cells, flat.  Returns
-    None when the mask is empty, the Woodbury solve fails, or the moves to a
-    bound leave a step that is no ascent direction; the returned step
-    always has g^T d > 0.
+    The free set shrinks every round, so the loop ends.  Returns the step d
+    on the cells, zero on the held ones, or None when no cell is free, the
+    Woodbury solve fails, or the moves to a bound leave a step that is no
+    ascent direction; the returned step always has g^T d > 0.
     """
     tc, w_el, v_app = terms
-    num_el, num_app = g.shape
-    cells = _mask_cells(mask)
-    free = cells.take(mask).copy()
-    num_free = int(np.count_nonzero(free))
-    if num_free == 0:
+    num_el, num_app = cells.shape
+    if not free.any():
         return None  # no cell can move
-    s, lo, hi = cells.take(s), cells.take(lo), cells.take(hi)
-    diag = cells.take(tc) / (s * s)
+    diag = tc / (s * s)
     hess_diag = diag + cells.of_row(w_el) + cells.of_col(v_app)
     damping = 1e-12 * float(np.max(hess_diag, where=free, initial=0.0))
     # the inverse diagonal of the row blocks A on the free cells, zero elsewhere
     e = np.where(free, 1.0 / (diag + damping), 0.0)
-    rhs = np.where(free, cells.take(g), 0.0)
+    rhs = np.where(free, g, 0.0)
+    free = free.copy()
     in_barrier = v_app > 0  # the columns of the Woodbury system
     root_v = np.sqrt(v_app[in_barrier])
     step = np.zeros_like(e)  # the moves of the cells fixed at a bound
-    done, done_gain = None, 0.0  # the grid moves fixed before the switch to flat arrays
     while True:
         # Sherman-Morrison on a row block: A^-1 y = e (y - rho (e^T y)), rho = w / (1 + w sum e)
         row_e = cells.row_sum(e)
         rho = w_el / (1.0 + w_el * row_e)
-        keep = None  # 1 - rho e, formed without cancellation on the flat layout
-        if cells is not _GRID:
-            keep = cells.of_row(rho) * (cells.of_row(row_e) - e)
-            keep += cells.of_row(1.0 / (1.0 + w_el * row_e))
+        rho_at = cells.of_row(rho)
+        keep = rho_at * (cells.of_row(row_e) - e)  # 1 - rho e
+        keep += cells.of_row(1.0 / (1.0 + w_el * row_e))
 
         def row_solve(y):
-            """A^-1 y, in place, on every row block."""
-            if keep is None:
-                y -= cells.of_row(rho * cells.row_dot(e, y))
-            else:  # y (1 - rho e) - rho (e^T y - e y)
-                ey = e * y
-                y *= keep
-                y -= cells.of_row(rho) * (cells.of_row(cells.row_sum(ey)) - ey)
+            """A^-1 y, in place, on every row block: y (1 - rho e) - rho (e^T y - e y), times e."""
+            ey = e * y
+            y *= keep
+            y -= rho_at * (cells.of_row(cells.row_sum(ey)) - ey)
             y *= e
             return y
 
         if in_barrier.any():
             # C^T A^-1 C = diag(sum_i e (1 - rho e)) - (rho^1/2 e)^T (rho^1/2 e) off the diagonal
             schur = -cells.gram(e * cells.of_row(np.sqrt(rho)))[np.ix_(in_barrier, in_barrier)]
-            if keep is None:
-                schur[np.diag_indices_from(schur)] += cells.col_sum(e)[in_barrier]
-            else:
-                schur[np.diag_indices_from(schur)] = cells.col_sum(e * keep)[in_barrier]
+            schur[np.diag_indices_from(schur)] = cells.col_sum(e * keep)[in_barrier]
             schur *= root_v[:, None] * root_v[None, :]
             schur[np.diag_indices_from(schur)] += 1.0
             col_rhs = root_v * cells.col_sum(row_solve(rhs.copy()))[in_barrier]
@@ -503,26 +461,13 @@ def _exact_newton_direction(terms, g, mask, s, lo, hi):
         if rows.size == 0:
             x += step  # x is zero on the fixed cells
             # the moves to a bound can turn the step away from g
-            if float(np.vdot(cells.take(g), x)) + done_gain <= 0.0:
-                return None
-            if done is None:
-                return cells, x
-            moved = _FlatCells(mask)  # the step moves the mask cells, fixed or free
-            return moved, moved.take(cells.grid(x, done))
+            return x if float(np.vdot(g, x)) > 0.0 else None
         move = np.where(trial[index] > hi[index], hi[index], lo[index]) - s[index]
         step[index] = move
         free[index] = False
         e[index] = 0.0
         rhs -= cells.of_row(w_el * np.bincount(rows, move, num_el))
         rhs -= cells.of_col(v_app * np.bincount(cols, move, num_app))
-        num_free -= rows.size
-        # the rule needs sum_i n_i^2 <= I K, and sum_i n_i^2 >= num_free^2 / I
-        if cells is _GRID and 0 < num_free and num_free * num_free <= num_el * free.size:
-            cells = _mask_cells(free)  # the layout for the cells still free
-            if isinstance(cells, _FlatCells):
-                done, done_gain = step, float(np.vdot(g, step))
-                free, e, rhs, s, lo, hi = (cells.take(a) for a in (free, e, rhs, s, lo, hi))
-                step = np.zeros_like(e)
 
 
 def _newton_cg_direction(terms, g, mask, max_cg: int = 25):
@@ -574,24 +519,20 @@ def _newton_cg_direction(terms, g, mask, max_cg: int = 25):
     return x
 
 
-def _line_search(work: _InnerProblem, s, slacks, direction, g, t: float, f_cur: float):
-    """Armijo backtracking along a step, clipped to the box, on the cells of its layout.
+def _line_search(work: _InnerProblem, cells, point, slacks, d, g, t: float, f_cur: float):
+    """Armijo backtracking along d, clipped to the box, on the cells of a step (log utility).
 
-    For logarithmic utility.  ``direction`` is (layout, d) as
-    :func:`_exact_newton_direction` returns it; s, the box, g and the
-    coefficients c are gathered once over the layout's cells, the mask
-    cells of a sparse step.  A trial's slacks are ``slacks`` minus the row
-    and column sums (bincounts) of its moves, and its value is ``f_cur``
-    plus t sum c (log trial - log s) over those cells plus the change of the
-    barrier, so a trial costs passes over the moved cells and the I + 2K
-    slacks, not over the grid.  The tests are those of
-    :func:`_grid_line_search`; the accepted point is scattered into a copy
-    of ``s``.  Returns (point, its slacks, its value), or None when no step
-    within ``_MAX_BACKTRACKS`` halvings is accepted.
+    ``point`` is (s, lo, hi, c): the point, its box and its coefficients on
+    ``cells``, flat arrays like the step d and the gradient g.  A trial's
+    slacks are ``slacks`` minus the row and column sums (bincounts) of its
+    moves, and its value is ``f_cur`` plus t sum c (log trial - log s) over
+    the cells plus the change of the barrier, so a trial costs passes over
+    the cells and the I + 2K slacks, not over the grid.  The tests are those
+    of :func:`_grid_line_search`.  Returns (the trial on the cells, its
+    slacks, its value), or None when no step within ``_MAX_BACKTRACKS``
+    halvings is accepted.
     """
-    cells, d = direction
-    inst = work.inst
-    s0, lo, hi, g, c = (cells.take(a) for a in (s, inst.lower, inst.upper, g, inst.coeff))
+    s0, lo, hi, c = point
     log_s0 = np.log(s0)
     bs, ms, ls = slacks
     alpha = 1.0
@@ -609,13 +550,13 @@ def _line_search(work: _InnerProblem, s, slacks, direction, g, t: float, f_cur: 
                 change = (t * float(np.vdot(c, np.log(trial) - log_s0))
                           + sum(float(np.log(x / x0).sum()) for x, x0 in zip(trial_slacks, slacks)))
                 if change >= _ARMIJO * gain:
-                    return cells.grid(trial, s.copy()), trial_slacks, f_cur + change
+                    return trial, trial_slacks, f_cur + change
         alpha *= _CONTRACTION
     return None
 
 
-def _grid_line_search(work: _InnerProblem, s, slacks, direction, g, t: float, f_cur: float):
-    """Armijo backtracking along a grid step (layout, d), clipped to the box, from ``s``.
+def _grid_line_search(work: _InnerProblem, s, slacks, d, g, t: float, f_cur: float):
+    """Armijo backtracking along a grid step d, clipped to the box, from ``s``.
 
     Every trial is a point of the whole grid, its slacks and value computed
     afresh; the linear path searches this way.  A trial must keep every
@@ -623,7 +564,6 @@ def _grid_line_search(work: _InnerProblem, s, slacks, direction, g, t: float, f_
     (``slacks``).  Returns (point, its slacks, its value), or None when no
     step within ``_MAX_BACKTRACKS`` halvings is accepted.
     """
-    _, d = direction
     lo, hi = work.inst.lower, work.inst.upper
     alpha = 1.0
     for _ in range(_MAX_BACKTRACKS):
@@ -651,10 +591,17 @@ def _inner_loop(work: _InnerProblem, s: np.ndarray, t: float, cfg: SolverConfig)
     Newton step fails the line search, the diagonally scaled gradient is
     tried.  Accepted steps never decrease the inner objective, and every
     iterate keeps all active barrier slacks strictly positive
-    (fraction-to-boundary rule).  The log path searches on the cells a step
-    moves (:func:`_line_search`), carrying the slacks and the objective from
-    step to step; the linear path searches on the grid
-    (:func:`_grid_line_search`).
+    (fraction-to-boundary rule).
+
+    The log path runs on the :attr:`_InnerProblem.support`, its free cells
+    gathered once per solve into flat arrays: the gradient, the blocked test
+    and the stop on them, the step and its search (:func:`_line_search`) on
+    those not blocked, with the slacks and the objective carried from step
+    to step; ``s`` is written back to the grid once, at the end.  The step
+    gathers its cells from a sparse support; on a dense one
+    (:attr:`_FlatCells.dense`) it runs on every support cell with the
+    blocked ones held, and gathers nothing.  The linear path runs on the
+    grid (:func:`_grid_line_search`).
 
     The loop ends ``converged`` when the projected gradient is within
     ``inner_tol`` of zero or, on the exact path, when the Newton decrement
@@ -667,47 +614,72 @@ def _inner_loop(work: _InnerProblem, s: np.ndarray, t: float, cfg: SolverConfig)
 
     Returns (s, iterations, status, objective_history).
     """
-    lo, hi = work.inst.lower, work.inst.upper
     exact = work.inst.utility_kind == "logarithmic"
-    search = _line_search if exact else _grid_line_search
-    tc = t * work.inst.coeff  # the log utility's curvature is t c / s^2
     slacks = work.interior_slacks(s)  # of the current point, carried over from the line search
     history = [work.value(s, t, slacks)]
+    if exact:
+        support, lo, hi, c = work.support
+        x, tc = support.take(s), t * c  # the log utility's curvature is t c / s^2
+    else:
+        support, lo, hi, x = None, work.inst.lower, work.inst.upper, s
     status = "max_iters"
     iters = 0
     for iters in range(1, cfg.max_inner_iters + 1):
-        g = work.gradient(s, t, slacks)
-        blocked = ((s <= lo) & (g < 0)) | ((s >= hi) & (g > 0))
-        if np.abs(np.where(blocked, 0.0, g)).max() <= cfg.inner_tol:
+        g = work.gradient(x, t, slacks, exact)
+        blocked = ((x <= lo) & (g < 0)) | ((x >= hi) & (g > 0))
+        if np.abs(np.where(blocked, 0.0, g)).max(initial=0.0) <= cfg.inner_tol:
             status = "converged"
             iters -= 1
             break
 
-        mask = work.free & ~blocked
         f_cur = history[-1]
-        terms = None
         if exact:
-            newton = _exact_newton_direction((tc, *work.weights(slacks)), g, mask, s, lo, hi)
+            # The step moves the support cells not blocked.  A dense support is nearly all in
+            # every step (at least 92% of it on the hotspot grids), so the step runs on all of
+            # it with the blocked cells held; a sparse one, about a quarter of it in a step at
+            # full scale, gathers the step's cells.
+            free = ~blocked
+            if support.dense:
+                cells, index = support, slice(None)
+            else:
+                index = np.flatnonzero(free)
+                cells = _FlatCells(support.shape, support.row[index], support.col[index])
+                free = free[index]
+            point, g_at = (x[index], lo[index], hi[index], c[index]), g[index]
+            w_el, v_app = work.weights(slacks)
+            d = _exact_newton_direction((tc[index], w_el, v_app), g_at, cells, *point[:3], free)
             # Newton decrement: lambda^2 / 2 = g^T d / 2 estimates the ascent left; below
             # the rounding floor of f it cannot show in f
             floor = max(cfg.inner_tol, float(np.spacing(abs(f_cur))))
-            if newton is not None and float(np.vdot(newton[0].take(g), newton[1])) <= 2.0 * floor:
+            if d is not None and float(np.vdot(g_at, d)) <= 2.0 * floor:
                 status = "converged"
                 iters -= 1
                 break
+            search = (work, cells, point, slacks)
+            step = None if d is None else _line_search(*search, d, g_at, t, f_cur)
+            if step is None:
+                # the gradient scaled by the Hessian diagonal
+                precond = tc[index] / (point[0] * point[0]) + cells.of_row(w_el)
+                precond += cells.of_col(v_app)
+                scaled = np.where(free, g_at, 0.0) / np.maximum(precond, 1e-300)
+                step = _line_search(*search, scaled, g_at, t, f_cur)
+            if step is not None:
+                trial, slacks, f_new = step
+                x = x.copy()
+                x[index] = trial
         else:
-            terms = work.curvature_terms(s, t, slacks)
-            newton = (_GRID, _newton_cg_direction(terms, g, mask))
-        step = None if newton is None else search(work, s, slacks, newton, g, t, f_cur)
-        if step is None:
-            # the gradient scaled by the Hessian diagonal, built on the grid only here
-            precond = (terms or work.curvature_terms(s, t, slacks))[-1]
-            scaled = np.where(mask, g, 0.0) / precond
-            step = search(work, s, slacks, (_GRID, scaled), g, t, f_cur)
+            mask = work.free & ~blocked
+            terms = work.curvature_terms(slacks)
+            step = _grid_line_search(work, x, slacks, _newton_cg_direction(terms, g, mask), g,
+                                     t, f_cur)
+            if step is None:
+                scaled = np.where(mask, g, 0.0) / terms[-1]
+                step = _grid_line_search(work, x, slacks, scaled, g, t, f_cur)
+            if step is not None:
+                x, slacks, f_new = step
         if step is None:
             status = "stalled"
             break
-        s, slacks, f_new = step
         history.append(f_new)
         # plateau exit: no measurable progress over a window of accepted steps
         if len(history) > _PLATEAU_WINDOW:
@@ -715,7 +687,7 @@ def _inner_loop(work: _InnerProblem, s: np.ndarray, t: float, cfg: SolverConfig)
             if history[-1] - ref <= 1e-13 * max(1.0, abs(ref)):
                 status = "plateau"
                 break
-    return s, iters, status, history
+    return (support.grid(x, s.copy()) if exact else x), iters, status, history
 
 
 def solve_inner(inst: ProblemInstance, start: AllocationMatrix, t: float,

@@ -6,10 +6,9 @@ import pytest
 from ranshare.errors import EmptyInterior, InvalidParams, NotInterior
 from ranshare.model import AllocationMatrix, ProblemInstance, check_feasible
 from ranshare.sim import ScenarioParams, build_instance, generate_scenario
-import ranshare.solver
-from ranshare.solver import (_GRID, SolverConfig, _FlatCells, _InnerProblem,
+from ranshare.solver import (SolverConfig, _FlatCells, _InnerProblem,
                              _exact_newton_direction, _grid_line_search, _inner_loop,
-                             _line_search, _mask_cells, barrier_value, gap_bound,
+                             _line_search, barrier_value, gap_bound,
                              interior_gradient, interior_objective, interior_start, solve,
                              solve_inner)
 
@@ -172,6 +171,23 @@ class TestSolveInner:
         # symmetric instance: the center equalizes symmetric cells
         assert np.ptp(sa.values) == pytest.approx(0.0, abs=1e-7)
 
+    def test_dense_and_sparse_support_agree(self, monkeypatch):
+        # A dense support runs every step on all of its cells, the blocked ones held; a sparse
+        # one gathers the step's cells.  The two differ in rounding only.
+        rng = np.random.default_rng(43)
+        for _ in range(10):
+            inst = random_instance(rng, num_elements=int(rng.integers(2, 9)),
+                                   num_apps=int(rng.integers(2, 6)), kind="logarithmic",
+                                   zero_coeff_prob=0.3)
+            results = []
+            for dense in (True, False):
+                monkeypatch.setattr(_FlatCells, "dense", dense)
+                results.append(solve(inst, SolverConfig(epsilon=1e-4)))
+            dense, sparse = results
+            assert dense.objective == pytest.approx(sparse.objective, rel=1e-12, abs=0.0)
+            np.testing.assert_allclose(dense.allocation.values, sparse.allocation.values,
+                                       rtol=1e-9, atol=0)
+
     def test_objective_monotone_and_iterates_interior(self):
         rng = np.random.default_rng(41)
         for _ in range(20):
@@ -212,9 +228,14 @@ def _random_terms(rng, num_el, num_app):
     return diag, w_el, v_app
 
 
-def _on_grid(step):
-    """A step of ``_exact_newton_direction``, (layout, d), as an (I, K) array; None stays."""
-    return None if step is None else step[0].grid(step[1])
+def _grid_step(terms, g, mask, s, lo, hi):
+    """``_exact_newton_direction`` on the ``mask`` cells of (I, K) arrays, its step scattered
+    onto the grid; None stays."""
+    cells = _FlatCells.of(mask)
+    tc, w_el, v_app = terms
+    d = _exact_newton_direction((cells.take(tc), w_el, v_app), cells.take(g), cells,
+                                *(cells.take(a) for a in (s, lo, hi)), cells.take(mask))
+    return None if d is None else cells.grid(d)
 
 
 def _terms_at(s, diag, w_el, v_app):
@@ -235,17 +256,23 @@ def _sparse_mask(rng, free):
     mask = free & (rng.random(free.shape) < 0.04)
     mask[0, :] = mask[:, 0] = False
     assert mask.any() and mask.mean() <= 0.05
-    assert isinstance(_mask_cells(mask), _FlatCells)  # the step runs on the mask cells only
+    assert not _FlatCells.of(mask).dense  # the step's Gram product is the pair bincount
     return mask
+
+
+@pytest.fixture
+def grams(monkeypatch):
+    """For every Gram product a step forms, whether it is the dense one."""
+    kinds = []
+    gram = _FlatCells.gram
+    monkeypatch.setattr(_FlatCells, "gram",
+                        lambda cells, a: kinds.append(cells.dense) or gram(cells, a))
+    return kinds
 
 
 class TestExactNewtonDirection:
     @pytest.mark.parametrize("case", DIRECTION_CASES)
-    def test_matches_explicit_solve(self, case, monkeypatch):
-        layouts = []  # the layout of every bound-hit round
-        choose = ranshare.solver._mask_cells
-        monkeypatch.setattr(ranshare.solver, "_mask_cells",
-                            lambda mask: layouts.append(choose(mask)) or layouts[-1])
+    def test_matches_explicit_solve(self, case, grams):
         rng = np.random.default_rng(DIRECTION_CASES.index(case))
         for _ in range(10):
             if case in ("sparse_mask", "dense_then_sparse"):
@@ -285,8 +312,8 @@ class TestExactNewtonDirection:
                 narrow = rng.random(s.shape) < 0.9
                 lo = np.where(narrow, s - 1e-9, -np.inf)
                 hi = np.where(narrow, s + 1e-9, np.inf)
-            layouts.clear()
-            d = _on_grid(_exact_newton_direction(terms, g, mask, s, lo, hi))
+            grams.clear()
+            d = _grid_step(terms, g, mask, s, lo, hi)
             if case == "empty_mask":
                 assert d is None  # no cell can move, so there is no ascent step
                 continue
@@ -301,11 +328,14 @@ class TestExactNewtonDirection:
                                              g[free] - h[np.ix_(f_idx, b_idx)] @ d[fixed])
             assert np.all(np.abs(d - want) <= 1e-8 * np.abs(want).max())
             if case == "dense_then_sparse":
-                # round 1 on the grid fixes most cells; the rounds after it run on the rest, flat
+                # round 1 fixes most cells; every round's Gram product is the dense one, as the
+                # mask's same-row pairs outnumber the grid's cells
                 assert fixed.sum() >= 0.8 * mask.sum()
-                assert layouts[0] is _GRID and isinstance(layouts[-1], _FlatCells)
+                assert len(grams) >= 2 and all(grams)
             else:
                 assert not fixed.any()
+            if case == "sparse_mask":
+                assert grams and not any(grams)  # the pair bincount
 
     def test_stiff_row_with_one_free_cell_keeps_its_digits(self):
         # A^-1 of a row block with one free cell is e / (1 + w e); as e - rho e^2 with
@@ -313,18 +343,17 @@ class TestExactNewtonDirection:
         s = np.ones((4, 3))
         mask = np.zeros(s.shape, bool)
         mask[[0, 1, 2, 3], [0, 1, 2, 0]] = True
-        assert isinstance(_mask_cells(mask), _FlatCells)
         terms = (s * s, np.array([1e8, 1e8, 1.0, 1.0]), np.ones(3))
         g = np.random.default_rng(5).normal(size=s.shape)
         unbounded = np.full(s.shape, np.inf)
-        d = _on_grid(_exact_newton_direction(terms, g, mask, s, -unbounded, unbounded))
+        d = _grid_step(terms, g, mask, s, -unbounded, unbounded)
         want = np.linalg.solve(_masked_hessian(terms, s, mask), g[mask])
         np.testing.assert_allclose(d[mask], want, rtol=1e-12, atol=0)
 
     @staticmethod
     def _bound_hit_case(terms, g, mask, s, lo, hi):
         """Check one bound-hit step; None when there is no step, else whether a cell was fixed."""
-        d = _on_grid(_exact_newton_direction(terms, g, mask, s, lo, hi))
+        d = _grid_step(terms, g, mask, s, lo, hi)
         if d is None:
             return None
         assert np.all(d[~mask] == 0.0)
@@ -374,6 +403,51 @@ class TestExactNewtonDirection:
         assert outcomes.count(True) >= 20
 
 
+def _tight_instance(rng, num_elements, num_apps, zero_coeff_prob=0.2):
+    """A log instance whose aggregate bounds are inside the boxes' column sums, as far as
+    ProblemInstance allows: every application keeps both barrier terms, so v_k > 0."""
+    inst = random_instance(rng, num_elements=num_elements, num_apps=num_apps,
+                           kind="logarithmic", zero_coeff_prob=zero_coeff_prob)
+    room = 0.5e-9 * max(1.0, float(inst.upper.max()) * num_elements)
+    return ProblemInstance(inst.capacities, inst.lower, inst.upper,
+                           inst.lower.sum(axis=0) + room, inst.upper.sum(axis=0) - room,
+                           inst.coeff, "logarithmic")
+
+
+class TestGramProduct:
+    def test_both_products_match_explicit_solve(self, grams):
+        inst = _tight_instance(np.random.default_rng(29), 20, 10)
+        work = _InnerProblem(inst)
+        s = interior_start(inst, 0.5).values
+        t = 7.0
+        slacks = work.interior_slacks(s)
+        w_el, v_app = work.weights(slacks)
+        assert np.all(v_app > 0)
+        terms = (t * inst.coeff, w_el, v_app)
+        g = work.gradient(s, t, slacks)
+        unbounded = np.full(s.shape, np.inf)
+        # a few cells per row (pairs), and every cell with curvature of its own, about
+        # 8 of 10 per row: some 20 x 8^2 pairs, more than the 200 cells of the grid
+        curved = work.free & (inst.coeff > 0)
+        for mask, dense in ((_sparse_mask(np.random.default_rng(30), curved), False),
+                            (curved, True)):
+            assert _FlatCells.of(mask).dense == dense
+            grams.clear()
+            d = _grid_step(terms, g, mask, s, -unbounded, unbounded)
+            want = np.linalg.solve(_masked_hessian(terms, s, mask), g[mask])
+            assert np.all(np.abs(d[mask] - want) <= 1e-8 * np.abs(want).max())
+            assert grams == [dense]
+
+    def test_solve_lands_in_the_oracle_bracket(self):
+        inst = _tight_instance(np.random.default_rng(29), 20, 10)
+        work = _InnerProblem(inst)
+        assert work.low_active.all() and work.up_active.all()
+        r = solve(inst, SolverConfig(epsilon=1e-4))
+        optimum = optimum_bracket(inst, rtol=1e-8)
+        assert optimum.upper - 1e-4 <= r.objective <= optimum.upper
+        assert r.objective + r.dual_gap >= optimum.lower - 1e-9
+
+
 class TestLineSearch:
     @staticmethod
     def _halvings(s, d, lo, hi, point):
@@ -393,14 +467,17 @@ class TestLineSearch:
             slacks = work.interior_slacks(s)
             g = work.gradient(s, t, slacks)
             f = work.value(s, t, slacks)
-            mask = _sparse_mask(rng, work.free & (inst.coeff > 0))
-            newton = _exact_newton_direction((t * inst.coeff, *work.weights(slacks)), g, mask,
-                                             s, inst.lower, inst.upper)
-            # the Newton step on the flat mask cells, and the steepest ascent on the grid
-            for step in (newton, (_GRID, np.where(mask, g, 0.0))):
-                d = _on_grid(step)
-                moved = _line_search(work, s, slacks, step, g, t, f)
-                grid = _grid_line_search(work, s, slacks, (_GRID, d), g, t, f)
+            cells = _FlatCells.of(_sparse_mask(rng, work.free & (inst.coeff > 0)))
+            point = tuple(cells.take(a) for a in (s, inst.lower, inst.upper, inst.coeff))
+            g_at = cells.take(g)
+            newton = _exact_newton_direction((t * point[3], *work.weights(slacks)), g_at, cells,
+                                             *point[:3], np.ones(g_at.size, bool))
+            # the Newton step and the steepest ascent, both on the flat mask cells
+            for step in (newton, g_at):
+                d = cells.grid(step)
+                moved = _line_search(work, cells, point, slacks, step, g_at, t, f)
+                moved = (cells.grid(moved[0], s.copy()), *moved[1:])
+                grid = _grid_line_search(work, s, slacks, d, g, t, f)
                 k = self._halvings(s, d, inst.lower, inst.upper, grid[0])
                 assert k == self._halvings(s, d, inst.lower, inst.upper, moved[0])
                 np.testing.assert_allclose(moved[0], grid[0], rtol=1e-12, atol=0)
@@ -589,6 +666,23 @@ class TestSolve:
         assert r.inner_iters_total == 0
         assert r.trace and all(tr.barrier == 0.0 and tr.inner_status == "converged"
                                for tr in r.trace)
+
+    @pytest.mark.parametrize("empty", ["all_pinned", "zero_coefficients"])
+    def test_log_instance_without_free_cell_returns_its_start(self, empty):
+        inst = random_instance(np.random.default_rng(37), num_elements=4, num_apps=3,
+                               kind="logarithmic", zero_coeff_prob=0.0)
+        if empty == "all_pinned":
+            inst = pin_cells(inst, np.ones(inst.lower.shape, bool))
+        else:
+            inst = make_instance(inst.capacities, inst.lower, inst.upper,
+                                 np.zeros(inst.lower.shape), "logarithmic")
+        work = _InnerProblem(inst)
+        assert not work.free.any()
+        start = work.start(interior_start(inst, 0.5).values.copy())
+        r = solve(inst, SolverConfig(epsilon=1e-2))
+        assert r.inner_iters_total == 0 and r.converged
+        assert [tr.inner_status for tr in r.trace] == ["converged"] * len(r.trace)
+        assert np.array_equal(r.allocation.values, start)
 
     def test_1x1_linear_reaches_box_cap(self, tiny_instance):
         r = solve(tiny_instance, SolverConfig(epsilon=1e-3))
