@@ -25,6 +25,7 @@ _CONTRACTION = 0.5
 _BOUNDARY_FRACTION = 1e-12  # trial slacks must keep this fraction of their previous value
 _MAX_BACKTRACKS = 80
 _PLATEAU_WINDOW = 20
+_GATHER_SHARE = 0.9  # a log step that moves at most this share of the support gathers its cells
 
 
 @dataclass(frozen=True)
@@ -239,20 +240,15 @@ class _InnerProblem:
         lower term is."""
         return _spread(self.up_active, up) + _spread(self.low_active, low)
 
-    def gradient(self, s, t, slacks=None, on_support=False):
-        """The gradient at ``s``: on the grid, or, ``on_support``, on the :attr:`support` cells,
-        where ``s`` is flat and ``slacks`` are given."""
-        bs, ms, ls = self.slacks(s) if slacks is None else slacks
-        row, col = _spread(self.el_active, 1.0 / bs), self.col_terms(1.0 / ms, -1.0 / ls)
-        if on_support:
-            cells, _, _, c = self.support
-            row, col = cells.of_row(row), cells.of_col(col)
-        else:
-            c, row, col = self.inst.coeff, row[:, None], col[None, :]
-        g = t * marginal_utility(self.inst.utility_kind, c, s)
-        g -= row
-        g -= col
-        return g
+    def barrier_terms(self, slacks):
+        """Per element and per application, the barrier's part of the gradient, to subtract."""
+        bs, ms, ls = slacks
+        return _spread(self.el_active, 1.0 / bs), self.col_terms(1.0 / ms, -1.0 / ls)
+
+    def gradient(self, s, t, slacks=None):
+        row, col = self.barrier_terms(self.slacks(s) if slacks is None else slacks)
+        g = t * marginal_utility(self.inst.utility_kind, self.inst.coeff, s)
+        return g - row[:, None] - col[None, :]
 
     def weights(self, slacks):
         """Row and column weights w, v of the negated inner Hessian, 0 off the barrier.
@@ -266,18 +262,16 @@ class _InnerProblem:
         return w_el, self.col_terms(1.0 / (ms * ms), 1.0 / (ls * ls))
 
     def curvature_terms(self, slacks):
-        """The negated inner Hessian's pieces and its diagonal, the preconditioner, for linear
+        """The negated inner Hessian's weights and its diagonal, the preconditioner, for linear
         utility, on the grid.
 
         H = sum_i w_i (row_i)(row_i)^T + sum_k v_k (col_k)(col_k)^T with w, v
         from :meth:`weights`; linear utility adds no diagonal of its own, so
         H is singular.  The truncated-CG step and its scaled-gradient fallback
-        read these (I, K) arrays.
+        read the (I, K) preconditioner.
         """
         w_el, v_app = self.weights(slacks)
-        diag = np.zeros(self.inst.coeff.shape)
-        precond = np.maximum(diag + w_el[:, None] + v_app[None, :], 1e-300)
-        return diag, w_el, v_app, precond
+        return w_el, v_app, np.maximum(w_el[:, None] + v_app[None, :], 1e-300)
 
     def dual_gap(self, s, t) -> float:
         """Lagrangian dual at the barrier multipliers of t, minus the utility of ``s``.
@@ -330,7 +324,7 @@ class _FlatCells:
     @cached_property
     def dense(self):
         """Whether the same-row pairs outnumber the grid's cells: then the Gram product is
-        formed on the grid, and the inner loop's steps on a support this dense gather nothing."""
+        formed on the grid."""
         per_row = np.bincount(self.row, minlength=self.shape[0])
         return int(per_row @ per_row) > self.shape[0] * self.shape[1]
 
@@ -478,11 +472,11 @@ def _newton_cg_direction(terms, g, mask, max_cg: int = 25):
     matrix-vector product costs one pass over the grid.  Truncated CG output
     always has positive inner product with g (an ascent direction).
     """
-    diag, w_el, v_app, precond = terms
+    w_el, v_app, precond = terms
     damping = 1e-12 * float(precond.max())  # keeps the masked Hessian nonsingular
 
     def matvec(v):
-        out = (diag + damping) * v
+        out = damping * v
         out += w_el[:, None] * v.sum(axis=1)[:, None]
         out += v_app[None, :] * v.sum(axis=0)[None, :]
         out[~mask] = 0.0
@@ -597,11 +591,10 @@ def _inner_loop(work: _InnerProblem, s: np.ndarray, t: float, cfg: SolverConfig)
     gathered once per solve into flat arrays: the gradient, the blocked test
     and the stop on them, the step and its search (:func:`_line_search`) on
     those not blocked, with the slacks and the objective carried from step
-    to step; ``s`` is written back to the grid once, at the end.  The step
-    gathers its cells from a sparse support; on a dense one
-    (:attr:`_FlatCells.dense`) it runs on every support cell with the
-    blocked ones held, and gathers nothing.  The linear path runs on the
-    grid (:func:`_grid_line_search`).
+    to step; ``s`` is written back to the grid once, at the end.  A step
+    that moves at most ``_GATHER_SHARE`` of the support gathers its cells; a
+    larger one runs on every support cell with the blocked ones held.  The
+    linear path runs on the grid (:func:`_grid_line_search`).
 
     The loop ends ``converged`` when the projected gradient is within
     ``inner_tol`` of zero or, on the exact path, when the Newton decrement
@@ -625,7 +618,12 @@ def _inner_loop(work: _InnerProblem, s: np.ndarray, t: float, cfg: SolverConfig)
     status = "max_iters"
     iters = 0
     for iters in range(1, cfg.max_inner_iters + 1):
-        g = work.gradient(x, t, slacks, exact)
+        if exact:
+            row, col = work.barrier_terms(slacks)
+            g = t * marginal_utility("logarithmic", c, x)
+            g = g - support.of_row(row) - support.of_col(col)
+        else:
+            g = work.gradient(x, t, slacks)
         blocked = ((x <= lo) & (g < 0)) | ((x >= hi) & (g > 0))
         if np.abs(np.where(blocked, 0.0, g)).max(initial=0.0) <= cfg.inner_tol:
             status = "converged"
@@ -634,12 +632,11 @@ def _inner_loop(work: _InnerProblem, s: np.ndarray, t: float, cfg: SolverConfig)
 
         f_cur = history[-1]
         if exact:
-            # The step moves the support cells not blocked.  A dense support is nearly all in
-            # every step (at least 92% of it on the hotspot grids), so the step runs on all of
-            # it with the blocked cells held; a sparse one, about a quarter of it in a step at
-            # full scale, gathers the step's cells.
+            # The step moves the support cells not blocked.  A step that moves most of the
+            # support runs on all of it with the blocked cells held; a smaller one gathers its
+            # cells, which costs a few copies of them and saves passes over the others.
             free = ~blocked
-            if support.dense:
+            if np.count_nonzero(free) > _GATHER_SHARE * free.size:
                 cells, index = support, slice(None)
             else:
                 index = np.flatnonzero(free)
@@ -665,8 +662,7 @@ def _inner_loop(work: _InnerProblem, s: np.ndarray, t: float, cfg: SolverConfig)
                 step = _line_search(*search, scaled, g_at, t, f_cur)
             if step is not None:
                 trial, slacks, f_new = step
-                x = x.copy()
-                x[index] = trial
+                x[index] = trial  # x is the loop's own, gathered from s
         else:
             mask = work.free & ~blocked
             terms = work.curvature_terms(slacks)

@@ -5,6 +5,7 @@ import pytest
 
 from ranshare.errors import EmptyInterior, InvalidParams, NotInterior
 from ranshare.model import AllocationMatrix, ProblemInstance, check_feasible
+from ranshare import solver
 from ranshare.sim import ScenarioParams, build_instance, generate_scenario
 from ranshare.solver import (SolverConfig, _FlatCells, _InnerProblem,
                              _exact_newton_direction, _grid_line_search, _inner_loop,
@@ -171,21 +172,21 @@ class TestSolveInner:
         # symmetric instance: the center equalizes symmetric cells
         assert np.ptp(sa.values) == pytest.approx(0.0, abs=1e-7)
 
-    def test_dense_and_sparse_support_agree(self, monkeypatch):
-        # A dense support runs every step on all of its cells, the blocked ones held; a sparse
-        # one gathers the step's cells.  The two differ in rounding only.
+    def test_held_and_gathered_steps_agree(self, monkeypatch):
+        # A step either runs on every support cell with the blocked ones held or gathers the
+        # cells it moves; the two differ in rounding only.
         rng = np.random.default_rng(43)
         for _ in range(10):
             inst = random_instance(rng, num_elements=int(rng.integers(2, 9)),
                                    num_apps=int(rng.integers(2, 6)), kind="logarithmic",
                                    zero_coeff_prob=0.3)
             results = []
-            for dense in (True, False):
-                monkeypatch.setattr(_FlatCells, "dense", dense)
+            for share in (0.0, 1.0):  # every step holds, every step gathers
+                monkeypatch.setattr(solver, "_GATHER_SHARE", share)
                 results.append(solve(inst, SolverConfig(epsilon=1e-4)))
-            dense, sparse = results
-            assert dense.objective == pytest.approx(sparse.objective, rel=1e-12, abs=0.0)
-            np.testing.assert_allclose(dense.allocation.values, sparse.allocation.values,
+            held, gathered = results
+            assert held.objective == pytest.approx(gathered.objective, rel=1e-12, abs=0.0)
+            np.testing.assert_allclose(held.allocation.values, gathered.allocation.values,
                                        rtol=1e-9, atol=0)
 
     def test_objective_monotone_and_iterates_interior(self):
