@@ -54,10 +54,11 @@ def _fill_pools(scenario, budget):
     num_e, num_i = budget.shape
     p = scenario.ratios.values[flows.element, flows.app]
     res_demand = flows.demand * p
-    alloc_res = water_fill(res_demand, budget.ravel(), pool=flows.entity * num_i + flows.element)
+    pool = flows.entity * num_i + flows.element
+    alloc_res = water_fill(res_demand, budget.ravel(), pool=pool)
 
-    per_entity = np.zeros((num_e, num_i, len(scenario.apps)))
-    np.add.at(per_entity, (flows.entity, flows.element, flows.app), alloc_res)
+    shape = (num_e, num_i, len(scenario.apps))
+    per_entity = np.bincount(pool * shape[2] + flows.app, alloc_res, np.prod(shape)).reshape(shape)
     # TranslatingRatios are strictly positive, so the division is safe
     flow_alloc = FlowAllocation(flow_ids=flows.id, bandwidth=alloc_res / p,
                                 resource=alloc_res, demand_resource=res_demand)
@@ -98,9 +99,9 @@ def net_rsv_allocate(scenario, cfg: ReservationConfig | None = None) -> EntityAl
     caps = np.array([e.capacity for e in scenario.elements], dtype=float)
     total_cap = float(caps.sum())
 
-    demand_ei = np.zeros((num_e, num_i))
     res_demand = flows.demand * scenario.ratios.values[flows.element, flows.app]
-    np.add.at(demand_ei, (flows.entity, flows.element), res_demand)
+    demand_ei = np.bincount(flows.entity * num_i + flows.element, res_demand,
+                            num_e * num_i).reshape(num_e, num_i)
     demand_e = demand_ei.sum(axis=1)
 
     budgets = np.clip(demand_e, cfg.net_min_fraction * total_cap,

@@ -117,3 +117,17 @@ def test_flows_never_exceed_demand(allocate):
     assert np.all(out.flow_alloc.bandwidth <= demands + 1e-12)
     p = np.array([scen.ratios.values[f.element_id, f.app_id] for f in scen.flows])
     assert np.allclose(out.flow_alloc.resource, out.flow_alloc.bandwidth * p, rtol=1e-12)
+
+
+@pytest.mark.parametrize("allocate", [per_bs_rsv_allocate, net_rsv_allocate])
+def test_per_entity_sums_flows_in_input_order(allocate):
+    # 600 flows over 3 x 4 x 3 (entity, element, app) triples: every triple repeats, and
+    # the sum of each must be np.add.at's, which adds its terms in input order
+    scen = generate_scenario(ScenarioParams(num_elements=4, num_entities=3, num_apps=3,
+                                            num_flows=600, demand_range=(0.5, 5.0)), 13)
+    flows = scen.flows
+    assert np.unique(np.stack([flows.entity, flows.element, flows.app]), axis=1).shape[1] < 600
+    out = allocate(scen)
+    want = np.zeros(out.per_entity.shape)
+    np.add.at(want, (flows.entity, flows.element, flows.app), out.flow_alloc.resource)
+    assert np.array_equal(out.per_entity, want)

@@ -1,11 +1,12 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from ranshare.errors import DimensionMismatch, InvalidParams
-from ranshare.fairshare import _segment_cumsum, water_fill
+from ranshare.fairshare import water_fill
 
 
 def test_capacity_covers_demand():
@@ -76,21 +77,19 @@ def test_malformed_demands_and_pools_raise_invalid_params(demands, pool):
 
 
 def _lexsort_fill(d, cap, pool):
-    """``water_fill`` with its pool-then-demand order taken by ``np.lexsort``."""
+    """``water_fill``'s levels from ``np.lexsort``'s pool-then-demand order, one pool at a time."""
     order = np.lexsort((d, pool))
-    ds, ps = d[order], pool[order].astype(np.intp)
-    sizes = np.bincount(ps, minlength=cap.size)
-    starts = np.cumsum(sizes) - sizes
-    rank = np.arange(d.size) - starts[ps]
-    csum = _segment_cumsum(ds, starts, sizes)
-    candidate = (cap[ps] - np.where(rank > 0, np.roll(csum, 1), 0.0)) / (sizes[ps] - rank)
-    hit = np.flatnonzero(candidate <= ds)
-    first = hit[np.diff(ps[hit], prepend=-1) != 0]
+    ds, ps = d[order], pool[order]
     level = np.full(cap.size, np.inf)
-    level[ps[first]] = np.maximum(candidate[first], 0.0)
-    total = np.zeros(cap.size)
-    total[sizes > 0] = csum[(starts + sizes - 1)[sizes > 0]]
-    level[total <= cap] = np.inf
+    for segment in np.split(np.arange(d.size), np.flatnonzero(np.diff(ps)) + 1):
+        p, values = ps[segment[0]], ds[segment]
+        csum = np.cumsum(values)
+        if csum[-1] <= cap[p]:
+            continue
+        candidate = (cap[p] - np.append(0.0, csum[:-1])) / (values.size - np.arange(values.size))
+        hit = np.flatnonzero(candidate <= values)
+        if hit.size:
+            level[p] = max(candidate[hit[0]], 0.0)
     level[cap <= 0] = 0.0
     return np.minimum(d, level[pool])
 
@@ -165,3 +164,42 @@ def test_segmented_fill_matches_per_pool_fill(case):
         assert math.fsum(got[members]) == pytest.approx(min(budget, total), rel=1e-12)
         if budget > total * (1 + 1e-9):  # the pool's demand fits
             assert np.array_equal(got[members], d[members])
+
+
+def _fill_without_warnings(d, budgets, pool=None):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # the padding divides 0/0 and x/0
+        return water_fill(d, budgets, pool=pool)
+
+
+def test_pool_sizes_around_powers_of_two_in_one_call():
+    # sizes 1, 2^k and 2^k + 1 land in blocks of width 1, 2^k and 2^(k+1)
+    rng = np.random.default_rng(5)
+    sizes = np.array([1, 2, 3, 4, 5, 8, 9, 16, 17, 64, 65, 256, 257])
+    pool = rng.permutation(np.repeat(np.arange(sizes.size), sizes))
+    n = pool.size
+    d = rng.choice([0.0, 1.0, 2.5], n) + rng.choice([0.0, 1.0], n) * rng.random(n)  # ties
+    for share in (0.0, 0.3, 0.7, 1.0, 1.5):
+        budgets = share * np.bincount(pool, d)
+        got = _fill_without_warnings(d, budgets, pool)
+        np.testing.assert_allclose(got, per_pool_fill(d, budgets, pool), rtol=1e-12, atol=0)
+        assert np.array_equal(got, _lexsort_fill(d, budgets, pool))
+
+
+def test_one_pool_wider_than_a_16_bit_count():
+    rng = np.random.default_rng(6)
+    d = rng.uniform(0.0, 3.0, 70_000)
+    for capacity in (0.0, 0.4 * d.sum(), 2.0 * d.sum()):
+        got = _fill_without_warnings(d, capacity)
+        np.testing.assert_allclose(got, reference_fill(d, capacity), rtol=1e-12, atol=0)
+
+
+def test_infinite_budgets_zero_demands_and_empty_pools():
+    # pool 0: budget +inf; 1: all-zero demands under a positive budget; 2 and 4 empty;
+    # 3: scarce; 5: -inf
+    d = np.array([1.0, 4.0, 0.0, 0.0, 0.0, 2.0, 3.0, 5.0, 1.0])
+    pool = np.array([0, 0, 1, 1, 1, 3, 3, 3, 5])
+    budgets = np.array([np.inf, 2.0, 7.0, 6.0, np.inf, -np.inf])
+    got = _fill_without_warnings(d, budgets, pool)
+    np.testing.assert_allclose(got, per_pool_fill(d, budgets, pool), rtol=1e-12, atol=0)
+    assert np.array_equal(got, [1.0, 4.0, 0.0, 0.0, 0.0, 2.0, 2.0, 2.0, 0.0])
