@@ -220,6 +220,19 @@ class _InnerProblem:
         return (self.capacities - rows, self.app_upper - cols[self.up_active],
                 cols[self.low_active] - self.app_lower)
 
+    @cached_property
+    def slack_layout(self):
+        """(take, sign, offset): the :meth:`slacks` of a point, concatenated, are
+        offset + sign * sums[take], bit for bit, where sums is its row sums followed by its
+        column sums."""
+        num_el = self.el_active.size
+        rows = np.flatnonzero(self.el_active)
+        up, low = num_el + np.flatnonzero(self.up_active), num_el + np.flatnonzero(self.low_active)
+        sign = np.ones(rows.size + up.size + low.size)
+        sign[:rows.size + up.size] = -1.0
+        return (np.concatenate([rows, up, low]), sign,
+                np.concatenate([self.capacities, self.app_upper, -self.app_lower]))
+
     def interior_slacks(self, s):
         """The slacks, which must all be strictly positive."""
         slacks = self.slacks(s)
@@ -234,6 +247,12 @@ class _InnerProblem:
 
     def value(self, s, t, slacks=None) -> float:
         return t * _utility_sum(self.inst, s) + self.barrier(s, slacks)
+
+    def evaluate(self, s):
+        """(utility, slacks, barrier) at ``s``, the slacks from its grid sums: the value at
+        t is t * utility + barrier."""
+        slacks = self.interior_slacks(s)
+        return _utility_sum(self.inst, s), slacks, self.barrier(s, slacks)
 
     def col_terms(self, up, low):
         """Per application, ``up`` where its upper term is in the barrier plus ``low`` where its
@@ -471,42 +490,51 @@ def _newton_cg_direction(terms, g, mask, max_cg: int = 25):
     Hessian has diagonal-plus-rank-one-per-row/column structure, so each
     matrix-vector product costs one pass over the grid.  Truncated CG output
     always has positive inner product with g (an ascent direction).
+
+    Every grid vector of the iteration (x, r, z, p, the product and one
+    temporary) and the row and column sums of the product are buffers
+    allocated once per call and updated in place, in the same floating-point
+    operations as the textbook expressions.  The residual is exactly +0.0
+    off the mask, so the preconditioned residual is too, and only the
+    product needs zeroing there.
     """
     w_el, v_app, precond = terms
     damping = 1e-12 * float(precond.max())  # keeps the masked Hessian nonsingular
-
-    def matvec(v):
-        out = damping * v
-        out += w_el[:, None] * v.sum(axis=1)[:, None]
-        out += v_app[None, :] * v.sum(axis=0)[None, :]
-        out[~mask] = 0.0
-        return out
-
+    off = ~mask
+    hp, tmp = np.empty(precond.shape), np.empty(precond.shape)
+    row_sum, col_sum = np.empty(precond.shape[0]), np.empty(precond.shape[1])
     b = np.where(mask, g, 0.0)
     x = np.zeros_like(b)
     r = b.copy()
-    z = r / precond
-    z[~mask] = 0.0
+    z = r / precond  # +0.0 off the mask, as r is
     p = z.copy()
     rz = float(np.vdot(r, z))
     b_norm = float(np.abs(b).max())
     if b_norm == 0.0 or rz <= 0.0:
         return z
     for _ in range(max_cg):
-        hp = matvec(p)
+        # hp = H p: damping p + w (row sums of p) + v (column sums of p), 0 off the mask
+        np.multiply(p, damping, out=hp)
+        np.add.reduce(p, axis=1, out=row_sum)
+        row_sum *= w_el
+        hp += row_sum[:, None]
+        np.add.reduce(p, axis=0, out=col_sum)
+        col_sum *= v_app
+        hp += col_sum
+        np.copyto(hp, 0.0, where=off)
         php = float(np.vdot(p, hp))
         if php <= 0.0:
             return p if not x.any() else x
         alpha = rz / php
-        x += alpha * p
-        r -= alpha * hp
-        if np.abs(r).max() <= 1e-2 * b_norm:
+        x += np.multiply(p, alpha, out=tmp)
+        r -= np.multiply(hp, alpha, out=tmp)
+        if np.abs(r, out=tmp).max() <= 1e-2 * b_norm:
             break
-        z = r / precond
-        z[~mask] = 0.0
+        np.divide(r, precond, out=z)
         rz_new = float(np.vdot(r, z))
         beta = rz_new / rz
-        p = z + beta * p
+        p *= beta
+        p += z
         rz = rz_new
     if float(np.vdot(x, b)) <= 0.0:
         return z
@@ -557,24 +585,63 @@ def _grid_line_search(work: _InnerProblem, s, slacks, d, g, t: float, f_cur: flo
     barrier slack positive and at least a fraction of its value at ``s``
     (``slacks``).  Returns (point, its slacks, its value), or None when no
     step within ``_MAX_BACKTRACKS`` halvings is accepted.
+
+    A trial is built in one grid buffer, and its slacks are one vector, laid
+    out by :attr:`_InnerProblem.slack_layout`, tested in one comparison.  When
+    a built trial fails on an element row (the witness), the next trials
+    first clip and sum that row alone, whose 1-D sum is the row's entry of
+    the grid's row sums, and are rejected unbuilt while it still fails;
+    rejected trials are mostly rejected this way.  The witness is cleared
+    when a built trial fails first on a column or passes the slack test.
+    Only a trial that passes has its gain and value computed.
     """
     lo, hi = work.inst.lower, work.inst.upper
+    take, sign, offset = work.slack_layout
+    # x >= floor is (x >= fraction x0) & (x > 0): no float lies strictly between 0 and the
+    # smallest subnormal
+    floor = np.maximum(_BOUNDARY_FRACTION * np.concatenate(slacks),
+                       np.finfo(float).smallest_subnormal)
+    num_el, num_rows = s.shape[0], work.capacities.size
+    low_start = num_rows + work.app_upper.size  # where the lower application slacks start
+    trial, line = np.empty(s.shape), np.empty(s.shape[1])
+    sums, x = np.empty(num_el + s.shape[1]), np.empty(take.size)
+    row_sums, col_sums = sums[:num_el], sums[num_el:]
+    witness = None  # the slack index of the element row that failed the last trial built
     alpha = 1.0
     for _ in range(_MAX_BACKTRACKS):
-        trial = np.clip(s + alpha * d, lo, hi)
-        trial_slacks = work.slacks(trial)
-        if all(((x >= _BOUNDARY_FRACTION * x0) & (x > 0)).all()
-               for x, x0 in zip(trial_slacks, slacks)):
+        if witness is not None:
+            i = take[witness]
+            np.multiply(d[i], alpha, out=line)
+            line += s[i]
+            line.clip(lo[i], hi[i], out=line)
+            if not offset[witness] + sign[witness] * np.add.reduce(line) >= floor[witness]:
+                alpha *= _CONTRACTION
+                continue
+        np.multiply(d, alpha, out=trial)
+        trial += s
+        trial.clip(lo, hi, out=trial)
+        np.add.reduce(trial, axis=1, out=row_sums)
+        np.add.reduce(trial, axis=0, out=col_sums)
+        np.take(sums, take, out=x)
+        x *= sign
+        x += offset
+        passed = x >= floor
+        if passed.all():
+            witness = None
             gain = float(np.vdot(g, trial - s))
             if gain > 0:
+                trial_slacks = (x[:num_rows], x[num_rows:low_start], x[low_start:])
                 f_new = work.value(trial, t, trial_slacks)
                 if f_new >= f_cur + _ARMIJO * gain:
                     return trial, trial_slacks, f_new
+        else:
+            first = int(passed.argmin())
+            witness = first if first < num_rows else None
         alpha *= _CONTRACTION
     return None
 
 
-def _inner_loop(work: _InnerProblem, s: np.ndarray, t: float, cfg: SolverConfig):
+def _inner_loop(work: _InnerProblem, s: np.ndarray, t: float, cfg: SolverConfig, at=None):
     """Projected ascent with Armijo backtracking on the inner objective.
 
     The search direction is a Newton step on the inactive coordinates:
@@ -605,11 +672,14 @@ def _inner_loop(work: _InnerProblem, s: np.ndarray, t: float, cfg: SolverConfig)
     over a window of accepted steps) and ``stalled`` (no step accepted) end
     it otherwise.
 
+    ``at``, when given, is :meth:`_InnerProblem.evaluate` of ``s``.
+
     Returns (s, iterations, status, objective_history).
     """
     exact = work.inst.utility_kind == "logarithmic"
-    slacks = work.interior_slacks(s)  # of the current point, carried over from the line search
-    history = [work.value(s, t, slacks)]
+    # the slacks of the current point, carried over from the line search
+    utility, slacks, barrier = work.evaluate(s) if at is None else at
+    history = [t * utility + barrier]
     if exact:
         support, lo, hi, c = work.support
         x, tc = support.take(s), t * c  # the log utility's curvature is t c / s^2
@@ -713,13 +783,15 @@ def solve(inst: ProblemInstance, config: SolverConfig | None = None) -> SolveRes
     outer = 0
     inner_total = 0
     trace = []
+    at = None  # the evaluation of the last inner loop's point, the next one's start
     while gap_bound(inst, t) > cfg.epsilon and outer < cfg.max_outer_iters:
-        s, iters, status, _ = _inner_loop(work, s, t, cfg)
+        s, iters, status, _ = _inner_loop(work, s, t, cfg, at)
         inner_total += iters
+        at = work.evaluate(s)
         trace.append(OuterTrace(
             t=t,
-            objective=total_utility(inst, AllocationMatrix(s)),
-            barrier=work.barrier(s),
+            objective=at[0],
+            barrier=at[2],
             gap_bound=gap_bound(inst, t),
             inner_iters=iters,
             inner_status=status,
@@ -730,7 +802,7 @@ def solve(inst: ProblemInstance, config: SolverConfig | None = None) -> SolveRes
     alloc = AllocationMatrix(s)
     return SolveResult(
         allocation=alloc,
-        objective=total_utility(inst, alloc),
+        objective=trace[-1].objective if trace else total_utility(inst, alloc),
         gap_bound=gap_bound(inst, t),
         outer_iters=outer,
         inner_iters_total=inner_total,

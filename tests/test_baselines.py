@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from ranshare import baselines
 from ranshare.baselines import (ReservationConfig, net_rsv_allocate,
                                 per_bs_rsv_allocate)
 from ranshare.errors import InvalidParams
@@ -131,3 +132,47 @@ def test_per_entity_sums_flows_in_input_order(allocate):
     want = np.zeros(out.per_entity.shape)
     np.add.at(want, (flows.entity, flows.element, flows.app), out.flow_alloc.resource)
     assert np.array_equal(out.per_entity, want)
+
+
+
+def _net_rsv_reference(scen, cfg=ReservationConfig()):
+    """``net_rsv_allocate`` with each (entity, element) demand summed by ``np.add.at`` over
+    the flows in input order."""
+    flows = scen.flows
+    num_e, num_i = len(scen.entities), len(scen.elements)
+    caps = np.array([e.capacity for e in scen.elements], dtype=float)
+    total_cap = float(caps.sum())
+    demand_ei = np.zeros((num_e, num_i))
+    np.add.at(demand_ei, (flows.entity, flows.element),
+              flows.demand * scen.ratios.values[flows.element, flows.app])
+    demand_e = demand_ei.sum(axis=1)
+    budgets = np.clip(demand_e, cfg.net_min_fraction * total_cap,
+                      cfg.net_max_fraction * total_cap)
+    if budgets.sum() > total_cap:
+        budgets *= total_cap / budgets.sum()
+    remaining = caps.copy()
+    reserved = np.zeros((num_e, num_i))
+    eps = baselines._REDISTRIBUTE_EPS
+    for e in np.flatnonzero(demand_e > 0):
+        pool, alloc, active = budgets[e], np.zeros(num_i), demand_ei[e] > 0
+        while pool > eps * budgets[e] and active.any():
+            weights = demand_ei[e] * active
+            give = np.maximum(np.minimum(pool * weights / weights.sum(), remaining - alloc), 0.0)
+            alloc += give
+            pool -= float(give.sum())
+            active &= (remaining - alloc) > eps
+            if float(give.sum()) <= eps * max(budgets[e], 1.0):
+                break
+        reserved[e] = alloc
+        remaining -= alloc
+    return baselines._fill_pools(scen, reserved)
+
+
+def test_net_rsv_demand_sums_flows_in_input_order():
+    # 600 flows over 3 x 4 (entity, element) pairs: every pair repeats, and the demand that
+    # spreads each entity's budget must be np.add.at's sum, in input order
+    scen = generate_scenario(ScenarioParams(num_elements=4, num_entities=3, num_apps=3,
+                                            num_flows=600, demand_range=(0.5, 5.0)), 13)
+    got, want = net_rsv_allocate(scen), _net_rsv_reference(scen)
+    assert np.array_equal(got.flow_alloc.resource, want.flow_alloc.resource)
+    assert np.array_equal(got.per_entity, want.per_entity)

@@ -7,11 +7,12 @@ from ranshare.errors import EmptyInterior, InvalidParams, NotInterior
 from ranshare.model import AllocationMatrix, ProblemInstance, check_feasible
 from ranshare import solver
 from ranshare.sim import ScenarioParams, build_instance, generate_scenario
-from ranshare.solver import (SolverConfig, _FlatCells, _InnerProblem,
+from ranshare.solver import (OuterTrace, SolverConfig, _FlatCells, _InnerProblem,
                              _exact_newton_direction, _grid_line_search, _inner_loop,
                              _line_search, barrier_value, gap_bound,
                              interior_gradient, interior_objective, interior_start, solve,
                              solve_inner)
+from ranshare.utility import total_utility
 
 from conftest import make_instance, pin_cells, random_instance
 from oracles import optimum_bracket
@@ -487,6 +488,275 @@ class TestLineSearch:
                 assert moved[2] == pytest.approx(grid[2], rel=1e-12, abs=0)
                 halvings.append(k)
         assert min(halvings) == 0 and max(halvings) >= 3  # full steps and backtracked ones
+
+
+def _textbook_cg_direction(terms, g, mask, exits, max_cg=25):
+    """The truncated-CG direction with one new array per expression, the form the
+    buffered :func:`_newton_cg_direction` must match bit for bit; appends how it ended to
+    ``exits``."""
+    w_el, v_app, precond = terms
+    damping = 1e-12 * float(precond.max())
+
+    def matvec(v):
+        out = damping * v
+        out += w_el[:, None] * v.sum(axis=1)[:, None]
+        out += v_app[None, :] * v.sum(axis=0)[None, :]
+        out[~mask] = 0.0
+        return out
+
+    b = np.where(mask, g, 0.0)
+    x = np.zeros_like(b)
+    r = b.copy()
+    z = r / precond
+    z[~mask] = 0.0
+    p = z.copy()
+    rz = float(np.vdot(r, z))
+    b_norm = float(np.abs(b).max())
+    if b_norm == 0.0 or rz <= 0.0:
+        exits.append("zero")
+        return z
+    for _ in range(max_cg):
+        hp = matvec(p)
+        php = float(np.vdot(p, hp))
+        if php <= 0.0:
+            exits.append("curvature" if x.any() else "first_curvature")
+            return p if not x.any() else x
+        alpha = rz / php
+        x += alpha * p
+        r -= alpha * hp
+        if np.abs(r).max() <= 1e-2 * b_norm:
+            exits.append("residual")
+            break
+        z = r / precond
+        z[~mask] = 0.0
+        rz_new = float(np.vdot(r, z))
+        beta = rz_new / rz
+        p = z + beta * p
+        rz = rz_new
+    else:
+        exits.append("max_cg")
+    if float(np.vdot(x, b)) <= 0.0:
+        return z
+    return x
+
+
+def _textbook_grid_search(work, s, slacks, d, g, t, f_cur, trials):
+    """The grid line search building and testing every trial in full, the form
+    :func:`_grid_line_search` must match bit for bit; appends each trial's outcome to
+    ``trials``: ("row", i) for the first element row that fails, "column", "gain",
+    "armijo" or "accepted"."""
+    lo, hi = work.inst.lower, work.inst.upper
+    alpha = 1.0
+    for _ in range(solver._MAX_BACKTRACKS):
+        trial = np.clip(s + alpha * d, lo, hi)
+        trial_slacks = work.slacks(trial)
+        passed = [(x >= solver._BOUNDARY_FRACTION * x0) & (x > 0)
+                  for x, x0 in zip(trial_slacks, slacks)]
+        if not passed[0].all():
+            trials.append(("row", int(np.flatnonzero(work.el_active)[np.argmin(passed[0])])))
+        elif not all(ok.all() for ok in passed):
+            trials.append("column")
+        else:
+            gain = float(np.vdot(g, trial - s))
+            if gain > 0:
+                f_new = work.value(trial, t, trial_slacks)
+                if f_new >= f_cur + solver._ARMIJO * gain:
+                    trials.append("accepted")
+                    return trial, trial_slacks, f_new
+                trials.append("armijo")
+            else:
+                trials.append("gain")
+        alpha *= solver._CONTRACTION
+    return None
+
+
+def _assert_same_search(got, want):
+    assert (got is None) == (want is None)
+    if want is not None:
+        assert np.array_equal(got[0], want[0])
+        assert len(got[1]) == 3 and all(np.array_equal(a, b) for a, b in zip(got[1], want[1]))
+        assert got[2] == want[2]
+
+
+def _wide_linear_instance(rng, num_elements, num_apps, capacity_room, app_room):
+    """A linear instance with cell boxes in [0, 10), element capacities ``capacity_room``
+    times the row sums of the upper bounds and application bounds ``app_room`` inside the
+    column sums of the boxes (``app_room`` small: columns bind before rows)."""
+    lower = rng.uniform(0.0, 1.0, (num_elements, num_apps))
+    upper = lower + rng.uniform(0.5, 9.0, lower.shape)
+    room = app_room * max(1.0, float(upper.max()) * num_elements)
+    return ProblemInstance(capacity_room * upper.sum(axis=1), lower, upper,
+                           lower.sum(axis=0) + room, upper.sum(axis=0) - room,
+                           rng.uniform(0.0, 5.0, lower.shape), "linear")
+
+
+@pytest.mark.filterwarnings("error")
+class TestLinearInnerIteration:
+    """The buffered truncated-CG direction and the grid search with its witness row match
+    their textbook forms bit for bit."""
+
+    @pytest.fixture
+    def checked(self, monkeypatch):
+        """Every direction and search a solve makes, each checked against its textbook form;
+        returns the CG exits and the search trials seen."""
+        exits, trials = [], []
+        direction, search = solver._newton_cg_direction, solver._grid_line_search
+
+        def checked_direction(terms, g, mask, max_cg=25):
+            got = direction(terms, g, mask, max_cg)
+            assert np.array_equal(got, _textbook_cg_direction(terms, g, mask, exits, max_cg))
+            return got
+
+        def checked_search(work, s, slacks, d, g, t, f_cur):
+            got = search(work, s, slacks, d, g, t, f_cur)
+            _assert_same_search(got, _textbook_grid_search(work, s, slacks, d, g, t, f_cur,
+                                                            trials))
+            return got
+
+        monkeypatch.setattr(solver, "_newton_cg_direction", checked_direction)
+        monkeypatch.setattr(solver, "_grid_line_search", checked_search)
+        return exits, trials
+
+    def test_solves_match_textbook_forms(self, checked):
+        exits, trials = checked
+        rng = np.random.default_rng(151)
+        instances = [random_instance(rng, num_elements=int(rng.integers(1, 12)),
+                                     num_apps=int(rng.integers(1, 8)), kind="linear")
+                     for _ in range(12)]
+        instances += [_wide_linear_instance(rng, 12, 6, 0.6, 0.5e-9) for _ in range(3)]
+        for inst in instances:
+            solve(inst, SolverConfig(epsilon=1e-3, max_inner_iters=60))
+        # the desk grid at the benchmark's density, a few iterations per outer step
+        desk = build_instance(generate_scenario(ScenarioParams(num_flows=2000), 5), "linear")
+        solve(desk, SolverConfig(epsilon=1.0, max_inner_iters=12))
+        assert {"residual", "max_cg"} <= set(exits)
+        assert {"accepted", "armijo", "gain", "column"} <= set(trials)
+        # the trials right after a row failed: that row again, another row, a column, a pass
+        after = [(a, b) for a, b in zip(trials, trials[1:]) if isinstance(a, tuple)]
+        assert len(after) > 100 and {"column", "accepted"} <= {b for _, b in after}
+        assert any(a == b for a, b in after)
+        assert any(isinstance(b, tuple) and a != b for a, b in after)
+
+    def test_column_fails_first_and_the_witness_clears(self, checked):
+        _, trials = checked
+        rng = np.random.default_rng(157)
+        for _ in range(10):
+            inst = _wide_linear_instance(rng, 8, 5, 2.0, 0.5e-9)  # rows never bind
+            work = _InnerProblem(inst)
+            s = interior_start(inst, 0.5).values
+            slacks = work.interior_slacks(s)
+            g = work.gradient(s, 3.0, slacks)
+            d = np.zeros(s.shape)
+            d[:, rng.integers(5)] = 100.0  # one column to its upper bounds
+            solver._grid_line_search(work, s, slacks, d, g, 3.0, work.value(s, 3.0, slacks))
+        assert "column" in trials and not any(isinstance(x, tuple) for x in trials)
+
+    def test_witness_row_is_clipped_to_its_box(self, checked):
+        # Element 0 fails the full step; at half of it its first cell is still clipped to its
+        # upper bound and the row passes, though its unclipped sum would not.
+        _, trials = checked
+        inst = make_instance([6.0, 100.0], np.zeros((2, 2)), [[1.0, 10.0], [1.0, 10.0]],
+                             np.ones((2, 2)))
+        work = _InnerProblem(inst)
+        s = np.array([[0.5, 1.0], [0.5, 1.0]])
+        slacks = work.interior_slacks(s)
+        d = np.array([[1e6, 6.0], [0.0, 0.0]])
+        step = solver._grid_line_search(work, s, slacks, d, work.gradient(s, 10.0, slacks),
+                                        10.0, work.value(s, 10.0, slacks))
+        assert trials == [("row", 0), "accepted"]
+        assert np.array_equal(step[0], [[1.0, 4.0], [0.5, 1.0]])
+
+    def test_exhausted_search_returns_none(self, checked):
+        _, trials = checked
+        rng = np.random.default_rng(163)
+        inst = _wide_linear_instance(rng, 6, 4, 0.3, 0.5e-9)
+        work = _InnerProblem(inst)
+        s = interior_start(inst, 0.5).values
+        slacks = work.interior_slacks(s)
+        g = work.gradient(s, 2.0, slacks)
+        f = work.value(s, 2.0, slacks)
+        d = np.zeros(s.shape)
+        d[2] = 1e30  # element row 2 fails at every halving
+        assert solver._grid_line_search(work, s, slacks, d, g, 2.0, f) is None
+        assert trials == [("row", 2)] * solver._MAX_BACKTRACKS
+        trials.clear()
+        # every trial stays inside and moves against the gradient
+        assert solver._grid_line_search(work, s, slacks, -1e-3 * g, g, 2.0, f) is None
+        assert trials == ["gain"] * solver._MAX_BACKTRACKS
+
+    def test_all_blocked_mask_gives_the_zero_direction(self, checked):
+        exits, _ = checked
+        inst = random_instance(np.random.default_rng(167), num_elements=5, num_apps=4,
+                               kind="linear")
+        work = _InnerProblem(inst)
+        s = interior_start(inst, 0.5).values
+        slacks = work.interior_slacks(s)
+        d = solver._newton_cg_direction(work.curvature_terms(slacks),
+                                        work.gradient(s, 1.0, slacks),
+                                        np.zeros(s.shape, bool))
+        assert exits == ["zero"] and not d.any() and not np.signbit(d).any()
+
+    def test_negative_curvature_exits(self, checked):
+        # weights of either sign: p^T H p <= 0 on the first product, or after some steps
+        exits, _ = checked
+        rng = np.random.default_rng(173)
+        for _ in range(200):
+            shape = (int(rng.integers(2, 8)), int(rng.integers(2, 6)))
+            w_el = rng.normal(size=shape[0]) * 10.0 ** rng.uniform(-2, 2, shape[0])
+            v_app = rng.normal(size=shape[1]) * 10.0 ** rng.uniform(-2, 2, shape[1])
+            precond = 10.0 ** rng.uniform(-2, 2, shape)
+            mask = rng.random(shape) < 0.8
+            solver._newton_cg_direction((w_el, v_app, precond), rng.normal(size=shape), mask)
+        assert {"first_curvature", "curvature"} <= set(exits)
+
+
+@pytest.mark.parametrize("width", [1, 2, 3, 5, 7, 8, 9, 15, 16, 17, 20, 25, 100, 127, 128,
+                                   129, 255, 256, 257, 1000])
+def test_row_slice_sum_is_the_row_of_the_grid_sum(width):
+    # The witness row of the grid search is summed alone: its 1-D sum must be its entry of
+    # the grid's row sums.  A column has no such twin: the grid's column sums add row by
+    # row, but a strided 1-D column is summed pairwise.
+    rng = np.random.default_rng(width)
+    grid = rng.uniform(0.0, 1.0, (300, width)) * 10.0 ** rng.uniform(-8, 8, (300, width))
+    rows = grid.sum(axis=1)
+    assert np.array_equal(np.array([np.add.reduce(row) for row in grid]), rows)
+    if width > 1:
+        assert np.array_equal(grid.sum(axis=0), np.cumsum(grid, axis=0)[-1])
+        assert not np.array_equal(np.array([np.add.reduce(col) for col in grid.T]),
+                                  grid.sum(axis=0))
+
+
+def _fresh_evaluation_solve(inst, cfg):
+    """:func:`solve` with every outer iterate evaluated afresh: its trace entry from
+    ``total_utility`` and ``barrier_value``, and the next inner loop's start from the point
+    alone.  Returns (allocation, trace, objective, dual_gap)."""
+    work = _InnerProblem(inst)
+    s = work.start(interior_start(inst, cfg.interior_shift).values.copy())
+    t, trace = cfg.t0, []
+    while gap_bound(inst, t) > cfg.epsilon and len(trace) < cfg.max_outer_iters:
+        s, iters, status, _ = _inner_loop(work, s, t, cfg)
+        alloc = AllocationMatrix(s)
+        trace.append(OuterTrace(t, total_utility(inst, alloc), barrier_value(inst, alloc),
+                                gap_bound(inst, t), iters, status))
+        t *= cfg.mu
+    return s, trace, total_utility(inst, AllocationMatrix(s)), work.dual_gap(s, trace[-1].t)
+
+
+@pytest.mark.parametrize("kind", ["linear", "logarithmic", "tight_log"])
+def test_outer_evaluation_is_the_fresh_one(kind):
+    if kind == "linear":
+        inst = random_instance(np.random.default_rng(0), num_elements=4, num_apps=3,
+                               kind="linear")
+    elif kind == "logarithmic":
+        inst = _log_case(1)
+    else:
+        inst = _tight_instance(np.random.default_rng(29), 6, 4)
+    cfg = SolverConfig(epsilon=1e-4)
+    r = solve(inst, cfg)
+    s, trace, objective, dual_gap = _fresh_evaluation_solve(inst, cfg)
+    assert np.array_equal(r.allocation.values, s)
+    assert list(r.trace) == trace  # every field, ==
+    assert r.objective == objective and r.dual_gap == dual_gap
 
 
 # Objectives the solver reaches on _log_case(0..19) at epsilon 1e-4, with the
