@@ -60,8 +60,8 @@ DEFAULTS = {
     "epsilon": 1.0,
     "t0": 1.0,
     "mu": 10.0,
-    "inner_tol": 1e-8,
-    "max_inner_iters": 500,
+    "inner_tol": 1e-8,              # linear inner loop only: log centres are exact
+    "max_inner_iters": 500,         # linear inner loop only
     "max_outer_iters": 100,
     "interior_shift": 0.5,
     # baselines

@@ -191,6 +191,11 @@ class ProblemInstance:
 
     ``coeff`` holds the utility coefficient (weight times demand) per cell and
     ``utility_kind`` selects the linear or logarithmic utility shape.
+
+    ``app_lower`` and ``app_upper`` must equal the column sums of ``lower``
+    and ``upper`` within 1e-9 * max(1, I * max upper); the instance then
+    stores the exact sums ``lower.sum(axis=0)`` and ``upper.sum(axis=0)``,
+    so the cell boxes enforce every application bound.
     """
 
     capacities: np.ndarray   # (I,)
@@ -242,8 +247,8 @@ class ProblemInstance:
         object.__setattr__(self, "capacities", cap)
         object.__setattr__(self, "lower", lo)
         object.__setattr__(self, "upper", hi)
-        object.__setattr__(self, "app_lower", al)
-        object.__setattr__(self, "app_upper", au)
+        object.__setattr__(self, "app_lower", _frozen_array(lo.sum(axis=0)))
+        object.__setattr__(self, "app_upper", _frozen_array(hi.sum(axis=0)))
         object.__setattr__(self, "coeff", co)
 
     @property

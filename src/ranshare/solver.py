@@ -2,10 +2,13 @@
 
 The coupling constraints (element capacities and per-application aggregate
 bounds) are folded into a logarithmic barrier; the per-cell box bounds stay
-explicit and are handled by projection.  For logarithmic utility the
-barrier leaves out the aggregate bounds the boxes already enforce.  An outer
-loop sharpens the barrier multiplier t by a factor mu until the certified
-bound (B + |K|) / t drops below the requested suboptimality epsilon.
+explicit.  An outer loop sharpens the barrier multiplier t by a factor mu
+until the certified bound (B + |K|) / t drops below the requested
+suboptimality epsilon.  For logarithmic utility the boxes enforce every
+application bound, so the barrier holds the element capacities alone and
+each inner problem is solved exactly, element row by element row
+(:class:`_Centre`).  Linear utility runs projected truncated-Newton ascent
+with Armijo backtracking (:func:`_inner_loop`).
 """
 
 from __future__ import annotations
@@ -25,7 +28,6 @@ _CONTRACTION = 0.5
 _BOUNDARY_FRACTION = 1e-12  # trial slacks must keep this fraction of their previous value
 _MAX_BACKTRACKS = 80
 _PLATEAU_WINDOW = 20
-_GATHER_SHARE = 0.9  # a log step that moves at most this share of the support gathers its cells
 
 
 @dataclass(frozen=True)
@@ -33,8 +35,8 @@ class SolverConfig:
     epsilon: float = 1e-3        # target suboptimality
     t0: float = 1.0              # initial barrier multiplier
     mu: float = 10.0             # outer growth factor
-    inner_tol: float = 1e-8      # inner stop: Newton decrement^2 / 2 (log), projected gradient
-    max_inner_iters: int = 500
+    inner_tol: float = 1e-8      # linear inner stop: projected gradient (log centres are exact)
+    max_inner_iters: int = 500   # linear inner loop cap
     max_outer_iters: int = 100
     interior_shift: float = 0.5  # theta for the starting-point perturbation
 
@@ -85,11 +87,10 @@ def barrier_value(inst: ProblemInstance, alloc: AllocationMatrix) -> float:
     This is the barrier the solver maximizes.  A constraint without a free
     cell (an element row or application column whose cells all have
     upper == lower) is constant, so its term is dropped and its slack may be
-    zero.  For logarithmic utility an application bound that the cell boxes
-    enforce (``app_lower[k] <= lower[:, k].sum()``, or
-    ``app_upper[k] >= upper[:, k].sum()``, as on every generated instance)
-    has no term either.  Every slack with a term must be strictly positive
-    (``NotInterior``).
+    zero.  For logarithmic utility the application bounds have no term
+    either: ``ProblemInstance`` stores them as the column sums of the cell
+    boxes, which enforce them.  Every slack with a term must be strictly
+    positive (``NotInterior``).
     """
     return _InnerProblem(inst).barrier(alloc.values)
 
@@ -98,8 +99,7 @@ def interior_objective(inst: ProblemInstance, alloc: AllocationMatrix, t: float)
     """t * utility + barrier, the objective of the inner problem.
 
     The barrier is :func:`barrier_value`, so constraints without a free cell,
-    and for logarithmic utility the application bounds the boxes enforce,
-    contribute nothing.
+    and for logarithmic utility the application bounds, contribute nothing.
     """
     return _InnerProblem(inst).value(alloc.values, t)
 
@@ -171,47 +171,23 @@ class _InnerProblem:
 
     Pinned cells (upper == lower) stay fixed, and the constant barrier terms
     of constraints without a free cell are dropped.  For logarithmic utility
-    the barrier also leaves out every application bound that the cell boxes
-    already enforce (presolve; Andersen & Andersen 1995): the lower term of
-    column k where ``app_lower[k] <= lower[:, k].sum()``, its upper term
-    where ``app_upper[k] >= upper[:, k].sum()``.  Floating-point summation is
-    monotone, so any point of the box meets those bounds exactly.  A cell with
-    c = 0 in a column without a lower term then has gradient -1/bs_i, minus
-    1/ms_k where the upper term is kept, < 0 everywhere: it never leaves its
-    lower bound, so the solver holds it there (``pinned``) and it is not free.
-    The log inner loop runs on the ``free`` cells alone, the :attr:`support`.
+    the barrier also leaves out every application bound: ``ProblemInstance``
+    stores them as the column sums of the cell boxes, and floating-point
+    summation is monotone, so any point of the boxes meets them exactly
+    (removal of implied constraints; Andersen & Andersen 1995).
     """
 
     def __init__(self, inst: ProblemInstance):
         self.inst = inst
-        box_free = inst.upper > inst.lower
-        self.el_active = box_free.any(axis=1)
-        app_free = box_free.any(axis=0)
-        self.low_active = self.up_active = app_free
-        self.pinned = np.zeros(box_free.shape, bool)
-        # Linear utility keeps the full barrier until it has an exact inner loop
-        # (ROADMAP item 1): its truncated-CG results move with the barrier's terms.
-        if inst.utility_kind == "logarithmic":
-            self.low_active = app_free & (inst.app_lower > inst.lower.sum(axis=0))
-            self.up_active = app_free & (inst.app_upper < inst.upper.sum(axis=0))
-            self.pinned = box_free & (inst.coeff == 0) & ~self.low_active[None, :]
-        self.free = box_free & ~self.pinned
+        self.free = inst.upper > inst.lower
+        self.el_active = self.free.any(axis=1)
+        # Linear utility keeps the application terms: its truncated-CG results move with them.
+        self.low_active = self.up_active = (self.free.any(axis=0)
+                                            & (inst.utility_kind == "linear"))
         # the bounds of the constraints in the barrier
         self.capacities = inst.capacities[self.el_active]
         self.app_upper = inst.app_upper[self.up_active]
         self.app_lower = inst.app_lower[self.low_active]
-
-    @cached_property
-    def support(self):
-        """(cells, lo, hi, c): the free cells and their box and coefficients, flat."""
-        inst = self.inst
-        cells = _FlatCells.of(self.free)
-        return cells, cells.take(inst.lower), cells.take(inst.upper), cells.take(inst.coeff)
-
-    def start(self, s):
-        """``s`` with the ``pinned`` cells at their lower bound, in place; still interior."""
-        s[self.pinned] = self.inst.lower[self.pinned]
-        return s
 
     def slacks(self, s):
         """Element, upper and lower application slacks of the constraints in the barrier."""
@@ -269,27 +245,20 @@ class _InnerProblem:
         g = t * marginal_utility(self.inst.utility_kind, self.inst.coeff, s)
         return g - row[:, None] - col[None, :]
 
-    def weights(self, slacks):
-        """Row and column weights w, v of the negated inner Hessian, 0 off the barrier.
-
-        ``slacks`` are :meth:`slacks` at the point: w_i = 1/bs_i^2 per element,
-        v_k = 1/ms_k^2 + 1/ls_k^2 per application, each term only where its
-        constraint is in the barrier.
-        """
-        bs, ms, ls = slacks
-        w_el = _spread(self.el_active, 1.0 / (bs * bs))
-        return w_el, self.col_terms(1.0 / (ms * ms), 1.0 / (ls * ls))
-
     def curvature_terms(self, slacks):
         """The negated inner Hessian's weights and its diagonal, the preconditioner, for linear
         utility, on the grid.
 
-        H = sum_i w_i (row_i)(row_i)^T + sum_k v_k (col_k)(col_k)^T with w, v
-        from :meth:`weights`; linear utility adds no diagonal of its own, so
-        H is singular.  The truncated-CG step and its scaled-gradient fallback
-        read the (I, K) preconditioner.
+        H = sum_i w_i (row_i)(row_i)^T + sum_k v_k (col_k)(col_k)^T with
+        w_i = 1/bs_i^2 per element and v_k = 1/ms_k^2 + 1/ls_k^2 per
+        application, each term only where its constraint is in the barrier;
+        linear utility adds no diagonal of its own, so H is singular.  The
+        truncated-CG step and its scaled-gradient fallback read the (I, K)
+        preconditioner.
         """
-        w_el, v_app = self.weights(slacks)
+        bs, ms, ls = slacks
+        w_el = _spread(self.el_active, 1.0 / (bs * bs))
+        v_app = self.col_terms(1.0 / (ms * ms), 1.0 / (ls * ls))
         return w_el, v_app, np.maximum(w_el[:, None] + v_app[None, :], 1e-300)
 
     def dual_gap(self, s, t) -> float:
@@ -320,167 +289,77 @@ class _InnerProblem:
         return float((bs.size + ms.size + ls.size) / t + cells.sum())
 
 
-class _FlatCells:
-    """Some cells of the (I, K) grid, as flat arrays of their rows and columns, in row-major order.
+class _Centre:
+    """The exact centre of the logarithmic inner problem, at any t.
 
-    Row and column sums are bincounts over the cells' rows and columns.  The
-    Gram matrix sum_i a_i a_i^T of the rows is a bincount over the pairs of
-    cells that share a row, sum_i n_i^2 of them for n_i cells in row i, when
-    the pairs are no more than the grid's cells; with more (:attr:`dense`) it
-    is a dense product of the rows scattered onto the grid, which builds no
-    pair arrays.
+    With element terms alone in the barrier the inner problem splits by
+    element row: max t sum_k c_k log s_k + log sigma over the box, with
+    sigma = B_i - sum_k s_k.  Its centre is s_k = clip(t c_k sigma, lo_k, hi_k)
+    on the free cells with c > 0 (every other cell sits at lo), where sigma
+    is the root of the increasing, piecewise-linear
+    F(sigma) = sigma + sum_k s_k(sigma) = B_i: the continuous resource
+    allocation problem, solved by a breakpoint search (Patriksson 2008;
+    Kiwiel 2008).
+
+    In tau = t sigma a cell sits at lo below lo/c, at hi above hi/c and at
+    c tau between, so the breakpoints do not move with t.  They are sorted
+    once, stably, in a block of one row per element with a free cell, as wide
+    as the widest row; the padding repeats the row's last breakpoint, so its
+    segments have length 0.  At each breakpoint the block holds tau, the sum
+    of s - lo there (``moved``) and the sum of c over the cells between their
+    bounds just past it (``slope``).  At t, t (F - sum lo) reads
+    tau + t moved at the breakpoints, increasing along the row; the root lies
+    on the segment after the last breakpoint below t (B_i - sum lo), where
+    t (F - sum lo) rises with slope 1 + t slope.
     """
 
-    def __init__(self, shape, row, col):
-        self.shape, self.row, self.col = shape, row, col
+    def __init__(self, inst: ProblemInstance):
+        self.lower = inst.lower
+        free = (inst.upper > inst.lower) & (inst.coeff > 0)
+        self.row, self.col = np.divmod(np.flatnonzero(free), free.shape[1])
+        per_row = np.bincount(self.row, minlength=free.shape[0])
+        rows = np.flatnonzero(per_row)
+        n = per_row[rows]
+        width = int(n.max(initial=0))
+        # each free cell's row in the block, and its place in that row
+        self.block_row = np.repeat(np.arange(rows.size), n)
+        place = np.arange(self.row.size) - np.repeat(np.cumsum(n) - n, n)
+        self.lo, self.hi, self.c = (a[self.row, self.col]
+                                    for a in (inst.lower, inst.upper, inst.coeff))
+        ratio = np.full((rows.size, 2 * width), np.inf)
+        ratio[self.block_row, place] = self.lo / self.c
+        ratio[self.block_row, width + place] = self.hi / self.c
+        step = np.zeros(ratio.shape)  # the change of slope at each breakpoint
+        step[self.block_row, place] = self.c
+        step[self.block_row, width + place] = -self.c
+        order = np.argsort(ratio, axis=1, kind="stable")
+        ratio = np.take_along_axis(ratio, order, axis=1)
+        step = np.take_along_axis(step, order, axis=1)
+        del order
+        # the padding repeats the row's last breakpoint
+        np.minimum(ratio, ratio[np.arange(rows.size), 2 * n - 1][:, None], out=ratio)
+        first = np.zeros((rows.size, 1))  # tau = 0: every cell at lo
+        self.tau = np.hstack([first, ratio])
+        # a row's c summed in and out again can round below 0
+        self.slope = np.hstack([first, np.maximum(np.cumsum(step, axis=1), 0.0)])
+        rise = np.diff(self.tau, axis=1) * self.slope[:, :-1]
+        self.moved = np.hstack([first, np.cumsum(rise, axis=1)])
+        self.headroom = inst.capacities[rows] - inst.lower.sum(axis=1)[rows]
+        if (self.headroom <= 0).any():
+            raise EmptyInterior(f"element(s) {rows[self.headroom <= 0].tolist()} have free cells "
+                                "but their lower bounds already exhaust the capacity")
+        self.iters = int(self.row.size > 0)  # inner iterations a centre records
 
-    @classmethod
-    def of(cls, mask):
-        """The ``mask`` cells of a grid."""
-        row, col = np.divmod(np.flatnonzero(mask), mask.shape[1])  # faster than np.nonzero
-        return cls(mask.shape, row, col)
-
-    @cached_property
-    def dense(self):
-        """Whether the same-row pairs outnumber the grid's cells: then the Gram product is
-        formed on the grid."""
-        per_row = np.bincount(self.row, minlength=self.shape[0])
-        return int(per_row @ per_row) > self.shape[0] * self.shape[1]
-
-    @cached_property
-    def _pairs(self):
-        """(a, b, bin): the two cells of every same-row pair and its Gram entry, K a_col + b_col."""
-        num_app = self.shape[1]
-        per_row = np.bincount(self.row, minlength=self.shape[0])
-        n = per_row[self.row]  # the cells in each cell's row
-        first_pair = np.cumsum(n) - n
-        row_start = np.cumsum(per_row) - per_row
-        pair_a = np.repeat(np.arange(self.row.size), n)
-        pair_b = np.arange(pair_a.size) - np.repeat(first_pair - row_start[self.row], n)
-        return pair_a, pair_b, self.col[pair_a] * num_app + self.col[pair_b]
-
-    def take(self, a):
-        return a[self.row, self.col]
-
-    def row_sum(self, a):
-        return np.bincount(self.row, a, self.shape[0])
-
-    def col_sum(self, a):
-        return np.bincount(self.col, a, self.shape[1])
-
-    def of_row(self, r):
-        return r[self.row]
-
-    def of_col(self, c):
-        return c[self.col]
-
-    def gram(self, a):
-        if self.dense:
-            on_grid = self.grid(a)
-            return on_grid.T @ on_grid
-        num_app = self.shape[1]
-        pair_a, pair_b, pair_bin = self._pairs
-        gram = np.bincount(pair_bin, a[pair_a] * a[pair_b], num_app * num_app)
-        return gram.reshape(num_app, num_app)
-
-    def where(self, flags):
-        """(index, rows, cols) of the flagged cells."""
-        index = np.flatnonzero(flags)
-        return index, self.row[index], self.col[index]
-
-    def grid(self, a, out=None):
-        """``a`` scattered onto the grid: into ``out``, or zeros."""
-        out = np.zeros(self.shape) if out is None else out
-        out[self.row, self.col] = a
-        return out
-
-
-def _exact_newton_direction(terms, g, cells, s, lo, hi, free):
-    """Projected Newton step for logarithmic utility: H d = g solved exactly on ``cells``.
-
-    ``cells`` is a :class:`_FlatCells`, and g, s, the box lo, hi and the
-    flags ``free`` are flat arrays on them; the step moves the ``free``
-    cells and holds the others.  ``terms`` is (t c, w, v): the coefficients
-    times t on the cells and the weights of :meth:`_InnerProblem.weights` at
-    ``s``.  H is the negated inner Hessian diag(t c / s^2) +
-    sum_i w_i (row_i)(row_i)^T + sum_k v_k (col_k)(col_k)^T on the free
-    cells, its diagonal damped by 1e-12 times its largest entry.  Each
-    element row of H is diag(d + damping) + w_i 11^T, inverted by
-    Sherman-Morrison; a row can hold a single free cell, whose 1 - rho e
-    cancels to sigma = 1 / (1 + w e) when w e is large, so 1 - rho e_j is
-    formed as sigma + rho (sum e - e_j), exact for such a cell.  The
-    application columns with v_k > 0, those with a term in the barrier, are
-    then eliminated through the Woodbury system S = I + V^1/2 C^T A^-1 C V^1/2
-    on them (:meth:`_FlatCells.gram`).  Without such a column, as on every
-    generated log instance, the step is the row-block solve alone, with no
-    Gram product and no dense solve.  Every pass is over the cells.
-
-    Cells the step would push past ``lo``/``hi`` are fixed at that bound,
-    their moves go to the right-hand side and the rest is solved again,
-    until no free cell is pushed out (Bertsekas 1982, projected Newton).
-    The free set shrinks every round, so the loop ends.  Returns the step d
-    on the cells, zero on the held ones, or None when no cell is free, the
-    Woodbury solve fails, or the moves to a bound leave a step that is no
-    ascent direction; the returned step always has g^T d > 0.
-    """
-    tc, w_el, v_app = terms
-    num_el, num_app = cells.shape
-    if not free.any():
-        return None  # no cell can move
-    diag = tc / (s * s)
-    hess_diag = diag + cells.of_row(w_el) + cells.of_col(v_app)
-    damping = 1e-12 * float(np.max(hess_diag, where=free, initial=0.0))
-    # the inverse diagonal of the row blocks A on the free cells, zero elsewhere
-    e = np.where(free, 1.0 / (diag + damping), 0.0)
-    rhs = np.where(free, g, 0.0)
-    free = free.copy()
-    in_barrier = v_app > 0  # the columns of the Woodbury system
-    root_v = np.sqrt(v_app[in_barrier])
-    step = np.zeros_like(e)  # the moves of the cells fixed at a bound
-    while True:
-        # Sherman-Morrison on a row block: A^-1 y = e (y - rho (e^T y)), rho = w / (1 + w sum e)
-        row_e = cells.row_sum(e)
-        rho = w_el / (1.0 + w_el * row_e)
-        rho_at = cells.of_row(rho)
-        keep = rho_at * (cells.of_row(row_e) - e)  # 1 - rho e
-        keep += cells.of_row(1.0 / (1.0 + w_el * row_e))
-
-        def row_solve(y):
-            """A^-1 y, in place, on every row block: y (1 - rho e) - rho (e^T y - e y), times e."""
-            ey = e * y
-            y *= keep
-            y -= rho_at * (cells.of_row(cells.row_sum(ey)) - ey)
-            y *= e
-            return y
-
-        if in_barrier.any():
-            # C^T A^-1 C = diag(sum_i e (1 - rho e)) - (rho^1/2 e)^T (rho^1/2 e) off the diagonal
-            schur = -cells.gram(e * cells.of_row(np.sqrt(rho)))[np.ix_(in_barrier, in_barrier)]
-            schur[np.diag_indices_from(schur)] = cells.col_sum(e * keep)[in_barrier]
-            schur *= root_v[:, None] * root_v[None, :]
-            schur[np.diag_indices_from(schur)] += 1.0
-            col_rhs = root_v * cells.col_sum(row_solve(rhs.copy()))[in_barrier]
-            try:
-                u = _spread(in_barrier, root_v * np.linalg.solve(schur, col_rhs))
-            except np.linalg.LinAlgError:
-                return None
-            x = row_solve(rhs - cells.of_col(u))
-        else:
-            x = row_solve(rhs.copy())
-        if not np.isfinite(x).all():
-            return None
-        trial = s + x
-        index, rows, cols = cells.where(free & ((trial > hi) | (trial < lo)))
-        if rows.size == 0:
-            x += step  # x is zero on the fixed cells
-            # the moves to a bound can turn the step away from g
-            return x if float(np.vdot(g, x)) > 0.0 else None
-        move = np.where(trial[index] > hi[index], hi[index], lo[index]) - s[index]
-        step[index] = move
-        free[index] = False
-        e[index] = 0.0
-        rhs -= cells.of_row(w_el * np.bincount(rows, move, num_el))
-        rhs -= cells.of_col(v_app * np.bincount(cols, move, num_app))
+    def __call__(self, t: float) -> np.ndarray:
+        """The centre at t, a new (I, K) array."""
+        target = t * self.headroom
+        level = self.tau + t * self.moved
+        below = np.count_nonzero(level < target[:, None], axis=1)
+        rows, j = np.arange(below.size), np.maximum(below - 1, 0)
+        tau = self.tau[rows, j] + (target - level[rows, j]) / (1.0 + t * self.slope[rows, j])
+        s = self.lower.copy()
+        s[self.row, self.col] = np.clip(self.c * tau[self.block_row], self.lo, self.hi)
+        return s
 
 
 def _newton_cg_direction(terms, g, mask, max_cg: int = 25):
@@ -539,42 +418,6 @@ def _newton_cg_direction(terms, g, mask, max_cg: int = 25):
     if float(np.vdot(x, b)) <= 0.0:
         return z
     return x
-
-
-def _line_search(work: _InnerProblem, cells, point, slacks, d, g, t: float, f_cur: float):
-    """Armijo backtracking along d, clipped to the box, on the cells of a step (log utility).
-
-    ``point`` is (s, lo, hi, c): the point, its box and its coefficients on
-    ``cells``, flat arrays like the step d and the gradient g.  A trial's
-    slacks are ``slacks`` minus the row and column sums (bincounts) of its
-    moves, and its value is ``f_cur`` plus t sum c (log trial - log s) over
-    the cells plus the change of the barrier, so a trial costs passes over
-    the cells and the I + 2K slacks, not over the grid.  The tests are those
-    of :func:`_grid_line_search`.  Returns (the trial on the cells, its
-    slacks, its value), or None when no step within ``_MAX_BACKTRACKS``
-    halvings is accepted.
-    """
-    s0, lo, hi, c = point
-    log_s0 = np.log(s0)
-    bs, ms, ls = slacks
-    alpha = 1.0
-    for _ in range(_MAX_BACKTRACKS):
-        trial = np.clip(s0 + alpha * d, lo, hi)
-        move = trial - s0
-        row_move = cells.row_sum(move)[work.el_active]
-        col_move = cells.col_sum(move)
-        trial_slacks = (bs - row_move, ms - col_move[work.up_active],
-                        ls + col_move[work.low_active])
-        if all(((x >= _BOUNDARY_FRACTION * x0) & (x > 0)).all()
-               for x, x0 in zip(trial_slacks, slacks)):
-            gain = float(np.vdot(g, move))
-            if gain > 0:
-                change = (t * float(np.vdot(c, np.log(trial) - log_s0))
-                          + sum(float(np.log(x / x0).sum()) for x, x0 in zip(trial_slacks, slacks)))
-                if change >= _ARMIJO * gain:
-                    return trial, trial_slacks, f_cur + change
-        alpha *= _CONTRACTION
-    return None
 
 
 def _grid_line_search(work: _InnerProblem, s, slacks, d, g, t: float, f_cur: float):
@@ -642,110 +485,50 @@ def _grid_line_search(work: _InnerProblem, s, slacks, d, g, t: float, f_cur: flo
 
 
 def _inner_loop(work: _InnerProblem, s: np.ndarray, t: float, cfg: SolverConfig, at=None):
-    """Projected ascent with Armijo backtracking on the inner objective.
+    """Projected ascent with Armijo backtracking on the linear inner problem.
 
-    The search direction is a Newton step on the inactive coordinates:
-    exact, with the cells it would push out of their box fixed at the
-    bound, for logarithmic utility (:func:`_exact_newton_direction`), and
-    truncated CG for linear utility, whose Hessian is singular
-    (:func:`_newton_cg_direction`).  When there is no exact step, or the
-    Newton step fails the line search, the diagonally scaled gradient is
-    tried.  Accepted steps never decrease the inner objective, and every
-    iterate keeps all active barrier slacks strictly positive
-    (fraction-to-boundary rule).
-
-    The log path runs on the :attr:`_InnerProblem.support`, its free cells
-    gathered once per solve into flat arrays: the gradient, the blocked test
-    and the stop on them, the step and its search (:func:`_line_search`) on
-    those not blocked, with the slacks and the objective carried from step
-    to step; ``s`` is written back to the grid once, at the end.  A step
-    that moves at most ``_GATHER_SHARE`` of the support gathers its cells; a
-    larger one runs on every support cell with the blocked ones held.  The
-    linear path runs on the grid (:func:`_grid_line_search`).
+    The search direction is a truncated-CG Newton step on the inactive
+    coordinates (:func:`_newton_cg_direction`; the Hessian is singular), and
+    the diagonally scaled gradient when that step fails the line search
+    (:func:`_grid_line_search`).  Accepted steps never decrease the inner
+    objective, and every iterate keeps all active barrier slacks strictly
+    positive (fraction-to-boundary rule).
 
     The loop ends ``converged`` when the projected gradient is within
-    ``inner_tol`` of zero or, on the exact path, when the Newton decrement
-    lambda^2 / 2 = g^T d / 2 is at most ``inner_tol`` (Boyd & Vandenberghe
-    9.5.1) or below the spacing of floats at the inner objective, where the
-    ascent left cannot show in it; the truncated-CG g^T d is no decrement,
-    so the linear path has only the gradient test.  ``plateau`` (no progress
-    over a window of accepted steps) and ``stalled`` (no step accepted) end
-    it otherwise.
+    ``inner_tol`` of zero; the truncated-CG g^T d is no Newton decrement.
+    ``plateau`` (no progress over a window of accepted steps), ``stalled``
+    (no step accepted) and ``max_iters`` end it otherwise.
 
     ``at``, when given, is :meth:`_InnerProblem.evaluate` of ``s``.
 
     Returns (s, iterations, status, objective_history).
     """
-    exact = work.inst.utility_kind == "logarithmic"
     # the slacks of the current point, carried over from the line search
     utility, slacks, barrier = work.evaluate(s) if at is None else at
     history = [t * utility + barrier]
-    if exact:
-        support, lo, hi, c = work.support
-        x, tc = support.take(s), t * c  # the log utility's curvature is t c / s^2
-    else:
-        support, lo, hi, x = None, work.inst.lower, work.inst.upper, s
+    lo, hi = work.inst.lower, work.inst.upper
     status = "max_iters"
     iters = 0
     for iters in range(1, cfg.max_inner_iters + 1):
-        if exact:
-            row, col = work.barrier_terms(slacks)
-            g = t * marginal_utility("logarithmic", c, x)
-            g = g - support.of_row(row) - support.of_col(col)
-        else:
-            g = work.gradient(x, t, slacks)
-        blocked = ((x <= lo) & (g < 0)) | ((x >= hi) & (g > 0))
+        g = work.gradient(s, t, slacks)
+        blocked = ((s <= lo) & (g < 0)) | ((s >= hi) & (g > 0))
         if np.abs(np.where(blocked, 0.0, g)).max(initial=0.0) <= cfg.inner_tol:
             status = "converged"
             iters -= 1
             break
 
         f_cur = history[-1]
-        if exact:
-            # The step moves the support cells not blocked.  A step that moves most of the
-            # support runs on all of it with the blocked cells held; a smaller one gathers its
-            # cells, which costs a few copies of them and saves passes over the others.
-            free = ~blocked
-            if np.count_nonzero(free) > _GATHER_SHARE * free.size:
-                cells, index = support, slice(None)
-            else:
-                index = np.flatnonzero(free)
-                cells = _FlatCells(support.shape, support.row[index], support.col[index])
-                free = free[index]
-            point, g_at = (x[index], lo[index], hi[index], c[index]), g[index]
-            w_el, v_app = work.weights(slacks)
-            d = _exact_newton_direction((tc[index], w_el, v_app), g_at, cells, *point[:3], free)
-            # Newton decrement: lambda^2 / 2 = g^T d / 2 estimates the ascent left; below
-            # the rounding floor of f it cannot show in f
-            floor = max(cfg.inner_tol, float(np.spacing(abs(f_cur))))
-            if d is not None and float(np.vdot(g_at, d)) <= 2.0 * floor:
-                status = "converged"
-                iters -= 1
-                break
-            search = (work, cells, point, slacks)
-            step = None if d is None else _line_search(*search, d, g_at, t, f_cur)
-            if step is None:
-                # the gradient scaled by the Hessian diagonal
-                precond = tc[index] / (point[0] * point[0]) + cells.of_row(w_el)
-                precond += cells.of_col(v_app)
-                scaled = np.where(free, g_at, 0.0) / np.maximum(precond, 1e-300)
-                step = _line_search(*search, scaled, g_at, t, f_cur)
-            if step is not None:
-                trial, slacks, f_new = step
-                x[index] = trial  # x is the loop's own, gathered from s
-        else:
-            mask = work.free & ~blocked
-            terms = work.curvature_terms(slacks)
-            step = _grid_line_search(work, x, slacks, _newton_cg_direction(terms, g, mask), g,
-                                     t, f_cur)
-            if step is None:
-                scaled = np.where(mask, g, 0.0) / terms[-1]
-                step = _grid_line_search(work, x, slacks, scaled, g, t, f_cur)
-            if step is not None:
-                x, slacks, f_new = step
+        mask = work.free & ~blocked
+        terms = work.curvature_terms(slacks)
+        step = _grid_line_search(work, s, slacks, _newton_cg_direction(terms, g, mask), g,
+                                 t, f_cur)
+        if step is None:
+            scaled = np.where(mask, g, 0.0) / terms[-1]
+            step = _grid_line_search(work, s, slacks, scaled, g, t, f_cur)
         if step is None:
             status = "stalled"
             break
+        s, slacks, f_new = step
         history.append(f_new)
         # plateau exit: no measurable progress over a window of accepted steps
         if len(history) > _PLATEAU_WINDOW:
@@ -753,31 +536,37 @@ def _inner_loop(work: _InnerProblem, s: np.ndarray, t: float, cfg: SolverConfig,
             if history[-1] - ref <= 1e-13 * max(1.0, abs(ref)):
                 status = "plateau"
                 break
-    return (support.grid(x, s.copy()) if exact else x), iters, status, history
+    return s, iters, status, history
 
 
 def solve_inner(inst: ProblemInstance, start: AllocationMatrix, t: float,
                 config: SolverConfig | None = None) -> AllocationMatrix:
-    """Solve the inner problem at fixed t from a strictly interior start.
+    """Solve the inner problem at fixed t.
 
-    The cells the presolve holds (:class:`_InnerProblem`) start at their
-    lower bound.
+    For logarithmic utility this is the exact centre (:class:`_Centre`), and
+    ``start`` and ``config`` are not used.  For linear utility it is
+    :func:`_inner_loop` from the strictly interior ``start``.
     """
-    cfg = config or SolverConfig()
-    work = _InnerProblem(inst)
-    s, _, _, _ = _inner_loop(work, work.start(start.values.copy()), t, cfg)
+    if inst.utility_kind == "logarithmic":
+        return AllocationMatrix(_Centre(inst)(t))
+    s, _, _, _ = _inner_loop(_InnerProblem(inst), start.values.copy(), t,
+                             config or SolverConfig())
     return AllocationMatrix(s)
 
 
 def solve(inst: ProblemInstance, config: SolverConfig | None = None) -> SolveResult:
     """Run the outer barrier loop until (B + |K|) / t <= epsilon.
 
-    The returned allocation is always feasible; ``converged`` is False when
-    the outer iteration cap was hit before the bound dropped below epsilon.
+    Each outer iterate is the exact centre for logarithmic utility, which
+    records one inner iteration when a cell is free and none otherwise, and
+    the end of :func:`_inner_loop` for linear utility.  The returned
+    allocation is always feasible; ``converged`` is False when the outer
+    iteration cap was hit before the bound dropped below epsilon.
     """
     cfg = config or SolverConfig()
     work = _InnerProblem(inst)
-    s = work.start(interior_start(inst, cfg.interior_shift).values.copy())
+    s = interior_start(inst, cfg.interior_shift).values.copy()
+    centre = _Centre(inst) if inst.utility_kind == "logarithmic" else None
 
     t = cfg.t0
     outer = 0
@@ -785,7 +574,10 @@ def solve(inst: ProblemInstance, config: SolverConfig | None = None) -> SolveRes
     trace = []
     at = None  # the evaluation of the last inner loop's point, the next one's start
     while gap_bound(inst, t) > cfg.epsilon and outer < cfg.max_outer_iters:
-        s, iters, status, _ = _inner_loop(work, s, t, cfg, at)
+        if centre is None:
+            s, iters, status, _ = _inner_loop(work, s, t, cfg, at)
+        else:
+            s, iters, status = centre(t), centre.iters, "converged"
         inner_total += iters
         at = work.evaluate(s)
         trace.append(OuterTrace(

@@ -7,11 +7,9 @@ from ranshare.errors import EmptyInterior, InvalidParams, NotInterior
 from ranshare.model import AllocationMatrix, ProblemInstance, check_feasible
 from ranshare import solver
 from ranshare.sim import ScenarioParams, build_instance, generate_scenario
-from ranshare.solver import (OuterTrace, SolverConfig, _FlatCells, _InnerProblem,
-                             _exact_newton_direction, _grid_line_search, _inner_loop,
-                             _line_search, barrier_value, gap_bound,
-                             interior_gradient, interior_objective, interior_start, solve,
-                             solve_inner)
+from ranshare.solver import (OuterTrace, SolverConfig, _Centre, _InnerProblem, _inner_loop,
+                             barrier_value, gap_bound, interior_gradient, interior_objective,
+                             interior_start, solve, solve_inner)
 from ranshare.utility import total_utility
 
 from conftest import make_instance, pin_cells, random_instance
@@ -173,23 +171,6 @@ class TestSolveInner:
         # symmetric instance: the center equalizes symmetric cells
         assert np.ptp(sa.values) == pytest.approx(0.0, abs=1e-7)
 
-    def test_held_and_gathered_steps_agree(self, monkeypatch):
-        # A step either runs on every support cell with the blocked ones held or gathers the
-        # cells it moves; the two differ in rounding only.
-        rng = np.random.default_rng(43)
-        for _ in range(10):
-            inst = random_instance(rng, num_elements=int(rng.integers(2, 9)),
-                                   num_apps=int(rng.integers(2, 6)), kind="logarithmic",
-                                   zero_coeff_prob=0.3)
-            results = []
-            for share in (0.0, 1.0):  # every step holds, every step gathers
-                monkeypatch.setattr(solver, "_GATHER_SHARE", share)
-                results.append(solve(inst, SolverConfig(epsilon=1e-4)))
-            held, gathered = results
-            assert held.objective == pytest.approx(gathered.objective, rel=1e-12, abs=0.0)
-            np.testing.assert_allclose(held.allocation.values, gathered.allocation.values,
-                                       rtol=1e-9, atol=0)
-
     def test_objective_monotone_and_iterates_interior(self):
         rng = np.random.default_rng(41)
         for _ in range(20):
@@ -197,297 +178,101 @@ class TestSolveInner:
             work = _InnerProblem(inst)
             s0 = interior_start(inst, 0.5).values.copy()
             t = float(rng.uniform(0.5, 200.0))
-            s, _, status, history = _inner_loop(work, s0, t, SolverConfig())
-            assert status in ("converged", "stalled", "plateau", "max_iters")
-            diffs = np.diff(np.array(history))
-            assert np.all(diffs >= 0.0)  # accepted steps never decrease the objective
+            if inst.utility_kind == "linear":
+                s, _, status, history = _inner_loop(work, s0, t, SolverConfig())
+                assert status in ("converged", "stalled", "plateau", "max_iters")
+                diffs = np.diff(np.array(history))
+                assert np.all(diffs >= 0.0)  # accepted steps never decrease the objective
+            else:
+                s = _Centre(inst)(t)
+                assert work.value(s, t) >= work.value(s0, t)  # interior, and the maximizer
             assert check_feasible(inst, AllocationMatrix(s), tol=0.0).feasible
 
 
-def _masked_hessian(terms, s, mask):
-    """The damped negated inner Hessian on the mask cells, as an explicit matrix.
-
-    ``terms`` is (t c, w, v) at ``s``; the damping is 1e-12 times the largest
-    diagonal entry of the masked Hessian.
-    """
-    tc, w_el, v_app = terms
-    num_el, num_app = s.shape
-    rows = np.repeat(np.eye(num_el), num_app, axis=1)  # rows[i] marks element i's cells
-    cols = np.tile(np.eye(num_app), num_el)            # cols[k] marks application k's cells
-    h = np.diag((tc / (s * s)).ravel())
-    h += rows.T @ (w_el[:, None] * rows) + cols.T @ (v_app[:, None] * cols)
-    m = mask.ravel()
-    h = h[np.ix_(m, m)]
-    h[np.diag_indices_from(h)] += 1e-12 * h.diagonal().max(initial=0.0)
-    return h
+def _log_instance(rng, pin_share=0.3):
+    """A random log instance of 1-6 x 1-6 with 30% zero coefficients; every other one has
+    cells pinned at their lower bound."""
+    inst = random_instance(rng, num_elements=int(rng.integers(1, 7)),
+                           num_apps=int(rng.integers(1, 7)), kind="logarithmic",
+                           zero_coeff_prob=0.3)
+    if rng.random() < 0.5:
+        inst = pin_cells(inst, rng.random(inst.lower.shape) < pin_share)
+    return inst
 
 
-def _random_terms(rng, num_el, num_app):
-    """A Hessian diagonal over four decades, row and column weights over eight."""
-    diag = 10.0 ** rng.uniform(-2, 2, (num_el, num_app))
-    w_el = 10.0 ** rng.uniform(-2, 6, num_el)
-    v_app = 10.0 ** rng.uniform(-2, 6, num_app)
-    return diag, w_el, v_app
+class TestCentre:
+    def test_solve_lands_in_the_highs_bracket(self):
+        rng = np.random.default_rng(2024)
+        seen = np.zeros(2, int)  # pinned cells, free cells without utility
+        for _ in range(20):
+            inst = _log_instance(rng)
+            r = solve(inst, SolverConfig(epsilon=1e-3))
+            optimum = optimum_bracket(inst)
+            assert check_feasible(inst, r.allocation, tol=0.0).feasible
+            assert optimum.upper - r.objective <= 1e-3 + 1e-6
+            assert r.objective + r.dual_gap >= optimum.lower - 1e-9
+            box_free = inst.upper > inst.lower
+            seen += int((~box_free).sum()), int((box_free & (inst.coeff == 0)).sum())
+        assert seen.min() >= 10
 
-
-def _grid_step(terms, g, mask, s, lo, hi):
-    """``_exact_newton_direction`` on the ``mask`` cells of (I, K) arrays, its step scattered
-    onto the grid; None stays."""
-    cells = _FlatCells.of(mask)
-    tc, w_el, v_app = terms
-    d = _exact_newton_direction((cells.take(tc), w_el, v_app), cells.take(g), cells,
-                                *(cells.take(a) for a in (s, lo, hi)), cells.take(mask))
-    return None if d is None else cells.grid(d)
-
-
-def _terms_at(s, diag, w_el, v_app):
-    """(t c, w, v) whose Hessian diagonal at ``s`` is ``diag``."""
-    return diag * s * s, w_el, v_app
-
-
-DIRECTION_CASES = ("free", "pinned", "pinned_row_and_column", "zero_app_weight", "empty_mask",
-                   "sparse_mask", "dense_then_sparse")
-
-
-def _sparse_mask(rng, free):
-    """At most 5% of the grid, drawn from ``free``, none in the first element row or column.
-
-    At full scale the cells without demand (zero coefficient) sit at their
-    lower bound, outside the mask, and a few percent of the grid is free.
-    """
-    mask = free & (rng.random(free.shape) < 0.04)
-    mask[0, :] = mask[:, 0] = False
-    assert mask.any() and mask.mean() <= 0.05
-    assert not _FlatCells.of(mask).dense  # the step's Gram product is the pair bincount
-    return mask
-
-
-@pytest.fixture
-def grams(monkeypatch):
-    """For every Gram product a step forms, whether it is the dense one."""
-    kinds = []
-    gram = _FlatCells.gram
-    monkeypatch.setattr(_FlatCells, "gram",
-                        lambda cells, a: kinds.append(cells.dense) or gram(cells, a))
-    return kinds
-
-
-class TestExactNewtonDirection:
-    @pytest.mark.parametrize("case", DIRECTION_CASES)
-    def test_matches_explicit_solve(self, case, grams):
-        rng = np.random.default_rng(DIRECTION_CASES.index(case))
-        for _ in range(10):
-            if case in ("sparse_mask", "dense_then_sparse"):
-                # the dense mask holds every cell, so none may lack curvature of its own
-                inst = random_instance(rng, num_elements=40, num_apps=25, kind="logarithmic",
-                                       zero_coeff_prob=0.2 if case == "sparse_mask" else 0.0)
-            else:
-                inst = random_instance(rng, num_elements=int(rng.integers(2, 6)),
-                                       num_apps=int(rng.integers(2, 5)), kind="logarithmic",
-                                       zero_coeff_prob=0.0)
-            if case.startswith("pinned"):
-                pin = rng.random(inst.lower.shape) < 0.3
-                if case == "pinned_row_and_column":
-                    pin[0, :] = pin[:, 0] = True
-                inst = pin_cells(inst, pin)
-            work = _InnerProblem(inst)
-            s = interior_start(inst, 0.5).values
-            t = float(rng.uniform(0.1, 100.0))
-            g = work.gradient(s, t)
-            w_el, _ = work.weights(work.slacks(s))
-            # generated log instances have no application term in the barrier (v = 0);
-            # positive column weights of their own keep the Woodbury system under test
-            v_app = 10.0 ** rng.uniform(-3, 1, inst.num_apps)
-            if case == "zero_app_weight":
-                v_app[0] = 0.0
-            terms = (t * inst.coeff, w_el, v_app)
-            mask = work.free & (rng.random(s.shape) < 0.8)
-            if case == "empty_mask":
-                mask[:] = False
-            if case == "sparse_mask":
-                mask = _sparse_mask(rng, work.free & (inst.coeff > 0))
-            unbounded = np.full(s.shape, np.inf)
-            lo, hi = -unbounded, unbounded
-            if case == "dense_then_sparse":
-                # the whole grid in the mask, 90% of it in boxes too narrow for the step
-                mask = work.free.copy()
-                narrow = rng.random(s.shape) < 0.9
-                lo = np.where(narrow, s - 1e-9, -np.inf)
-                hi = np.where(narrow, s + 1e-9, np.inf)
-            grams.clear()
-            d = _grid_step(terms, g, mask, s, lo, hi)
-            if case == "empty_mask":
-                assert d is None  # no cell can move, so there is no ascent step
-                continue
-            # the cells fixed at a bound, whose moves go to the right-hand side
-            fixed = mask & ((d == hi - s) | (d == lo - s))
-            free = mask & ~fixed
-            want = np.where(fixed, d, 0.0)
-            if free.any():
-                h = _masked_hessian(terms, s, mask)
-                f_idx, b_idx = free[mask], fixed[mask]
-                want[free] = np.linalg.solve(h[np.ix_(f_idx, f_idx)],
-                                             g[free] - h[np.ix_(f_idx, b_idx)] @ d[fixed])
-            assert np.all(np.abs(d - want) <= 1e-8 * np.abs(want).max())
-            if case == "dense_then_sparse":
-                # round 1 fixes most cells; every round's Gram product is the dense one, as the
-                # mask's same-row pairs outnumber the grid's cells
-                assert fixed.sum() >= 0.8 * mask.sum()
-                assert len(grams) >= 2 and all(grams)
-            else:
-                assert not fixed.any()
-            if case == "sparse_mask":
-                assert grams and not any(grams)  # the pair bincount
-
-    def test_stiff_row_with_one_free_cell_keeps_its_digits(self):
-        # A^-1 of a row block with one free cell is e / (1 + w e); as e - rho e^2 with
-        # w e = 1e8 it keeps only about 8 digits
-        s = np.ones((4, 3))
-        mask = np.zeros(s.shape, bool)
-        mask[[0, 1, 2, 3], [0, 1, 2, 0]] = True
-        terms = (s * s, np.array([1e8, 1e8, 1.0, 1.0]), np.ones(3))
-        g = np.random.default_rng(5).normal(size=s.shape)
-        unbounded = np.full(s.shape, np.inf)
-        d = _grid_step(terms, g, mask, s, -unbounded, unbounded)
-        want = np.linalg.solve(_masked_hessian(terms, s, mask), g[mask])
-        np.testing.assert_allclose(d[mask], want, rtol=1e-12, atol=0)
-
-    @staticmethod
-    def _bound_hit_case(terms, g, mask, s, lo, hi):
-        """Check one bound-hit step; None when there is no step, else whether a cell was fixed."""
-        d = _grid_step(terms, g, mask, s, lo, hi)
-        if d is None:
-            return None
-        assert np.all(d[~mask] == 0.0)
-        assert np.vdot(g, d) > 0.0
-        fixed = mask & ((d == hi - s) | (d == lo - s))
-        free = mask & ~fixed
-        # fixed cells land on their bound, free cells stay in their box
-        bound = np.where(d > 0, hi, lo)
-        np.testing.assert_array_max_ulp(np.clip(s + d, lo, hi)[fixed], bound[fixed], 1)
-        assert np.all((s + d)[free] >= lo[free]) and np.all((s + d)[free] <= hi[free])
-        # the free cells solve the system whose right-hand side holds the fixed moves
-        h = _masked_hessian(terms, s, mask)
-        f_idx, b_idx = free[mask], fixed[mask]
-        lhs = h[np.ix_(f_idx, f_idx)] @ d[free]
-        rhs = g[free] - h[np.ix_(f_idx, b_idx)] @ d[fixed]
-        assert np.all(np.abs(lhs - rhs) <= 1e-8 * max(np.abs(lhs).max(initial=0.0),
-                                                      np.abs(rhs).max(initial=1.0)))
-        return bool(fixed.any())
-
-    @staticmethod
-    def _box(rng, shape):
-        s = rng.uniform(1.0, 2.0, shape)
-        return s, s - 10.0 ** rng.uniform(-3, 1, shape), s + 10.0 ** rng.uniform(-3, 1, shape)
-
-    def test_bound_hit_fixes_cells_and_solves_the_rest(self):
-        rng = np.random.default_rng(7)
-        outcomes = []
-        for _ in range(300):
-            num_el, num_app = int(rng.integers(1, 4)), int(rng.integers(2, 4))
-            diag = _random_terms(rng, num_el, num_app)
-            g = rng.normal(size=(num_el, num_app))
-            s, lo, hi = self._box(rng, g.shape)
-            mask = rng.random(g.shape) < 0.9
-            outcomes.append(self._bound_hit_case(_terms_at(s, *diag), g, mask, s, lo, hi))
-        # fixing moves at a bound can leave no ascent step; then there is no Newton step
-        assert outcomes.count(True) >= 100 and outcomes.count(None) >= 1
-
-        # a 40 x 25 grid with at most 5% of its cells in the mask
-        rng = np.random.default_rng(8)
-        outcomes = []
+    def test_is_stationary_on_its_box(self):
+        # the inner gradient at the centre: zero on the cells between their bounds, <= 0 at
+        # lo and >= 0 at hi, up to rounding relative to the barrier's 1/sigma
+        rng = np.random.default_rng(2025)
         for _ in range(40):
-            diag = _random_terms(rng, 40, 25)
-            g = rng.normal(size=(40, 25))
-            s, lo, hi = self._box(rng, g.shape)
-            mask = _sparse_mask(rng, np.ones(g.shape, bool))
-            outcomes.append(self._bound_hit_case(_terms_at(s, *diag), g, mask, s, lo, hi))
-        assert outcomes.count(True) >= 20
+            inst = _log_instance(rng)
+            t = float(10.0 ** rng.uniform(-1, 5))
+            s = solve_inner(inst, interior_start(inst), t)
+            g = interior_gradient(inst, s, t)
+            scale = 1e-8 / (inst.capacities - s.values.sum(axis=1))[:, None]
+            at_lo, at_hi = s.values <= inst.lower, s.values >= inst.upper
+            assert np.all(g[at_lo & ~at_hi] <= scale.repeat(inst.num_apps, 1)[at_lo & ~at_hi])
+            assert np.all(g[at_hi & ~at_lo] >= -scale.repeat(inst.num_apps, 1)[at_hi & ~at_lo])
+            between = ~at_lo & ~at_hi
+            assert np.all(np.abs(g)[between] <= scale.repeat(inst.num_apps, 1)[between])
+
+    def test_dual_gap_is_m_over_t(self):
+        # at an exact centre the dual gap is m/t, m the element rows with a free cell
+        rng = np.random.default_rng(2026)
+        for _ in range(40):
+            inst = _log_instance(rng, pin_share=0.6)
+            r = solve(inst, SolverConfig(epsilon=1e-4))
+            m = int((inst.upper > inst.lower).any(axis=1).sum())
+            assert r.dual_gap == pytest.approx(m / r.trace[-1].t, rel=1e-6, abs=0.0)
+            # one inner iteration per centre with a cell to place
+            free = ((inst.upper > inst.lower) & (inst.coeff > 0)).any()
+            assert r.inner_iters_total == (r.outer_iters if free else 0)
+            assert {tr.inner_status for tr in r.trace} == {"converged"}
+
+    def test_row_whose_lower_bounds_fill_its_capacity_raises(self):
+        inst = make_instance([10.0, 10.0], [[4.0, 6.0], [1.0, 1.0]],
+                             [[5.0, 7.0], [4.0, 4.0]], np.ones((2, 2)), "logarithmic")
+        with pytest.raises(EmptyInterior):
+            solve(inst)
+        with pytest.raises(EmptyInterior):
+            solve_inner(inst, None, 5.0)  # the centre ignores the start
+
+    def test_equal_ratios_give_identical_allocations(self):
+        # every free cell of a row has the breakpoints lo/c = 0.5 and hi/c = 2.5: ties
+        lower, upper, coeff = np.full((3, 4), 1.0), np.full((3, 4), 5.0), np.full((3, 4), 2.0)
+        lower[1, :2], upper[1, :2], coeff[1, :2] = 2.0, 10.0, 4.0
+        inst = make_instance([9.0, 18.0, 100.0], lower, upper, coeff, "logarithmic")
+        runs = [solve(inst, SolverConfig(epsilon=1e-4)).allocation.values for _ in range(3)]
+        assert all(s.tobytes() == runs[0].tobytes() for s in runs)
+        s = runs[0]
+        assert np.ptp(s[0]) == 0.0 and np.ptp(s[1, :2]) == 0.0 and np.ptp(s[1, 2:]) == 0.0
+        assert np.array_equal(s[2], upper[2])  # a row with room for every cell's upper bound
 
 
 def _tight_instance(rng, num_elements, num_apps, zero_coeff_prob=0.2):
-    """A log instance whose aggregate bounds are inside the boxes' column sums, as far as
-    ProblemInstance allows: every application keeps both barrier terms, so v_k > 0."""
+    """A log instance given aggregate bounds inside the boxes' column sums, as far as
+    ProblemInstance allows; it stores the column sums themselves."""
     inst = random_instance(rng, num_elements=num_elements, num_apps=num_apps,
                            kind="logarithmic", zero_coeff_prob=zero_coeff_prob)
     room = 0.5e-9 * max(1.0, float(inst.upper.max()) * num_elements)
     return ProblemInstance(inst.capacities, inst.lower, inst.upper,
                            inst.lower.sum(axis=0) + room, inst.upper.sum(axis=0) - room,
                            inst.coeff, "logarithmic")
-
-
-class TestGramProduct:
-    def test_both_products_match_explicit_solve(self, grams):
-        inst = _tight_instance(np.random.default_rng(29), 20, 10)
-        work = _InnerProblem(inst)
-        s = interior_start(inst, 0.5).values
-        t = 7.0
-        slacks = work.interior_slacks(s)
-        w_el, v_app = work.weights(slacks)
-        assert np.all(v_app > 0)
-        terms = (t * inst.coeff, w_el, v_app)
-        g = work.gradient(s, t, slacks)
-        unbounded = np.full(s.shape, np.inf)
-        # a few cells per row (pairs), and every cell with curvature of its own, about
-        # 8 of 10 per row: some 20 x 8^2 pairs, more than the 200 cells of the grid
-        curved = work.free & (inst.coeff > 0)
-        for mask, dense in ((_sparse_mask(np.random.default_rng(30), curved), False),
-                            (curved, True)):
-            assert _FlatCells.of(mask).dense == dense
-            grams.clear()
-            d = _grid_step(terms, g, mask, s, -unbounded, unbounded)
-            want = np.linalg.solve(_masked_hessian(terms, s, mask), g[mask])
-            assert np.all(np.abs(d[mask] - want) <= 1e-8 * np.abs(want).max())
-            assert grams == [dense]
-
-    def test_solve_lands_in_the_oracle_bracket(self):
-        inst = _tight_instance(np.random.default_rng(29), 20, 10)
-        work = _InnerProblem(inst)
-        assert work.low_active.all() and work.up_active.all()
-        r = solve(inst, SolverConfig(epsilon=1e-4))
-        optimum = optimum_bracket(inst, rtol=1e-8)
-        assert optimum.upper - 1e-4 <= r.objective <= optimum.upper
-        assert r.objective + r.dual_gap >= optimum.lower - 1e-9
-
-
-class TestLineSearch:
-    @staticmethod
-    def _halvings(s, d, lo, hi, point):
-        """The k for which ``point`` is the trial clip(s + 2^-k d, lo, hi)."""
-        return next(k for k in range(80)
-                    if np.array_equal(np.clip(s + 0.5 ** k * d, lo, hi), point))
-
-    def test_moved_cell_search_matches_grid_search(self):
-        rng = np.random.default_rng(23)
-        halvings = []
-        for _ in range(20):
-            inst = random_instance(rng, num_elements=40, num_apps=25, kind="logarithmic",
-                                   zero_coeff_prob=0.2)
-            work = _InnerProblem(inst)
-            s = interior_start(inst, 0.5).values
-            t = float(rng.uniform(0.1, 100.0))
-            slacks = work.interior_slacks(s)
-            g = work.gradient(s, t, slacks)
-            f = work.value(s, t, slacks)
-            cells = _FlatCells.of(_sparse_mask(rng, work.free & (inst.coeff > 0)))
-            point = tuple(cells.take(a) for a in (s, inst.lower, inst.upper, inst.coeff))
-            g_at = cells.take(g)
-            newton = _exact_newton_direction((t * point[3], *work.weights(slacks)), g_at, cells,
-                                             *point[:3], np.ones(g_at.size, bool))
-            # the Newton step and the steepest ascent, both on the flat mask cells
-            for step in (newton, g_at):
-                d = cells.grid(step)
-                moved = _line_search(work, cells, point, slacks, step, g_at, t, f)
-                moved = (cells.grid(moved[0], s.copy()), *moved[1:])
-                grid = _grid_line_search(work, s, slacks, d, g, t, f)
-                k = self._halvings(s, d, inst.lower, inst.upper, grid[0])
-                assert k == self._halvings(s, d, inst.lower, inst.upper, moved[0])
-                np.testing.assert_allclose(moved[0], grid[0], rtol=1e-12, atol=0)
-                for x, y in zip(moved[1], grid[1]):
-                    np.testing.assert_allclose(x, y, rtol=1e-12, atol=0)
-                assert moved[2] == pytest.approx(grid[2], rel=1e-12, abs=0)
-                halvings.append(k)
-        assert min(halvings) == 0 and max(halvings) >= 3  # full steps and backtracked ones
 
 
 def _textbook_cg_direction(terms, g, mask, exits, max_cg=25):
@@ -728,13 +513,18 @@ def test_row_slice_sum_is_the_row_of_the_grid_sum(width):
 
 def _fresh_evaluation_solve(inst, cfg):
     """:func:`solve` with every outer iterate evaluated afresh: its trace entry from
-    ``total_utility`` and ``barrier_value``, and the next inner loop's start from the point
-    alone.  Returns (allocation, trace, objective, dual_gap)."""
+    ``total_utility`` and ``barrier_value``, and the next linear inner loop's start from the
+    point alone; a log iterate is a new centre's.  Returns (allocation, trace, objective,
+    dual_gap)."""
     work = _InnerProblem(inst)
-    s = work.start(interior_start(inst, cfg.interior_shift).values.copy())
+    s = interior_start(inst, cfg.interior_shift).values.copy()
     t, trace = cfg.t0, []
     while gap_bound(inst, t) > cfg.epsilon and len(trace) < cfg.max_outer_iters:
-        s, iters, status, _ = _inner_loop(work, s, t, cfg)
+        if inst.utility_kind == "linear":
+            s, iters, status, _ = _inner_loop(work, s, t, cfg)
+        else:
+            centre = _Centre(inst)
+            s, iters, status = centre(t), centre.iters, "converged"
         alloc = AllocationMatrix(s)
         trace.append(OuterTrace(t, total_utility(inst, alloc), barrier_value(inst, alloc),
                                 gap_bound(inst, t), iters, status))
@@ -790,26 +580,7 @@ def test_log_solve_matches_cg_objective(seed):
     assert optimum.upper - 1e-4 <= CG_LOG_OBJECTIVES[seed] <= optimum.upper
 
 
-# Inner iterations _log_case(seed) took at epsilon 1e-4 while its log loops ended on
-# plateau and stall exits, before the Newton-decrement stop.
-PLATEAU_ERA_INNER_ITERS = {0: 119, 2: 114, 4: 148}
-
-
 class TestInnerStop:
-    @pytest.mark.parametrize("seed", sorted(PLATEAU_ERA_INNER_ITERS))
-    def test_log_loops_end_on_the_newton_decrement(self, seed):
-        r = solve(_log_case(seed), SolverConfig(epsilon=1e-4))
-        assert [tr.inner_status for tr in r.trace] == ["converged"] * len(r.trace)
-        assert r.inner_iters_total < PLATEAU_ERA_INNER_ITERS[seed]
-
-    def test_decrement_below_the_objective_spacing_converges(self):
-        # At t near 1e11 the inner objective is about 3e13, so an ascent of inner_tol
-        # cannot show in it; with the stop at inner_tol alone this solve took 98 inner
-        # iterations and its last loop ended plateau.
-        r = solve(_log_case(0), SolverConfig(epsilon=1e-8))
-        assert [tr.inner_status for tr in r.trace] == ["converged"] * len(r.trace)
-        assert r.inner_iters_total < 98
-
     def test_linear_path_unchanged(self):
         # counts recorded before the decrement stop; the truncated-CG path has no decrement
         inst = random_instance(np.random.default_rng(0), num_elements=4, num_apps=3,
@@ -873,43 +644,32 @@ class TestPresolve:
             inst = random_instance(rng, num_elements=int(rng.integers(2, 7)),
                                    num_apps=int(rng.integers(2, 5)), kind="logarithmic",
                                    zero_coeff_prob=0.3)
-            work = _InnerProblem(inst)
-            # the generated bounds are the column sums of the boxes: no application term
-            assert not work.low_active.any() and not work.up_active.any()
             zero = (inst.coeff == 0) & (inst.upper > inst.lower)
-            assert np.array_equal(work.pinned, zero)
             r = solve(inst, SolverConfig(epsilon=1e-3))
             assert np.array_equal(r.allocation.values[zero], inst.lower[zero])
             pinned += int(zero.sum())
         assert pinned >= 20
 
-    def test_terms_the_boxes_do_not_imply_are_kept(self):
+    def test_instance_stores_exact_column_sums(self):
+        # Aggregate bounds given inside the boxes' column sums, as far as ProblemInstance
+        # allows, are stored as the sums themselves, which the boxes enforce: a log barrier
+        # keeps its element terms alone, a linear one its application terms too.
         rng = np.random.default_rng(103)
-        kept = np.zeros(2, int)
         for _ in range(12):
-            inst = random_instance(rng, num_elements=int(rng.integers(2, 6)),
-                                   num_apps=int(rng.integers(2, 5)), kind="logarithmic",
-                                   zero_coeff_prob=0.3)
-            keep_low = rng.random(inst.num_apps) < 0.5
-            keep_up = rng.random(inst.num_apps) < 0.5
-            # bounds inside the boxes' column sums, as far as ProblemInstance allows
-            room = 0.5e-9 * max(1.0, float(inst.upper.max()) * inst.num_elements)
-            lower_sum, upper_sum = inst.lower.sum(axis=0), inst.upper.sum(axis=0)
-            inst = ProblemInstance(inst.capacities, inst.lower, inst.upper,
-                                   np.where(keep_low, lower_sum + room, lower_sum),
-                                   np.where(keep_up, upper_sum - room, upper_sum),
-                                   inst.coeff, "logarithmic")
+            inst = _tight_instance(rng, int(rng.integers(2, 6)), int(rng.integers(2, 5)), 0.3)
+            assert np.array_equal(inst.app_lower, inst.lower.sum(axis=0))
+            assert np.array_equal(inst.app_upper, inst.upper.sum(axis=0))
             work = _InnerProblem(inst)
-            assert np.array_equal(work.low_active, keep_low)
-            assert np.array_equal(work.up_active, keep_up)
+            assert not work.low_active.any() and not work.up_active.any()
+            linear = _InnerProblem(make_instance(inst.capacities, inst.lower, inst.upper,
+                                                 inst.coeff, "linear"))
+            assert np.array_equal(linear.up_active, (inst.upper > inst.lower).any(axis=0))
             r = solve(inst, SolverConfig(epsilon=1e-4))
             assert check_feasible(inst, r.allocation, tol=0.0).feasible
             optimum = optimum_bracket(inst)
             assert optimum.upper - r.objective <= 1e-4
             assert 0.0 <= r.dual_gap <= 1e-4
             assert r.objective + r.dual_gap >= optimum.lower - 1e-9
-            kept += keep_low.sum(), keep_up.sum()
-        assert kept.min() >= 5
 
 
 class TestSolverConfig:
@@ -947,13 +707,11 @@ class TestSolve:
         else:
             inst = make_instance(inst.capacities, inst.lower, inst.upper,
                                  np.zeros(inst.lower.shape), "logarithmic")
-        work = _InnerProblem(inst)
-        assert not work.free.any()
-        start = work.start(interior_start(inst, 0.5).values.copy())
+        assert not ((inst.upper > inst.lower) & (inst.coeff > 0)).any()
         r = solve(inst, SolverConfig(epsilon=1e-2))
         assert r.inner_iters_total == 0 and r.converged
         assert [tr.inner_status for tr in r.trace] == ["converged"] * len(r.trace)
-        assert np.array_equal(r.allocation.values, start)
+        assert np.array_equal(r.allocation.values, inst.lower)
 
     def test_1x1_linear_reaches_box_cap(self, tiny_instance):
         r = solve(tiny_instance, SolverConfig(epsilon=1e-3))
