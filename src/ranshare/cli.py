@@ -24,8 +24,8 @@ from . import __version__
 from .baselines import ReservationConfig
 from .errors import ConfigError, RanShareError
 from .model import ProblemInstance, check_feasible
-from .sim import (ALL_SCHEMES, HotspotParams, ScenarioParams, add_hotspot,
-                  generate_scenario, run_experiment)
+from .sim import (ALL_SCHEMES, ExperimentRow, HotspotParams, ScenarioParams, add_hotspot,
+                  build_instance, generate_scenario, run_experiment, scale_load)
 from .solver import SolverConfig, solve
 
 ENV_PREFIX = "RANSHARE_"
@@ -33,6 +33,28 @@ ENV_PREFIX = "RANSHARE_"
 RESULT_COLUMNS = ("scheme", "load", "utility_kind", "total_utility", "app_m_resource",
                   "app_m_resource_fraction", "qoe_satisfied", "flows_total",
                   "solve_ms", "outer_iters")
+
+# config key -> HotspotParams field
+_HOTSPOT_KEYS = {"hotspot_app": "app_id", "hotspot_flows": "n_flows",
+                 "hotspot_entities": "n_entities", "hotspot_elements": "n_elements",
+                 "hotspot_mean_bw": "mean_bw"}
+
+
+def _same_names(cls) -> dict:
+    return {f.name: f.name for f in dataclasses.fields(cls)}
+
+
+# Each settings dataclass: its CLI default and its config key -> field map.  The one
+# default that differs from the library's is epsilon: 1.0 against SolverConfig's 1e-3,
+# coarse enough for sweeps of many solves.
+_SETTINGS = {
+    ScenarioParams: (ScenarioParams(), _same_names(ScenarioParams)),
+    SolverConfig: (SolverConfig(epsilon=1.0), _same_names(SolverConfig)),
+    ReservationConfig: (ReservationConfig(), _same_names(ReservationConfig)),
+    HotspotParams: (HotspotParams(), _HOTSPOT_KEYS),
+}
+_FIELD_DEFAULTS = {key: getattr(default, name)
+                   for default, keys in _SETTINGS.values() for key, name in keys.items()}
 
 DEFAULTS = {
     "experiment": "utility",        # utility | hotspot | single-solve
@@ -42,38 +64,8 @@ DEFAULTS = {
     "out_dir": "out",
     "trace": False,
     "schemes": list(ALL_SCHEMES),
-    # scenario
-    "num_elements": 100,
-    "num_entities": 10,
-    "num_apps": 20,
-    "num_flows": 500,
-    "capacity_range": [100.0, 300.0],
-    "qoe_range": [0.1, 2.0],
-    "channel_range": [1.0, 2.0],
-    "demand_range": [0.1, 1.0],
-    "num_focus": 2,
-    "focus_min_share": 0.05,
-    "focus_max_share": 0.40,
-    "background_min_share": 1e-4,
-    "background_max_share": 0.15,
-    # solver
-    "epsilon": 1.0,
-    "t0": 1.0,
-    "mu": 10.0,
-    "inner_tol": 1e-8,              # linear inner loop only: log centres are exact
-    "max_inner_iters": 500,         # linear inner loop only
-    "max_outer_iters": 100,
-    "interior_shift": 0.5,
-    # baselines
-    "per_bs_fraction": 0.05,
-    "net_min_fraction": 0.02,
-    "net_max_fraction": 0.10,
-    # hotspot experiment
-    "hotspot_app": 0,
-    "hotspot_flows": 600,
-    "hotspot_entities": 2,
-    "hotspot_elements": 100,
-    "hotspot_mean_bw": 1.0,
+    # scenario, solver, baselines and hotspot shape, as JSON values
+    **{key: list(v) if isinstance(v, tuple) else v for key, v in _FIELD_DEFAULTS.items()},
     "hotspot_seed_offset": 1000,
     # reporting
     "log_floor": 1e-6,
@@ -82,33 +74,59 @@ DEFAULTS = {
     "instance": None,
 }
 
+# A value of the type each key must have: the dataclass defaults keep their tuples.
+_TYPED = {**DEFAULTS, **_FIELD_DEFAULTS, "seed": 0, "instance": {}}
+_TYPE_NAMES = {bool: "true or false", int: "an integer", float: "a number", str: "a string",
+               list: "a list", tuple: "a list of two numbers", dict: "a JSON object"}
+
 _UTILITY_ALIASES = {"log": "logarithmic", "logarithmic": "logarithmic", "linear": "linear"}
 
 
 def _parse_loads(spec) -> list:
     """Accept a list, 'A..B' (inclusive integer range), or comma list."""
-    if isinstance(spec, (list, tuple)):
-        return [float(x) for x in spec]
-    text = str(spec)
-    if ".." in text:
-        a, b = text.split("..", 1)
-        lo, hi = int(a), int(b)
-        if hi < lo:
-            raise ConfigError(f"loads range {text!r} is empty")
-        return [float(x) for x in range(lo, hi + 1)]
-    return [float(x) for x in text.split(",") if x.strip()]
+    try:
+        if isinstance(spec, (list, tuple)):
+            return [float(x) for x in spec]
+        text = str(spec)
+        if ".." in text:
+            a, b = text.split("..", 1)
+            lo, hi = int(a), int(b)
+            if hi < lo:
+                raise ConfigError(f"loads range {text!r} is empty")
+            return [float(x) for x in range(lo, hi + 1)]
+        return [float(x) for x in text.split(",") if x.strip()]
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"loads must be numbers, 'A..B' or a comma list, got {spec!r}") from exc
 
 
 def _coerce(key, raw):
-    """Coerce an env/flag string to the type of the default."""
-    if not isinstance(raw, str):
+    """Read an environment or flag string as a value for ``key``.
+
+    A key with a string default keeps the text, and ``loads`` also takes its
+    range syntax.  Any other key reads the text as JSON, else as float() reads
+    it, so that ``inf`` and ``nan`` reach the dataclass checks, else keeps the
+    text.  It casts nothing to the default's type: ``resolve_config`` holds
+    every value to that type and rejects what does not fit.
+    """
+    if not isinstance(raw, str) or isinstance(DEFAULTS[key], str):
         return raw
     if key == "loads":
         return _parse_loads(raw)
-    try:
-        return json.loads(raw)
-    except json.JSONDecodeError:
-        return raw
+    for read in (json.loads, float):  # float() also reads inf and nan
+        try:
+            return read(raw)
+        except ValueError:
+            pass
+    return raw
+
+
+def _fits(value, typed) -> bool:
+    """Whether ``value`` has the type of ``typed``: an int fits a float but a bool fits
+    bools alone, and a tuple takes a list of as many values, each fitting its own."""
+    if isinstance(typed, tuple):
+        return (isinstance(value, list) and len(value) == len(typed)
+                and all(map(_fits, value, typed)))
+    return type(value) is type(typed) or (type(value) is int and isinstance(typed, float))
 
 
 def resolve_config(path=None, flag_overrides=None, env=None) -> dict:
@@ -135,50 +153,35 @@ def resolve_config(path=None, flag_overrides=None, env=None) -> dict:
 
     if cfg["seed"] is None:
         raise ConfigError("missing mandatory field 'seed' (wall-clock seeding is not allowed)")
-    cfg["seed"] = int(cfg["seed"])
-    kind = _UTILITY_ALIASES.get(str(cfg["utility"]).lower())
+    cfg["loads"] = _parse_loads(cfg["loads"])
+    for key, value in cfg.items():
+        if not (value is None and DEFAULTS[key] is None) and not _fits(value, _TYPED[key]):
+            raise ConfigError(f"{key} must be {_TYPE_NAMES[type(_TYPED[key])]}, got {value!r}")
+    for key in ("seed", "hotspot_seed_offset", "focus_app_id"):
+        if cfg[key] < 0:
+            raise ConfigError(f"{key} must be non-negative, got {cfg[key]!r}")
+    kind = _UTILITY_ALIASES.get(cfg["utility"].lower())
     if kind is None:
         raise ConfigError(f"utility must be linear|log|logarithmic, got {cfg['utility']!r}")
     cfg["utility"] = kind
-    cfg["loads"] = _parse_loads(cfg["loads"])
     if cfg["experiment"] not in ("utility", "hotspot", "single-solve"):
         raise ConfigError(f"unknown experiment {cfg['experiment']!r}")
     for scheme in cfg["schemes"]:
         if scheme not in ALL_SCHEMES:
             raise ConfigError(f"unknown scheme {scheme!r}; valid: {ALL_SCHEMES}")
-    focus = cfg["focus_app_id"]
-    if isinstance(focus, bool) or not isinstance(focus, int) or focus < 0:
-        raise ConfigError(f"focus_app_id must be a non-negative integer, got {focus!r}")
     return cfg
 
 
-def _scenario_params(cfg) -> ScenarioParams:
-    return ScenarioParams(
-        num_elements=int(cfg["num_elements"]), num_entities=int(cfg["num_entities"]),
-        num_apps=int(cfg["num_apps"]), num_flows=int(cfg["num_flows"]),
-        capacity_range=tuple(cfg["capacity_range"]), qoe_range=tuple(cfg["qoe_range"]),
-        channel_range=tuple(cfg["channel_range"]), demand_range=tuple(cfg["demand_range"]),
-        num_focus=int(cfg["num_focus"]),
-        focus_min_share=cfg["focus_min_share"], focus_max_share=cfg["focus_max_share"],
-        background_min_share=cfg["background_min_share"],
-        background_max_share=cfg["background_max_share"],
-    )
-
-
-def _solver_config(cfg) -> SolverConfig:
-    return SolverConfig(
-        epsilon=float(cfg["epsilon"]), t0=float(cfg["t0"]), mu=float(cfg["mu"]),
-        inner_tol=float(cfg["inner_tol"]), max_inner_iters=int(cfg["max_inner_iters"]),
-        max_outer_iters=int(cfg["max_outer_iters"]), interior_shift=float(cfg["interior_shift"]),
-    )
-
-
-def _reservation_config(cfg) -> ReservationConfig:
-    return ReservationConfig(
-        per_bs_fraction=cfg["per_bs_fraction"],
-        net_min_fraction=cfg["net_min_fraction"],
-        net_max_fraction=cfg["net_max_fraction"],
-    )
+def _build(cfg, cls):
+    """The ``cls`` of _SETTINGS with each field taken from its config key: a list becomes
+    a tuple and an int a float where the default holds one."""
+    def as_field(value, like):
+        if isinstance(like, tuple):
+            return tuple(map(as_field, value, like))
+        return float(value) if isinstance(like, float) else value
+    default, keys = _SETTINGS[cls]
+    return cls(**{name: as_field(cfg[key], getattr(default, name))
+                  for key, name in keys.items()})
 
 
 def _fmt(value) -> str:
@@ -213,8 +216,6 @@ def _write_summary(path: Path, cfg, extra) -> None:
 
 
 def _instance_from_config(spec) -> ProblemInstance:
-    if not isinstance(spec, dict):
-        raise ConfigError(f"instance must be a JSON object of arrays, got {spec!r}")
     try:
         return ProblemInstance(
             capacities=np.array(spec["capacities"], dtype=float),
@@ -232,14 +233,13 @@ def _instance_from_config(spec) -> ProblemInstance:
 
 
 def _run_single_solve(cfg, out_dir: Path) -> dict:
-    scfg = _solver_config(cfg)
+    scfg = _build(cfg, SolverConfig)
     if cfg["instance"] is not None:
         inst = _instance_from_config(cfg["instance"])
     else:
-        from .sim import build_instance, scale_load
-        base = generate_scenario(_scenario_params(cfg), cfg["seed"])
+        base = generate_scenario(_build(cfg, ScenarioParams), cfg["seed"])
         inst = build_instance(scale_load(base, cfg["loads"][0]), cfg["utility"])
-    focus = int(cfg["focus_app_id"])
+    focus = cfg["focus_app_id"]
     if focus >= inst.num_apps:
         raise ConfigError(f"focus_app_id {focus} is not an application of the instance "
                           f"({inst.num_apps} applications)")
@@ -248,10 +248,9 @@ def _run_single_solve(cfg, out_dir: Path) -> dict:
     elapsed_ms = (time.perf_counter() - start) * 1000.0
     report = check_feasible(inst, result.allocation, 1e-9)
 
-    from .sim import ExperimentRow
     granted_m = float(result.allocation.values[:, focus].sum())
     row = ExperimentRow(
-        scheme="app-opt", load=float(cfg["loads"][0]),
+        scheme="app-opt", load=cfg["loads"][0],
         utility_kind=inst.utility_kind,
         total_utility=result.objective,
         app_m_resource=granted_m,
@@ -279,25 +278,20 @@ def _run_single_solve(cfg, out_dir: Path) -> dict:
 
 
 def _run_sweep(cfg, out_dir: Path) -> dict:
-    params = _scenario_params(cfg)
-    base = generate_scenario(params, cfg["seed"])
+    base = generate_scenario(_build(cfg, ScenarioParams), cfg["seed"])
     scale_ids = None
     if cfg["experiment"] == "hotspot":
-        hp = HotspotParams(
-            app_id=int(cfg["hotspot_app"]), n_flows=int(cfg["hotspot_flows"]),
-            n_entities=int(cfg["hotspot_entities"]), n_elements=int(cfg["hotspot_elements"]),
-            mean_bw=float(cfg["hotspot_mean_bw"]),
-        )
         n_base = len(base.flows)
-        base = add_hotspot(base, hp, cfg["seed"] + int(cfg["hotspot_seed_offset"]))
+        base = add_hotspot(base, _build(cfg, HotspotParams),
+                           cfg["seed"] + cfg["hotspot_seed_offset"])
         scale_ids = base.flows.id[n_base:]
     report = run_experiment(
         base, cfg["schemes"], cfg["loads"], cfg["utility"],
-        solver_config=_solver_config(cfg),
-        reservation_config=_reservation_config(cfg),
-        focus_app_id=int(cfg["focus_app_id"]),
+        solver_config=_build(cfg, SolverConfig),
+        reservation_config=_build(cfg, ReservationConfig),
+        focus_app_id=cfg["focus_app_id"],
         scale_flow_ids=scale_ids,
-        log_floor=float(cfg["log_floor"]),
+        log_floor=cfg["log_floor"],
     )
     _write_results(out_dir / "results.csv", report.rows)
     errors = [r for r in report.rows if r.error is not None]

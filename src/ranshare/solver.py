@@ -28,6 +28,7 @@ _CONTRACTION = 0.5
 _BOUNDARY_FRACTION = 1e-12  # trial slacks must keep this fraction of their previous value
 _MAX_BACKTRACKS = 80
 _PLATEAU_WINDOW = 20
+_FLOAT_MAX = np.finfo(float).max
 
 
 @dataclass(frozen=True)
@@ -261,23 +262,32 @@ class _InnerProblem:
         v_app = self.col_terms(1.0 / (ms * ms), 1.0 / (ls * ls))
         return w_el, v_app, np.maximum(w_el[:, None] + v_app[None, :], 1e-300)
 
-    def dual_gap(self, s, t) -> float:
+    def dual_gap(self, s, t, centre=None) -> float:
         """Lagrangian dual at the barrier multipliers of t, minus the utility of ``s``.
 
         The multipliers are lambda_i = 1/(t bs_i), nu+_k = 1/(t ms_k) and
         nu-_k = 1/(t ls_k) for the constraints in the barrier, 0 for the
-        others.  With a = lambda_i + nu+_k - nu-_k, each cell of the dual
-        maximizes u(x) - a x over its box: at clip(c/a, lo, hi) for log
-        utility (hi where a <= 0), at a box corner for linear.  By weak
-        duality the utility of ``s`` plus this gap bounds the optimum; the
-        dual keeps the cell boxes, which enforce every bound the barrier
-        leaves out.  The difference is summed term by term, m/t for the m
-        constraints in the barrier plus a non-negative term per cell, so a
-        gap far below the utility keeps its digits.
+        others.  ``centre``, when given, is (rows, tau) of the exact centre
+        ``s`` (:class:`_Centre`): those rows take lambda_i = 1/tau_i,
+        since the fresh slack of a row rounds at about 1e-14 B_i, far above
+        its sigma at large t.  With a = lambda_i + nu+_k - nu-_k, each cell of
+        the dual maximizes u(x) - a x over its box: at clip(c/a, lo, hi) for
+        log utility (hi where a <= 0), at a box corner for linear.  By weak
+        duality, for any multipliers >= 0, the utility of ``s`` plus this gap
+        bounds the optimum; the dual keeps the cell boxes, which enforce every
+        bound the barrier leaves out.  The difference is summed term by term,
+        the multipliers times the slacks of ``s`` (m/t for the m constraints in
+        the barrier, without ``centre``) plus a non-negative term per cell, so
+        a gap far below the utility keeps its digits.
         """
         inst = self.inst
         bs, ms, ls = self.interior_slacks(s)
         lam = _spread(self.el_active, 1.0 / (t * bs))
+        paid = (bs.size + ms.size + ls.size) / t  # the multipliers times the slacks
+        if centre is not None:
+            rows, tau = centre
+            lam[rows] = 1.0 / tau
+            paid = float(lam[self.el_active] @ bs) + (ms.size + ls.size) / t
         nu = self.col_terms(1.0 / (t * ms), -1.0 / (t * ls))
         a = lam[:, None] + nu[None, :]
         lo, hi, c = inst.lower, inst.upper, inst.coeff
@@ -286,7 +296,7 @@ class _InnerProblem:
             cells = c * np.log(x / s) - a * (x - s)
         else:
             cells = (c - a) * (np.where(c > a, hi, lo) - s)
-        return float((bs.size + ms.size + ls.size) / t + cells.sum())
+        return float(paid + cells.sum())
 
 
 class _Centre:
@@ -327,8 +337,11 @@ class _Centre:
         self.lo, self.hi, self.c = (a[self.row, self.col]
                                     for a in (inst.lower, inst.upper, inst.coeff))
         ratio = np.full((rows.size, 2 * width), np.inf)
-        ratio[self.block_row, place] = self.lo / self.c
-        ratio[self.block_row, width + place] = self.hi / self.c
+        # A breakpoint beyond the largest float is never reached at a finite tau: the largest
+        # float stands in for it, and every breakpoint stays finite.
+        with np.errstate(over="ignore"):
+            ratio[self.block_row, place] = np.minimum(self.lo / self.c, _FLOAT_MAX)
+            ratio[self.block_row, width + place] = np.minimum(self.hi / self.c, _FLOAT_MAX)
         step = np.zeros(ratio.shape)  # the change of slope at each breakpoint
         step[self.block_row, place] = self.c
         step[self.block_row, width + place] = -self.c
@@ -344,14 +357,16 @@ class _Centre:
         self.slope = np.hstack([first, np.maximum(np.cumsum(step, axis=1), 0.0)])
         rise = np.diff(self.tau, axis=1) * self.slope[:, :-1]
         self.moved = np.hstack([first, np.cumsum(rise, axis=1)])
+        self.rows = rows
         self.headroom = inst.capacities[rows] - inst.lower.sum(axis=1)[rows]
         if (self.headroom <= 0).any():
             raise EmptyInterior(f"element(s) {rows[self.headroom <= 0].tolist()} have free cells "
                                 "but their lower bounds already exhaust the capacity")
         self.iters = int(self.row.size > 0)  # inner iterations a centre records
 
-    def __call__(self, t: float) -> np.ndarray:
-        """The centre at t, a new (I, K) array."""
+    def __call__(self, t: float):
+        """(the centre at t, a new (I, K) array; tau = t sigma there on each element of
+        ``rows``)."""
         target = t * self.headroom
         level = self.tau + t * self.moved
         below = np.count_nonzero(level < target[:, None], axis=1)
@@ -359,7 +374,7 @@ class _Centre:
         tau = self.tau[rows, j] + (target - level[rows, j]) / (1.0 + t * self.slope[rows, j])
         s = self.lower.copy()
         s[self.row, self.col] = np.clip(self.c * tau[self.block_row], self.lo, self.hi)
-        return s
+        return s, tau
 
 
 def _newton_cg_direction(terms, g, mask, max_cg: int = 25):
@@ -548,7 +563,7 @@ def solve_inner(inst: ProblemInstance, start: AllocationMatrix, t: float,
     :func:`_inner_loop` from the strictly interior ``start``.
     """
     if inst.utility_kind == "logarithmic":
-        return AllocationMatrix(_Centre(inst)(t))
+        return AllocationMatrix(_Centre(inst)(t)[0])
     s, _, _, _ = _inner_loop(_InnerProblem(inst), start.values.copy(), t,
                              config or SolverConfig())
     return AllocationMatrix(s)
@@ -560,8 +575,11 @@ def solve(inst: ProblemInstance, config: SolverConfig | None = None) -> SolveRes
     Each outer iterate is the exact centre for logarithmic utility, which
     records one inner iteration when a cell is free and none otherwise, and
     the end of :func:`_inner_loop` for linear utility.  The returned
-    allocation is always feasible; ``converged`` is False when the outer
-    iteration cap was hit before the bound dropped below epsilon.
+    allocation is always feasible.  ``converged`` means certified: the bound
+    dropped below epsilon before the outer iteration cap, and so did the
+    computed ``dual_gap``.  The bound alone is no certificate where B + |K|
+    is below m, the number of barrier terms (small capacities), or where a
+    linear inner loop ends far from its centre.
     """
     cfg = config or SolverConfig()
     work = _InnerProblem(inst)
@@ -573,11 +591,13 @@ def solve(inst: ProblemInstance, config: SolverConfig | None = None) -> SolveRes
     inner_total = 0
     trace = []
     at = None  # the evaluation of the last inner loop's point, the next one's start
+    exact = None  # (rows, tau) of the last centre, for its dual multipliers
     while gap_bound(inst, t) > cfg.epsilon and outer < cfg.max_outer_iters:
         if centre is None:
             s, iters, status, _ = _inner_loop(work, s, t, cfg, at)
         else:
-            s, iters, status = centre(t), centre.iters, "converged"
+            (s, tau), iters, status = centre(t), centre.iters, "converged"
+            exact = centre.rows, tau
         inner_total += iters
         at = work.evaluate(s)
         trace.append(OuterTrace(
@@ -592,13 +612,14 @@ def solve(inst: ProblemInstance, config: SolverConfig | None = None) -> SolveRes
         outer += 1
 
     alloc = AllocationMatrix(s)
+    dual_gap = work.dual_gap(s, trace[-1].t if trace else t, exact)
     return SolveResult(
         allocation=alloc,
         objective=trace[-1].objective if trace else total_utility(inst, alloc),
         gap_bound=gap_bound(inst, t),
         outer_iters=outer,
         inner_iters_total=inner_total,
-        converged=gap_bound(inst, t) <= cfg.epsilon,
-        dual_gap=work.dual_gap(s, trace[-1].t if trace else t),
+        converged=gap_bound(inst, t) <= cfg.epsilon and dual_gap <= cfg.epsilon,
+        dual_gap=dual_gap,
         trace=tuple(trace),
     )

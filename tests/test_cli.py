@@ -1,10 +1,14 @@
 import csv
+import dataclasses
 import json
 
 import pytest
 
-from ranshare.cli import RESULT_COLUMNS, main, resolve_config
+from ranshare.baselines import ReservationConfig
+from ranshare.cli import _HOTSPOT_KEYS, DEFAULTS, RESULT_COLUMNS, main, resolve_config
 from ranshare.errors import ConfigError
+from ranshare.sim import HotspotParams, ScenarioParams
+from ranshare.solver import SolverConfig
 
 TINY = {"num_elements": 12, "num_entities": 4, "num_apps": 5, "num_flows": 60}
 
@@ -48,6 +52,16 @@ class TestResolveConfig:
         with pytest.raises(ConfigError, match="focus_app_id"):
             resolve_config(None, {"seed": 1}, env={"RANSHARE_FOCUS_APP_ID": value})
 
+    def test_every_dataclass_field_has_a_config_key(self):
+        for cls in (ScenarioParams, SolverConfig, ReservationConfig):
+            for f in dataclasses.fields(cls):
+                default = list(f.default) if isinstance(f.default, tuple) else f.default
+                assert DEFAULTS[f.name] == (1.0 if f.name == "epsilon" else default)
+        assert sorted(_HOTSPOT_KEYS.values()) == sorted(
+            f.name for f in dataclasses.fields(HotspotParams))
+        for key, name in _HOTSPOT_KEYS.items():
+            assert DEFAULTS[key] == getattr(HotspotParams(), name)
+
     def test_unknown_keys_rejected(self, tmp_path):
         path = tmp_path / "bad.json"
         path.write_text(json.dumps({"seed": 1, "nonsense": 2}))
@@ -59,6 +73,20 @@ class TestMain:
     def test_missing_seed_exit_code(self, capsys):
         assert main(["--experiment", "utility"]) == 2
         assert "seed" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("key, value", [
+        ("num_elements", 12.5), ("num_flows", 60.0), ("epsilon", "abc"), ("mu", None),
+        ("capacity_range", 5), ("capacity_range", ["a", 2]), ("capacity_range", [1, 2, 3]),
+        ("seed", "abc"), ("loads", ["a"]), ("log_floor", None), ("schemes", 5),
+        ("hotspot_mean_bw", "abc"), ("per_bs_fraction", "abc"), ("trace", "yes"),
+        ("hotspot_seed_offset", -5),
+    ])
+    def test_malformed_value_exit_code(self, tmp_path, capsys, key, value):
+        path = write_config(tmp_path, **{"seed": 1, key: value})
+        out = tmp_path / "run"
+        assert main(["--config", path, "--experiment", "hotspot", "--out", str(out)]) == 2
+        assert key in capsys.readouterr().err
+        assert not out.exists()
 
     def test_non_finite_epsilon_exit_code(self, tmp_path, capsys):
         assert main(["--config", write_config(tmp_path), "--experiment", "single-solve",

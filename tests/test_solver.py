@@ -184,7 +184,7 @@ class TestSolveInner:
                 diffs = np.diff(np.array(history))
                 assert np.all(diffs >= 0.0)  # accepted steps never decrease the objective
             else:
-                s = _Centre(inst)(t)
+                s = _Centre(inst)(t)[0]
                 assert work.value(s, t) >= work.value(s0, t)  # interior, and the maximizer
             assert check_feasible(inst, AllocationMatrix(s), tol=0.0).feasible
 
@@ -262,6 +262,14 @@ class TestCentre:
         s = runs[0]
         assert np.ptp(s[0]) == 0.0 and np.ptp(s[1, :2]) == 0.0 and np.ptp(s[1, 2:]) == 0.0
         assert np.array_equal(s[2], upper[2])  # a row with room for every cell's upper bound
+
+    def test_breakpoints_past_the_largest_float(self):
+        # lo/c and hi/c of the first cell overflow; it stays at lo, the second reaches hi
+        inst = make_instance([10.0], [[1.0, 1.0]], [[4.0, 4.0]], [[1e-310, 1.0]], "logarithmic")
+        r = solve(inst, SolverConfig(epsilon=1e-3))
+        assert check_feasible(inst, r.allocation, tol=0.0).feasible
+        assert r.objective == pytest.approx(math.log(4.0), abs=1e-3)
+        assert r.converged
 
 
 def _tight_instance(rng, num_elements, num_apps, zero_coeff_prob=0.2):
@@ -514,22 +522,24 @@ def test_row_slice_sum_is_the_row_of_the_grid_sum(width):
 def _fresh_evaluation_solve(inst, cfg):
     """:func:`solve` with every outer iterate evaluated afresh: its trace entry from
     ``total_utility`` and ``barrier_value``, and the next linear inner loop's start from the
-    point alone; a log iterate is a new centre's.  Returns (allocation, trace, objective,
-    dual_gap)."""
+    point alone; a log iterate is a new centre's, whose tau gives the dual multipliers.
+    Returns (allocation, trace, objective, dual_gap)."""
     work = _InnerProblem(inst)
     s = interior_start(inst, cfg.interior_shift).values.copy()
-    t, trace = cfg.t0, []
+    t, trace, exact = cfg.t0, [], None
     while gap_bound(inst, t) > cfg.epsilon and len(trace) < cfg.max_outer_iters:
         if inst.utility_kind == "linear":
             s, iters, status, _ = _inner_loop(work, s, t, cfg)
         else:
             centre = _Centre(inst)
-            s, iters, status = centre(t), centre.iters, "converged"
+            (s, tau), iters, status = centre(t), centre.iters, "converged"
+            exact = centre.rows, tau
         alloc = AllocationMatrix(s)
         trace.append(OuterTrace(t, total_utility(inst, alloc), barrier_value(inst, alloc),
                                 gap_bound(inst, t), iters, status))
         t *= cfg.mu
-    return s, trace, total_utility(inst, AllocationMatrix(s)), work.dual_gap(s, trace[-1].t)
+    return (s, trace, total_utility(inst, AllocationMatrix(s)),
+            work.dual_gap(s, trace[-1].t, exact))
 
 
 @pytest.mark.parametrize("kind", ["linear", "logarithmic", "tight_log"])
@@ -607,6 +617,14 @@ class TestDualGap:
     def test_log_gap_within_epsilon(self, seed):
         assert solve(_log_case(seed), SolverConfig(epsilon=1e-4)).dual_gap <= 1e-4
 
+    def test_log_multipliers_come_from_the_centre(self):
+        # at t = 1e11 the fresh row slacks round far above sigma; 1/tau keeps the gap at m/t
+        inst = _log_case(17)
+        r = solve(inst, SolverConfig(epsilon=1e-8))
+        m = int((inst.upper > inst.lower).any(axis=1).sum())
+        assert r.dual_gap == pytest.approx(m / r.trace[-1].t, rel=1e-3)
+        assert r.converged
+
     def test_fully_pinned_instance_has_zero_gap(self):
         inst = make_instance([10.0], [[2.0, 3.0]], [[2.0, 3.0]], [[1.0, 1.0]], "logarithmic")
         assert solve(inst, SolverConfig(epsilon=1e-2)).dual_gap == 0.0
@@ -627,13 +645,43 @@ class TestLinearAtBenchmarkScale:
         assert check_feasible(inst, r.allocation, 1e-9).feasible
         assert r.objective + r.dual_gap >= optimum
 
+    def test_reads_unconverged(self, desk_linear_5000):
+        _, cfg, r, _ = desk_linear_5000
+        assert r.gap_bound <= cfg.epsilon < r.dual_gap
+        assert not r.converged
+
     @pytest.mark.xfail(strict=True, reason=(
         "ROADMAP open item 'Linear utility returns a false certificate': every linear "
-        "inner loop ends at max_iters, 334.6 below the HiGHS optimum while converged "
-        "is True and gap_bound is 0.198"))
+        "inner loop ends at max_iters, 334.6 below the HiGHS optimum; gap_bound reads "
+        "0.198 and dual_gap 2038, so converged is False"))
     def test_within_epsilon_of_highs_optimum(self, desk_linear_5000):
         _, cfg, r, optimum = desk_linear_5000
         assert optimum - r.objective <= cfg.epsilon
+
+
+def _small_capacity_instance(rng, num_elements, num_apps, kind):
+    """Capacities U[0.01, 0.02]: B + |K| is far below m, the number of barrier terms."""
+    caps = rng.uniform(0.01, 0.02, num_elements)
+    mins = rng.uniform(0.01, 0.5 / num_apps, num_apps)
+    maxs = np.minimum(mins + rng.uniform(0.05, 0.5, num_apps), 1.0)
+    return make_instance(caps, caps[:, None] * mins, caps[:, None] * maxs,
+                         rng.uniform(0.5, 5.0, (num_elements, num_apps)), kind)
+
+
+@pytest.mark.parametrize("kind", ["linear", "logarithmic"])
+@pytest.mark.parametrize("shape", [(200, 3), (400, 2)])
+def test_bound_below_epsilon_without_certificate_is_unconverged(shape, kind):
+    # (B + |K|)/t stops the loop, but m/t of the last centre is 2 or 4
+    inst = _small_capacity_instance(np.random.default_rng(5), *shape, kind)
+    r = solve(inst, SolverConfig(epsilon=1e-2))
+    assert check_feasible(inst, r.allocation, tol=0.0).feasible
+    assert r.gap_bound <= 1e-2
+    assert r.dual_gap > 1.0
+    assert not r.converged
+    if kind == "linear":
+        optimum = optimum_bracket(inst).upper
+        assert optimum - r.objective > 1e-2  # the bound's claim is false
+        assert r.objective + r.dual_gap >= optimum - 1e-9
 
 
 class TestPresolve:
