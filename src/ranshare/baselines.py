@@ -13,7 +13,7 @@ import numpy as np
 
 from .errors import InvalidParams
 from .fairshare import water_fill
-from .model import FlowAllocation
+from .model import FlowAllocation, frozen
 
 _REDISTRIBUTE_EPS = 1e-12
 
@@ -48,21 +48,23 @@ class EntityAllocation:
         object.__setattr__(self, "per_entity", arr)
 
 
-def _fill_pools(scenario, budget):
-    """Water-fill each (entity, element) pool of flows under its budget[e, i]."""
-    flows = scenario.flows
-    num_e, num_i = budget.shape
-    p = scenario.ratios.values[flows.element, flows.app]
-    res_demand = flows.demand * p
-    pool = flows.entity * num_i + flows.element
-    alloc_res = water_fill(res_demand, budget.ravel(), pool=pool)
+def _fill_pools(scenario, budget, res_demand):
+    """Water-fill each (entity, element) pool of flows, asking ``res_demand``, under budget[e, i]."""
+    flows, plan = scenario.flows, scenario.flow_plan
+    alloc_res = water_fill(res_demand, budget.ravel(), pool=plan.pairs)
 
-    shape = (num_e, num_i, len(scenario.apps))
-    per_entity = np.bincount(pool * shape[2] + flows.app, alloc_res, np.prod(shape)).reshape(shape)
+    shape = (*budget.shape, len(scenario.apps))
+    per_entity = np.bincount(plan.pairs.key.astype(np.intp) * shape[2] + flows.app, alloc_res,
+                             np.prod(shape)).reshape(shape)
     # TranslatingRatios are strictly positive, so the division is safe
-    flow_alloc = FlowAllocation(flow_ids=flows.id, bandwidth=alloc_res / p,
-                                resource=alloc_res, demand_resource=res_demand)
+    flow_alloc = FlowAllocation(flow_ids=flows.id, bandwidth=frozen(alloc_res / plan.ratio),
+                                resource=frozen(alloc_res), demand_resource=res_demand)
     return EntityAllocation(per_entity=per_entity, flow_alloc=flow_alloc)
+
+
+def _resource_demand(scenario):
+    """Each flow's demand in resource units, read-only."""
+    return frozen(scenario.flows.demand * scenario.flow_plan.ratio)
 
 
 def per_bs_rsv_allocate(scenario, cfg: ReservationConfig | None = None) -> EntityAllocation:
@@ -78,7 +80,8 @@ def per_bs_rsv_allocate(scenario, cfg: ReservationConfig | None = None) -> Entit
             f"{num_e} entities at per_bs_fraction={cfg.per_bs_fraction} oversubscribe elements"
         )
     caps = np.array([el.capacity for el in scenario.elements])
-    return _fill_pools(scenario, np.tile(cfg.per_bs_fraction * caps, (num_e, 1)))
+    return _fill_pools(scenario, np.tile(cfg.per_bs_fraction * caps, (num_e, 1)),
+                       _resource_demand(scenario))
 
 
 def net_rsv_allocate(scenario, cfg: ReservationConfig | None = None) -> EntityAllocation:
@@ -93,14 +96,13 @@ def net_rsv_allocate(scenario, cfg: ReservationConfig | None = None) -> EntityAl
     use them (reservation semantics).
     """
     cfg = cfg or ReservationConfig()
-    flows = scenario.flows
     num_e = len(scenario.entities)
     num_i = len(scenario.elements)
     caps = np.array([e.capacity for e in scenario.elements], dtype=float)
     total_cap = float(caps.sum())
 
-    res_demand = flows.demand * scenario.ratios.values[flows.element, flows.app]
-    demand_ei = np.bincount(flows.entity * num_i + flows.element, res_demand,
+    res_demand = _resource_demand(scenario)
+    demand_ei = np.bincount(scenario.flow_plan.pairs.key, res_demand,
                             num_e * num_i).reshape(num_e, num_i)
     demand_e = demand_ei.sum(axis=1)
 
@@ -130,4 +132,4 @@ def net_rsv_allocate(scenario, cfg: ReservationConfig | None = None) -> EntityAl
                 break
         reserved[e] = alloc
         remaining -= alloc
-    return _fill_pools(scenario, reserved)
+    return _fill_pools(scenario, reserved, res_demand)

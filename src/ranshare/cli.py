@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import csv
 import dataclasses
+import inspect
 import json
 import os
 import sys
@@ -67,9 +68,9 @@ DEFAULTS = {
     # scenario, solver, baselines and hotspot shape, as JSON values
     **{key: list(v) if isinstance(v, tuple) else v for key, v in _FIELD_DEFAULTS.items()},
     "hotspot_seed_offset": 1000,
-    # reporting
-    "log_floor": 1e-6,
-    "focus_app_id": 0,
+    # reporting, as run_experiment's defaults
+    **{key: inspect.signature(run_experiment).parameters[key].default
+       for key in ("log_floor", "focus_app_id")},
     # optional explicit instance for single-solve (dict of arrays)
     "instance": None,
 }

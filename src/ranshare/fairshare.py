@@ -2,29 +2,88 @@
 
 from __future__ import annotations
 
+from dataclasses import dataclass
+from functools import cached_property
+
 import numpy as np
 
 from .errors import DimensionMismatch, InvalidParams
+from .model import frozen, integers
+
+
+@dataclass(frozen=True, eq=False)
+class PoolLayout:
+    """Which demands share a pool, arranged for ``water_fill``; built by ``pool_layout``.
+
+    ``key`` is the pool of each demand, in the narrowest unsigned type that
+    holds ``num_pools - 1``.  ``groups`` holds, per power-of-two width w, the
+    pools of that width, their sizes as a column, and an int32 (pools, w)
+    array of indices into the demands; the padding points at index
+    ``key.size``, one past the demands, where the fill puts one ``+inf``.
+    """
+
+    num_pools: int
+    key: np.ndarray
+    groups: tuple
+
+
+def pool_layout(pool, num_pools) -> PoolLayout:
+    """The layout of ``num_pools`` pools, demand j drawing on pool ``pool[j]``.
+
+    A pool that is not a 1-D array of integers in ``[0, num_pools)`` raises
+    ``InvalidParams``.  The demands are grouped by pool with one radix sort of
+    the pool key, and the pools of each power-of-two width become the rows of
+    one padded block.  Nothing here depends on the demands, so one layout
+    serves every fill over the same pools.
+    """
+    pool = np.asarray(pool)
+    if not integers(num_pools) or num_pools < 0:
+        raise InvalidParams(f"the number of pools must be a non-negative integer, got {num_pools!r}")
+    if (pool.ndim != 1 or pool.dtype.kind not in "iu" or np.any(pool < 0)
+            or np.any(pool >= num_pools)):
+        raise InvalidParams("pool entries must be integers indexing into capacity")
+
+    # a stable sort of a narrow pool key lets numpy use radix sort; padding a pool to
+    # a power of two at most doubles its work, while padding every pool to the widest
+    # made the calls of a hotspot sweep 1.8x slower
+    key = pool.astype(np.min_scalar_type(num_pools - 1))
+    order = np.argsort(key, kind="stable")
+    sizes = np.bincount(key, minlength=num_pools)
+    live = np.flatnonzero(sizes)
+    sizes = sizes[live]
+    starts = np.cumsum(sizes) - sizes
+    width = 2 ** np.ceil(np.log2(sizes)).astype(int)
+    index = np.int32 if pool.size < np.iinfo(np.int32).max else np.intp
+    groups = []
+    for w in np.unique(width):
+        at = np.flatnonzero(width == w)
+        n, rank = sizes[at, None], np.arange(w)
+        gather = np.where(rank < n, order.take(starts[at, None] + rank, mode="clip"),
+                          pool.size).astype(index)
+        groups.append((live[at], n, gather))
+    for arr in (key, *(a for group in groups for a in group)):
+        arr.setflags(write=False)
+    return PoolLayout(num_pools, key, tuple(groups))
 
 
 def water_fill(demands, capacity, pool=None) -> np.ndarray:
     """Max-min fair split of each pool's budget across its demands.
 
     Without ``pool`` all demands share the one budget ``capacity``; with it,
-    demand j draws on ``capacity[pool[j]]``.  A pool whose budget covers its
-    demand gets exactly its demands, one with budget <= 0 nothing, any other
-    min(d, w) at the unique level w with sum(min(d, w)) == budget.  Permuting
-    the input permutes the output identically.  Demands that are not a 1-D
-    array of finite non-negative values, NaN budgets and pool entries that
-    do not index ``capacity`` raise ``InvalidParams``; a pool array of
-    another length than the demands raises ``DimensionMismatch``.
+    demand j draws on ``capacity[pool[j]]``.  ``pool`` is an array of pool
+    entries or a ``PoolLayout`` of them, built once by ``pool_layout`` and
+    reused for any demands over the same pools.  A pool whose budget covers
+    its demand gets exactly its demands, one with budget <= 0 nothing, any
+    other min(d, w) at the unique level w with sum(min(d, w)) == budget.
+    Permuting the input permutes the output identically.  Demands that are
+    not a 1-D array of finite non-negative values, NaN budgets and pool
+    entries that do not index ``capacity`` raise ``InvalidParams``; a pool
+    array of another length than the demands, or a layout of another length
+    or another pool count than the budgets, raises ``DimensionMismatch``.
 
-    The demands are grouped by pool with one radix sort of the pool key, and
-    the pools of each power-of-two width are laid out as the rows of one
-    ``+inf``-padded block, sorted and summed along the rows.  Only the values
-    are sorted, never the flows: the levels, and so the result, are those of
-    a per-pool ``np.cumsum`` over the demands in ``np.lexsort`` order, bit
-    for bit.
+    Only the values are sorted, never the flows: the levels, and so the
+    result, are those of a per-pool ``np.cumsum`` over the demands in
+    ``np.lexsort`` order, bit for bit.
     """
     d = np.asarray(demands, dtype=float)
     if d.ndim != 1:
@@ -33,42 +92,68 @@ def water_fill(demands, capacity, pool=None) -> np.ndarray:
         raise InvalidParams("demands must be finite and non-negative")
     if pool is None:
         pool, capacity = np.zeros(d.size, dtype=np.intp), [capacity]
-    pool, cap = np.asarray(pool), np.asarray(capacity, dtype=float)
+    cap = np.asarray(capacity, dtype=float)
     if cap.ndim != 1 or np.any(np.isnan(cap)):
         raise InvalidParams("capacity must be a 1-D array of budgets, none of them NaN")
-    if pool.shape != d.shape:
-        raise DimensionMismatch(f"{pool.shape} pool entries for {d.shape} demands")
-    if pool.dtype.kind not in "iu" or np.any(pool < 0) or np.any(pool >= cap.size):
-        raise InvalidParams("pool entries must be integers indexing into capacity")
+    layout = pool
+    if not isinstance(layout, PoolLayout):
+        if np.shape(pool) != d.shape:
+            raise DimensionMismatch(f"{np.shape(pool)} pool entries for {d.shape} demands")
+        layout = pool_layout(pool, cap.size)
+    if layout.num_pools != cap.size or layout.key.size != d.size:
+        raise DimensionMismatch(f"a layout of {layout.key.size} demands in {layout.num_pools} "
+                                f"pools given {d.size} demands and {cap.size} budgets")
 
-    # a stable sort of a narrow pool key lets numpy use radix sort; padding a pool to
-    # a power of two at most doubles its work, while padding every pool to the widest
-    # made the calls of a hotspot sweep 1.8x slower
-    key = pool.astype(np.min_scalar_type(cap.size - 1))
-    order = np.argsort(key, kind="stable")
-    sizes = np.bincount(key, minlength=cap.size)
-    live = np.flatnonzero(sizes)
-    sizes = sizes[live]
-    starts = np.cumsum(sizes) - sizes
-    width = 2 ** np.ceil(np.log2(sizes)).astype(int)
+    padded = np.append(d, np.inf)
     level, total = np.full(cap.size, np.inf), np.zeros(cap.size)
-    for w in np.unique(width):
-        at = np.flatnonzero(width == w)
-        seg, n, rank, rows = live[at], sizes[at, None], np.arange(w), np.arange(at.size)
-        block = d[order.take(starts[at, None] + rank, mode="clip")]
-        block[rank >= n] = np.inf  # the padding, read from anywhere in bounds
+    for seg, n, gather in layout.groups:
+        # a float rank makes n - rank a float array at once; the counts are exact
+        rank, rows = np.arange(gather.shape[1], dtype=float), np.arange(seg.size)
+        block = padded[gather]
         block.sort(axis=1)
-        csum = np.zeros((at.size, w + 1))
+        csum = np.zeros((seg.size, rank.size + 1))
         np.cumsum(block, axis=1, out=csum[:, 1:])
         # the level if the entries from this rank up all sit at it; the first
         # rank where it does not exceed the entry's demand fixes the pool's level.
         # A pool with no such rank among its demands has a budget that covers its
         # total, so the level taken from its padding or its rank 0 is replaced below
         with np.errstate(divide="ignore", invalid="ignore"):  # in the padding
-            candidate = (cap[seg, None] - csum[:, :-1]) / (n - rank)
+            candidate = cap[seg, None] - csum[:, :-1]
+            candidate /= n - rank
         first = (candidate <= block).argmax(axis=1)
         level[seg] = np.maximum(candidate[rows, first], 0.0)
         total[seg] = csum[rows, n[:, 0]]
     level[total <= cap] = np.inf
     level[cap <= 0] = 0.0
-    return np.minimum(d, level[pool])
+    return np.minimum(d, level[layout.key])
+
+
+class FlowPlan:
+    """The load-invariant parts of one flow set's flow level, each built on first use.
+
+    Only the demands change with load, so a sweep builds these once and every
+    load and scheme reads them: the pool layout of the (element, app) cells,
+    the one of the (entity, element) pairs, and each flow's translating ratio.
+    ``scenario`` is anything with ``flows``, ``ratios`` and ``entities``;
+    its flows' demands are never read.
+    """
+
+    def __init__(self, scenario):
+        self.flows = scenario.flows
+        self.ratios = scenario.ratios.values
+        self.num_entities = len(scenario.entities)
+
+    @cached_property
+    def cells(self) -> PoolLayout:
+        num_i, num_k = self.ratios.shape
+        return pool_layout(self.flows.element * num_k + self.flows.app, num_i * num_k)
+
+    @cached_property
+    def pairs(self) -> PoolLayout:
+        num_i = self.ratios.shape[0]
+        return pool_layout(self.flows.entity * num_i + self.flows.element,
+                           self.num_entities * num_i)
+
+    @cached_property
+    def ratio(self) -> np.ndarray:
+        return frozen(self.ratios[self.flows.element, self.flows.app])

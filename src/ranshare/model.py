@@ -21,16 +21,32 @@ UTILITY_KINDS = ("linear", "logarithmic")
 
 
 def _frozen_array(values, shape=None, name="array", dtype=float) -> np.ndarray:
-    arr = np.array(values, dtype=dtype)
+    """``values`` as a read-only array of ``dtype``, copied unless it is one already.
+
+    An input that is already read-only, of ``dtype`` and owns its data is
+    shared, not copied: a caller who turns writes back on for an array they
+    froze, and then writes to it, is outside the contract.
+    """
+    if (isinstance(values, np.ndarray) and not values.flags.writeable
+            and values.base is None and values.dtype == dtype):
+        arr = values
+    else:
+        arr = frozen(np.array(values, dtype=dtype))
     if shape is not None and arr.shape != tuple(shape):
         raise DimensionMismatch(f"{name}: expected shape {tuple(shape)}, got {arr.shape}")
+    return arr
+
+
+def frozen(arr: np.ndarray) -> np.ndarray:
+    """``arr``, made read-only; hand a fresh array over with it so it is not copied."""
     arr.setflags(write=False)
     return arr
 
 
 def integers(*values) -> bool:
     """Whether every value is an integer; numpy integers count, bools do not."""
-    return all(isinstance(v, numbers.Integral) and not isinstance(v, bool) for v in values)
+    return all(issubclass(t, numbers.Integral) and not issubclass(t, bool)
+               for t in set(map(type, values)))
 
 
 @dataclass(frozen=True)

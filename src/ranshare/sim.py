@@ -10,15 +10,16 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, replace
+from functools import cached_property
 from typing import Sequence
 
 import numpy as np
 
 from .baselines import ReservationConfig, net_rsv_allocate, per_bs_rsv_allocate
-from .errors import InvalidParams, RanShareError
-from .fairshare import water_fill
+from .errors import InvalidParams, RanShareError, UnknownReference
+from .fairshare import FlowPlan, water_fill
 from .model import (Application, Entity, FlowAllocation, Flows, ProblemInstance,
-                    RadioElement, expand_bounds, integers)
+                    RadioElement, expand_bounds, frozen, integers)
 from .solver import SolveResult, SolverConfig, solve
 from .utility import TranslatingRatios, estimate_demand
 
@@ -119,6 +120,11 @@ class Scenario:
     def aggregate_capacity(self) -> float:
         return float(sum(e.capacity for e in self.elements))
 
+    @cached_property
+    def flow_plan(self) -> FlowPlan:
+        """The load-invariant parts of the flow level, shared by ``scale_load``'s results."""
+        return FlowPlan(self)
+
 
 def generate_scenario(params: ScenarioParams, seed: int) -> Scenario:
     """Draw one scenario; deterministic field-for-field given the seed.
@@ -172,20 +178,45 @@ def scale_load(scenario: Scenario, multiplier: float, flow_ids=None) -> Scenario
     """Multiply flow bandwidth demands; all other fields unchanged.
 
     With ``flow_ids`` given, only those flows are scaled (hotspot sweeps);
-    the scenario-level load bookkeeping then stays untouched.
+    the scenario-level load bookkeeping then stays untouched.  Entries that
+    are not integers raise ``InvalidParams`` (bools included), ids that are
+    not among the scenario's flows ``UnknownReference``.  The scaled scenario
+    shares the ``flow_plan`` of this one, since its flows differ only in demand.
     """
+    flows = scenario.flows
+    if flow_ids is not None:
+        ids = _flow_id_array(flow_ids)
+        known = np.isin(ids, flows.id)
+        if not known.all():
+            raise UnknownReference(f"flow id {ids[np.argmin(known)]} is not among the flows")
     if not 1.0 <= multiplier < np.inf:
         raise InvalidParams("load multiplier must be finite and >= 1")
     if multiplier == 1.0:
         return scenario
-    flows = scenario.flows
     if flow_ids is None:
         chosen, new_mult = True, scenario.load_multiplier * multiplier
     else:
-        chosen = np.isin(flows.id, np.fromiter(flow_ids, np.int64))
-        new_mult = scenario.load_multiplier
-    demand = np.where(chosen, flows.demand * multiplier, flows.demand)
-    return replace(scenario, flows=replace(flows, demand=demand), load_multiplier=new_mult)
+        chosen, new_mult = np.isin(flows.id, ids), scenario.load_multiplier
+    demand = frozen(np.where(chosen, flows.demand * multiplier, flows.demand))
+    scaled = replace(scenario, flows=replace(flows, demand=demand), load_multiplier=new_mult)
+    vars(scaled)["flow_plan"] = scenario.flow_plan
+    return scaled
+
+
+def _flow_id_array(flow_ids) -> np.ndarray:
+    """Flow ids as an int64 array; entries that are not integers raise ``InvalidParams``."""
+    if isinstance(flow_ids, np.ndarray) and flow_ids.dtype == np.int64 and flow_ids.ndim == 1:
+        return flow_ids
+    try:
+        ids = flow_ids.tolist() if isinstance(flow_ids, np.ndarray) else list(flow_ids)
+    except TypeError:
+        raise InvalidParams(f"flow ids must be an iterable of integers, got {flow_ids!r}") from None
+    if not integers(*ids):
+        raise InvalidParams(f"flow ids must be integers, got {flow_ids!r}")
+    try:
+        return np.array(ids, dtype=np.int64)
+    except OverflowError:
+        raise UnknownReference("a flow id lies outside the int64 range of flow ids") from None
 
 
 def add_hotspot(scenario: Scenario, params: HotspotParams, seed: int) -> Scenario:
@@ -229,9 +260,10 @@ def second_phase_allocate(flows: Flows, budget: float, ratio: float) -> FlowAllo
 
 
 def _granted(flows: Flows, bandwidth, ratio) -> FlowAllocation:
-    """The allocation granting each flow its bandwidth, at its ratio."""
-    return FlowAllocation(flow_ids=flows.id, bandwidth=bandwidth,
-                          resource=bandwidth * ratio, demand_resource=flows.demand * ratio)
+    """The allocation granting each flow its fresh ``bandwidth``, at its ratio."""
+    return FlowAllocation(flow_ids=flows.id, bandwidth=frozen(bandwidth),
+                          resource=frozen(bandwidth * ratio),
+                          demand_resource=frozen(flows.demand * ratio))
 
 
 def build_instance(scenario: Scenario, utility_kind: str) -> ProblemInstance:
@@ -254,13 +286,13 @@ def allocate_app_opt(scenario: Scenario, utility_kind: str,
     """
     inst = build_instance(scenario, utility_kind)
     result = solve(inst, solver_config)
-    flows = scenario.flows
-    cell = flows.element * len(scenario.apps) + flows.app
-    p = scenario.ratios.values.ravel()
+    plan = scenario.flow_plan
     # the second phase of every cell at once: each cell's grant, turned into
     # bandwidth by its ratio, is water-filled across the cell's flows
-    bandwidth = water_fill(flows.demand, result.allocation.values.ravel() / p, pool=cell)
-    return _granted(flows, bandwidth, p[cell]), result
+    bandwidth = water_fill(scenario.flows.demand,
+                           (result.allocation.values / scenario.ratios.values).ravel(),
+                           pool=plan.cells)
+    return _granted(scenario.flows, bandwidth, plan.ratio), result
 
 
 def qoe_satisfied_count(flow_alloc: FlowAllocation, flows: Flows) -> int:
@@ -335,11 +367,14 @@ def run_experiment(base: Scenario, schemes: Sequence[str], loads: Sequence[float
     if not integers(focus_app_id) or not 0 <= focus_app_id < len(base.apps):
         raise InvalidParams(f"focus_app_id must be an application index below {len(base.apps)}, "
                             f"got {focus_app_id!r}")
+    if scale_flow_ids is not None:
+        scale_flow_ids = _flow_id_array(scale_flow_ids)
+    # every scheme's allocation is aligned with base.flows, and every scaled
+    # scenario shares base.flow_plan, so its layouts are built once per sweep
+    m_mask = base.flows.app == focus_app_id
     rows = []
     for load in loads:
         scen = scale_load(base, float(load), flow_ids=scale_flow_ids)
-        # every scheme's allocation is aligned with scen.flows
-        m_mask = scen.flows.app == focus_app_id
         for scheme in schemes:
             try:
                 start = time.perf_counter()

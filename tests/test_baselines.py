@@ -142,9 +142,9 @@ def _net_rsv_reference(scen, cfg=ReservationConfig()):
     num_e, num_i = len(scen.entities), len(scen.elements)
     caps = np.array([e.capacity for e in scen.elements], dtype=float)
     total_cap = float(caps.sum())
+    res_demand = flows.demand * scen.ratios.values[flows.element, flows.app]
     demand_ei = np.zeros((num_e, num_i))
-    np.add.at(demand_ei, (flows.entity, flows.element),
-              flows.demand * scen.ratios.values[flows.element, flows.app])
+    np.add.at(demand_ei, (flows.entity, flows.element), res_demand)
     demand_e = demand_ei.sum(axis=1)
     budgets = np.clip(demand_e, cfg.net_min_fraction * total_cap,
                       cfg.net_max_fraction * total_cap)
@@ -165,7 +165,7 @@ def _net_rsv_reference(scen, cfg=ReservationConfig()):
                 break
         reserved[e] = alloc
         remaining -= alloc
-    return baselines._fill_pools(scen, reserved)
+    return baselines._fill_pools(scen, reserved, res_demand)
 
 
 def test_net_rsv_demand_sums_flows_in_input_order():

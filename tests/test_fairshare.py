@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from ranshare.errors import DimensionMismatch, InvalidParams
-from ranshare.fairshare import water_fill
+from ranshare.fairshare import pool_layout, water_fill
 
 
 def test_capacity_covers_demand():
@@ -203,3 +203,27 @@ def test_infinite_budgets_zero_demands_and_empty_pools():
     got = _fill_without_warnings(d, budgets, pool)
     np.testing.assert_allclose(got, per_pool_fill(d, budgets, pool), rtol=1e-12, atol=0)
     assert np.array_equal(got, [1.0, 4.0, 0.0, 0.0, 0.0, 2.0, 2.0, 2.0, 0.0])
+
+
+def test_one_layout_fills_many_demand_vectors_as_lexsort():
+    # one layout, built once, of pools sized around powers of two, one wider than
+    # 65,536 and one empty, serves every fill bit for bit as the np.lexsort oracle
+    rng = np.random.default_rng(7)
+    sizes = np.array([1, 2, 3, 4, 5, 8, 9, 16, 17, 64, 65, 256, 257, 70_000, 0])
+    pool = rng.permutation(np.repeat(np.arange(sizes.size), sizes))
+    layout = pool_layout(pool, sizes.size)
+    for _ in range(4):
+        d = rng.choice([0.0, 0.5, 1.0, 2.5], pool.size) * rng.choice([1.0, 1.0 + 1e-12], pool.size)
+        cap = rng.uniform(0.0, 1.5, sizes.size) * np.bincount(pool, d, sizes.size)
+        assert np.array_equal(water_fill(d, cap, pool=layout), _lexsort_fill(d, cap, pool))
+
+
+def test_layout_checks():
+    layout = pool_layout(np.array([0, 1, 1]), 2)
+    with pytest.raises(DimensionMismatch):  # demands of another length
+        water_fill(np.ones(4), np.ones(2), pool=layout)
+    with pytest.raises(DimensionMismatch):  # budgets for another pool count
+        water_fill(np.ones(3), np.ones(3), pool=layout)
+    for pool, num_pools in (([0, 2], 2), ([0, 1], 0), ([0, 1], 2.0), ([[0, 1]], 2)):
+        with pytest.raises(InvalidParams):
+            pool_layout(np.array(pool), num_pools)

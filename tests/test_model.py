@@ -109,6 +109,11 @@ class TestFlows:
         f = Flows([0, 1], [0, 0], [0, 0], [0, 0], demand)
         demand[0] = 5.0
         assert f.demand[0] == 1.0 and demand.flags.writeable
+        # read-only columns that own their data are shared; a read-only view is copied
+        g = Flows(f.id, f.entity, f.app, f.element, f.demand)
+        assert g.id is f.id and g.demand is f.demand
+        view = f.demand[:1]
+        assert Flows([0], [0], [0], [0], view).demand is not view
 
     def test_unequal_lengths_rejected(self):
         with pytest.raises(DimensionMismatch, match="demand"):

@@ -4,7 +4,8 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from ranshare.errors import InvalidParams
+from ranshare.baselines import ReservationConfig, net_rsv_allocate, per_bs_rsv_allocate
+from ranshare.errors import InvalidParams, UnknownReference
 from ranshare.model import Flow, FlowAllocation, Flows, check_feasible
 from ranshare.sim import (ALL_SCHEMES, HotspotParams, ScenarioParams, add_hotspot,
                           allocate_app_opt, build_instance, flow_utility,
@@ -135,6 +136,21 @@ class TestScaleLoad:
             assert scaled.flows == Flows.of(want)
             assert all(type(f.demand_bw) is float for f in scaled.flows)
             assert scaled.load_multiplier == (multiplier if flow_ids is None else 1.0)
+
+    @pytest.mark.parametrize("flow_ids, error", [
+        ([999], UnknownReference), ([1.5], InvalidParams), ([True], InvalidParams),
+        (["a"], InvalidParams), ([1, np.int64(2), False], InvalidParams),
+        (np.array([1.0]), InvalidParams), (np.array([[1]]), InvalidParams), (5, InvalidParams)])
+    def test_malformed_flow_ids_rejected(self, flow_ids, error):
+        scen = generate_scenario(ScenarioParams(num_elements=5, num_entities=2, num_apps=3,
+                                                num_flows=20), 1)
+        for multiplier in (1.0, 2.0):
+            with pytest.raises(error):
+                scale_load(scen, multiplier, flow_ids=flow_ids)
+
+    def test_scaled_scenario_shares_the_flow_plan(self):
+        scen = generate_scenario(DESK, 3)
+        assert scale_load(scen, 2.0, flow_ids=np.array([0, 5])).flow_plan is scen.flow_plan
 
     def test_rejects_below_one(self):
         with pytest.raises(InvalidParams):
@@ -306,6 +322,36 @@ class TestRunExperiment:
         by_scheme = {r.scheme: r for r in rep.rows}
         assert by_scheme[SCHEME_APP_OPT].error == "InvalidParams"
         assert by_scheme["net-rsv"].error is None
+
+    @pytest.mark.parametrize("kind", ["linear", "logarithmic"])
+    def test_rows_match_one_call_per_scheme(self, kind):
+        # the sweep's shared flow plan gives the rows of fresh scenarios scaled and
+        # allocated one public call at a time
+        base = generate_scenario(DESK, 5)
+        hot = add_hotspot(base, HotspotParams(n_flows=60, n_elements=20), 6)
+        ids = list(range(len(base.flows), len(hot.flows)))
+        cfg = SolverConfig(epsilon=1.0)
+        allocate = {SCHEME_APP_OPT: lambda s: allocate_app_opt(s, kind, cfg)[0],
+                    "net-rsv": lambda s: net_rsv_allocate(s).flow_alloc,
+                    "per-bs-rsv": lambda s: per_bs_rsv_allocate(s).flow_alloc}
+        rep = run_experiment(hot, ALL_SCHEMES, [1.0, 4.0, 9.0], kind, solver_config=cfg,
+                             scale_flow_ids=ids)
+        assert len(rep.rows) == 9
+        for row in rep.rows:
+            scen = scale_load(replace(hot), row.load, flow_ids=ids)
+            alloc = allocate[row.scheme](scen)
+            assert row.total_utility == flow_utility(alloc, kind)
+            assert row.app_m_resource == float(alloc.resource[scen.flows.app == 0].sum())
+            assert row.qoe_satisfied == qoe_satisfied_count(alloc, scen.flows)
+
+    def test_per_bs_error_row_in_a_sweep(self):
+        # five entities at half an element each oversubscribe it: per-bs-rsv fails at
+        # every load while the other schemes still run
+        base = generate_scenario(DESK, 4)
+        rep = run_experiment(base, ALL_SCHEMES, [1.0, 2.0], "linear",
+                             solver_config=SolverConfig(epsilon=1.0),
+                             reservation_config=ReservationConfig(per_bs_fraction=0.5))
+        assert [r.error for r in rep.rows] == [None, None, "InvalidParams"] * 2
 
     @pytest.mark.parametrize("focus", [4, -1, 1.0])
     def test_focus_app_id_outside_the_applications_rejected(self, focus):
