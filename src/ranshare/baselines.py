@@ -8,11 +8,12 @@ comparison isolates the reservation policy rather than the flow scheduler.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from .errors import InvalidParams
-from .fairshare import water_fill
+from .fairshare import FlowPlan, water_fill
 from .model import FlowAllocation, frozen
 
 _REDISTRIBUTE_EPS = 1e-12
@@ -37,34 +38,32 @@ class ReservationConfig:
 class EntityAllocation:
     """Resource actually delivered to each entity's flows, plus the flow detail."""
 
-    per_entity: np.ndarray       # (E, I, K) resource attributed to flows
     flow_alloc: FlowAllocation   # aligned with the scenario's flow order
+    plan: FlowPlan               # the scenario's: its (entity, element) pools and apps
 
-    def __post_init__(self):
-        arr = np.array(self.per_entity, dtype=float)
-        if np.any(arr < 0):
-            raise InvalidParams("entity allocations must be non-negative")
-        arr.setflags(write=False)
-        object.__setattr__(self, "per_entity", arr)
+    @cached_property
+    def per_entity(self) -> np.ndarray:
+        """(E, I, K) resource attributed to flows, summed in flow order when first read."""
+        plan = self.plan
+        shape = (plan.num_entities, *plan.ratios.shape)
+        index = plan.pairs.key.astype(np.intp) * shape[2] + plan.flows.app
+        return frozen(np.bincount(index, self.flow_alloc.resource, np.prod(shape))).reshape(shape)
 
 
-def _fill_pools(scenario, budget, res_demand):
-    """Water-fill each (entity, element) pool of flows, asking ``res_demand``, under budget[e, i]."""
-    flows, plan = scenario.flows, scenario.flow_plan
-    alloc_res = water_fill(res_demand, budget.ravel(), pool=plan.pairs)
+def _fill_pools(scenario, budget):
+    """Water-fill each (entity, element) pool of the scenario's flows under budget[e, i].
 
-    shape = (*budget.shape, len(scenario.apps))
-    per_entity = np.bincount(plan.pairs.key.astype(np.intp) * shape[2] + flows.app, alloc_res,
-                             np.prod(shape)).reshape(shape)
+    The demands are ``scenario.pair_fill``, sorted once per scenario, so both
+    baselines at one load share that half of the fill.
+    """
+    plan = scenario.flow_plan
+    alloc_res = water_fill(scenario.pair_fill, budget.ravel())
     # TranslatingRatios are strictly positive, so the division is safe
-    flow_alloc = FlowAllocation(flow_ids=flows.id, bandwidth=frozen(alloc_res / plan.ratio),
-                                resource=frozen(alloc_res), demand_resource=res_demand)
-    return EntityAllocation(per_entity=per_entity, flow_alloc=flow_alloc)
-
-
-def _resource_demand(scenario):
-    """Each flow's demand in resource units, read-only."""
-    return frozen(scenario.flows.demand * scenario.flow_plan.ratio)
+    flow_alloc = FlowAllocation(flow_ids=scenario.flows.id,
+                                bandwidth=frozen(alloc_res / plan.ratio),
+                                resource=frozen(alloc_res),
+                                demand_resource=scenario.resource_demand)
+    return EntityAllocation(flow_alloc, plan)
 
 
 def per_bs_rsv_allocate(scenario, cfg: ReservationConfig | None = None) -> EntityAllocation:
@@ -80,8 +79,7 @@ def per_bs_rsv_allocate(scenario, cfg: ReservationConfig | None = None) -> Entit
             f"{num_e} entities at per_bs_fraction={cfg.per_bs_fraction} oversubscribe elements"
         )
     caps = np.array([el.capacity for el in scenario.elements])
-    return _fill_pools(scenario, np.tile(cfg.per_bs_fraction * caps, (num_e, 1)),
-                       _resource_demand(scenario))
+    return _fill_pools(scenario, np.tile(cfg.per_bs_fraction * caps, (num_e, 1)))
 
 
 def net_rsv_allocate(scenario, cfg: ReservationConfig | None = None) -> EntityAllocation:
@@ -101,8 +99,7 @@ def net_rsv_allocate(scenario, cfg: ReservationConfig | None = None) -> EntityAl
     caps = np.array([e.capacity for e in scenario.elements], dtype=float)
     total_cap = float(caps.sum())
 
-    res_demand = _resource_demand(scenario)
-    demand_ei = np.bincount(scenario.flow_plan.pairs.key, res_demand,
+    demand_ei = np.bincount(scenario.flow_plan.pairs.key, scenario.resource_demand,
                             num_e * num_i).reshape(num_e, num_i)
     demand_e = demand_ei.sum(axis=1)
 
@@ -132,4 +129,4 @@ def net_rsv_allocate(scenario, cfg: ReservationConfig | None = None) -> EntityAl
                 break
         reserved[e] = alloc
         remaining -= alloc
-    return _fill_pools(scenario, reserved, res_demand)
+    return _fill_pools(scenario, reserved)

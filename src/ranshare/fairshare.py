@@ -19,7 +19,9 @@ class PoolLayout:
     holds ``num_pools - 1``.  ``groups`` holds, per power-of-two width w, the
     pools of that width, their sizes as a column, and an int32 (pools, w)
     array of indices into the demands; the padding points at index
-    ``key.size``, one past the demands, where the fill puts one ``+inf``.
+    ``key.size``, one past the demands, where ``sort_demands`` puts one
+    ``+inf``.  A layout depends on the pools alone, a ``SortedDemands`` on the
+    demands too, and neither on the budgets.
     """
 
     num_pools: int
@@ -66,53 +68,86 @@ def pool_layout(pool, num_pools) -> PoolLayout:
     return PoolLayout(num_pools, key, tuple(groups))
 
 
+@dataclass(frozen=True, eq=False)
+class SortedDemands:
+    """Demands grouped and sorted by pool: the half of a fill that no budget enters.
+
+    ``demands`` are the checked demands and ``layout`` their pools.  ``blocks``
+    holds, per group of ``layout.groups``, the pools' demands sorted along
+    each ``+inf``-padded row and the row ``cumsum`` of them behind a leading
+    zero column; ``total`` is each pool's summed demand, 0 for an empty pool.
+    ``water_fill`` fills it under any budgets with the level search and one
+    ``np.minimum``.
+    """
+
+    demands: np.ndarray
+    layout: PoolLayout
+    blocks: tuple
+    total: np.ndarray
+
+
+def sort_demands(demands, layout: PoolLayout) -> SortedDemands:
+    """``demands`` over the pools of ``layout``, sorted once for fills under many budgets.
+
+    Demands that are not a 1-D array of finite non-negative values raise
+    ``InvalidParams``, and a layout of another length ``DimensionMismatch``.
+    Writeable demands are copied, so the sorted form never changes.
+    """
+    d = _checked_demands(demands)
+    if d.flags.writeable:
+        d = frozen(d.copy())
+    return _sorted(d, layout)
+
+
 def water_fill(demands, capacity, pool=None) -> np.ndarray:
     """Max-min fair split of each pool's budget across its demands.
 
     Without ``pool`` all demands share the one budget ``capacity``; with it,
     demand j draws on ``capacity[pool[j]]``.  ``pool`` is an array of pool
     entries or a ``PoolLayout`` of them, built once by ``pool_layout`` and
-    reused for any demands over the same pools.  A pool whose budget covers
-    its demand gets exactly its demands, one with budget <= 0 nothing, any
-    other min(d, w) at the unique level w with sum(min(d, w)) == budget.
-    Permuting the input permutes the output identically.  Demands that are
-    not a 1-D array of finite non-negative values, NaN budgets and pool
-    entries that do not index ``capacity`` raise ``InvalidParams``; a pool
-    array of another length than the demands, or a layout of another length
-    or another pool count than the budgets, raises ``DimensionMismatch``.
+    reused for any demands over the same pools.  ``demands`` may instead be a
+    ``SortedDemands``, sorted once by ``sort_demands`` and reused for any
+    budgets; it carries its pools, so ``pool`` must then be None.  A pool
+    whose budget covers its demand gets exactly its demands, one with budget
+    <= 0 nothing, any other min(d, w) at the unique level w with
+    sum(min(d, w)) == budget.  Permuting the input permutes the output
+    identically.  Demands that are not a 1-D array of finite non-negative
+    values, NaN budgets and pool entries that do not index ``capacity`` raise
+    ``InvalidParams``, in that order; a pool array of another length than the
+    demands, or a layout of another length or another pool count than the
+    budgets, raises ``DimensionMismatch``.
 
-    Only the values are sorted, never the flows: the levels, and so the
-    result, are those of a per-pool ``np.cumsum`` over the demands in
-    ``np.lexsort`` order, bit for bit.
+    A fill has two stages, and every call runs both on one path: a per-demand
+    stage (``sort_demands``: gather the demands into the layout's row blocks,
+    sort the values along the rows, row ``cumsum``, pool totals) and a
+    per-budget stage (the level search and ``np.minimum``).  Only the values
+    are sorted, never the flows: the levels, and so the result, are those of a
+    per-pool ``np.cumsum`` over the demands in ``np.lexsort`` order, bit for bit.
     """
-    d = np.asarray(demands, dtype=float)
-    if d.ndim != 1:
-        raise InvalidParams("demands must be a 1-D array")
-    if not np.all(np.isfinite(d) & (d >= 0)):
-        raise InvalidParams("demands must be finite and non-negative")
-    if pool is None:
-        pool, capacity = np.zeros(d.size, dtype=np.intp), [capacity]
+    fill = demands if isinstance(demands, SortedDemands) else None
+    if fill is None:
+        d = _checked_demands(demands)
+        if pool is None:
+            pool, capacity = np.zeros(d.size, dtype=np.intp), [capacity]
+    elif pool is not None:
+        raise InvalidParams("sorted demands carry their pools; pass no pool with them")
     cap = np.asarray(capacity, dtype=float)
     if cap.ndim != 1 or np.any(np.isnan(cap)):
         raise InvalidParams("capacity must be a 1-D array of budgets, none of them NaN")
-    layout = pool
-    if not isinstance(layout, PoolLayout):
-        if np.shape(pool) != d.shape:
-            raise DimensionMismatch(f"{np.shape(pool)} pool entries for {d.shape} demands")
-        layout = pool_layout(pool, cap.size)
-    if layout.num_pools != cap.size or layout.key.size != d.size:
-        raise DimensionMismatch(f"a layout of {layout.key.size} demands in {layout.num_pools} "
-                                f"pools given {d.size} demands and {cap.size} budgets")
+    if fill is None:
+        layout = pool
+        if not isinstance(layout, PoolLayout):
+            if np.shape(pool) != d.shape:
+                raise DimensionMismatch(f"{np.shape(pool)} pool entries for {d.shape} demands")
+            layout = pool_layout(pool, cap.size)
+        fill = _sorted(d, layout)
+    if fill.layout.num_pools != cap.size:
+        raise DimensionMismatch(f"{fill.layout.num_pools} pools given {cap.size} budgets")
 
-    padded = np.append(d, np.inf)
-    level, total = np.full(cap.size, np.inf), np.zeros(cap.size)
-    for seg, n, gather in layout.groups:
+    level = np.full(cap.size, np.inf)
+    for (seg, n, _), (block, csum) in zip(fill.layout.groups, fill.blocks):
         # a float rank makes n - rank a float array at once; the counts are exact
-        rank, rows = np.arange(gather.shape[1], dtype=float), np.arange(seg.size)
-        block = padded[gather]
-        block.sort(axis=1)
-        csum = np.zeros((seg.size, rank.size + 1))
-        np.cumsum(block, axis=1, out=csum[:, 1:])
+        rank, rows = np.arange(block.shape[1], dtype=float), np.arange(seg.size)
         # the level if the entries from this rank up all sit at it; the first
         # rank where it does not exceed the entry's demand fixes the pool's level.
         # A pool with no such rank among its demands has a budget that covers its
@@ -122,10 +157,36 @@ def water_fill(demands, capacity, pool=None) -> np.ndarray:
             candidate /= n - rank
         first = (candidate <= block).argmax(axis=1)
         level[seg] = np.maximum(candidate[rows, first], 0.0)
-        total[seg] = csum[rows, n[:, 0]]
-    level[total <= cap] = np.inf
+    level[fill.total <= cap] = np.inf
     level[cap <= 0] = 0.0
-    return np.minimum(d, level[layout.key])
+    return np.minimum(fill.demands, level[fill.layout.key])
+
+
+def _checked_demands(demands) -> np.ndarray:
+    """``demands`` as a float array; raises ``InvalidParams`` unless 1-D, finite and >= 0."""
+    d = np.asarray(demands, dtype=float)
+    if d.ndim != 1:
+        raise InvalidParams("demands must be a 1-D array")
+    if not np.all(np.isfinite(d) & (d >= 0)):
+        raise InvalidParams("demands must be finite and non-negative")
+    return d
+
+
+def _sorted(d, layout) -> SortedDemands:
+    """The per-demand stage of a fill of the checked demands ``d`` over ``layout``."""
+    if layout.key.size != d.size:
+        raise DimensionMismatch(f"a layout of {layout.key.size} demands given {d.size} demands")
+    padded = np.append(d, np.inf)
+    total = np.zeros(layout.num_pools)
+    blocks = []
+    for seg, n, gather in layout.groups:
+        block = padded[gather]
+        block.sort(axis=1)
+        csum = np.zeros((seg.size, block.shape[1] + 1))
+        np.cumsum(block, axis=1, out=csum[:, 1:])
+        total[seg] = csum[np.arange(seg.size), n[:, 0]]
+        blocks.append((frozen(block), frozen(csum)))
+    return SortedDemands(d, layout, tuple(blocks), frozen(total))
 
 
 class FlowPlan:

@@ -17,7 +17,7 @@ import numpy as np
 
 from .baselines import ReservationConfig, net_rsv_allocate, per_bs_rsv_allocate
 from .errors import InvalidParams, RanShareError, UnknownReference
-from .fairshare import FlowPlan, water_fill
+from .fairshare import FlowPlan, SortedDemands, sort_demands, water_fill
 from .model import (Application, Entity, FlowAllocation, Flows, ProblemInstance,
                     RadioElement, expand_bounds, frozen, integers)
 from .solver import SolveResult, SolverConfig, solve
@@ -125,6 +125,22 @@ class Scenario:
         """The load-invariant parts of the flow level, shared by ``scale_load``'s results."""
         return FlowPlan(self)
 
+    @cached_property
+    def resource_demand(self) -> np.ndarray:
+        """Each flow's demand in resource units, at its cell's ratio; read-only.
+
+        It changes with load, so ``scale_load`` never hands it on.
+        """
+        return frozen(self.flows.demand * self.flow_plan.ratio)
+
+    @cached_property
+    def pair_fill(self) -> SortedDemands:
+        """The resource demands sorted by (entity, element) pool, as both baselines fill them.
+
+        It changes with load, so ``scale_load`` never hands it on.
+        """
+        return sort_demands(self.resource_demand, self.flow_plan.pairs)
+
 
 def generate_scenario(params: ScenarioParams, seed: int) -> Scenario:
     """Draw one scenario; deterministic field-for-field given the seed.
@@ -181,7 +197,8 @@ def scale_load(scenario: Scenario, multiplier: float, flow_ids=None) -> Scenario
     the scenario-level load bookkeeping then stays untouched.  Entries that
     are not integers raise ``InvalidParams`` (bools included), ids that are
     not among the scenario's flows ``UnknownReference``.  The scaled scenario
-    shares the ``flow_plan`` of this one, since its flows differ only in demand.
+    shares the ``flow_plan`` of this one, since its flows differ only in demand,
+    and builds its own ``resource_demand`` and ``pair_fill`` when they are read.
     """
     flows = scenario.flows
     if flow_ids is not None:
@@ -256,14 +273,14 @@ def second_phase_allocate(flows: Flows, budget: float, ratio: float) -> FlowAllo
         raise InvalidParams("translating ratio must be finite and positive")
     if not budget >= 0:
         raise InvalidParams("budget must be non-negative")
-    return _granted(flows, water_fill(flows.demand, budget / ratio), ratio)
+    return _granted(flows, water_fill(flows.demand, budget / ratio), ratio,
+                    frozen(flows.demand * ratio))
 
 
-def _granted(flows: Flows, bandwidth, ratio) -> FlowAllocation:
+def _granted(flows: Flows, bandwidth, ratio, demand_resource) -> FlowAllocation:
     """The allocation granting each flow its fresh ``bandwidth``, at its ratio."""
     return FlowAllocation(flow_ids=flows.id, bandwidth=frozen(bandwidth),
-                          resource=frozen(bandwidth * ratio),
-                          demand_resource=frozen(flows.demand * ratio))
+                          resource=frozen(bandwidth * ratio), demand_resource=demand_resource)
 
 
 def build_instance(scenario: Scenario, utility_kind: str) -> ProblemInstance:
@@ -292,7 +309,7 @@ def allocate_app_opt(scenario: Scenario, utility_kind: str,
     bandwidth = water_fill(scenario.flows.demand,
                            (result.allocation.values / scenario.ratios.values).ravel(),
                            pool=plan.cells)
-    return _granted(scenario.flows, bandwidth, plan.ratio), result
+    return _granted(scenario.flows, bandwidth, plan.ratio, scenario.resource_demand), result
 
 
 def qoe_satisfied_count(flow_alloc: FlowAllocation, flows: Flows) -> int:
@@ -370,7 +387,8 @@ def run_experiment(base: Scenario, schemes: Sequence[str], loads: Sequence[float
     if scale_flow_ids is not None:
         scale_flow_ids = _flow_id_array(scale_flow_ids)
     # every scheme's allocation is aligned with base.flows, and every scaled
-    # scenario shares base.flow_plan, so its layouts are built once per sweep
+    # scenario shares base.flow_plan, so its layouts are built once per sweep;
+    # each load's scenario sorts its own pair fill once for both baselines
     m_mask = base.flows.app == focus_app_id
     rows = []
     for load in loads:
@@ -397,6 +415,9 @@ def run_experiment(base: Scenario, schemes: Sequence[str], loads: Sequence[float
                     scheme=scheme, load=float(load), utility_kind=utility_kind,
                     error=type(exc).__name__,
                 ))
+        # load 1 is the base itself, which outlives its load: keep no load's fill past it
+        for name in ("resource_demand", "pair_fill"):
+            vars(scen).pop(name, None)
     return ExperimentReport(rows=tuple(rows), seed=base.seed,
                             utility_kind=utility_kind,
                             schemes=tuple(schemes), loads=tuple(float(x) for x in loads))

@@ -134,6 +134,14 @@ def test_per_entity_sums_flows_in_input_order(allocate):
     assert np.array_equal(out.per_entity, want)
 
 
+@pytest.mark.parametrize("allocate", [per_bs_rsv_allocate, net_rsv_allocate])
+def test_per_entity_is_read_only_and_summed_once(allocate):
+    out = allocate(generate_scenario(ScenarioParams(num_elements=4, num_entities=3,
+                                                    num_apps=3, num_flows=60), 2))
+    with pytest.raises(ValueError):
+        out.per_entity[0, 0, 0] = 1.0
+    assert out.per_entity is out.per_entity
+
 
 def _net_rsv_reference(scen, cfg=ReservationConfig()):
     """``net_rsv_allocate`` with each (entity, element) demand summed by ``np.add.at`` over
@@ -165,7 +173,7 @@ def _net_rsv_reference(scen, cfg=ReservationConfig()):
                 break
         reserved[e] = alloc
         remaining -= alloc
-    return baselines._fill_pools(scen, reserved, res_demand)
+    return baselines._fill_pools(scen, reserved)
 
 
 def test_net_rsv_demand_sums_flows_in_input_order():

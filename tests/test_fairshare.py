@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from ranshare.errors import DimensionMismatch, InvalidParams
-from ranshare.fairshare import pool_layout, water_fill
+from ranshare.fairshare import pool_layout, sort_demands, water_fill
 
 
 def test_capacity_covers_demand():
@@ -68,8 +68,9 @@ def test_pool_must_index_capacity():
         water_fill(np.array([1.0, 2.0]), np.array([1.0, 1.0]), pool=np.array([0]))
 
 
-@pytest.mark.parametrize("demands, pool", [([[1.0, 2.0]], None), ([1.0, -2.0], None),
-                                           ([1.0, 2.0], [0.0, 1.0]), ([1.0, 2.0], [0, -1])])
+@pytest.mark.parametrize("demands, pool", [([[1.0, 2.0]], None), ([[1.0, 2.0]], [0, 1]),
+                                           ([1.0, -2.0], None), ([1.0, 2.0], [0.0, 1.0]),
+                                           ([1.0, 2.0], [0, -1])])
 def test_malformed_demands_and_pools_raise_invalid_params(demands, pool):
     capacity = 3.0 if pool is None else np.array([1.0, 1.0])
     with pytest.raises(InvalidParams):
@@ -227,3 +228,45 @@ def test_layout_checks():
     for pool, num_pools in (([0, 2], 2), ([0, 1], 0), ([0, 1], 2.0), ([[0, 1]], 2)):
         with pytest.raises(InvalidParams):
             pool_layout(np.array(pool), num_pools)
+
+
+def test_one_sorted_form_fills_many_budget_vectors_as_lexsort():
+    # one sorted form, of pools sized around powers of two and one empty, filled under
+    # budgets that are scarce, ample, zero, negative or infinite, equals independent
+    # fills and the np.lexsort oracle bit for bit
+    rng = np.random.default_rng(8)
+    sizes = np.array([1, 2, 3, 4, 5, 8, 9, 16, 17, 64, 65, 256, 257, 0])
+    pool = rng.permutation(np.repeat(np.arange(sizes.size), sizes))
+    d = rng.choice([0.0, 0.5, 1.0, 2.5], pool.size) * rng.choice([1.0, 1.0 + 1e-12], pool.size)
+    layout = pool_layout(pool, sizes.size)
+    fill = sort_demands(d, layout)
+    totals = np.bincount(pool, d, sizes.size)
+    budgets = [rng.uniform(0.0, 1.5, sizes.size) * totals, np.zeros(sizes.size),
+               np.where(rng.random(sizes.size) < 0.5, -1.0, 0.4 * totals),
+               np.where(rng.random(sizes.size) < 0.5, np.inf, 0.7 * totals),
+               np.full(sizes.size, -np.inf)]
+    for cap in budgets:
+        got = water_fill(fill, cap)
+        assert np.array_equal(got, water_fill(d, cap, pool=pool))
+        assert np.array_equal(got, water_fill(d, cap, pool=layout))
+        assert np.array_equal(got, _lexsort_fill(d, cap, pool))
+
+
+def test_sorted_form_checks():
+    layout = pool_layout(np.array([0, 1, 1]), 2)
+    d = np.array([1.0, 2.0, 3.0])
+    fill = sort_demands(d, layout)
+    d[0] = 5.0  # writeable demands were copied
+    assert np.array_equal(water_fill(fill, np.array([0.5, 10.0])), [0.5, 2.0, 3.0])
+    with pytest.raises(InvalidParams):  # demands of the wrong form, before any pool check
+        sort_demands(np.ones((1, 4)), layout)
+    with pytest.raises(InvalidParams):
+        sort_demands(np.array([1.0, np.nan, 1.0]), layout)
+    with pytest.raises(DimensionMismatch):  # demands of another length
+        sort_demands(np.ones(4), layout)
+    with pytest.raises(InvalidParams):  # a sorted form carries its pools
+        water_fill(fill, np.ones(2), pool=layout)
+    with pytest.raises(InvalidParams):  # NaN budgets, before the pool count
+        water_fill(fill, np.array([np.nan, 1.0, 1.0]))
+    with pytest.raises(DimensionMismatch):  # budgets for another pool count
+        water_fill(fill, np.ones(3))

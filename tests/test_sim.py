@@ -6,6 +6,7 @@ import pytest
 
 from ranshare.baselines import ReservationConfig, net_rsv_allocate, per_bs_rsv_allocate
 from ranshare.errors import InvalidParams, UnknownReference
+from ranshare.fairshare import water_fill
 from ranshare.model import Flow, FlowAllocation, Flows, check_feasible
 from ranshare.sim import (ALL_SCHEMES, HotspotParams, ScenarioParams, add_hotspot,
                           allocate_app_opt, build_instance, flow_utility,
@@ -151,6 +152,26 @@ class TestScaleLoad:
     def test_scaled_scenario_shares_the_flow_plan(self):
         scen = generate_scenario(DESK, 3)
         assert scale_load(scen, 2.0, flow_ids=np.array([0, 5])).flow_plan is scen.flow_plan
+
+    @pytest.mark.parametrize("flow_ids", [None, np.array([0, 5])])
+    def test_scaled_scenario_sorts_its_own_demands(self, flow_ids):
+        # the base's resource demand and pair fill, cached before it is scaled, are never
+        # handed on: the scaled scenario builds both from its own demands
+        scen = generate_scenario(DESK, 3)
+        base_demand, base_fill = scen.resource_demand, scen.pair_fill
+        scaled = scale_load(scen, 3.0, flow_ids=flow_ids)
+        flows, num_i = scaled.flows, len(scen.elements)
+        want = flows.demand * scen.ratios.values[flows.element, flows.app]
+        assert np.array_equal(scaled.resource_demand, want)
+        assert not np.array_equal(scaled.resource_demand, base_demand)
+        assert scaled.pair_fill is not base_fill
+        assert scaled.pair_fill.demands is scaled.resource_demand
+        pool = flows.entity * num_i + flows.element
+        budget = np.random.default_rng(1).uniform(0.0, 2.0, len(scen.entities) * num_i)
+        assert np.array_equal(water_fill(scaled.pair_fill, budget),
+                              water_fill(want, budget, pool=pool))
+        assert np.array_equal(water_fill(scen.pair_fill, budget),
+                              water_fill(base_demand, budget, pool=pool))
 
     def test_rejects_below_one(self):
         with pytest.raises(InvalidParams):
@@ -343,6 +364,13 @@ class TestRunExperiment:
             assert row.total_utility == flow_utility(alloc, kind)
             assert row.app_m_resource == float(alloc.resource[scen.flows.app == 0].sum())
             assert row.qoe_satisfied == qoe_satisfied_count(alloc, scen.flows)
+
+    def test_sweep_keeps_no_load_cache_on_the_base(self):
+        # load 1 runs on the base itself, which outlives the sweep
+        base = generate_scenario(DESK, 4)
+        run_experiment(base, ALL_SCHEMES, [1.0, 2.0], "linear",
+                       solver_config=SolverConfig(epsilon=1.0))
+        assert "pair_fill" not in vars(base) and "resource_demand" not in vars(base)
 
     def test_per_bs_error_row_in_a_sweep(self):
         # five entities at half an element each oversubscribe it: per-bs-rsv fails at
