@@ -68,9 +68,9 @@ def test_pool_must_index_capacity():
         water_fill(np.array([1.0, 2.0]), np.array([1.0, 1.0]), pool=np.array([0]))
 
 
-@pytest.mark.parametrize("demands, pool", [([[1.0, 2.0]], None), ([[1.0, 2.0]], [0, 1]),
-                                           ([1.0, -2.0], None), ([1.0, 2.0], [0.0, 1.0]),
-                                           ([1.0, 2.0], [0, -1])])
+@pytest.mark.parametrize("demands, pool", [([[1.0, 2.0]], None), ([1.0, -2.0], None),
+                                           ([1.0, 2.0], [0.0, 1.0]), ([1.0, 2.0], [0, -1]),
+                                           ([[1.0, 2.0]], [0, 1])])
 def test_malformed_demands_and_pools_raise_invalid_params(demands, pool):
     capacity = 3.0 if pool is None else np.array([1.0, 1.0])
     with pytest.raises(InvalidParams):
