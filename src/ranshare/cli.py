@@ -68,10 +68,9 @@ DEFAULTS = {
     # scenario, solver, baselines and hotspot shape, as JSON values
     **{key: list(v) if isinstance(v, tuple) else v for key, v in _FIELD_DEFAULTS.items()},
     "hotspot_seed_offset": 1000,
-    # reporting, as run_experiment's defaults
-    **{key: inspect.signature(run_experiment).parameters[key].default
-       for key in ("log_floor", "focus_app_id")},
-    # optional explicit instance for single-solve (dict of arrays)
+    # reporting, as run_experiment's default
+    "focus_app_id": inspect.signature(run_experiment).parameters["focus_app_id"].default,
+    # optional explicit instance for single-solve: the _INSTANCE_KEYS arrays
     "instance": None,
 }
 
@@ -82,11 +81,16 @@ _TYPE_NAMES = {bool: "true or false", int: "an integer", float: "a number", str:
 
 _UTILITY_ALIASES = {"log": "logarithmic", "logarithmic": "logarithmic", "linear": "linear"}
 
+# The arrays of an explicit instance, as ProblemInstance takes them; its utility is "utility".
+_INSTANCE_KEYS = ("capacities", "lower", "upper", "coeff")
+
 
 def _parse_loads(spec) -> list:
-    """Accept a list, 'A..B' (inclusive integer range), or comma list."""
+    """Accept a list of numbers, 'A..B' (inclusive integer range), or comma list."""
     try:
         if isinstance(spec, (list, tuple)):
+            if not all(_fits(x, 1.0) for x in spec):  # no bools, no strings
+                raise TypeError(spec)
             return [float(x) for x in spec]
         text = str(spec)
         if ".." in text:
@@ -167,9 +171,17 @@ def resolve_config(path=None, flag_overrides=None, env=None) -> dict:
     cfg["utility"] = kind
     if cfg["experiment"] not in ("utility", "hotspot", "single-solve"):
         raise ConfigError(f"unknown experiment {cfg['experiment']!r}")
+    for key in ("loads", "schemes"):
+        if not cfg[key]:
+            raise ConfigError(f"{key} must not be empty")
     for scheme in cfg["schemes"]:
         if scheme not in ALL_SCHEMES:
             raise ConfigError(f"unknown scheme {scheme!r}; valid: {ALL_SCHEMES}")
+    spec = cfg["instance"]
+    if spec is not None and set(spec) != set(_INSTANCE_KEYS):
+        raise ConfigError(f"instance keys must be {list(_INSTANCE_KEYS)}, its utility is "
+                          f"'utility'; unknown: {sorted(set(spec) - set(_INSTANCE_KEYS))}, "
+                          f"missing: {sorted(set(_INSTANCE_KEYS) - set(spec))}")
     return cfg
 
 
@@ -216,19 +228,10 @@ def _write_summary(path: Path, cfg, extra) -> None:
         fh.write("\n")
 
 
-def _instance_from_config(spec) -> ProblemInstance:
+def _instance_from_config(spec, utility_kind) -> ProblemInstance:
     try:
-        return ProblemInstance(
-            capacities=np.array(spec["capacities"], dtype=float),
-            lower=np.array(spec["lower"], dtype=float),
-            upper=np.array(spec["upper"], dtype=float),
-            app_lower=np.array(spec["app_lower"], dtype=float),
-            app_upper=np.array(spec["app_upper"], dtype=float),
-            coeff=np.array(spec["coeff"], dtype=float),
-            utility_kind=spec.get("utility_kind", "linear"),
-        )
-    except KeyError as exc:
-        raise ConfigError(f"instance config missing field {exc}") from exc
+        return ProblemInstance(*(np.array(spec[key], dtype=float) for key in _INSTANCE_KEYS),
+                               utility_kind=utility_kind)
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"instance arrays must be numeric: {exc}") from exc
 
@@ -236,7 +239,7 @@ def _instance_from_config(spec) -> ProblemInstance:
 def _run_single_solve(cfg, out_dir: Path) -> dict:
     scfg = _build(cfg, SolverConfig)
     if cfg["instance"] is not None:
-        inst = _instance_from_config(cfg["instance"])
+        inst = _instance_from_config(cfg["instance"], cfg["utility"])
     else:
         base = generate_scenario(_build(cfg, ScenarioParams), cfg["seed"])
         inst = build_instance(scale_load(base, cfg["loads"][0]), cfg["utility"])
@@ -292,7 +295,6 @@ def _run_sweep(cfg, out_dir: Path) -> dict:
         reservation_config=_build(cfg, ReservationConfig),
         focus_app_id=cfg["focus_app_id"],
         scale_flow_ids=scale_ids,
-        log_floor=cfg["log_floor"],
     )
     _write_results(out_dir / "results.csv", report.rows)
     errors = [r for r in report.rows if r.error is not None]

@@ -10,6 +10,7 @@ from __future__ import annotations
 import numbers
 from collections import namedtuple
 from dataclasses import dataclass, field
+from functools import cached_property
 from operator import attrgetter
 from typing import Sequence
 
@@ -208,17 +209,13 @@ class ProblemInstance:
     ``coeff`` holds the utility coefficient (weight times demand) per cell and
     ``utility_kind`` selects the linear or logarithmic utility shape.
 
-    ``app_lower`` and ``app_upper`` must equal the column sums of ``lower``
-    and ``upper`` within 1e-9 * max(1, I * max upper); the instance then
-    stores the exact sums ``lower.sum(axis=0)`` and ``upper.sum(axis=0)``,
-    so the cell boxes enforce every application bound.
+    The application bounds ``app_lower`` and ``app_upper`` are the column
+    sums of ``lower`` and ``upper``, so the cell boxes enforce every one.
     """
 
     capacities: np.ndarray   # (I,)
     lower: np.ndarray        # (I, K)
     upper: np.ndarray        # (I, K)
-    app_lower: np.ndarray    # (K,)
-    app_upper: np.ndarray    # (K,)
     coeff: np.ndarray        # (I, K)
     utility_kind: str = "linear"
 
@@ -231,14 +228,12 @@ class ProblemInstance:
             raise DimensionMismatch("lower bound matrix must be (num_elements, num_apps)")
         shape = lo.shape
         hi = _frozen_array(self.upper, shape, "upper")
-        al = _frozen_array(self.app_lower, (shape[1],), "app_lower")
-        au = _frozen_array(self.app_upper, (shape[1],), "app_upper")
         co = _frozen_array(self.coeff, shape, "coeff")
         lo.setflags(write=False)
 
         if self.utility_kind not in UTILITY_KINDS:
             raise InvalidParams(f"utility_kind must be one of {UTILITY_KINDS}")
-        if not all(np.all(np.isfinite(a)) for a in (cap, lo, hi, al, au, co)):
+        if not all(np.all(np.isfinite(a)) for a in (cap, lo, hi, co)):
             raise InvalidParams("instance arrays must be finite")
         if np.any(cap <= 0):
             raise InvalidParams("element capacities must be positive")
@@ -249,23 +244,24 @@ class ProblemInstance:
         if self.utility_kind == "logarithmic" and np.any(lo <= 0):
             raise InvalidParams("logarithmic utility requires strictly positive lower bounds")
 
-        total = float(cap.sum())
-        scale = max(1.0, float(np.abs(hi).max()) * shape[0])
-        if np.any(np.abs(lo.sum(axis=0) - al) > 1e-9 * scale):
-            raise InvalidParams("app_lower must equal the column sums of the lower bounds")
-        if np.any(np.abs(hi.sum(axis=0) - au) > 1e-9 * scale):
-            raise InvalidParams("app_upper must equal the column sums of the upper bounds")
-        if np.any(au > total * (1 + 1e-12) + 1e-9):
+        object.__setattr__(self, "capacities", cap)
+        object.__setattr__(self, "lower", lo)
+        object.__setattr__(self, "upper", hi)
+        object.__setattr__(self, "coeff", co)
+        if np.any(self.app_upper > float(cap.sum()) * (1 + 1e-12) + 1e-9):
             raise InvalidParams("per-application upper bounds cannot exceed aggregate capacity")
         if np.any(lo.sum(axis=1) > cap * (1 + 1e-12) + 1e-9):
             raise InfeasibleConfig("per-element lower bounds exceed element capacity")
 
-        object.__setattr__(self, "capacities", cap)
-        object.__setattr__(self, "lower", lo)
-        object.__setattr__(self, "upper", hi)
-        object.__setattr__(self, "app_lower", _frozen_array(lo.sum(axis=0)))
-        object.__setattr__(self, "app_upper", _frozen_array(hi.sum(axis=0)))
-        object.__setattr__(self, "coeff", co)
+    @cached_property
+    def app_lower(self) -> np.ndarray:
+        """(K,) aggregate lower bounds: the column sums of ``lower``; read-only."""
+        return frozen(self.lower.sum(axis=0))
+
+    @cached_property
+    def app_upper(self) -> np.ndarray:
+        """(K,) aggregate upper bounds: the column sums of ``upper``; read-only."""
+        return frozen(self.upper.sum(axis=0))
 
     @property
     def num_elements(self) -> int:
@@ -302,12 +298,12 @@ class FeasibilityReport:
 
 
 def expand_bounds(apps: Sequence[Application], elements: Sequence[RadioElement]):
-    """Expand per-application share fractions into per-element bounds.
+    """Expand per-application share fractions into per-element (lower, upper) bounds.
 
     Every application's share fraction is applied uniformly to each element's
-    capacity, so the aggregate bounds are the exact column sums of the
-    per-element ones.  Raises InfeasibleConfig when the guaranteed minimum
-    shares cannot coexist on one element.
+    capacity; ``ProblemInstance`` sums the columns into the aggregate bounds.
+    Raises InfeasibleConfig when the guaranteed minimum shares cannot coexist
+    on one element.
     """
     if not apps or not elements:
         raise InvalidParams("need at least one application and one element")
@@ -318,13 +314,7 @@ def expand_bounds(apps: Sequence[Application], elements: Sequence[RadioElement])
         raise InfeasibleConfig(
             f"sum of minimum shares is {mins.sum():.6g} > 1; lower bounds exceed capacity"
         )
-    lower = caps[:, None] * mins[None, :]
-    upper = caps[:, None] * maxs[None, :]
-    # aggregate bounds are defined as the exact column sums so that the
-    # identity L^k = sum_i l_i^k holds bit-for-bit
-    app_lower = lower.sum(axis=0)
-    app_upper = upper.sum(axis=0)
-    return lower, upper, app_lower, app_upper
+    return caps[:, None] * mins[None, :], caps[:, None] * maxs[None, :]
 
 
 def check_feasible(inst: ProblemInstance, alloc: AllocationMatrix, tol: float = 1e-9) -> FeasibilityReport:

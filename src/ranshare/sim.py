@@ -29,6 +29,7 @@ SCHEME_PER_BS_RSV = "per-bs-rsv"
 ALL_SCHEMES = (SCHEME_APP_OPT, SCHEME_NET_RSV, SCHEME_PER_BS_RSV)
 
 QOE_SLACK = 1e-9  # a flow is QoE-satisfied when granted bandwidth >= demand - slack
+LOG_FLOOR = 1e-6  # logarithmic flow utility floors a starved flow's resource here
 
 
 @dataclass(frozen=True)
@@ -102,7 +103,6 @@ class Scenario:
     flows: Flows
     ratios: TranslatingRatios
     seed: int
-    load_multiplier: float = 1.0
 
     def __post_init__(self):
         num_i, num_k = self.ratios.shape
@@ -193,12 +193,12 @@ def generate_scenario(params: ScenarioParams, seed: int) -> Scenario:
 def scale_load(scenario: Scenario, multiplier: float, flow_ids=None) -> Scenario:
     """Multiply flow bandwidth demands; all other fields unchanged.
 
-    With ``flow_ids`` given, only those flows are scaled (hotspot sweeps);
-    the scenario-level load bookkeeping then stays untouched.  Entries that
-    are not integers raise ``InvalidParams`` (bools included), ids that are
-    not among the scenario's flows ``UnknownReference``.  The scaled scenario
-    shares the ``flow_plan`` of this one, since its flows differ only in demand,
-    and builds its own ``resource_demand`` and ``pair_fill`` when they are read.
+    With ``flow_ids`` given, only those flows are scaled (hotspot sweeps).
+    Entries that are not integers raise ``InvalidParams`` (bools included),
+    ids that are not among the scenario's flows ``UnknownReference``.  The
+    scaled scenario shares the ``flow_plan`` of this one, since its flows
+    differ only in demand, and builds its own ``resource_demand`` and
+    ``pair_fill`` when they are read.
     """
     flows = scenario.flows
     if flow_ids is not None:
@@ -210,12 +210,9 @@ def scale_load(scenario: Scenario, multiplier: float, flow_ids=None) -> Scenario
         raise InvalidParams("load multiplier must be finite and >= 1")
     if multiplier == 1.0:
         return scenario
-    if flow_ids is None:
-        chosen, new_mult = True, scenario.load_multiplier * multiplier
-    else:
-        chosen, new_mult = np.isin(flows.id, ids), scenario.load_multiplier
+    chosen = True if flow_ids is None else np.isin(flows.id, ids)
     demand = frozen(np.where(chosen, flows.demand * multiplier, flows.demand))
-    scaled = replace(scenario, flows=replace(flows, demand=demand), load_multiplier=new_mult)
+    scaled = replace(scenario, flows=replace(flows, demand=demand))
     vars(scaled)["flow_plan"] = scenario.flow_plan
     return scaled
 
@@ -237,15 +234,18 @@ def _flow_id_array(flow_ids) -> np.ndarray:
 
 
 def add_hotspot(scenario: Scenario, params: HotspotParams, seed: int) -> Scenario:
-    """Append concentrated flows of one application; deterministic given the seed."""
-    if params.n_flows == 0:
-        return scenario
+    """Append concentrated flows of one application; deterministic given the seed.
+
+    The parameters must fit the scenario even when they add no flow.
+    """
     num_e = len(scenario.entities)
     num_i = len(scenario.elements)
     if not (0 <= params.app_id < len(scenario.apps)):
         raise InvalidParams(f"hotspot app {params.app_id} does not exist")
     if params.n_entities > num_e or params.n_elements > num_i:
         raise InvalidParams("hotspot entity/element counts exceed the scenario sizes")
+    if params.n_flows == 0:
+        return scenario
 
     rng = np.random.default_rng(seed)
     ents = rng.choice(num_e, size=params.n_entities, replace=False)
@@ -285,11 +285,10 @@ def _granted(flows: Flows, bandwidth, ratio, demand_resource) -> FlowAllocation:
 
 def build_instance(scenario: Scenario, utility_kind: str) -> ProblemInstance:
     """Expand shares into bounds and estimate demands into utility coefficients."""
-    lower, upper, app_lower, app_upper = expand_bounds(scenario.apps, scenario.elements)
+    lower, upper = expand_bounds(scenario.apps, scenario.elements)
     return ProblemInstance(
         capacities=np.array([e.capacity for e in scenario.elements]),
         lower=lower, upper=upper,
-        app_lower=app_lower, app_upper=app_upper,
         coeff=estimate_demand(scenario.flows, scenario.ratios),
         utility_kind=utility_kind,
     )
@@ -319,16 +318,16 @@ def qoe_satisfied_count(flow_alloc: FlowAllocation, flows: Flows) -> int:
     return int(np.count_nonzero(flow_alloc.bandwidth >= flows.demand - QOE_SLACK))
 
 
-def flow_utility(flow_alloc: FlowAllocation, kind: str, log_floor: float = 1e-6) -> float:
+def flow_utility(flow_alloc: FlowAllocation, kind: str) -> float:
     """Flow-level utility: served resource (linear) or demand-weighted log of it.
 
-    The floor keeps the logarithm finite for starved flows; scheme ordering is
-    insensitive to its exact value.
+    ``LOG_FLOOR`` keeps the logarithm finite for starved flows; scheme ordering
+    is insensitive to its exact value.
     """
     if kind == "linear":
         return float(flow_alloc.resource.sum())
     if kind == "logarithmic":
-        granted = np.maximum(flow_alloc.resource, log_floor)
+        granted = np.maximum(flow_alloc.resource, LOG_FLOOR)
         return float(np.vdot(flow_alloc.demand_resource, np.log(granted)))
     raise InvalidParams(f"unknown utility kind {kind!r}")
 
@@ -372,8 +371,7 @@ def run_experiment(base: Scenario, schemes: Sequence[str], loads: Sequence[float
                    solver_config: SolverConfig | None = None,
                    reservation_config: ReservationConfig | None = None,
                    focus_app_id: int = 0,
-                   scale_flow_ids=None,
-                   log_floor: float = 1e-6) -> ExperimentReport:
+                   scale_flow_ids=None) -> ExperimentReport:
     """Sweep (scheme x load); deterministic given the base scenario and configs.
 
     ``scale_flow_ids`` restricts load scaling to a flow subset (hotspot
@@ -402,7 +400,7 @@ def run_experiment(base: Scenario, schemes: Sequence[str], loads: Sequence[float
                 app_m_res = float(flow_alloc.resource[m_mask].sum()) if m_mask.any() else 0.0
                 rows.append(ExperimentRow(
                     scheme=scheme, load=float(load), utility_kind=utility_kind,
-                    total_utility=flow_utility(flow_alloc, utility_kind, log_floor),
+                    total_utility=flow_utility(flow_alloc, utility_kind),
                     app_m_resource=app_m_res,
                     app_m_resource_fraction=app_m_res / base.aggregate_capacity,
                     qoe_satisfied=qoe_satisfied_count(flow_alloc, scen.flows),

@@ -29,6 +29,7 @@ _BOUNDARY_FRACTION = 1e-12  # trial slacks must keep this fraction of their prev
 _MAX_BACKTRACKS = 80
 _PLATEAU_WINDOW = 20
 _FLOAT_MAX = np.finfo(float).max
+INTERIOR_SHIFT = 0.5  # theta of the starting-point perturbation
 
 
 @dataclass(frozen=True)
@@ -39,7 +40,6 @@ class SolverConfig:
     inner_tol: float = 1e-8      # linear inner stop: projected gradient (log centres are exact)
     max_inner_iters: int = 500   # linear inner loop cap
     max_outer_iters: int = 100
-    interior_shift: float = 0.5  # theta for the starting-point perturbation
 
     def __post_init__(self):
         if not all(math.isfinite(v) for v in (self.epsilon, self.t0, self.mu, self.inner_tol)):
@@ -50,8 +50,6 @@ class SolverConfig:
             raise InvalidParams("t0 must be > 0")
         if self.mu <= 1:
             raise InvalidParams("mu must be > 1")
-        if not (0 < self.interior_shift < 1):
-            raise InvalidParams("interior_shift must lie in (0, 1)")
         if not integers(self.max_inner_iters, self.max_outer_iters):
             raise InvalidParams("max_inner_iters and max_outer_iters must be integers")
         if self.inner_tol <= 0 or self.max_inner_iters < 1 or self.max_outer_iters < 1:
@@ -122,7 +120,7 @@ def gap_bound(inst: ProblemInstance, t: float) -> float:
     return (inst.aggregate_capacity + inst.num_apps) / t
 
 
-def interior_start(inst: ProblemInstance, shift: float = 0.5) -> AllocationMatrix:
+def interior_start(inst: ProblemInstance, shift: float = INTERIOR_SHIFT) -> AllocationMatrix:
     """Perturb the lower-bound corner into the strict interior.
 
     Cells with upper == lower stay pinned at the bound.  The perturbation per
@@ -583,7 +581,7 @@ def solve(inst: ProblemInstance, config: SolverConfig | None = None) -> SolveRes
     """
     cfg = config or SolverConfig()
     work = _InnerProblem(inst)
-    s = interior_start(inst, cfg.interior_shift).values.copy()
+    s = interior_start(inst).values.copy()
     centre = _Centre(inst) if inst.utility_kind == "logarithmic" else None
 
     t = cfg.t0

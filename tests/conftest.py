@@ -7,15 +7,7 @@ from ranshare.model import Application, ProblemInstance, RadioElement, expand_bo
 
 
 def make_instance(capacities, lower, upper, coeff, kind="linear"):
-    lower = np.asarray(lower, dtype=float)
-    upper = np.asarray(upper, dtype=float)
-    return ProblemInstance(
-        capacities=np.asarray(capacities, dtype=float),
-        lower=lower, upper=upper,
-        app_lower=lower.sum(axis=0), app_upper=upper.sum(axis=0),
-        coeff=np.asarray(coeff, dtype=float),
-        utility_kind=kind,
-    )
+    return ProblemInstance(capacities, lower, upper, coeff, kind)
 
 
 def random_instance(rng, num_elements=None, num_apps=None, kind=None,
@@ -31,14 +23,10 @@ def random_instance(rng, num_elements=None, num_apps=None, kind=None,
             for k in range(nk)]
     elements = [RadioElement(id=i, capacity=float(rng.uniform(100.0, 300.0)))
                 for i in range(ni)]
-    lower, upper, app_lower, app_upper = expand_bounds(apps, elements)
+    lower, upper = expand_bounds(apps, elements)
     coeff = rng.uniform(0.0, 5.0, (ni, nk))
     coeff[rng.random((ni, nk)) < zero_coeff_prob] = 0.0
-    return ProblemInstance(
-        capacities=np.array([e.capacity for e in elements]),
-        lower=lower, upper=upper, app_lower=app_lower, app_upper=app_upper,
-        coeff=coeff, utility_kind=kind,
-    )
+    return ProblemInstance(np.array([e.capacity for e in elements]), lower, upper, coeff, kind)
 
 
 def pin_cells(inst, pin):

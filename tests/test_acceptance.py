@@ -51,7 +51,6 @@ def _relaxed_physical_instance(scenario) -> ProblemInstance:
     return ProblemInstance(
         capacities=caps,
         lower=np.zeros((caps.size, num_k)), upper=upper,
-        app_lower=np.zeros(num_k), app_upper=upper.sum(axis=0),
         coeff=np.zeros((caps.size, num_k)), utility_kind="linear",
     )
 

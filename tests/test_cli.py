@@ -1,6 +1,7 @@
 import csv
 import dataclasses
 import json
+import math
 
 import pytest
 
@@ -11,6 +12,7 @@ from ranshare.sim import HotspotParams, ScenarioParams
 from ranshare.solver import SolverConfig
 
 TINY = {"num_elements": 12, "num_entities": 4, "num_apps": 5, "num_flows": 60}
+ONE_CELL = {"capacities": [10.0], "lower": [[2.0]], "upper": [[8.0]], "coeff": [[1.0]]}
 
 
 def write_config(tmp_path, **extra):
@@ -79,7 +81,8 @@ class TestMain:
         ("capacity_range", 5), ("capacity_range", ["a", 2]), ("capacity_range", [1, 2, 3]),
         ("seed", "abc"), ("loads", ["a"]), ("log_floor", None), ("schemes", 5),
         ("hotspot_mean_bw", "abc"), ("per_bs_fraction", "abc"), ("trace", "yes"),
-        ("hotspot_seed_offset", -5),
+        ("hotspot_seed_offset", -5), ("loads", [True]), ("loads", []), ("schemes", []),
+        ("interior_shift", 0.5),
     ])
     def test_malformed_value_exit_code(self, tmp_path, capsys, key, value):
         path = write_config(tmp_path, **{"seed": 1, key: value})
@@ -111,10 +114,7 @@ class TestMain:
         assert len(rows) == 1 + 3 * 10  # header + schemes x loads
 
     def test_single_solve_trivial_instance(self, tmp_path):
-        instance = {"capacities": [10.0], "lower": [[2.0]], "upper": [[8.0]],
-                    "app_lower": [2.0], "app_upper": [8.0], "coeff": [[1.0]],
-                    "utility_kind": "linear"}
-        path = write_config(tmp_path, instance=instance, epsilon=1e-3)
+        path = write_config(tmp_path, instance=ONE_CELL, epsilon=1e-3, utility="linear")
         out = tmp_path / "run"
         assert main(["--config", path, "--experiment", "single-solve",
                      "--seed", "7", "--out", str(out)]) == 0
@@ -124,10 +124,38 @@ class TestMain:
         assert summary["feasible"] is True
         assert 8.0 - 1e-9 <= summary["objective"] + summary["dual_gap"] <= 8.0 + 1e-3
 
+    def test_explicit_instance_follows_the_utility_flag(self, tmp_path):
+        out = tmp_path / "run"
+        assert main(["--config", write_config(tmp_path, instance=ONE_CELL, epsilon=1e-3),
+                     "--experiment", "single-solve", "--utility", "log", "--seed", "7",
+                     "--out", str(out)]) == 0
+        assert read_rows(out)[1][2] == "logarithmic"
+        assert json.loads((out / "summary.json").read_text())["objective"] == pytest.approx(
+            math.log(8.0), abs=2e-3)
+
+    @pytest.mark.parametrize("instance, key", [
+        ({**ONE_CELL, "app_lower": [2.0]}, "app_lower"),
+        ({**ONE_CELL, "app_upper": [8.0]}, "app_upper"),
+        ({**ONE_CELL, "utility_kind": "linear"}, "utility_kind"),
+        ({k: v for k, v in ONE_CELL.items() if k != "coeff"}, "coeff"),
+    ])
+    def test_instance_key_set_exit_code(self, tmp_path, capsys, instance, key):
+        out = tmp_path / "run"
+        assert main(["--config", write_config(tmp_path, instance=instance),
+                     "--experiment", "single-solve", "--seed", "1", "--out", str(out)]) == 2
+        assert key in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_empty_loads_flag_exit_code(self, tmp_path, capsys):
+        out = tmp_path / "run"
+        assert main(["--config", write_config(tmp_path), "--experiment", "single-solve",
+                     "--loads", "", "--seed", "1", "--out", str(out)]) == 2
+        assert "loads" in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize("spec", [
         "[1,2]",
-        '{"capacities": "abc", "lower": [[1]], "upper": [[2]], "app_lower": [1], '
-        '"app_upper": [2], "coeff": [[1]]}',
+        '{"capacities": "abc", "lower": [[1]], "upper": [[2]], "coeff": [[1]]}',
     ])
     def test_malformed_instance_exit_code(self, tmp_path, capsys, monkeypatch, spec):
         monkeypatch.setenv("RANSHARE_INSTANCE", spec)
@@ -144,9 +172,8 @@ class TestMain:
         assert not (out / "results.csv").exists()
 
     def test_trace_written(self, tmp_path):
-        instance = {"capacities": [10.0], "lower": [[2.0]], "upper": [[8.0]],
-                    "app_lower": [2.0], "app_upper": [8.0], "coeff": [[1.0]]}
-        path = write_config(tmp_path, instance=instance, epsilon=1e-2, trace=True)
+        path = write_config(tmp_path, instance=ONE_CELL, epsilon=1e-2, trace=True,
+                            utility="linear")
         out = tmp_path / "run"
         main(["--config", path, "--experiment", "single-solve", "--seed", "7",
               "--out", str(out)])

@@ -63,11 +63,18 @@ class TestDomainTypes:
         with pytest.raises(InfeasibleConfig):
             make_instance([10.0], [[6.0, 6.0]], [[8.0, 8.0]], [[1.0, 1.0]])
 
-    def test_instance_aggregate_bounds_must_match_sums(self):
-        from ranshare.model import ProblemInstance
-        with pytest.raises(InvalidParams):
-            ProblemInstance(capacities=[10.0], lower=[[2.0]], upper=[[8.0]],
-                            app_lower=[3.0], app_upper=[8.0], coeff=[[1.0]])
+    def test_instance_aggregate_bounds_are_read_only_column_sums(self):
+        rng = np.random.default_rng(5)
+        lower = rng.uniform(0.0, 1.0, (7, 3)) * 10.0 ** rng.uniform(-6, 2, (7, 3))
+        upper = lower + rng.uniform(0.0, 50.0, lower.shape)
+        inst = make_instance(np.full(7, 1e4), lower, upper, np.ones(lower.shape))
+        assert np.array_equal(inst.app_lower, lower.sum(axis=0))
+        assert np.array_equal(inst.app_upper, upper.sum(axis=0))
+        for name in ("app_lower", "app_upper"):
+            with pytest.raises(ValueError):
+                getattr(inst, name)[0] = 0.0
+            with pytest.raises(AttributeError):
+                setattr(inst, name, np.zeros(3))
 
     def test_instance_is_immutable(self, tiny_instance):
         with pytest.raises(ValueError):
@@ -146,19 +153,18 @@ class TestFlows:
 
 class TestExpandBounds:
     def test_single_element_single_app(self):
-        lower, upper, app_lower, app_upper = expand_bounds(
-            [app(0, 0.05, 0.40)], [RadioElement(id=0, capacity=100.0)])
+        lower, upper = expand_bounds([app(0, 0.05, 0.40)], [RadioElement(id=0, capacity=100.0)])
         assert lower[0, 0] == 5.0 and upper[0, 0] == 40.0
-        assert app_lower[0] == 5.0 and app_upper[0] == 40.0
 
     def test_focus_and_background_shares_aggregate(self):
         # two heavy apps at (5%, 40%) plus 98 background apps over B = 200,000
         apps = [app(0, 0.05, 0.40), app(1, 0.05, 0.40)]
         apps += [app(2 + j, 0.0001, 0.90 / 98) for j in range(98)]
         elements = [RadioElement(id=i, capacity=200.0) for i in range(1000)]
-        lower, upper, app_lower, app_upper = expand_bounds(apps, elements)
-        assert app_lower[0] == pytest.approx(10_000.0, abs=1e-6)
-        assert app_upper[0] == pytest.approx(80_000.0, abs=1e-6)
+        lower, upper = expand_bounds(apps, elements)
+        inst = make_instance([e.capacity for e in elements], lower, upper, np.ones(lower.shape))
+        assert inst.app_lower[0] == pytest.approx(10_000.0, abs=1e-6)
+        assert inst.app_upper[0] == pytest.approx(80_000.0, abs=1e-6)
 
     def test_oversubscribed_minima_rejected(self):
         apps = [app(0, 0.6, 0.7), app(1, 0.6, 0.7)]
@@ -171,10 +177,11 @@ class TestExpandBounds:
                 for k, m in enumerate(rng.uniform(0.001, 0.04, 12))]
         elements = [RadioElement(id=i, capacity=float(c))
                     for i, c in enumerate(rng.uniform(100, 300, 37))]
-        lower, upper, app_lower, app_upper = expand_bounds(apps, elements)
+        lower, upper = expand_bounds(apps, elements)
+        inst = make_instance([e.capacity for e in elements], lower, upper, np.ones(lower.shape))
         # identities hold bit-for-bit, not just approximately
-        assert np.array_equal(lower.sum(axis=0), app_lower)
-        assert np.array_equal(upper.sum(axis=0), app_upper)
+        assert np.array_equal(lower.sum(axis=0), inst.app_lower)
+        assert np.array_equal(upper.sum(axis=0), inst.app_upper)
 
     def test_homogeneous_in_capacity(self):
         apps = [app(0, 0.05, 0.4), app(1, 0.01, 0.2)]

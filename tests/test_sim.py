@@ -136,7 +136,6 @@ class TestScaleLoad:
             assert tuple(scaled.flows) == want
             assert scaled.flows == Flows.of(want)
             assert all(type(f.demand_bw) is float for f in scaled.flows)
-            assert scaled.load_multiplier == (multiplier if flow_ids is None else 1.0)
 
     @pytest.mark.parametrize("flow_ids, error", [
         ([999], UnknownReference), ([1.5], InvalidParams), ([True], InvalidParams),
@@ -186,7 +185,15 @@ class TestScaleLoad:
 class TestAddHotspot:
     def test_zero_flows_identity(self):
         scen = generate_scenario(DESK, 3)
-        assert add_hotspot(scen, HotspotParams(n_flows=0), 1) is scen
+        assert add_hotspot(scen, HotspotParams(n_flows=0, n_elements=20), 1) is scen
+
+    @pytest.mark.parametrize("params", [dict(app_id=99), dict(n_entities=50),
+                                        dict(n_elements=21)])
+    def test_unfit_params_rejected_without_flows(self, params):
+        # DESK has 6 applications, 5 entities and 20 elements
+        with pytest.raises(InvalidParams):
+            add_hotspot(generate_scenario(DESK, 3),
+                        HotspotParams(**{"n_flows": 0, "n_elements": 20, **params}), 1)
 
     def test_counts_and_targets(self):
         scen = generate_scenario(DESK, 3)

@@ -272,17 +272,6 @@ class TestCentre:
         assert r.converged
 
 
-def _tight_instance(rng, num_elements, num_apps, zero_coeff_prob=0.2):
-    """A log instance given aggregate bounds inside the boxes' column sums, as far as
-    ProblemInstance allows; it stores the column sums themselves."""
-    inst = random_instance(rng, num_elements=num_elements, num_apps=num_apps,
-                           kind="logarithmic", zero_coeff_prob=zero_coeff_prob)
-    room = 0.5e-9 * max(1.0, float(inst.upper.max()) * num_elements)
-    return ProblemInstance(inst.capacities, inst.lower, inst.upper,
-                           inst.lower.sum(axis=0) + room, inst.upper.sum(axis=0) - room,
-                           inst.coeff, "logarithmic")
-
-
 def _textbook_cg_direction(terms, g, mask, exits, max_cg=25):
     """The truncated-CG direction with one new array per expression, the form the
     buffered :func:`_newton_cg_direction` must match bit for bit; appends how it ended to
@@ -371,15 +360,12 @@ def _assert_same_search(got, want):
         assert got[2] == want[2]
 
 
-def _wide_linear_instance(rng, num_elements, num_apps, capacity_room, app_room):
-    """A linear instance with cell boxes in [0, 10), element capacities ``capacity_room``
-    times the row sums of the upper bounds and application bounds ``app_room`` inside the
-    column sums of the boxes (``app_room`` small: columns bind before rows)."""
+def _wide_linear_instance(rng, num_elements, num_apps, capacity_room):
+    """A linear instance with cell boxes in [0, 10) and element capacities
+    ``capacity_room`` times the row sums of the upper bounds."""
     lower = rng.uniform(0.0, 1.0, (num_elements, num_apps))
     upper = lower + rng.uniform(0.5, 9.0, lower.shape)
-    room = app_room * max(1.0, float(upper.max()) * num_elements)
     return ProblemInstance(capacity_room * upper.sum(axis=1), lower, upper,
-                           lower.sum(axis=0) + room, upper.sum(axis=0) - room,
                            rng.uniform(0.0, 5.0, lower.shape), "linear")
 
 
@@ -416,7 +402,7 @@ class TestLinearInnerIteration:
         instances = [random_instance(rng, num_elements=int(rng.integers(1, 12)),
                                      num_apps=int(rng.integers(1, 8)), kind="linear")
                      for _ in range(12)]
-        instances += [_wide_linear_instance(rng, 12, 6, 0.6, 0.5e-9) for _ in range(3)]
+        instances += [_wide_linear_instance(rng, 12, 6, 0.6) for _ in range(3)]
         for inst in instances:
             solve(inst, SolverConfig(epsilon=1e-3, max_inner_iters=60))
         # the desk grid at the benchmark's density, a few iterations per outer step
@@ -434,7 +420,7 @@ class TestLinearInnerIteration:
         _, trials = checked
         rng = np.random.default_rng(157)
         for _ in range(10):
-            inst = _wide_linear_instance(rng, 8, 5, 2.0, 0.5e-9)  # rows never bind
+            inst = _wide_linear_instance(rng, 8, 5, 2.0)  # rows never bind
             work = _InnerProblem(inst)
             s = interior_start(inst, 0.5).values
             slacks = work.interior_slacks(s)
@@ -462,7 +448,7 @@ class TestLinearInnerIteration:
     def test_exhausted_search_returns_none(self, checked):
         _, trials = checked
         rng = np.random.default_rng(163)
-        inst = _wide_linear_instance(rng, 6, 4, 0.3, 0.5e-9)
+        inst = _wide_linear_instance(rng, 6, 4, 0.3)
         work = _InnerProblem(inst)
         s = interior_start(inst, 0.5).values
         slacks = work.interior_slacks(s)
@@ -525,7 +511,7 @@ def _fresh_evaluation_solve(inst, cfg):
     point alone; a log iterate is a new centre's, whose tau gives the dual multipliers.
     Returns (allocation, trace, objective, dual_gap)."""
     work = _InnerProblem(inst)
-    s = interior_start(inst, cfg.interior_shift).values.copy()
+    s = interior_start(inst).values.copy()
     t, trace, exact = cfg.t0, [], None
     while gap_bound(inst, t) > cfg.epsilon and len(trace) < cfg.max_outer_iters:
         if inst.utility_kind == "linear":
@@ -542,15 +528,13 @@ def _fresh_evaluation_solve(inst, cfg):
             work.dual_gap(s, trace[-1].t, exact))
 
 
-@pytest.mark.parametrize("kind", ["linear", "logarithmic", "tight_log"])
+@pytest.mark.parametrize("kind", ["linear", "logarithmic"])
 def test_outer_evaluation_is_the_fresh_one(kind):
     if kind == "linear":
         inst = random_instance(np.random.default_rng(0), num_elements=4, num_apps=3,
                                kind="linear")
-    elif kind == "logarithmic":
-        inst = _log_case(1)
     else:
-        inst = _tight_instance(np.random.default_rng(29), 6, 4)
+        inst = _log_case(1)
     cfg = SolverConfig(epsilon=1e-4)
     r = solve(inst, cfg)
     s, trace, objective, dual_gap = _fresh_evaluation_solve(inst, cfg)
@@ -699,12 +683,13 @@ class TestPresolve:
         assert pinned >= 20
 
     def test_instance_stores_exact_column_sums(self):
-        # Aggregate bounds given inside the boxes' column sums, as far as ProblemInstance
-        # allows, are stored as the sums themselves, which the boxes enforce: a log barrier
-        # keeps its element terms alone, a linear one its application terms too.
+        # The aggregate bounds are the boxes' column sums, which the boxes enforce: a log
+        # barrier keeps its element terms alone, a linear one its application terms too.
         rng = np.random.default_rng(103)
         for _ in range(12):
-            inst = _tight_instance(rng, int(rng.integers(2, 6)), int(rng.integers(2, 5)), 0.3)
+            inst = random_instance(rng, num_elements=int(rng.integers(2, 6)),
+                                   num_apps=int(rng.integers(2, 5)), kind="logarithmic",
+                                   zero_coeff_prob=0.3)
             assert np.array_equal(inst.app_lower, inst.lower.sum(axis=0))
             assert np.array_equal(inst.app_upper, inst.upper.sum(axis=0))
             work = _InnerProblem(inst)
@@ -808,16 +793,6 @@ class TestSolve:
         r2 = solve(inst, SolverConfig(epsilon=1e-3))
         assert np.array_equal(r1.allocation.values, r2.allocation.values)
         assert r1.objective == r2.objective
-
-    def test_start_shift_does_not_change_optimum(self):
-        # strictly concave objective: unique optimum, both runs within 2 eps
-        rng = np.random.default_rng(83)
-        eps = 1e-3
-        for _ in range(8):
-            inst = random_instance(rng, kind="logarithmic", zero_coeff_prob=0.0)
-            u1 = solve(inst, SolverConfig(epsilon=eps, interior_shift=0.2)).objective
-            u2 = solve(inst, SolverConfig(epsilon=eps, interior_shift=0.8)).objective
-            assert abs(u1 - u2) <= 2 * eps
 
     def test_trace_records_inner_iterations(self, tiny_instance):
         r = solve(tiny_instance, SolverConfig(epsilon=1e-2))
