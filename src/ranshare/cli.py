@@ -107,16 +107,21 @@ def _parse_loads(spec) -> list:
 def _coerce(key, raw):
     """Read an environment or flag string as a value for ``key``.
 
-    A key with a string default keeps the text, and ``loads`` also takes its
-    range syntax.  Any other key reads the text as JSON, else as float() reads
-    it, so that ``inf`` and ``nan`` reach the dataclass checks, else keeps the
-    text.  It casts nothing to the default's type: ``resolve_config`` holds
-    every value to that type and rejects what does not fit.
+    A key with a string default keeps the text, and ``loads`` takes a JSON
+    list or else its range syntax.  Any other key reads the text as JSON, else
+    as float() reads it, so that ``inf`` and ``nan`` reach the dataclass
+    checks, else keeps the text.  It casts nothing to the default's type:
+    ``resolve_config`` holds every value to that type and rejects what does
+    not fit.
     """
     if not isinstance(raw, str) or isinstance(DEFAULTS[key], str):
         return raw
     if key == "loads":
-        return _parse_loads(raw)
+        try:
+            value = json.loads(raw)
+        except ValueError:
+            value = None
+        return _parse_loads(value if isinstance(value, list) else raw)
     for read in (json.loads, float):  # float() also reads inf and nan
         try:
             return read(raw)

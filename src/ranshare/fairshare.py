@@ -54,12 +54,13 @@ def pool_layout(pool, num_pools) -> PoolLayout:
     live = np.flatnonzero(sizes)
     sizes = sizes[live]
     starts = np.cumsum(sizes) - sizes
-    width = 2 ** np.ceil(np.log2(sizes)).astype(int)
+    # the widths in use, found without np.unique, whose first call imports numpy.ma
+    exponent = np.ceil(np.log2(sizes)).astype(int)
     index = np.int32 if pool.size < np.iinfo(np.int32).max else np.intp
     groups = []
-    for w in np.unique(width):
-        at = np.flatnonzero(width == w)
-        n, rank = sizes[at, None], np.arange(w)
+    for e in np.flatnonzero(np.bincount(exponent)):
+        at = np.flatnonzero(exponent == e)
+        n, rank = sizes[at, None], np.arange(2 ** e)
         gather = np.where(rank < n, order.take(starts[at, None] + rank, mode="clip"),
                           pool.size).astype(index)
         groups.append((live[at], n, gather))

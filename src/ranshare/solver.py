@@ -29,6 +29,7 @@ _BOUNDARY_FRACTION = 1e-12  # trial slacks must keep this fraction of their prev
 _MAX_BACKTRACKS = 80
 _PLATEAU_WINDOW = 20
 _FLOAT_MAX = np.finfo(float).max
+_NO_SLACKS = np.empty(0)  # the application slacks of a barrier without application terms
 INTERIOR_SHIFT = 0.5  # theta of the starting-point perturbation
 
 
@@ -126,15 +127,29 @@ def interior_start(inst: ProblemInstance, shift: float = INTERIOR_SHIFT) -> Allo
     Cells with upper == lower stay pinned at the bound.  The perturbation per
     free cell is shift * min(element headroom / |K|, half the box width,
     application span / (2 |I|)), which keeps every barrier slack strictly
-    positive whenever a strictly interior point exists.
+    positive whenever a strictly interior point exists
+    (:func:`_check_interior`).
     """
     if not (0 < shift < 1):
         raise InvalidParams("shift must lie in (0, 1)")
     lo, hi = inst.lower, inst.upper
     free = hi > lo
-    row_slack = inst.capacities - lo.sum(axis=1)
-    app_span = inst.app_upper - inst.app_lower
+    row_slack, app_span = _check_interior(inst, free)
+    num_el, num_app = lo.shape
+    delta = shift * np.minimum.reduce([
+        np.broadcast_to(row_slack[:, None] / num_app, lo.shape),
+        (hi - lo) / 2.0,
+        np.broadcast_to(app_span[None, :] / (2.0 * num_el), lo.shape),
+    ])
+    s = lo + np.where(free, delta, 0.0)
+    return AllocationMatrix(s)
 
+
+def _check_interior(inst: ProblemInstance, free):
+    """Raise ``EmptyInterior`` unless every element and application with a free cell has
+    room to move; returns (element headroom, application span)."""
+    row_slack = inst.capacities - inst.lower.sum(axis=1)
+    app_span = inst.app_upper - inst.app_lower
     bad_el = free.any(axis=1) & (row_slack <= 0)
     if bad_el.any():
         raise EmptyInterior(
@@ -147,15 +162,7 @@ def interior_start(inst: ProblemInstance, shift: float = INTERIOR_SHIFT) -> Allo
             f"application(s) {np.flatnonzero(bad_app).tolist()} are free but have "
             "app_lower == app_upper"
         )
-
-    num_el, num_app = lo.shape
-    delta = shift * np.minimum.reduce([
-        np.broadcast_to(row_slack[:, None] / num_app, lo.shape),
-        (hi - lo) / 2.0,
-        np.broadcast_to(app_span[None, :] / (2.0 * num_el), lo.shape),
-    ])
-    s = lo + np.where(free, delta, 0.0)
-    return AllocationMatrix(s)
+    return row_slack, app_span
 
 
 def _spread(active, values):
@@ -183,6 +190,7 @@ class _InnerProblem:
         # Linear utility keeps the application terms: its truncated-CG results move with them.
         self.low_active = self.up_active = (self.free.any(axis=0)
                                             & (inst.utility_kind == "linear"))
+        self.app_terms = bool(self.up_active.any())
         # the bounds of the constraints in the barrier
         self.capacities = inst.capacities[self.el_active]
         self.app_upper = inst.app_upper[self.up_active]
@@ -191,6 +199,8 @@ class _InnerProblem:
     def slacks(self, s):
         """Element, upper and lower application slacks of the constraints in the barrier."""
         rows = s.sum(axis=1)[self.el_active]
+        if not self.app_terms:
+            return self.capacities - rows, _NO_SLACKS, _NO_SLACKS
         cols = s.sum(axis=0)
         return (self.capacities - rows, self.app_upper - cols[self.up_active],
                 cols[self.low_active] - self.app_lower)
@@ -260,7 +270,7 @@ class _InnerProblem:
         v_app = self.col_terms(1.0 / (ms * ms), 1.0 / (ls * ls))
         return w_el, v_app, np.maximum(w_el[:, None] + v_app[None, :], 1e-300)
 
-    def dual_gap(self, s, t, centre=None) -> float:
+    def dual_gap(self, s, t, centre=None, cells=None) -> float:
         """Lagrangian dual at the barrier multipliers of t, minus the utility of ``s``.
 
         The multipliers are lambda_i = 1/(t bs_i), nu+_k = 1/(t ms_k) and
@@ -277,6 +287,11 @@ class _InnerProblem:
         the multipliers times the slacks of ``s`` (m/t for the m constraints in
         the barrier, without ``centre``) plus a non-negative term per cell, so
         a gap far below the utility keeps its digits.
+
+        ``cells``, given with ``centre`` for log utility, is (row, col) of the
+        centre's free cells with c > 0.  Only their terms are computed: every
+        other cell sits at lo, with c = 0, or is pinned, so its term is exactly
+        0.0, and the terms are summed on the same zero grid.
         """
         inst = self.inst
         bs, ms, ls = self.interior_slacks(s)
@@ -287,14 +302,24 @@ class _InnerProblem:
             lam[rows] = 1.0 / tau
             paid = float(lam[self.el_active] @ bs) + (ms.size + ls.size) / t
         nu = self.col_terms(1.0 / (t * ms), -1.0 / (t * ls))
-        a = lam[:, None] + nu[None, :]
         lo, hi, c = inst.lower, inst.upper, inst.coeff
-        if inst.utility_kind == "logarithmic":
-            x = np.where(a > 0, np.clip(c / np.where(a > 0, a, 1.0), lo, hi), hi)
-            cells = c * np.log(x / s) - a * (x - s)
+        if cells is not None:
+            row, col = cells
+            terms = np.zeros(s.shape)
+            terms[row, col] = _log_terms(c[row, col], lam[row] + nu[col], lo[row, col],
+                                         hi[row, col], s[row, col])
+        elif inst.utility_kind == "logarithmic":
+            terms = _log_terms(c, lam[:, None] + nu[None, :], lo, hi, s)
         else:
-            cells = (c - a) * (np.where(c > a, hi, lo) - s)
-        return float(paid + cells.sum())
+            a = lam[:, None] + nu[None, :]
+            terms = (c - a) * (np.where(c > a, hi, lo) - s)
+        return float(paid + terms.sum())
+
+
+def _log_terms(c, a, lo, hi, s):
+    """Per cell, the log dual's maximum over the box of c log x - a x, minus its value at s."""
+    x = np.where(a > 0, np.clip(c / np.where(a > 0, a, 1.0), lo, hi), hi)
+    return c * np.log(x / s) - a * (x - s)
 
 
 class _Centre:
@@ -319,10 +344,15 @@ class _Centre:
     tau + t moved at the breakpoints, increasing along the row; the root lies
     on the segment after the last breakpoint below t (B_i - sum lo), where
     t (F - sum lo) rises with slope 1 + t slope.
+
+    One point buffer, and for :meth:`utility` one buffer of its logarithms,
+    are filled from ``lower`` once; each centre rewrites only the free cells
+    with c > 0, since every other cell stays at lo.
     """
 
     def __init__(self, inst: ProblemInstance):
-        self.lower = inst.lower
+        self.lower, self.coeff = inst.lower, inst.coeff
+        self.point = inst.lower.copy()
         free = (inst.upper > inst.lower) & (inst.coeff > 0)
         self.row, self.col = np.divmod(np.flatnonzero(free), free.shape[1])
         per_row = np.bincount(self.row, minlength=free.shape[0])
@@ -363,16 +393,26 @@ class _Centre:
         self.iters = int(self.row.size > 0)  # inner iterations a centre records
 
     def __call__(self, t: float):
-        """(the centre at t, a new (I, K) array; tau = t sigma there on each element of
-        ``rows``)."""
+        """(the centre at t, the point buffer, which the next call overwrites; tau = t sigma
+        there on each element of ``rows``)."""
         target = t * self.headroom
         level = self.tau + t * self.moved
         below = np.count_nonzero(level < target[:, None], axis=1)
         rows, j = np.arange(below.size), np.maximum(below - 1, 0)
         tau = self.tau[rows, j] + (target - level[rows, j]) / (1.0 + t * self.slope[rows, j])
-        s = self.lower.copy()
-        s[self.row, self.col] = np.clip(self.c * tau[self.block_row], self.lo, self.hi)
-        return s, tau
+        self.placed = np.clip(self.c * tau[self.block_row], self.lo, self.hi)
+        self.point[self.row, self.col] = self.placed
+        return self.point, tau
+
+    @cached_property
+    def logs(self):
+        return np.log(self.lower)
+
+    def utility(self) -> float:
+        """The log utility of the last centre, summed over the whole grid as
+        ``total_utility`` sums it."""
+        self.logs[self.row, self.col] = np.log(self.placed)
+        return float(np.vdot(self.coeff, self.logs))
 
 
 def _newton_cg_direction(terms, g, mask, max_cg: int = 25):
@@ -578,11 +618,18 @@ def solve(inst: ProblemInstance, config: SolverConfig | None = None) -> SolveRes
     computed ``dual_gap``.  The bound alone is no certificate where B + |K|
     is below m, the number of barrier terms (small capacities), or where a
     linear inner loop ends far from its centre.
+
+    Only linear solves start from :func:`interior_start`; a log solve checks
+    the same interior (:func:`_check_interior`) and builds the start only
+    when the bound needs no outer iteration, since its centres ignore it.
     """
     cfg = config or SolverConfig()
     work = _InnerProblem(inst)
-    s = interior_start(inst).values.copy()
-    centre = _Centre(inst) if inst.utility_kind == "logarithmic" else None
+    if inst.utility_kind == "logarithmic":
+        _check_interior(inst, work.free)
+        s, centre = None, _Centre(inst)
+    else:
+        s, centre = interior_start(inst).values.copy(), None
 
     t = cfg.t0
     outer = 0
@@ -593,15 +640,18 @@ def solve(inst: ProblemInstance, config: SolverConfig | None = None) -> SolveRes
     while gap_bound(inst, t) > cfg.epsilon and outer < cfg.max_outer_iters:
         if centre is None:
             s, iters, status, _ = _inner_loop(work, s, t, cfg, at)
+            at = work.evaluate(s)
+            utility, barrier = at[0], at[2]
         else:
             (s, tau), iters, status = centre(t), centre.iters, "converged"
             exact = centre.rows, tau
+            barrier = work.barrier(s)
+            utility = centre.utility()
         inner_total += iters
-        at = work.evaluate(s)
         trace.append(OuterTrace(
             t=t,
-            objective=at[0],
-            barrier=at[2],
+            objective=utility,
+            barrier=barrier,
             gap_bound=gap_bound(inst, t),
             inner_iters=iters,
             inner_status=status,
@@ -609,8 +659,11 @@ def solve(inst: ProblemInstance, config: SolverConfig | None = None) -> SolveRes
         t *= cfg.mu
         outer += 1
 
+    if s is None:
+        s = interior_start(inst).values
     alloc = AllocationMatrix(s)
-    dual_gap = work.dual_gap(s, trace[-1].t if trace else t, exact)
+    dual_gap = work.dual_gap(s, trace[-1].t if trace else t, exact,
+                             None if exact is None else (centre.row, centre.col))
     return SolveResult(
         allocation=alloc,
         objective=trace[-1].objective if trace else total_utility(inst, alloc),

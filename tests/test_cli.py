@@ -46,6 +46,15 @@ class TestResolveConfig:
         cfg = resolve_config(None, {"seed": 1, "loads": "1,4,9"})
         assert cfg["loads"] == [1.0, 4.0, 9.0]
 
+    def test_loads_json_list(self):
+        # environment and flag values are read as JSON first, loads included
+        cfg = resolve_config(None, {"seed": 1}, env={"RANSHARE_LOADS": "[1, 2]"})
+        assert cfg["loads"] == [1.0, 2.0]
+        cfg = resolve_config(None, {"seed": 1, "loads": "[1, 2.5]"})
+        assert cfg["loads"] == [1.0, 2.5]
+        with pytest.raises(ConfigError, match="loads"):
+            resolve_config(None, {"seed": 1, "loads": "[true]"})
+
     def test_utility_alias(self):
         assert resolve_config(None, {"seed": 1, "utility": "log"})["utility"] == "logarithmic"
 
@@ -152,6 +161,18 @@ class TestMain:
                      "--loads", "", "--seed", "1", "--out", str(out)]) == 2
         assert "loads" in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize("source", ["env", "flag"])
+    def test_json_loads_list_runs(self, tmp_path, monkeypatch, source):
+        out = tmp_path / "run"
+        args = ["--config", write_config(tmp_path, epsilon=1.0), "--experiment", "utility",
+                "--seed", "1", "--out", str(out)]
+        if source == "env":
+            monkeypatch.setenv("RANSHARE_LOADS", "[1, 2]")
+        else:
+            args += ["--loads", "[1, 2]"]
+        assert main(args) == 0
+        assert {row[1] for row in read_rows(out)[1:]} == {"1", "2"}
 
     @pytest.mark.parametrize("spec", [
         "[1,2]",

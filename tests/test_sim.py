@@ -1,9 +1,14 @@
 import math
+import os
+import subprocess
+import sys
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import ranshare
 from ranshare.baselines import ReservationConfig, net_rsv_allocate, per_bs_rsv_allocate
 from ranshare.errors import InvalidParams, UnknownReference
 from ranshare.fairshare import water_fill
@@ -410,3 +415,29 @@ def test_generated_lower_corner_feasible_with_zero_tol():
         inst = build_instance(scen, "logarithmic")
         report = check_feasible(inst, AllocationMatrix(inst.lower.copy()), tol=0.0)
         assert report.feasible
+
+
+_PERIOD_AND_SWEEP = """
+import sys
+from ranshare.sim import (ALL_SCHEMES, HotspotParams, ScenarioParams, add_hotspot,
+                          allocate_app_opt, generate_scenario, run_experiment)
+from ranshare.solver import SolverConfig
+base = generate_scenario(ScenarioParams(num_elements=6, num_entities=2, num_apps=3,
+                                        num_flows=40), 1)
+allocate_app_opt(base, "logarithmic", SolverConfig(epsilon=1.0))
+hot = add_hotspot(base, HotspotParams(n_flows=10, n_entities=1, n_elements=3), 2)
+report = run_experiment(hot, ALL_SCHEMES, [1.0, 5.0], "logarithmic", SolverConfig(epsilon=1.0),
+                        scale_flow_ids=hot.flows.id[-10:])
+assert all(row.error is None for row in report.rows)
+print("numpy.ma" in sys.modules)
+"""
+
+
+def test_period_and_sweep_import_no_masked_arrays():
+    # numpy.ma costs about 0.02 s to import; nothing on these paths needs it
+    src = str(Path(ranshare.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    out = subprocess.run([sys.executable, "-c", _PERIOD_AND_SWEEP], env=env,
+                         capture_output=True, text=True, check=True, timeout=120)
+    assert out.stdout.strip() == "False"

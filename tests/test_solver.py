@@ -252,6 +252,35 @@ class TestCentre:
         with pytest.raises(EmptyInterior):
             solve_inner(inst, None, 5.0)  # the centre ignores the start
 
+    def test_row_without_utility_whose_lower_bounds_fill_its_capacity_raises(self):
+        # row 0 has free cells, all with c = 0, so no centre row holds it; the solve checks
+        # the interior as interior_start does
+        inst = make_instance([2.0, 10.0], [[1, 1], [1, 1]], [[3, 3], [3, 3]],
+                             [[0, 0], [1, 2]], "logarithmic")
+        with pytest.raises(EmptyInterior):
+            solve(inst)
+
+    def test_solve_without_outer_iteration_returns_the_start(self):
+        # the bound is met at t0: no centre is taken, and the start is the result
+        inst = _log_case(3)
+        cfg = SolverConfig(epsilon=1.0, t0=2.0 * gap_bound(inst, 1.0))
+        r = solve(inst, cfg)
+        assert r.outer_iters == 0 and r.trace == ()
+        assert np.array_equal(r.allocation.values, interior_start(inst).values)
+        assert r.objective == total_utility(inst, interior_start(inst))
+
+    def test_dual_gap_on_the_utility_cells_is_the_dense_one(self):
+        # away from the centre's own tau the cell terms are far from 0; every cell without
+        # utility sits at lo or is pinned, so its term is 0.0 and the sums agree bit for bit
+        inst = _sparse_log_case()
+        work, centre = _InnerProblem(inst), _Centre(inst)
+        for t in (1.0, 10.0, 1e3):
+            s, tau = centre(t)
+            for scale in (0.5, 1.0, 3.0):
+                exact = centre.rows, tau * scale
+                dense = work.dual_gap(s, t, exact)
+                assert work.dual_gap(s, t, exact, (centre.row, centre.col)) == dense
+
     def test_equal_ratios_give_identical_allocations(self):
         # every free cell of a row has the breakpoints lo/c = 0.5 and hi/c = 2.5: ties
         lower, upper, coeff = np.full((3, 4), 1.0), np.full((3, 4), 5.0), np.full((3, 4), 2.0)
@@ -528,13 +557,29 @@ def _fresh_evaluation_solve(inst, cfg):
             work.dual_gap(s, trace[-1].t, exact))
 
 
-@pytest.mark.parametrize("kind", ["linear", "logarithmic"])
+def _sparse_log_case():
+    """A log instance where few cells carry utility: 80% zero coefficients, a quarter of the
+    cells pinned at their lower bound, and row 2 pinned whole."""
+    rng = np.random.default_rng(7)
+    inst = random_instance(rng, num_elements=8, num_apps=6, kind="logarithmic",
+                           zero_coeff_prob=0.8)
+    pin = rng.random(inst.lower.shape) < 0.25
+    pin[2] = True
+    return pin_cells(inst, pin)
+
+
+@pytest.mark.parametrize("kind", ["linear", "logarithmic", "sparse-log"])
 def test_outer_evaluation_is_the_fresh_one(kind):
     if kind == "linear":
         inst = random_instance(np.random.default_rng(0), num_elements=4, num_apps=3,
                                kind="linear")
-    else:
+    elif kind == "logarithmic":
         inst = _log_case(1)
+    else:
+        inst = _sparse_log_case()
+        pinned, utility = inst.upper == inst.lower, inst.coeff > 0
+        assert (~pinned & utility).mean() < 0.25
+        assert (pinned & utility).any() and pinned.all(axis=1).any()
     cfg = SolverConfig(epsilon=1e-4)
     r = solve(inst, cfg)
     s, trace, objective, dual_gap = _fresh_evaluation_solve(inst, cfg)
