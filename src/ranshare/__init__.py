@@ -17,6 +17,6 @@ from .sim import (ALL_SCHEMES, ExperimentReport, ExperimentRow, HotspotParams,
 from .solver import (OuterTrace, SolveResult, SolverConfig, barrier_value,
                      gap_bound, interior_gradient, interior_objective,
                      interior_start, solve, solve_inner)
-from .utility import TranslatingRatios, estimate_demand, total_utility, utility_value
+from .utility import TranslatingRatios, estimate_demand, total_utility
 
 __version__ = "0.1.0"

@@ -107,21 +107,15 @@ def _parse_loads(spec) -> list:
 def _coerce(key, raw):
     """Read an environment or flag string as a value for ``key``.
 
-    A key with a string default keeps the text, and ``loads`` takes a JSON
-    list or else its range syntax.  Any other key reads the text as JSON, else
-    as float() reads it, so that ``inf`` and ``nan`` reach the dataclass
-    checks, else keeps the text.  It casts nothing to the default's type:
-    ``resolve_config`` holds every value to that type and rejects what does
-    not fit.
+    A key with a string default keeps the text.  Any other key reads the text
+    as JSON, else as float() reads it, so that ``inf`` and ``nan`` reach the
+    dataclass checks, else keeps the text.  It casts nothing to the default's
+    type: ``resolve_config`` holds every value to that type and rejects what
+    does not fit, and reads ``loads`` (a list, a number, or the text of a range
+    or a comma list) with ``_parse_loads``.
     """
     if not isinstance(raw, str) or isinstance(DEFAULTS[key], str):
         return raw
-    if key == "loads":
-        try:
-            value = json.loads(raw)
-        except ValueError:
-            value = None
-        return _parse_loads(value if isinstance(value, list) else raw)
     for read in (json.loads, float):  # float() also reads inf and nan
         try:
             return read(raw)
@@ -241,6 +235,13 @@ def _instance_from_config(spec, utility_kind) -> ProblemInstance:
         raise ConfigError(f"instance arrays must be numeric: {exc}") from exc
 
 
+def _check_focus(cfg, num_apps: int) -> None:
+    """``focus_app_id`` must be one of the run's ``num_apps`` applications."""
+    if cfg["focus_app_id"] >= num_apps:
+        raise ConfigError(f"focus_app_id {cfg['focus_app_id']} is not an application of the "
+                          f"run ({num_apps} applications)")
+
+
 def _run_single_solve(cfg, out_dir: Path) -> dict:
     scfg = _build(cfg, SolverConfig)
     if cfg["instance"] is not None:
@@ -248,16 +249,13 @@ def _run_single_solve(cfg, out_dir: Path) -> dict:
     else:
         base = generate_scenario(_build(cfg, ScenarioParams), cfg["seed"])
         inst = build_instance(scale_load(base, cfg["loads"][0]), cfg["utility"])
-    focus = cfg["focus_app_id"]
-    if focus >= inst.num_apps:
-        raise ConfigError(f"focus_app_id {focus} is not an application of the instance "
-                          f"({inst.num_apps} applications)")
+    _check_focus(cfg, inst.num_apps)
     start = time.perf_counter()
     result = solve(inst, scfg)
     elapsed_ms = (time.perf_counter() - start) * 1000.0
     report = check_feasible(inst, result.allocation, 1e-9)
 
-    granted_m = float(result.allocation.values[:, focus].sum())
+    granted_m = float(result.allocation.values[:, cfg["focus_app_id"]].sum())
     row = ExperimentRow(
         scheme="app-opt", load=cfg["loads"][0],
         utility_kind=inst.utility_kind,
@@ -288,6 +286,7 @@ def _run_single_solve(cfg, out_dir: Path) -> dict:
 
 def _run_sweep(cfg, out_dir: Path) -> dict:
     base = generate_scenario(_build(cfg, ScenarioParams), cfg["seed"])
+    _check_focus(cfg, len(base.apps))
     scale_ids = None
     if cfg["experiment"] == "hotspot":
         n_base = len(base.flows)

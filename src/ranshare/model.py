@@ -55,7 +55,6 @@ class Application:
     """One abstract service class with QoE stringency and share bounds."""
 
     id: int
-    priority: int
     qoe_factor: float  # resource units needed per Mbps
     min_share: float   # fraction of capacity guaranteed
     max_share: float   # fraction of capacity usable
@@ -87,7 +86,6 @@ class Entity:
     """An operator driving flows into the shared RAN."""
 
     id: int
-    name: str = ""
 
 
 # One flow, built on read from a Flows: owner, application, serving element, demand (Mbps).

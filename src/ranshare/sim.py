@@ -169,14 +169,13 @@ def generate_scenario(params: ScenarioParams, seed: int) -> Scenario:
         focus = k < params.num_focus
         apps.append(Application(
             id=k,
-            priority=1 if focus else 0,
             qoe_factor=float(qoe_arranged[k]),
             min_share=params.focus_min_share if focus else params.background_min_share,
             max_share=params.focus_max_share if focus else params.background_max_share,
         ))
     elements = tuple(RadioElement(id=i, capacity=float(caps[i]))
                      for i in range(params.num_elements))
-    entities = tuple(Entity(id=e, name=f"entity-{e:02d}") for e in range(params.num_entities))
+    entities = tuple(Entity(id=e) for e in range(params.num_entities))
 
     channel = rng.uniform(*params.channel_range, (params.num_elements, params.num_apps))
     ratios = TranslatingRatios(qoe_arranged[None, :] * channel)
@@ -350,10 +349,6 @@ class ExperimentRow:
 @dataclass(frozen=True)
 class ExperimentReport:
     rows: tuple
-    seed: int
-    utility_kind: str
-    schemes: tuple
-    loads: tuple
 
 
 def _allocate_for_scheme(scheme, scenario, utility_kind, solver_config, reservation_config):
@@ -416,6 +411,4 @@ def run_experiment(base: Scenario, schemes: Sequence[str], loads: Sequence[float
         # load 1 is the base itself, which outlives its load: keep no load's fill past it
         for name in ("resource_demand", "pair_fill"):
             vars(scen).pop(name, None)
-    return ExperimentReport(rows=tuple(rows), seed=base.seed,
-                            utility_kind=utility_kind,
-                            schemes=tuple(schemes), loads=tuple(float(x) for x in loads))
+    return ExperimentReport(rows=tuple(rows))

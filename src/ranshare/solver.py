@@ -187,35 +187,33 @@ class _InnerProblem:
         self.inst = inst
         self.free = inst.upper > inst.lower
         self.el_active = self.free.any(axis=1)
-        # Linear utility keeps the application terms: its truncated-CG results move with them.
-        self.low_active = self.up_active = (self.free.any(axis=0)
-                                            & (inst.utility_kind == "linear"))
-        self.app_terms = bool(self.up_active.any())
+        # Linear utility keeps the application terms, upper and lower alike: its
+        # truncated-CG results move with them.
+        self.app_active = self.free.any(axis=0) & (inst.utility_kind == "linear")
+        self.app_terms = bool(self.app_active.any())
         # the bounds of the constraints in the barrier
         self.capacities = inst.capacities[self.el_active]
-        self.app_upper = inst.app_upper[self.up_active]
-        self.app_lower = inst.app_lower[self.low_active]
+        self.app_upper = inst.app_upper[self.app_active]
+        self.app_lower = inst.app_lower[self.app_active]
 
     def slacks(self, s):
         """Element, upper and lower application slacks of the constraints in the barrier."""
         rows = s.sum(axis=1)[self.el_active]
         if not self.app_terms:
             return self.capacities - rows, _NO_SLACKS, _NO_SLACKS
-        cols = s.sum(axis=0)
-        return (self.capacities - rows, self.app_upper - cols[self.up_active],
-                cols[self.low_active] - self.app_lower)
+        cols = s.sum(axis=0)[self.app_active]
+        return self.capacities - rows, self.app_upper - cols, cols - self.app_lower
 
     @cached_property
     def slack_layout(self):
         """(take, sign, offset): the :meth:`slacks` of a point, concatenated, are
         offset + sign * sums[take], bit for bit, where sums is its row sums followed by its
         column sums."""
-        num_el = self.el_active.size
         rows = np.flatnonzero(self.el_active)
-        up, low = num_el + np.flatnonzero(self.up_active), num_el + np.flatnonzero(self.low_active)
-        sign = np.ones(rows.size + up.size + low.size)
-        sign[:rows.size + up.size] = -1.0
-        return (np.concatenate([rows, up, low]), sign,
+        cols = self.el_active.size + np.flatnonzero(self.app_active)
+        sign = np.ones(rows.size + 2 * cols.size)
+        sign[:rows.size + cols.size] = -1.0
+        return (np.concatenate([rows, cols, cols]), sign,
                 np.concatenate([self.capacities, self.app_upper, -self.app_lower]))
 
     def interior_slacks(self, s):
@@ -239,15 +237,10 @@ class _InnerProblem:
         slacks = self.interior_slacks(s)
         return _utility_sum(self.inst, s), slacks, self.barrier(s, slacks)
 
-    def col_terms(self, up, low):
-        """Per application, ``up`` where its upper term is in the barrier plus ``low`` where its
-        lower term is."""
-        return _spread(self.up_active, up) + _spread(self.low_active, low)
-
     def barrier_terms(self, slacks):
         """Per element and per application, the barrier's part of the gradient, to subtract."""
         bs, ms, ls = slacks
-        return _spread(self.el_active, 1.0 / bs), self.col_terms(1.0 / ms, -1.0 / ls)
+        return _spread(self.el_active, 1.0 / bs), _spread(self.app_active, 1.0 / ms - 1.0 / ls)
 
     def gradient(self, s, t, slacks=None):
         row, col = self.barrier_terms(self.slacks(s) if slacks is None else slacks)
@@ -267,7 +260,7 @@ class _InnerProblem:
         """
         bs, ms, ls = slacks
         w_el = _spread(self.el_active, 1.0 / (bs * bs))
-        v_app = self.col_terms(1.0 / (ms * ms), 1.0 / (ls * ls))
+        v_app = _spread(self.app_active, 1.0 / (ms * ms) + 1.0 / (ls * ls))
         return w_el, v_app, np.maximum(w_el[:, None] + v_app[None, :], 1e-300)
 
     def dual_gap(self, s, t, centre=None, cells=None) -> float:
@@ -301,7 +294,7 @@ class _InnerProblem:
             rows, tau = centre
             lam[rows] = 1.0 / tau
             paid = float(lam[self.el_active] @ bs) + (ms.size + ls.size) / t
-        nu = self.col_terms(1.0 / (t * ms), -1.0 / (t * ls))
+        nu = _spread(self.app_active, 1.0 / (t * ms) - 1.0 / (t * ls))
         lo, hi, c = inst.lower, inst.upper, inst.coeff
         if cells is not None:
             row, col = cells
@@ -347,13 +340,16 @@ class _Centre:
 
     One point buffer, and for :meth:`utility` one buffer of its logarithms,
     are filled from ``lower`` once; each centre rewrites only the free cells
-    with c > 0, since every other cell stays at lo.
+    with c > 0, since every other cell stays at lo.  The instance must have a
+    strict interior (:func:`_check_interior`).
     """
 
     def __init__(self, inst: ProblemInstance):
+        box_free = inst.upper > inst.lower
+        row_slack, _ = _check_interior(inst, box_free)
         self.lower, self.coeff = inst.lower, inst.coeff
         self.point = inst.lower.copy()
-        free = (inst.upper > inst.lower) & (inst.coeff > 0)
+        free = box_free & (inst.coeff > 0)
         self.row, self.col = np.divmod(np.flatnonzero(free), free.shape[1])
         per_row = np.bincount(self.row, minlength=free.shape[0])
         rows = np.flatnonzero(per_row)
@@ -386,10 +382,7 @@ class _Centre:
         rise = np.diff(self.tau, axis=1) * self.slope[:, :-1]
         self.moved = np.hstack([first, np.cumsum(rise, axis=1)])
         self.rows = rows
-        self.headroom = inst.capacities[rows] - inst.lower.sum(axis=1)[rows]
-        if (self.headroom <= 0).any():
-            raise EmptyInterior(f"element(s) {rows[self.headroom <= 0].tolist()} have free cells "
-                                "but their lower bounds already exhaust the capacity")
+        self.headroom = row_slack[rows]
         self.iters = int(self.row.size > 0)  # inner iterations a centre records
 
     def __call__(self, t: float):
@@ -537,7 +530,7 @@ def _grid_line_search(work: _InnerProblem, s, slacks, d, g, t: float, f_cur: flo
     return None
 
 
-def _inner_loop(work: _InnerProblem, s: np.ndarray, t: float, cfg: SolverConfig, at=None):
+def _inner_loop(work: _InnerProblem, s: np.ndarray, t: float, cfg: SolverConfig):
     """Projected ascent with Armijo backtracking on the linear inner problem.
 
     The search direction is a truncated-CG Newton step on the inactive
@@ -552,12 +545,10 @@ def _inner_loop(work: _InnerProblem, s: np.ndarray, t: float, cfg: SolverConfig,
     ``plateau`` (no progress over a window of accepted steps), ``stalled``
     (no step accepted) and ``max_iters`` end it otherwise.
 
-    ``at``, when given, is :meth:`_InnerProblem.evaluate` of ``s``.
-
     Returns (s, iterations, status, objective_history).
     """
     # the slacks of the current point, carried over from the line search
-    utility, slacks, barrier = work.evaluate(s) if at is None else at
+    utility, slacks, barrier = work.evaluate(s)
     history = [t * utility + barrier]
     lo, hi = work.inst.lower, work.inst.upper
     status = "max_iters"
@@ -619,35 +610,30 @@ def solve(inst: ProblemInstance, config: SolverConfig | None = None) -> SolveRes
     is below m, the number of barrier terms (small capacities), or where a
     linear inner loop ends far from its centre.
 
-    Only linear solves start from :func:`interior_start`; a log solve checks
-    the same interior (:func:`_check_interior`) and builds the start only
-    when the bound needs no outer iteration, since its centres ignore it.
+    Only linear solves start from :func:`interior_start`; a log solve's
+    centre checks the same interior (:func:`_check_interior`), and the solve
+    builds the start only when the bound needs no outer iteration, since its
+    centres ignore it.
     """
     cfg = config or SolverConfig()
     work = _InnerProblem(inst)
     if inst.utility_kind == "logarithmic":
-        _check_interior(inst, work.free)
         s, centre = None, _Centre(inst)
     else:
         s, centre = interior_start(inst).values.copy(), None
 
     t = cfg.t0
-    outer = 0
-    inner_total = 0
     trace = []
-    at = None  # the evaluation of the last inner loop's point, the next one's start
     exact = None  # (rows, tau) of the last centre, for its dual multipliers
-    while gap_bound(inst, t) > cfg.epsilon and outer < cfg.max_outer_iters:
+    while gap_bound(inst, t) > cfg.epsilon and len(trace) < cfg.max_outer_iters:
         if centre is None:
-            s, iters, status, _ = _inner_loop(work, s, t, cfg, at)
-            at = work.evaluate(s)
-            utility, barrier = at[0], at[2]
+            s, iters, status, _ = _inner_loop(work, s, t, cfg)
+            utility, _, barrier = work.evaluate(s)
         else:
             (s, tau), iters, status = centre(t), centre.iters, "converged"
             exact = centre.rows, tau
             barrier = work.barrier(s)
             utility = centre.utility()
-        inner_total += iters
         trace.append(OuterTrace(
             t=t,
             objective=utility,
@@ -657,7 +643,6 @@ def solve(inst: ProblemInstance, config: SolverConfig | None = None) -> SolveRes
             inner_status=status,
         ))
         t *= cfg.mu
-        outer += 1
 
     if s is None:
         s = interior_start(inst).values
@@ -668,8 +653,8 @@ def solve(inst: ProblemInstance, config: SolverConfig | None = None) -> SolveRes
         allocation=alloc,
         objective=trace[-1].objective if trace else total_utility(inst, alloc),
         gap_bound=gap_bound(inst, t),
-        outer_iters=outer,
-        inner_iters_total=inner_total,
+        outer_iters=len(trace),
+        inner_iters_total=sum(tr.inner_iters for tr in trace),
         converged=gap_bound(inst, t) <= cfg.epsilon and dual_gap <= cfg.epsilon,
         dual_gap=dual_gap,
         trace=tuple(trace),

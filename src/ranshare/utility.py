@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -55,19 +54,6 @@ def estimate_demand(flows: Flows, ratios: TranslatingRatios) -> np.ndarray:
     demand = bw.reshape(num_elements, num_apps) * ratios.values
     demand.setflags(write=False)
     return demand
-
-
-def utility_value(kind: str, coeff: float, amount: float) -> float:
-    """Utility of granting `amount` resource at coefficient `coeff`."""
-    if coeff < 0:
-        raise InvalidParams("utility coefficient must be non-negative")
-    if kind == "linear":
-        return coeff * amount
-    if kind == "logarithmic":
-        if amount <= 0:
-            raise DomainError(f"logarithmic utility undefined at amount {amount}")
-        return coeff * math.log(amount)
-    raise InvalidParams(f"unknown utility kind {kind!r}")
 
 
 def total_utility(inst: ProblemInstance, alloc: AllocationMatrix) -> float:

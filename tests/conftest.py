@@ -18,7 +18,7 @@ def random_instance(rng, num_elements=None, num_apps=None, kind=None,
     kind = kind or ("linear" if rng.random() < 0.5 else "logarithmic")
     mins = rng.uniform(0.01, 0.5 / nk, nk)
     maxs = np.minimum(mins + rng.uniform(0.05, 0.5, nk), 1.0)
-    apps = [Application(id=k, priority=0, qoe_factor=1.0,
+    apps = [Application(id=k, qoe_factor=1.0,
                         min_share=float(mins[k]), max_share=float(maxs[k]))
             for k in range(nk)]
     elements = [RadioElement(id=i, capacity=float(rng.uniform(100.0, 300.0)))

@@ -13,7 +13,7 @@ from ranshare.utility import TranslatingRatios
 def scenario_from(flows, capacities, num_entities=2, num_apps=2, ratio=1.0):
     elements = tuple(RadioElement(id=i, capacity=c) for i, c in enumerate(capacities))
     entities = tuple(Entity(id=e) for e in range(num_entities))
-    apps = tuple(Application(id=k, priority=0, qoe_factor=1.0,
+    apps = tuple(Application(id=k, qoe_factor=1.0,
                              min_share=0.0, max_share=1.0) for k in range(num_apps))
     ratios = TranslatingRatios(np.full((len(capacities), num_apps), ratio))
     return Scenario(elements=elements, entities=entities, apps=apps,

@@ -192,6 +192,16 @@ class TestMain:
         assert "focus_app_id" in capsys.readouterr().err
         assert not (out / "results.csv").exists()
 
+    @pytest.mark.parametrize("experiment", ["utility", "hotspot", "single-solve"])
+    def test_focus_app_id_beyond_the_applications_exits_2_in_every_experiment(
+            self, tmp_path, capsys, experiment):
+        path = write_config(tmp_path, focus_app_id=99, hotspot_flows=40, hotspot_elements=6)
+        out = tmp_path / "run"
+        assert main(["--config", path, "--experiment", experiment, "--loads", "1",
+                     "--seed", "1", "--out", str(out)]) == 2
+        assert "focus_app_id" in capsys.readouterr().err
+        assert not (out / "results.csv").exists()
+
     def test_trace_written(self, tmp_path):
         path = write_config(tmp_path, instance=ONE_CELL, epsilon=1e-2, trace=True,
                             utility="linear")

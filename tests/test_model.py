@@ -9,7 +9,7 @@ from conftest import make_instance
 
 
 def app(k, mn, mx, qoe=1.0):
-    return Application(id=k, priority=0, qoe_factor=qoe, min_share=mn, max_share=mx)
+    return Application(id=k, qoe_factor=qoe, min_share=mn, max_share=mx)
 
 
 class TestDomainTypes:

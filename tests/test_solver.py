@@ -253,12 +253,14 @@ class TestCentre:
             solve_inner(inst, None, 5.0)  # the centre ignores the start
 
     def test_row_without_utility_whose_lower_bounds_fill_its_capacity_raises(self):
-        # row 0 has free cells, all with c = 0, so no centre row holds it; the solve checks
+        # row 0 has free cells, all with c = 0, so no centre row holds it; the centre checks
         # the interior as interior_start does
         inst = make_instance([2.0, 10.0], [[1, 1], [1, 1]], [[3, 3], [3, 3]],
                              [[0, 0], [1, 2]], "logarithmic")
         with pytest.raises(EmptyInterior):
             solve(inst)
+        with pytest.raises(EmptyInterior):
+            solve_inner(inst, None, 5.0)
 
     def test_solve_without_outer_iteration_returns_the_start(self):
         # the bound is met at t0: no centre is taken, and the start is the result
@@ -738,10 +740,10 @@ class TestPresolve:
             assert np.array_equal(inst.app_lower, inst.lower.sum(axis=0))
             assert np.array_equal(inst.app_upper, inst.upper.sum(axis=0))
             work = _InnerProblem(inst)
-            assert not work.low_active.any() and not work.up_active.any()
+            assert not work.app_active.any()
             linear = _InnerProblem(make_instance(inst.capacities, inst.lower, inst.upper,
                                                  inst.coeff, "linear"))
-            assert np.array_equal(linear.up_active, (inst.upper > inst.lower).any(axis=0))
+            assert np.array_equal(linear.app_active, (inst.upper > inst.lower).any(axis=0))
             r = solve(inst, SolverConfig(epsilon=1e-4))
             assert check_feasible(inst, r.allocation, tol=0.0).feasible
             optimum = optimum_bracket(inst)

@@ -5,8 +5,7 @@ import pytest
 
 from ranshare.errors import DomainError, InvalidParams, UnknownReference
 from ranshare.model import AllocationMatrix, Flow, Flows
-from ranshare.utility import (TranslatingRatios, estimate_demand,
-                              total_utility, utility_value)
+from ranshare.utility import TranslatingRatios, estimate_demand, total_utility
 
 from conftest import make_instance, random_instance
 
@@ -58,30 +57,6 @@ class TestEstimateDemand:
             assert np.allclose(whole, split, rtol=1e-12, atol=1e-12)
 
 
-class TestUtilityValue:
-    def test_linear(self):
-        assert utility_value("linear", 2.0, 3.0) == 6.0
-
-    def test_log_at_one_is_zero(self):
-        assert utility_value("logarithmic", 1.0, 1.0) == 0.0
-
-    def test_log_analytic_point(self):
-        assert utility_value("logarithmic", 2.5, math.e ** 2) == pytest.approx(5.0)
-
-    def test_log_domain_error(self):
-        with pytest.raises(DomainError):
-            utility_value("logarithmic", 1.0, 0.0)
-
-    def test_monotone_in_amount(self):
-        rng = np.random.default_rng(5)
-        for kind in ("linear", "logarithmic"):
-            for _ in range(50):
-                c = float(rng.uniform(0, 4))
-                a = float(rng.uniform(0.1, 10))
-                b = a + float(rng.uniform(0, 5))
-                assert utility_value(kind, c, b) >= utility_value(kind, c, a) - 1e-12
-
-
 class TestTotalUtility:
     def test_zero_coefficients_zero_utility(self):
         inst = make_instance([10.0], [[1.0, 1.0]], [[4.0, 4.0]], [[0.0, 0.0]],
@@ -91,6 +66,13 @@ class TestTotalUtility:
     def test_linear_1x1(self):
         inst = make_instance([10.0], [[0.0]], [[8.0]], [[1.0]])
         assert total_utility(inst, AllocationMatrix([[6.0]])) == 6.0
+
+    def test_log_domain_error(self):
+        # the log is undefined at a zero allocation, which lies outside every log box
+        inst = make_instance([10.0], [[1.0, 1.0]], [[4.0, 4.0]], [[1.0, 1.0]],
+                             kind="logarithmic")
+        with pytest.raises(DomainError):
+            total_utility(inst, AllocationMatrix([[0.0, 2.0]]))
 
     def test_log_2x2_cellwise(self):
         # c = [[1,2],[3,4]], s = [[1,e],[e,1]] -> 0 + 2 + 3 + 0 = 5
