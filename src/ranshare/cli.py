@@ -2,9 +2,10 @@
 
 Configuration is a flat JSON object; command-line flags override environment
 variables (prefix RANSHARE_), which override the config file, which overrides
-the built-in defaults.  Every run writes a results table (CSV), a summary
-with the fully resolved config for exact reproduction, and optionally a
-solver trace (JSON lines).
+the built-in defaults.  An unknown key, in the file or after the prefix, is an
+error.  Every run writes a results table (CSV), a summary with the fully
+resolved config for exact reproduction, and optionally a solver trace (JSON
+lines).
 """
 
 from __future__ import annotations
@@ -147,8 +148,11 @@ def resolve_config(path=None, flag_overrides=None, env=None) -> dict:
             raise ConfigError(f"unknown config keys: {sorted(unknown)}")
         cfg.update(file_cfg)
     env = os.environ if env is None else env
-    for key in DEFAULTS:
-        env_key = ENV_PREFIX + key.upper()
+    env_keys = {ENV_PREFIX + key.upper(): key for key in DEFAULTS}
+    unknown = sorted(k for k in env if k.startswith(ENV_PREFIX) and k not in env_keys)
+    if unknown:
+        raise ConfigError(f"unknown environment variables: {unknown}")
+    for env_key, key in env_keys.items():
         if env_key in env:
             cfg[key] = _coerce(key, env[env_key])
     for key, value in (flag_overrides or {}).items():
@@ -161,7 +165,7 @@ def resolve_config(path=None, flag_overrides=None, env=None) -> dict:
     for key, value in cfg.items():
         if not (value is None and DEFAULTS[key] is None) and not _fits(value, _TYPED[key]):
             raise ConfigError(f"{key} must be {_TYPE_NAMES[type(_TYPED[key])]}, got {value!r}")
-    for key in ("seed", "hotspot_seed_offset", "focus_app_id"):
+    for key in ("seed", "hotspot_seed_offset", "focus_app_id", "hotspot_app"):
         if cfg[key] < 0:
             raise ConfigError(f"{key} must be non-negative, got {cfg[key]!r}")
     kind = _UTILITY_ALIASES.get(cfg["utility"].lower())
@@ -235,11 +239,11 @@ def _instance_from_config(spec, utility_kind) -> ProblemInstance:
         raise ConfigError(f"instance arrays must be numeric: {exc}") from exc
 
 
-def _check_focus(cfg, num_apps: int) -> None:
-    """``focus_app_id`` must be one of the run's ``num_apps`` applications."""
-    if cfg["focus_app_id"] >= num_apps:
-        raise ConfigError(f"focus_app_id {cfg['focus_app_id']} is not an application of the "
-                          f"run ({num_apps} applications)")
+def _check_app(cfg, key: str, num_apps: int) -> None:
+    """``cfg[key]`` must be one of the run's ``num_apps`` applications."""
+    if cfg[key] >= num_apps:
+        raise ConfigError(f"{key} {cfg[key]} is not an application of the run "
+                          f"({num_apps} applications)")
 
 
 def _run_single_solve(cfg, out_dir: Path) -> dict:
@@ -249,7 +253,7 @@ def _run_single_solve(cfg, out_dir: Path) -> dict:
     else:
         base = generate_scenario(_build(cfg, ScenarioParams), cfg["seed"])
         inst = build_instance(scale_load(base, cfg["loads"][0]), cfg["utility"])
-    _check_focus(cfg, inst.num_apps)
+    _check_app(cfg, "focus_app_id", inst.num_apps)
     start = time.perf_counter()
     result = solve(inst, scfg)
     elapsed_ms = (time.perf_counter() - start) * 1000.0
@@ -286,9 +290,10 @@ def _run_single_solve(cfg, out_dir: Path) -> dict:
 
 def _run_sweep(cfg, out_dir: Path) -> dict:
     base = generate_scenario(_build(cfg, ScenarioParams), cfg["seed"])
-    _check_focus(cfg, len(base.apps))
+    _check_app(cfg, "focus_app_id", len(base.apps))
     scale_ids = None
     if cfg["experiment"] == "hotspot":
+        _check_app(cfg, "hotspot_app", len(base.apps))
         n_base = len(base.flows)
         base = add_hotspot(base, _build(cfg, HotspotParams),
                            cfg["seed"] + cfg["hotspot_seed_offset"])

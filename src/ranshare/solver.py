@@ -28,6 +28,9 @@ _CONTRACTION = 0.5
 _BOUNDARY_FRACTION = 1e-12  # trial slacks must keep this fraction of their previous value
 _MAX_BACKTRACKS = 80
 _PLATEAU_WINDOW = 20
+_INNER_TOL = 1e-8  # linear inner stop: projected gradient (log centres are exact)
+_MAX_INNER_ITERS = 500  # linear inner loop cap
+_MAX_CG = 25  # CG iterations per truncated-Newton direction
 _FLOAT_MAX = np.finfo(float).max
 _NO_SLACKS = np.empty(0)  # the application slacks of a barrier without application terms
 INTERIOR_SHIFT = 0.5  # theta of the starting-point perturbation
@@ -38,23 +41,19 @@ class SolverConfig:
     epsilon: float = 1e-3        # target suboptimality
     t0: float = 1.0              # initial barrier multiplier
     mu: float = 10.0             # outer growth factor
-    inner_tol: float = 1e-8      # linear inner stop: projected gradient (log centres are exact)
-    max_inner_iters: int = 500   # linear inner loop cap
     max_outer_iters: int = 100
 
     def __post_init__(self):
-        if not all(math.isfinite(v) for v in (self.epsilon, self.t0, self.mu, self.inner_tol)):
-            raise InvalidParams("epsilon, t0, mu and inner_tol must be finite")
+        if not all(math.isfinite(v) for v in (self.epsilon, self.t0, self.mu)):
+            raise InvalidParams("epsilon, t0 and mu must be finite")
         if self.epsilon <= 0:
             raise InvalidParams("epsilon must be > 0")
         if self.t0 <= 0:
             raise InvalidParams("t0 must be > 0")
         if self.mu <= 1:
             raise InvalidParams("mu must be > 1")
-        if not integers(self.max_inner_iters, self.max_outer_iters):
-            raise InvalidParams("max_inner_iters and max_outer_iters must be integers")
-        if self.inner_tol <= 0 or self.max_inner_iters < 1 or self.max_outer_iters < 1:
-            raise InvalidParams("tolerances and iteration caps must be positive")
+        if not integers(self.max_outer_iters) or self.max_outer_iters < 1:
+            raise InvalidParams("max_outer_iters must be an integer >= 1")
 
 
 @dataclass(frozen=True)
@@ -255,8 +254,7 @@ class _InnerProblem:
         w_i = 1/bs_i^2 per element and v_k = 1/ms_k^2 + 1/ls_k^2 per
         application, each term only where its constraint is in the barrier;
         linear utility adds no diagonal of its own, so H is singular.  The
-        truncated-CG step and its scaled-gradient fallback read the (I, K)
-        preconditioner.
+        truncated-CG step reads the (I, K) preconditioner.
         """
         bs, ms, ls = slacks
         w_el = _spread(self.el_active, 1.0 / (bs * bs))
@@ -339,8 +337,9 @@ class _Centre:
     t (F - sum lo) rises with slope 1 + t slope.
 
     One point buffer, and for :meth:`utility` one buffer of its logarithms,
-    are filled from ``lower`` once; each centre rewrites only the free cells
-    with c > 0, since every other cell stays at lo.  The instance must have a
+    are filled from ``lower`` once, the logarithms only where c > 0 (0 where
+    they carry no utility); each centre rewrites only the free cells with
+    c > 0, since every other cell stays at lo.  The instance must have a
     strict interior (:func:`_check_interior`).
     """
 
@@ -399,7 +398,7 @@ class _Centre:
 
     @cached_property
     def logs(self):
-        return np.log(self.lower)
+        return np.log(self.lower, out=np.zeros(self.lower.shape), where=self.coeff > 0)
 
     def utility(self) -> float:
         """The log utility of the last centre, summed over the whole grid as
@@ -408,8 +407,8 @@ class _Centre:
         return float(np.vdot(self.coeff, self.logs))
 
 
-def _newton_cg_direction(terms, g, mask, max_cg: int = 25):
-    """Approximately solve H d = g on the unmasked coordinates by CG.
+def _newton_cg_direction(terms, g, mask):
+    """Approximately solve H d = g on the unmasked coordinates by at most ``_MAX_CG`` CG steps.
 
     ``terms`` is ``_InnerProblem.curvature_terms`` at the current point.  The
     Hessian has diagonal-plus-rank-one-per-row/column structure, so each
@@ -437,7 +436,7 @@ def _newton_cg_direction(terms, g, mask, max_cg: int = 25):
     b_norm = float(np.abs(b).max())
     if b_norm == 0.0 or rz <= 0.0:
         return z
-    for _ in range(max_cg):
+    for _ in range(_MAX_CG):
         # hp = H p: damping p + w (row sums of p) + v (column sums of p), 0 off the mask
         np.multiply(p, damping, out=hp)
         np.add.reduce(p, axis=1, out=row_sum)
@@ -530,20 +529,20 @@ def _grid_line_search(work: _InnerProblem, s, slacks, d, g, t: float, f_cur: flo
     return None
 
 
-def _inner_loop(work: _InnerProblem, s: np.ndarray, t: float, cfg: SolverConfig):
+def _inner_loop(work: _InnerProblem, s: np.ndarray, t: float):
     """Projected ascent with Armijo backtracking on the linear inner problem.
 
     The search direction is a truncated-CG Newton step on the inactive
-    coordinates (:func:`_newton_cg_direction`; the Hessian is singular), and
-    the diagonally scaled gradient when that step fails the line search
-    (:func:`_grid_line_search`).  Accepted steps never decrease the inner
-    objective, and every iterate keeps all active barrier slacks strictly
-    positive (fraction-to-boundary rule).
+    coordinates (:func:`_newton_cg_direction`; the Hessian is singular),
+    searched along by :func:`_grid_line_search`.  Accepted steps never
+    decrease the inner objective, and every iterate keeps all active barrier
+    slacks strictly positive (fraction-to-boundary rule).
 
     The loop ends ``converged`` when the projected gradient is within
-    ``inner_tol`` of zero; the truncated-CG g^T d is no Newton decrement.
+    ``_INNER_TOL`` of zero; the truncated-CG g^T d is no Newton decrement.
     ``plateau`` (no progress over a window of accepted steps), ``stalled``
-    (no step accepted) and ``max_iters`` end it otherwise.
+    (the search accepts no step) and ``max_iters`` (``_MAX_INNER_ITERS``)
+    end it otherwise.
 
     Returns (s, iterations, status, objective_history).
     """
@@ -553,22 +552,16 @@ def _inner_loop(work: _InnerProblem, s: np.ndarray, t: float, cfg: SolverConfig)
     lo, hi = work.inst.lower, work.inst.upper
     status = "max_iters"
     iters = 0
-    for iters in range(1, cfg.max_inner_iters + 1):
+    for iters in range(1, _MAX_INNER_ITERS + 1):
         g = work.gradient(s, t, slacks)
         blocked = ((s <= lo) & (g < 0)) | ((s >= hi) & (g > 0))
-        if np.abs(np.where(blocked, 0.0, g)).max(initial=0.0) <= cfg.inner_tol:
+        if np.abs(np.where(blocked, 0.0, g)).max(initial=0.0) <= _INNER_TOL:
             status = "converged"
             iters -= 1
             break
 
-        f_cur = history[-1]
-        mask = work.free & ~blocked
-        terms = work.curvature_terms(slacks)
-        step = _grid_line_search(work, s, slacks, _newton_cg_direction(terms, g, mask), g,
-                                 t, f_cur)
-        if step is None:
-            scaled = np.where(mask, g, 0.0) / terms[-1]
-            step = _grid_line_search(work, s, slacks, scaled, g, t, f_cur)
+        d = _newton_cg_direction(work.curvature_terms(slacks), g, work.free & ~blocked)
+        step = _grid_line_search(work, s, slacks, d, g, t, history[-1])
         if step is None:
             status = "stalled"
             break
@@ -583,18 +576,16 @@ def _inner_loop(work: _InnerProblem, s: np.ndarray, t: float, cfg: SolverConfig)
     return s, iters, status, history
 
 
-def solve_inner(inst: ProblemInstance, start: AllocationMatrix, t: float,
-                config: SolverConfig | None = None) -> AllocationMatrix:
+def solve_inner(inst: ProblemInstance, start: AllocationMatrix, t: float) -> AllocationMatrix:
     """Solve the inner problem at fixed t.
 
     For logarithmic utility this is the exact centre (:class:`_Centre`), and
-    ``start`` and ``config`` are not used.  For linear utility it is
-    :func:`_inner_loop` from the strictly interior ``start``.
+    ``start`` is not used.  For linear utility it is :func:`_inner_loop` from
+    the strictly interior ``start``.
     """
     if inst.utility_kind == "logarithmic":
         return AllocationMatrix(_Centre(inst)(t)[0])
-    s, _, _, _ = _inner_loop(_InnerProblem(inst), start.values.copy(), t,
-                             config or SolverConfig())
+    s, _, _, _ = _inner_loop(_InnerProblem(inst), start.values.copy(), t)
     return AllocationMatrix(s)
 
 
@@ -627,7 +618,7 @@ def solve(inst: ProblemInstance, config: SolverConfig | None = None) -> SolveRes
     exact = None  # (rows, tau) of the last centre, for its dual multipliers
     while gap_bound(inst, t) > cfg.epsilon and len(trace) < cfg.max_outer_iters:
         if centre is None:
-            s, iters, status, _ = _inner_loop(work, s, t, cfg)
+            s, iters, status, _ = _inner_loop(work, s, t)
             utility, _, barrier = work.evaluate(s)
         else:
             (s, tau), iters, status = centre(t), centre.iters, "converged"

@@ -202,6 +202,32 @@ class TestMain:
         assert "focus_app_id" in capsys.readouterr().err
         assert not (out / "results.csv").exists()
 
+    @pytest.mark.parametrize("value", [99, -1])
+    def test_hotspot_app_outside_the_applications_exit_code(self, tmp_path, capsys, value):
+        path = write_config(tmp_path, hotspot_app=value, hotspot_flows=40, hotspot_elements=6)
+        out = tmp_path / "run"
+        assert main(["--config", path, "--experiment", "hotspot", "--loads", "1",
+                     "--seed", "1", "--out", str(out)]) == 2
+        assert "hotspot_app" in capsys.readouterr().err
+        assert not (out / "results.csv").exists()
+
+    @pytest.mark.parametrize("source", ["config", "env"])
+    @pytest.mark.parametrize("key, value", [("inner_tol", 1e-6), ("max_inner_iters", 60)])
+    def test_linear_inner_loop_constants_are_unknown_keys(self, tmp_path, capsys, monkeypatch,
+                                                          source, key, value):
+        # the linear inner loop's tolerance and cap are solver constants, not settings
+        if source == "config":
+            path = write_config(tmp_path, **{key: value})
+        else:
+            path = write_config(tmp_path)
+            monkeypatch.setenv("RANSHARE_" + key.upper(), str(value))
+        out = tmp_path / "run"
+        assert main(["--config", path, "--experiment", "single-solve", "--seed", "1",
+                     "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "unknown" in err and key in err.lower()
+        assert not out.exists()
+
     def test_trace_written(self, tmp_path):
         path = write_config(tmp_path, instance=ONE_CELL, epsilon=1e-2, trace=True,
                             utility="linear")

@@ -179,7 +179,7 @@ class TestSolveInner:
             s0 = interior_start(inst, 0.5).values.copy()
             t = float(rng.uniform(0.5, 200.0))
             if inst.utility_kind == "linear":
-                s, _, status, history = _inner_loop(work, s0, t, SolverConfig())
+                s, _, status, history = _inner_loop(work, s0, t)
                 assert status in ("converged", "stalled", "plateau", "max_iters")
                 diffs = np.diff(np.array(history))
                 assert np.all(diffs >= 0.0)  # accepted steps never decrease the objective
@@ -303,7 +303,7 @@ class TestCentre:
         assert r.converged
 
 
-def _textbook_cg_direction(terms, g, mask, exits, max_cg=25):
+def _textbook_cg_direction(terms, g, mask, exits):
     """The truncated-CG direction with one new array per expression, the form the
     buffered :func:`_newton_cg_direction` must match bit for bit; appends how it ended to
     ``exits``."""
@@ -328,7 +328,7 @@ def _textbook_cg_direction(terms, g, mask, exits, max_cg=25):
     if b_norm == 0.0 or rz <= 0.0:
         exits.append("zero")
         return z
-    for _ in range(max_cg):
+    for _ in range(solver._MAX_CG):
         hp = matvec(p)
         php = float(np.vdot(p, hp))
         if php <= 0.0:
@@ -412,9 +412,9 @@ class TestLinearInnerIteration:
         exits, trials = [], []
         direction, search = solver._newton_cg_direction, solver._grid_line_search
 
-        def checked_direction(terms, g, mask, max_cg=25):
-            got = direction(terms, g, mask, max_cg)
-            assert np.array_equal(got, _textbook_cg_direction(terms, g, mask, exits, max_cg))
+        def checked_direction(terms, g, mask):
+            got = direction(terms, g, mask)
+            assert np.array_equal(got, _textbook_cg_direction(terms, g, mask, exits))
             return got
 
         def checked_search(work, s, slacks, d, g, t, f_cur):
@@ -427,18 +427,20 @@ class TestLinearInnerIteration:
         monkeypatch.setattr(solver, "_grid_line_search", checked_search)
         return exits, trials
 
-    def test_solves_match_textbook_forms(self, checked):
+    def test_solves_match_textbook_forms(self, checked, monkeypatch):
         exits, trials = checked
         rng = np.random.default_rng(151)
         instances = [random_instance(rng, num_elements=int(rng.integers(1, 12)),
                                      num_apps=int(rng.integers(1, 8)), kind="linear")
                      for _ in range(12)]
         instances += [_wide_linear_instance(rng, 12, 6, 0.6) for _ in range(3)]
+        monkeypatch.setattr(solver, "_MAX_INNER_ITERS", 60)
         for inst in instances:
-            solve(inst, SolverConfig(epsilon=1e-3, max_inner_iters=60))
+            solve(inst, SolverConfig(epsilon=1e-3))
         # the desk grid at the benchmark's density, a few iterations per outer step
         desk = build_instance(generate_scenario(ScenarioParams(num_flows=2000), 5), "linear")
-        solve(desk, SolverConfig(epsilon=1.0, max_inner_iters=12))
+        monkeypatch.setattr(solver, "_MAX_INNER_ITERS", 12)
+        solve(desk, SolverConfig(epsilon=1.0))
         assert {"residual", "max_cg"} <= set(exits)
         assert {"accepted", "armijo", "gain", "column"} <= set(trials)
         # the trials right after a row failed: that row again, another row, a column, a pass
@@ -520,6 +522,17 @@ class TestLinearInnerIteration:
         assert {"first_curvature", "curvature"} <= set(exits)
 
 
+def test_linear_inner_loop_stalls_after_one_failed_search(monkeypatch):
+    # the truncated-CG step is the only direction: when its search fails, the loop ends
+    searches = []  # every search records its arguments and fails (append returns None)
+    monkeypatch.setattr(solver, "_grid_line_search", lambda *args: searches.append(args))
+    inst = random_instance(np.random.default_rng(0), num_elements=4, num_apps=3, kind="linear")
+    s0 = interior_start(inst).values
+    s, iters, status, history = _inner_loop(_InnerProblem(inst), s0.copy(), 1.0)
+    assert (len(searches), iters, status) == (1, 1, "stalled")
+    assert np.array_equal(s, s0) and len(history) == 1
+
+
 @pytest.mark.parametrize("width", [1, 2, 3, 5, 7, 8, 9, 15, 16, 17, 20, 25, 100, 127, 128,
                                    129, 255, 256, 257, 1000])
 def test_row_slice_sum_is_the_row_of_the_grid_sum(width):
@@ -546,7 +559,7 @@ def _fresh_evaluation_solve(inst, cfg):
     t, trace, exact = cfg.t0, [], None
     while gap_bound(inst, t) > cfg.epsilon and len(trace) < cfg.max_outer_iters:
         if inst.utility_kind == "linear":
-            s, iters, status, _ = _inner_loop(work, s, t, cfg)
+            s, iters, status, _ = _inner_loop(work, s, t)
         else:
             centre = _Centre(inst)
             (s, tau), iters, status = centre(t), centre.iters, "converged"
@@ -753,20 +766,20 @@ class TestPresolve:
 
 
 class TestSolverConfig:
-    @pytest.mark.parametrize("field", ["epsilon", "t0", "mu", "inner_tol"])
+    @pytest.mark.parametrize("field", ["epsilon", "t0", "mu"])
     @pytest.mark.parametrize("value", [math.nan, math.inf])
     def test_non_finite_rejected(self, field, value):
         with pytest.raises(InvalidParams):
             SolverConfig(**{field: value})
 
-    @pytest.mark.parametrize("field", ["max_inner_iters", "max_outer_iters"])
+    @pytest.mark.parametrize("field", ["max_outer_iters"])
     @pytest.mark.parametrize("value", [2.5, 3.0, True, "3"])
     def test_non_integer_iteration_cap_rejected(self, field, value):
         with pytest.raises(InvalidParams):
             SolverConfig(**{field: value})
 
     def test_numpy_integer_iteration_cap_accepted(self):
-        assert SolverConfig(max_inner_iters=np.int64(7)).max_inner_iters == 7
+        assert SolverConfig(max_outer_iters=np.int64(7)).max_outer_iters == 7
 
 
 class TestSolve:
