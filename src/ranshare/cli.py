@@ -40,6 +40,8 @@ RESULT_COLUMNS = ("scheme", "load", "utility_kind", "total_utility", "app_m_reso
 _HOTSPOT_KEYS = {"hotspot_app": "app_id", "hotspot_flows": "n_flows",
                  "hotspot_entities": "n_entities", "hotspot_elements": "n_elements",
                  "hotspot_mean_bw": "mean_bw"}
+# a hotspot run draws its extra flows under seed + HOTSPOT_SEED_OFFSET
+HOTSPOT_SEED_OFFSET = 1000
 
 
 def _same_names(cls) -> dict:
@@ -68,7 +70,6 @@ DEFAULTS = {
     "schemes": list(ALL_SCHEMES),
     # scenario, solver, baselines and hotspot shape, as JSON values
     **{key: list(v) if isinstance(v, tuple) else v for key, v in _FIELD_DEFAULTS.items()},
-    "hotspot_seed_offset": 1000,
     # reporting, as run_experiment's default
     "focus_app_id": inspect.signature(run_experiment).parameters["focus_app_id"].default,
     # optional explicit instance for single-solve: the _INSTANCE_KEYS arrays
@@ -165,7 +166,7 @@ def resolve_config(path=None, flag_overrides=None, env=None) -> dict:
     for key, value in cfg.items():
         if not (value is None and DEFAULTS[key] is None) and not _fits(value, _TYPED[key]):
             raise ConfigError(f"{key} must be {_TYPE_NAMES[type(_TYPED[key])]}, got {value!r}")
-    for key in ("seed", "hotspot_seed_offset", "focus_app_id", "hotspot_app"):
+    for key in ("seed", "focus_app_id", "hotspot_app"):
         if cfg[key] < 0:
             raise ConfigError(f"{key} must be non-negative, got {cfg[key]!r}")
     kind = _UTILITY_ALIASES.get(cfg["utility"].lower())
@@ -295,8 +296,7 @@ def _run_sweep(cfg, out_dir: Path) -> dict:
     if cfg["experiment"] == "hotspot":
         _check_app(cfg, "hotspot_app", len(base.apps))
         n_base = len(base.flows)
-        base = add_hotspot(base, _build(cfg, HotspotParams),
-                           cfg["seed"] + cfg["hotspot_seed_offset"])
+        base = add_hotspot(base, _build(cfg, HotspotParams), cfg["seed"] + HOTSPOT_SEED_OFFSET)
         scale_ids = base.flows.id[n_base:]
     report = run_experiment(
         base, cfg["schemes"], cfg["loads"], cfg["utility"],

@@ -16,10 +16,11 @@ from typing import Sequence
 import numpy as np
 
 from .baselines import ReservationConfig, net_rsv_allocate, per_bs_rsv_allocate
-from .errors import InvalidParams, RanShareError, UnknownReference
+from .errors import DimensionMismatch, InvalidParams, RanShareError, UnknownReference
 from .fairshare import FlowPlan, SortedDemands, sort_demands, water_fill
-from .model import (Application, Entity, FlowAllocation, Flows, ProblemInstance,
-                    RadioElement, expand_bounds, frozen, integers)
+from .model import (AllocationMatrix, Application, Entity, FlowAllocation, Flows,
+                    ProblemInstance, RadioElement, UTILITY_KINDS, expand_bounds, frozen,
+                    integers)
 from .solver import SolveResult, SolverConfig, solve
 from .utility import TranslatingRatios, estimate_demand
 
@@ -261,25 +262,25 @@ def add_hotspot(scenario: Scenario, params: HotspotParams, seed: int) -> Scenari
     return replace(scenario, flows=flows)
 
 
-def second_phase_allocate(flows: Flows, budget: float, ratio: float) -> FlowAllocation:
-    """Distribute one cell's resource grant among its flows.
+def second_phase_allocate(scenario: Scenario, grant: AllocationMatrix) -> FlowAllocation:
+    """Distribute each cell's resource grant among the cell's flows.
 
-    The grant is converted to a bandwidth budget through the cell's
-    translating ratio and water-filled across flow demands; leftover budget
-    stays unassigned.
+    Each (element, application) cell's grant, turned into bandwidth by the
+    cell's translating ratio, is water-filled across the cell's flow demands;
+    leftover budget stays unassigned.  The allocation is aligned with
+    ``scenario.flows``.  A grant whose shape is not the scenario's cells
+    raises ``DimensionMismatch``.
     """
-    if not (0 < ratio < np.inf):
-        raise InvalidParams("translating ratio must be finite and positive")
-    if not budget >= 0:
-        raise InvalidParams("budget must be non-negative")
-    return _granted(flows, water_fill(flows.demand, budget / ratio), ratio,
-                    frozen(flows.demand * ratio))
-
-
-def _granted(flows: Flows, bandwidth, ratio, demand_resource) -> FlowAllocation:
-    """The allocation granting each flow its fresh ``bandwidth``, at its ratio."""
-    return FlowAllocation(flow_ids=flows.id, bandwidth=frozen(bandwidth),
-                          resource=frozen(bandwidth * ratio), demand_resource=demand_resource)
+    if grant.shape != scenario.ratios.shape:
+        raise DimensionMismatch(f"grant shape {grant.shape} does not match the scenario's "
+                                f"cells {scenario.ratios.shape}")
+    plan = scenario.flow_plan
+    bandwidth = frozen(water_fill(scenario.flows.demand,
+                                  (grant.values / scenario.ratios.values).ravel(),
+                                  pool=plan.cells))
+    return FlowAllocation(flow_ids=scenario.flows.id, bandwidth=bandwidth,
+                          resource=frozen(bandwidth * plan.ratio),
+                          demand_resource=scenario.resource_demand)
 
 
 def build_instance(scenario: Scenario, utility_kind: str) -> ProblemInstance:
@@ -299,15 +300,8 @@ def allocate_app_opt(scenario: Scenario, utility_kind: str,
 
     Returns (FlowAllocation aligned with scenario.flows, SolveResult).
     """
-    inst = build_instance(scenario, utility_kind)
-    result = solve(inst, solver_config)
-    plan = scenario.flow_plan
-    # the second phase of every cell at once: each cell's grant, turned into
-    # bandwidth by its ratio, is water-filled across the cell's flows
-    bandwidth = water_fill(scenario.flows.demand,
-                           (result.allocation.values / scenario.ratios.values).ravel(),
-                           pool=plan.cells)
-    return _granted(scenario.flows, bandwidth, plan.ratio, scenario.resource_demand), result
+    result = solve(build_instance(scenario, utility_kind), solver_config)
+    return second_phase_allocate(scenario, result.allocation), result
 
 
 def qoe_satisfied_count(flow_alloc: FlowAllocation, flows: Flows) -> int:
@@ -356,9 +350,7 @@ def _allocate_for_scheme(scheme, scenario, utility_kind, solver_config, reservat
         return allocate_app_opt(scenario, utility_kind, solver_config)
     if scheme == SCHEME_NET_RSV:
         return net_rsv_allocate(scenario, reservation_config).flow_alloc, None
-    if scheme == SCHEME_PER_BS_RSV:
-        return per_bs_rsv_allocate(scenario, reservation_config).flow_alloc, None
-    raise InvalidParams(f"unknown scheme {scheme!r}")
+    return per_bs_rsv_allocate(scenario, reservation_config).flow_alloc, None
 
 
 def run_experiment(base: Scenario, schemes: Sequence[str], loads: Sequence[float],
@@ -371,9 +363,16 @@ def run_experiment(base: Scenario, schemes: Sequence[str], loads: Sequence[float
 
     ``scale_flow_ids`` restricts load scaling to a flow subset (hotspot
     sweeps).  A failing cell contributes an error row instead of vanishing.
-    ``focus_app_id``, the application whose resource the rows report, must
-    be one of the scenario's (``InvalidParams``).
+    Every entry of ``schemes`` must be one of ``ALL_SCHEMES``, ``utility_kind``
+    one of ``model.UTILITY_KINDS``, and ``focus_app_id``, the application whose
+    resource the rows report, one of the scenario's; otherwise the sweep raises
+    ``InvalidParams`` before its first cell.
     """
+    unknown = [scheme for scheme in schemes if scheme not in ALL_SCHEMES]
+    if unknown:
+        raise InvalidParams(f"unknown schemes {unknown!r} in {schemes!r}; valid: {ALL_SCHEMES}")
+    if utility_kind not in UTILITY_KINDS:
+        raise InvalidParams(f"unknown utility kind {utility_kind!r}; valid: {UTILITY_KINDS}")
     if not integers(focus_app_id) or not 0 <= focus_app_id < len(base.apps):
         raise InvalidParams(f"focus_app_id must be an application index below {len(base.apps)}, "
                             f"got {focus_app_id!r}")
@@ -392,7 +391,7 @@ def run_experiment(base: Scenario, schemes: Sequence[str], loads: Sequence[float
                 flow_alloc, solres = _allocate_for_scheme(
                     scheme, scen, utility_kind, solver_config, reservation_config)
                 elapsed_ms = (time.perf_counter() - start) * 1000.0
-                app_m_res = float(flow_alloc.resource[m_mask].sum()) if m_mask.any() else 0.0
+                app_m_res = float(flow_alloc.resource[m_mask].sum())
                 rows.append(ExperimentRow(
                     scheme=scheme, load=float(load), utility_kind=utility_kind,
                     total_utility=flow_utility(flow_alloc, utility_kind),

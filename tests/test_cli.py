@@ -228,6 +228,21 @@ class TestMain:
         assert "unknown" in err and key in err.lower()
         assert not out.exists()
 
+    @pytest.mark.parametrize("source", ["config", "env"])
+    def test_hotspot_seed_offset_is_an_unknown_key(self, tmp_path, capsys, monkeypatch, source):
+        # a hotspot run draws its flows under seed + HOTSPOT_SEED_OFFSET, a constant
+        if source == "config":
+            path = write_config(tmp_path, hotspot_seed_offset=1000)
+        else:
+            path = write_config(tmp_path)
+            monkeypatch.setenv("RANSHARE_HOTSPOT_SEED_OFFSET", "1000")
+        out = tmp_path / "run"
+        assert main(["--config", path, "--experiment", "hotspot", "--seed", "1",
+                     "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "unknown" in err and "hotspot_seed_offset" in err.lower()
+        assert not out.exists()
+
     def test_trace_written(self, tmp_path):
         path = write_config(tmp_path, instance=ONE_CELL, epsilon=1e-2, trace=True,
                             utility="linear")

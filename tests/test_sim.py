@@ -10,15 +10,16 @@ import pytest
 
 import ranshare
 from ranshare.baselines import ReservationConfig, net_rsv_allocate, per_bs_rsv_allocate
-from ranshare.errors import InvalidParams, UnknownReference
+from ranshare.errors import DimensionMismatch, InvalidParams, UnknownReference
 from ranshare.fairshare import water_fill
-from ranshare.model import Flow, FlowAllocation, Flows, check_feasible
-from ranshare.sim import (ALL_SCHEMES, HotspotParams, ScenarioParams, add_hotspot,
+from ranshare.model import (AllocationMatrix, Application, Entity, Flow, FlowAllocation, Flows,
+                            RadioElement, check_feasible)
+from ranshare.sim import (ALL_SCHEMES, HotspotParams, Scenario, ScenarioParams, add_hotspot,
                           allocate_app_opt, build_instance, flow_utility,
                           generate_scenario, qoe_satisfied_count, run_experiment,
                           scale_load, second_phase_allocate, SCHEME_APP_OPT)
 from ranshare.solver import SolverConfig
-from ranshare.utility import estimate_demand
+from ranshare.utility import TranslatingRatios, estimate_demand
 
 
 DESK = ScenarioParams(num_elements=20, num_entities=5, num_apps=6, num_flows=120)
@@ -223,32 +224,65 @@ class TestAddHotspot:
 
 
 class TestSecondPhase:
-    def flows(self, demands):
-        return Flows.of(Flow(id=j, entity_id=0, app_id=0, element_id=0, demand_bw=d)
-                        for j, d in enumerate(demands))
+    def cell(self, demands, ratio=1.0):
+        """A scenario of one cell (one element, entity and application) holding these flows."""
+        flows = Flows.of(Flow(id=j, entity_id=0, app_id=0, element_id=0, demand_bw=d)
+                         for j, d in enumerate(demands))
+        return Scenario(elements=(RadioElement(id=0, capacity=10.0),), entities=(Entity(id=0),),
+                        apps=(Application(id=0, qoe_factor=ratio, min_share=0.0, max_share=1.0),),
+                        flows=flows, ratios=TranslatingRatios([[ratio]]), seed=0)
 
     def test_ample_budget_serves_all(self):
-        out = second_phase_allocate(self.flows([1.0, 3.0]), budget=8.0, ratio=2.0)
+        out = second_phase_allocate(self.cell([1.0, 3.0], ratio=2.0), AllocationMatrix([[8.0]]))
         assert np.allclose(out.bandwidth, [1.0, 3.0])
         assert np.allclose(out.resource, [2.0, 6.0])
 
     def test_water_level_example(self):
         # demands (1, 3) Mbps, bandwidth budget 2 -> (1, 1)
-        out = second_phase_allocate(self.flows([1.0, 3.0]), budget=2.0, ratio=1.0)
+        out = second_phase_allocate(self.cell([1.0, 3.0]), AllocationMatrix([[2.0]]))
         assert np.allclose(out.bandwidth, [1.0, 1.0])
 
     def test_no_flows_empty(self):
-        out = second_phase_allocate(Flows.of([]), budget=5.0, ratio=1.0)
+        out = second_phase_allocate(self.cell([]), AllocationMatrix([[5.0]]))
         assert out.bandwidth.size == 0
 
     def test_resource_is_bandwidth_times_ratio(self):
-        out = second_phase_allocate(self.flows([0.5, 2.5]), budget=3.0, ratio=1.7)
+        out = second_phase_allocate(self.cell([0.5, 2.5], ratio=1.7), AllocationMatrix([[3.0]]))
         assert np.allclose(out.resource, out.bandwidth * 1.7, rtol=1e-12)
 
     @pytest.mark.parametrize("budget, ratio", [(np.nan, 1.0), (1.0, np.nan), (1.0, np.inf)])
     def test_non_finite_input_rejected(self, budget, ratio):
-        with pytest.raises(InvalidParams):
-            second_phase_allocate(self.flows([1.0]), budget=budget, ratio=ratio)
+        # a grant and a ratio reach the second phase only as an AllocationMatrix and a
+        # TranslatingRatios, and each rejects a non-finite entry
+        for value, cls in ((budget, AllocationMatrix), (ratio, TranslatingRatios)):
+            if np.isfinite(value):
+                cls([[value]])
+            else:
+                with pytest.raises(InvalidParams):
+                    cls([[value]])
+
+    @pytest.mark.parametrize("shape", [(1, 1), (6, 20)])
+    def test_grant_of_another_shape_rejected(self, shape):
+        # a (1, 1) grant would broadcast over the (20, 6) cells unchecked
+        with pytest.raises(DimensionMismatch, match="grant shape"):
+            second_phase_allocate(generate_scenario(DESK, 3), AllocationMatrix(np.ones(shape)))
+
+    @pytest.mark.parametrize("kind", ["linear", "logarithmic"])
+    def test_app_opt_flows_are_the_second_phase_of_its_grant(self, kind):
+        base = generate_scenario(DESK, 5)
+        hot = add_hotspot(base, HotspotParams(n_flows=60, n_elements=20), 6)
+        scen = scale_load(hot, 4.0, flow_ids=hot.flows.id[len(base.flows):])
+        flow_alloc, result = allocate_app_opt(scen, kind, SolverConfig(epsilon=1.0))
+        again = second_phase_allocate(scen, result.allocation)
+        for name in ("flow_ids", "bandwidth", "resource", "demand_resource"):
+            assert np.array_equal(getattr(flow_alloc, name), getattr(again, name))
+        # each cell's flows get what a fill of that cell alone gives them
+        f, grant, ratios = scen.flows, result.allocation.values, scen.ratios.values
+        for i, k in {(int(i), int(k)) for i, k in zip(f.element, f.app)}:
+            in_cell = (f.element == i) & (f.app == k)
+            assert np.allclose(flow_alloc.bandwidth[in_cell],
+                               water_fill(f.demand[in_cell], grant[i, k] / ratios[i, k]),
+                               rtol=1e-12, atol=0.0)
 
 
 class TestFlowMetrics:
@@ -399,6 +433,17 @@ class TestRunExperiment:
                                                 num_flows=20), 1)
         with pytest.raises(InvalidParams, match="focus_app_id"):
             run_experiment(base, ALL_SCHEMES, [1.0], "linear", focus_app_id=focus)
+
+    @pytest.mark.parametrize("schemes", [["bogus", SCHEME_APP_OPT], SCHEME_APP_OPT],
+                             ids=["bogus-entry", "bare-string"])
+    def test_unknown_scheme_rejected_before_any_cell(self, schemes):
+        # a bare string is a sequence of one-letter schemes, none of them known
+        with pytest.raises(InvalidParams, match="unknown schemes"):
+            run_experiment(generate_scenario(DESK, 1), schemes, [1.0], "linear")
+
+    def test_unknown_utility_kind_rejected_before_any_cell(self):
+        with pytest.raises(InvalidParams, match="unknown utility kind"):
+            run_experiment(generate_scenario(DESK, 1), ALL_SCHEMES, [1.0], "cubic")
 
     def test_linear_utility_non_decreasing_in_load(self):
         base = generate_scenario(DESK, 6)
