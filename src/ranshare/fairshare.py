@@ -17,11 +17,11 @@ class PoolLayout:
 
     ``key`` is the pool of each demand, in the narrowest unsigned type that
     holds ``num_pools - 1``.  ``groups`` holds, per power-of-two width w, the
-    pools of that width, their sizes as a column, and an int32 (pools, w)
-    array of indices into the demands; the padding points at index
-    ``key.size``, one past the demands, where ``sort_demands`` puts one
-    ``+inf``.  A layout depends on the pools alone, a ``SortedDemands`` on the
-    demands too, and neither on the budgets.
+    pools of that width, their sizes n as a column in the narrowest signed
+    type that holds w, and an int32 (pools, w) array of indices into the
+    demands; the padding points at index ``key.size``, one past the demands,
+    where ``sort_demands`` puts one ``+inf``.  A layout depends on the pools
+    alone, a ``SortedDemands`` on the demands too, and neither on the budgets.
     """
 
     num_pools: int
@@ -63,7 +63,9 @@ def pool_layout(pool, num_pools) -> PoolLayout:
         n, rank = sizes[at, None], np.arange(2 ** e)
         gather = np.where(rank < n, order.take(starts[at, None] + rank, mode="clip"),
                           pool.size).astype(index)
-        groups.append((live[at], n, gather))
+        # a signed type that holds -1 - w holds every n - rank of the level search,
+        # from n - w + 1 up to n <= w
+        groups.append((live[at], n.astype(np.min_scalar_type(-1 - 2 ** e)), gather))
     for arr in (key, *(a for group in groups for a in group)):
         arr.setflags(write=False)
     return PoolLayout(num_pools, key, tuple(groups))
@@ -75,29 +77,48 @@ class SortedDemands:
 
     ``demands`` are the checked demands and ``layout`` their pools.  ``blocks``
     holds, per group of ``layout.groups``, the pools' demands sorted along
-    each ``+inf``-padded row and the row ``cumsum`` of them behind a leading
-    zero column; ``total`` is each pool's summed demand, 0 for an empty pool.
-    ``water_fill`` fills it under any budgets with the level search and one
-    ``np.minimum``.
+    each ``+inf``-padded row, read-only, so a later sorted form over the same
+    layout may share the blocks of the groups whose demands it keeps.
+    ``water_fill`` fills it under any budgets: row sums, the level search and
+    one ``np.minimum``.
     """
 
     demands: np.ndarray
     layout: PoolLayout
     blocks: tuple
-    total: np.ndarray
 
 
-def sort_demands(demands, layout: PoolLayout) -> SortedDemands:
+def sort_demands(demands, layout: PoolLayout, earlier: SortedDemands | None = None,
+                 changed=None) -> SortedDemands:
     """``demands`` over the pools of ``layout``, sorted once for fills under many budgets.
 
+    With ``earlier``, a sorted form over the same layout, ``changed`` is one
+    bool per pool that marks every pool whose demands may differ from
+    ``earlier``'s; the rows of the other pools are taken from ``earlier`` as
+    they are, and a group with no marked pool shares its blocks.  The result
+    is the one a fresh sort gives, bit for bit, when the marks hold; a sweep
+    whose loads scale a few flows sorts only their pools again.  A fresh sort
+    is the case where every pool is marked.
+
     Demands that are not a 1-D array of finite non-negative values raise
-    ``InvalidParams``, and a layout of another length ``DimensionMismatch``.
-    Writeable demands are copied, so the sorted form never changes.
+    ``InvalidParams``, and a layout of another length ``DimensionMismatch``;
+    so does an ``earlier`` over another layout, or ``changed`` without it or
+    not one bool per pool.  Writeable demands are copied, so the sorted form
+    never changes.
     """
     d = _checked_demands(demands)
     if d.flags.writeable:
         d = frozen(d.copy())
-    return _sorted(d, layout)
+    if earlier is not None:
+        changed = np.asarray(changed)
+        if earlier.layout is not layout:
+            raise InvalidParams("an earlier sorted form must be over the same layout")
+        if changed.dtype != bool or changed.shape != (layout.num_pools,):
+            raise InvalidParams(f"changed must mark each of the {layout.num_pools} pools "
+                                f"with one bool")
+    elif changed is not None:
+        raise InvalidParams("changed pools are marked against an earlier sorted form")
+    return _sorted(d, layout, earlier, changed)
 
 
 def water_fill(demands, capacity, pool=None) -> np.ndarray:
@@ -119,11 +140,13 @@ def water_fill(demands, capacity, pool=None) -> np.ndarray:
     budgets, raises ``DimensionMismatch``.
 
     A fill has two stages, and every call runs both on one path: a per-demand
-    stage (``sort_demands``: gather the demands into the layout's row blocks,
-    sort the values along the rows, row ``cumsum``, pool totals) and a
-    per-budget stage (the level search and ``np.minimum``).  Only the values
-    are sorted, never the flows: the levels, and so the result, are those of a
-    per-pool ``np.cumsum`` over the demands in ``np.lexsort`` order, bit for bit.
+    stage (``sort_demands``: gather the demands into the layout's row blocks
+    and sort the values along the rows) and a per-budget stage (the row
+    ``cumsum``, the level search and ``np.minimum``).  The sums are not kept
+    with the sorted rows: a sorted form is kept across the loads of a sweep,
+    and it is half the size without them.  Only the values are sorted, never
+    the flows: the levels, and so the result, are those of a per-pool
+    ``np.cumsum`` over the demands in ``np.lexsort`` order, bit for bit.
     """
     fill = demands if isinstance(demands, SortedDemands) else None
     if fill is None:
@@ -146,21 +169,28 @@ def water_fill(demands, capacity, pool=None) -> np.ndarray:
         raise DimensionMismatch(f"{fill.layout.num_pools} pools given {cap.size} budgets")
 
     level = np.full(cap.size, np.inf)
-    for (seg, n, _), (block, csum) in zip(fill.layout.groups, fill.blocks):
-        # a float rank makes n - rank a float array at once; the counts are exact
-        rank, rows = np.arange(block.shape[1], dtype=float), np.arange(seg.size)
+    for (seg, n, _), block in zip(fill.layout.groups, fill.blocks):
+        rows, last = np.arange(seg.size), n[:, 0] - 1
+        # the sum of the entries below each rank, and the pool's total, each the
+        # one a row np.cumsum gives
+        candidate = np.empty(block.shape)
+        candidate[:, 0] = 0.0
+        np.cumsum(block[:, :-1], axis=1, out=candidate[:, 1:])
+        covered = candidate[rows, last] + block[rows, last] <= cap[seg]
         # the level if the entries from this rank up all sit at it; the first
         # rank where it does not exceed the entry's demand fixes the pool's level.
         # A pool with no such rank among its demands has a budget that covers its
-        # total, so the level taken from its padding or its rank 0 is replaced below
+        # total, so the level taken from its padding or its rank 0 gives way to inf
+        # n - rank in the narrow type of n, 8 bytes fewer per entry than a float
+        # grid; the division promotes each to the float it is, exactly
         with np.errstate(divide="ignore", invalid="ignore"):  # in the padding
-            candidate = cap[seg, None] - csum[:, :-1]
-            candidate /= n - rank
+            np.subtract(cap[seg, None], candidate, out=candidate)
+            candidate /= n - np.arange(block.shape[1], dtype=n.dtype)
         first = (candidate <= block).argmax(axis=1)
-        level[seg] = np.maximum(candidate[rows, first], 0.0)
-    level[fill.total <= cap] = np.inf
+        level[seg] = np.where(covered, np.inf, np.maximum(candidate[rows, first], 0.0))
     level[cap <= 0] = 0.0
-    return np.minimum(fill.demands, level[fill.layout.key])
+    out = level[fill.layout.key]
+    return np.minimum(fill.demands, out, out=out)
 
 
 def _checked_demands(demands) -> np.ndarray:
@@ -173,21 +203,34 @@ def _checked_demands(demands) -> np.ndarray:
     return d
 
 
-def _sorted(d, layout) -> SortedDemands:
-    """The per-demand stage of a fill of the checked demands ``d`` over ``layout``."""
+def _sorted(d, layout, earlier=None, changed=None) -> SortedDemands:
+    """The per-demand stage of a fill of the checked demands ``d`` over ``layout``.
+
+    Only the rows of the pools ``changed`` marks are gathered and sorted; the
+    others come from ``earlier``.  Without ``earlier`` every pool is marked,
+    and every row is sorted.
+    """
     if layout.key.size != d.size:
         raise DimensionMismatch(f"a layout of {layout.key.size} demands given {d.size} demands")
+    if earlier is None:
+        changed, kept = np.ones(layout.num_pools, dtype=bool), (None,) * len(layout.groups)
+    else:
+        kept = earlier.blocks
     padded = np.append(d, np.inf)
-    total = np.zeros(layout.num_pools)
     blocks = []
-    for seg, n, gather in layout.groups:
-        block = padded[gather]
+    for (seg, _, gather), old in zip(layout.groups, kept):
+        rows = np.flatnonzero(changed[seg])
+        if rows.size == 0:
+            blocks.append(old)
+            continue
+        whole = rows.size == seg.size
+        block = padded[gather if whole else gather[rows]]
         block.sort(axis=1)
-        csum = np.zeros((seg.size, block.shape[1] + 1))
-        np.cumsum(block, axis=1, out=csum[:, 1:])
-        total[seg] = csum[np.arange(seg.size), n[:, 0]]
-        blocks.append((frozen(block), frozen(csum)))
-    return SortedDemands(d, layout, tuple(blocks), frozen(total))
+        if not whole:  # the earlier rows, with the marked ones sorted again
+            block, part = old.copy(), block
+            block[rows] = part
+        blocks.append(frozen(block))
+    return SortedDemands(d, layout, tuple(blocks))
 
 
 class FlowPlan:

@@ -7,6 +7,7 @@ allocation is an |I| x |K| matrix of non-negative resource amounts.
 
 from __future__ import annotations
 
+import copy
 import numbers
 from collections import namedtuple
 from dataclasses import dataclass, field
@@ -118,10 +119,26 @@ class Flows:
             if not whole:
                 raise InvalidParams(f"flow column {name} must hold integers, got {col!r}")
             object.__setattr__(self, name, _frozen_array(col, n, name, np.int64))
-        object.__setattr__(self, "demand", _frozen_array(self.demand, n, "demand"))
-        bad = ~(np.isfinite(self.demand) & (self.demand > 0))
+        object.__setattr__(self, "demand", self._checked_demand(self.demand))
+
+    def with_demand(self, demand) -> "Flows":
+        """These flows with ``demand`` in place of their demands.
+
+        The id, entity, app and element columns are shared unchecked, since
+        they were checked when these flows were built; ``demand`` is checked
+        as on construction.
+        """
+        flows = copy.copy(self)
+        object.__setattr__(flows, "demand", self._checked_demand(demand))
+        return flows
+
+    def _checked_demand(self, demand) -> np.ndarray:
+        """``demand`` as a read-only column of these flows; raises unless finite and > 0."""
+        demand = _frozen_array(demand, (len(self.id),), "demand")
+        bad = ~(np.isfinite(demand) & (demand > 0))
         if bad.any():
             raise InvalidParams(f"flow {self.id[np.argmax(bad)]}: demand_bw must be finite and > 0")
+        return demand
 
     @classmethod
     def of(cls, flows) -> "Flows":

@@ -9,9 +9,9 @@ usage, and QoE satisfaction per (scheme, load) cell.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from functools import cached_property
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -135,10 +135,20 @@ class Scenario:
         return frozen(self.flows.demand * self.flow_plan.ratio)
 
     @cached_property
+    def cell_fill(self) -> SortedDemands:
+        """The bandwidth demands sorted by (element, application) cell, as app-opt fills them.
+
+        It changes with load, so ``scale_load`` never hands it on; a sweep
+        builds each load's from the one before (see ``run_experiment``).
+        """
+        return sort_demands(self.flows.demand, self.flow_plan.cells)
+
+    @cached_property
     def pair_fill(self) -> SortedDemands:
         """The resource demands sorted by (entity, element) pool, as both baselines fill them.
 
-        It changes with load, so ``scale_load`` never hands it on.
+        It changes with load, so ``scale_load`` never hands it on; a sweep
+        builds each load's from the one before (see ``run_experiment``).
         """
         return sort_demands(self.resource_demand, self.flow_plan.pairs)
 
@@ -196,25 +206,45 @@ def scale_load(scenario: Scenario, multiplier: float, flow_ids=None) -> Scenario
     With ``flow_ids`` given, only those flows are scaled (hotspot sweeps).
     Entries that are not integers raise ``InvalidParams`` (bools included),
     ids that are not among the scenario's flows ``UnknownReference``.  The
-    scaled scenario shares the ``flow_plan`` of this one, since its flows
-    differ only in demand, and builds its own ``resource_demand`` and
-    ``pair_fill`` when they are read.
+    scaled scenario shares this one's flow columns other than demand, which
+    are not checked again, and its ``flow_plan``, and builds its own
+    ``resource_demand``, ``cell_fill`` and ``pair_fill`` when they are read.
+    ``run_experiment`` resolves its flow ids to flows once per sweep and hands
+    the result in place of the ids.
     """
     flows = scenario.flows
-    if flow_ids is not None:
-        ids = _flow_id_array(flow_ids)
-        known = np.isin(ids, flows.id)
-        if not known.all():
-            raise UnknownReference(f"flow id {ids[np.argmin(known)]} is not among the flows")
+    if isinstance(flow_ids, _Chosen) and flow_ids.flows is flows:
+        chosen = flow_ids.mask
+    elif flow_ids is not None:
+        chosen = _Chosen.of(flows, flow_ids).mask
     if not 1.0 <= multiplier < np.inf:
         raise InvalidParams("load multiplier must be finite and >= 1")
     if multiplier == 1.0:
         return scenario
-    chosen = True if flow_ids is None else np.isin(flows.id, ids)
-    demand = frozen(np.where(chosen, flows.demand * multiplier, flows.demand))
-    scaled = replace(scenario, flows=replace(flows, demand=demand))
-    vars(scaled)["flow_plan"] = scenario.flow_plan
+    demand = flows.demand * multiplier
+    if flow_ids is not None:
+        demand = np.where(chosen, demand, flows.demand)
+    # the flows differ from the checked ones in demand alone, so the references
+    # are not checked again
+    scaled = object.__new__(Scenario)
+    vars(scaled).update({f.name: getattr(scenario, f.name) for f in fields(Scenario)},
+                        flows=flows.with_demand(frozen(demand)), flow_plan=scenario.flow_plan)
     return scaled
+
+
+class _Chosen(NamedTuple):
+    """Which of ``flows`` a load scales, resolved from flow ids once for many loads."""
+
+    flows: Flows
+    mask: np.ndarray
+
+    @classmethod
+    def of(cls, flows: Flows, flow_ids) -> "_Chosen":
+        ids = _flow_id_array(flow_ids)
+        known = np.isin(ids, flows.id)
+        if not known.all():
+            raise UnknownReference(f"flow id {ids[np.argmin(known)]} is not among the flows")
+        return cls(flows, frozen(np.isin(flows.id, ids)))
 
 
 def _flow_id_array(flow_ids) -> np.ndarray:
@@ -274,12 +304,10 @@ def second_phase_allocate(scenario: Scenario, grant: AllocationMatrix) -> FlowAl
     if grant.shape != scenario.ratios.shape:
         raise DimensionMismatch(f"grant shape {grant.shape} does not match the scenario's "
                                 f"cells {scenario.ratios.shape}")
-    plan = scenario.flow_plan
-    bandwidth = frozen(water_fill(scenario.flows.demand,
-                                  (grant.values / scenario.ratios.values).ravel(),
-                                  pool=plan.cells))
+    bandwidth = frozen(water_fill(scenario.cell_fill,
+                                  (grant.values / scenario.ratios.values).ravel()))
     return FlowAllocation(flow_ids=scenario.flows.id, bandwidth=bandwidth,
-                          resource=frozen(bandwidth * plan.ratio),
+                          resource=frozen(bandwidth * scenario.flow_plan.ratio),
                           demand_resource=scenario.resource_demand)
 
 
@@ -305,8 +333,11 @@ def allocate_app_opt(scenario: Scenario, utility_kind: str,
 
 
 def qoe_satisfied_count(flow_alloc: FlowAllocation, flows: Flows) -> int:
-    """Number of flows whose demand was met; the allocation must be aligned with them."""
-    if not np.array_equal(flow_alloc.flow_ids, flows.id):
+    """Number of flows whose demand was met; the allocation must be aligned with them.
+
+    An allocation made for these flows shares their id column, and is not compared.
+    """
+    if flow_alloc.flow_ids is not flows.id and not np.array_equal(flow_alloc.flow_ids, flows.id):
         raise InvalidParams("flow allocation is not aligned with the flows")
     return int(np.count_nonzero(flow_alloc.bandwidth >= flows.demand - QOE_SLACK))
 
@@ -321,7 +352,7 @@ def flow_utility(flow_alloc: FlowAllocation, kind: str) -> float:
         return float(flow_alloc.resource.sum())
     if kind == "logarithmic":
         granted = np.maximum(flow_alloc.resource, LOG_FLOOR)
-        return float(np.vdot(flow_alloc.demand_resource, np.log(granted)))
+        return float(np.vdot(flow_alloc.demand_resource, np.log(granted, out=granted)))
     raise InvalidParams(f"unknown utility kind {kind!r}")
 
 
@@ -353,6 +384,33 @@ def _allocate_for_scheme(scheme, scenario, utility_kind, solver_config, reservat
     return per_bs_rsv_allocate(scenario, reservation_config).flow_alloc, None
 
 
+def _row(scheme, load, scen, utility_kind, focus, solver_config,
+         reservation_config) -> ExperimentRow:
+    """One (scheme, load) cell of a sweep; the allocation is dropped once its row is built.
+
+    ``focus`` indexes the flows of the application whose resource the row reports.
+    """
+    try:
+        start = time.perf_counter()
+        flow_alloc, solres = _allocate_for_scheme(
+            scheme, scen, utility_kind, solver_config, reservation_config)
+        elapsed_ms = (time.perf_counter() - start) * 1000.0
+        app_m_res = float(flow_alloc.resource.take(focus).sum())
+        return ExperimentRow(
+            scheme=scheme, load=load, utility_kind=utility_kind,
+            total_utility=flow_utility(flow_alloc, utility_kind),
+            app_m_resource=app_m_res,
+            app_m_resource_fraction=app_m_res / scen.aggregate_capacity,
+            qoe_satisfied=qoe_satisfied_count(flow_alloc, scen.flows),
+            flows_total=len(scen.flows),
+            solve_ms=elapsed_ms,
+            outer_iters=solres.outer_iters if solres is not None else 0,
+        )
+    except RanShareError as exc:
+        return ExperimentRow(scheme=scheme, load=load, utility_kind=utility_kind,
+                             error=type(exc).__name__)
+
+
 def run_experiment(base: Scenario, schemes: Sequence[str], loads: Sequence[float],
                    utility_kind: str,
                    solver_config: SolverConfig | None = None,
@@ -366,7 +424,17 @@ def run_experiment(base: Scenario, schemes: Sequence[str], loads: Sequence[float
     Every entry of ``schemes`` must be one of ``ALL_SCHEMES``, ``utility_kind``
     one of ``model.UTILITY_KINDS``, and ``focus_app_id``, the application whose
     resource the rows report, one of the scenario's; otherwise the sweep raises
-    ``InvalidParams`` before its first cell.
+    ``InvalidParams`` before its first cell.  Flow ids that are not integers
+    raise ``InvalidParams`` there too, and ids that are not among the flows
+    ``UnknownReference``.
+
+    Each load's scenario comes from one ``scale_load`` call, with the flow ids
+    resolved once per sweep, and shares the base's ``flow_plan``, so the pool
+    layouts are built once per sweep.  A load's ``cell_fill`` and
+    ``pair_fill`` are sorted from the previous load's, when that load built
+    them: only the pools that hold a scaled flow are sorted again, and the
+    previous load's fills are dropped first.  Under uniform scaling every pool
+    holds one, so each load sorts in full.
     """
     unknown = [scheme for scheme in schemes if scheme not in ALL_SCHEMES]
     if unknown:
@@ -376,38 +444,45 @@ def run_experiment(base: Scenario, schemes: Sequence[str], loads: Sequence[float
     if not integers(focus_app_id) or not 0 <= focus_app_id < len(base.apps):
         raise InvalidParams(f"focus_app_id must be an application index below {len(base.apps)}, "
                             f"got {focus_app_id!r}")
-    if scale_flow_ids is not None:
-        scale_flow_ids = _flow_id_array(scale_flow_ids)
-    # every scheme's allocation is aligned with base.flows, and every scaled
-    # scenario shares base.flow_plan, so its layouts are built once per sweep;
-    # each load's scenario sorts its own pair fill once for both baselines
-    m_mask = base.flows.app == focus_app_id
-    rows = []
+    chosen = None if scale_flow_ids is None else _Chosen.of(base.flows, scale_flow_ids)
+    # every scheme's allocation is aligned with base.flows, so the focus
+    # application's flows are the same entries at every load
+    focus = np.flatnonzero(base.flows.app == focus_app_id)
+    changed = {}  # per layout: the pools that hold a scaled flow
+    rows, scen = [], None
     for load in loads:
-        scen = scale_load(base, float(load), flow_ids=scale_flow_ids)
-        for scheme in schemes:
-            try:
-                start = time.perf_counter()
-                flow_alloc, solres = _allocate_for_scheme(
-                    scheme, scen, utility_kind, solver_config, reservation_config)
-                elapsed_ms = (time.perf_counter() - start) * 1000.0
-                app_m_res = float(flow_alloc.resource[m_mask].sum())
-                rows.append(ExperimentRow(
-                    scheme=scheme, load=float(load), utility_kind=utility_kind,
-                    total_utility=flow_utility(flow_alloc, utility_kind),
-                    app_m_resource=app_m_res,
-                    app_m_resource_fraction=app_m_res / base.aggregate_capacity,
-                    qoe_satisfied=qoe_satisfied_count(flow_alloc, scen.flows),
-                    flows_total=len(scen.flows),
-                    solve_ms=elapsed_ms,
-                    outer_iters=solres.outer_iters if solres is not None else 0,
-                ))
-            except RanShareError as exc:
-                rows.append(ExperimentRow(
-                    scheme=scheme, load=float(load), utility_kind=utility_kind,
-                    error=type(exc).__name__,
-                ))
-        # load 1 is the base itself, which outlives its load: keep no load's fill past it
-        for name in ("resource_demand", "pair_fill"):
-            vars(scen).pop(name, None)
+        earlier = {} if scen is None else _drop_fills(scen)
+        scen = scale_load(base, float(load), flow_ids=chosen)
+        _carry_fills(earlier, scen, chosen, changed)
+        rows.extend(_row(scheme, float(load), scen, utility_kind, focus, solver_config,
+                         reservation_config) for scheme in schemes)
+    if scen is not None:  # it may be the base itself, which outlives the sweep
+        _drop_fills(scen)
     return ExperimentReport(rows=tuple(rows))
+
+
+def _drop_fills(scen: Scenario) -> dict:
+    """Remove the per-load caches of ``scen``; returns its fills by name."""
+    vars(scen).pop("resource_demand", None)
+    return {name: vars(scen).pop(name) for name in ("cell_fill", "pair_fill")
+            if name in vars(scen)}
+
+
+def _carry_fills(earlier: dict, scen: Scenario, chosen, changed: dict):
+    """Sort for ``scen`` the fills in ``earlier``, dropped from a load of the same sweep.
+
+    ``chosen`` is the sweep's scaled flows, None for all of them, and
+    ``changed`` caches per layout the pools that hold one: only their rows
+    are sorted again.  Each earlier fill is released as its successor is built.
+    """
+    def carried(fill, demands):
+        layout = fill.layout
+        if layout not in changed:
+            changed[layout] = (np.ones(layout.num_pools, dtype=bool) if chosen is None
+                               else np.bincount(layout.key, chosen.mask, layout.num_pools) > 0)
+        return sort_demands(demands, layout, fill, changed[layout])
+
+    if "cell_fill" in earlier:
+        vars(scen)["cell_fill"] = carried(earlier.pop("cell_fill"), scen.flows.demand)
+    if "pair_fill" in earlier:
+        vars(scen)["pair_fill"] = carried(earlier.pop("pair_fill"), scen.resource_demand)

@@ -90,8 +90,7 @@ class TestMain:
         ("capacity_range", 5), ("capacity_range", ["a", 2]), ("capacity_range", [1, 2, 3]),
         ("seed", "abc"), ("loads", ["a"]), ("log_floor", None), ("schemes", 5),
         ("hotspot_mean_bw", "abc"), ("per_bs_fraction", "abc"), ("trace", "yes"),
-        ("hotspot_seed_offset", -5), ("loads", [True]), ("loads", []), ("schemes", []),
-        ("interior_shift", 0.5),
+        ("interior_shift", 0.5), ("loads", [True]), ("loads", []), ("schemes", []),
     ])
     def test_malformed_value_exit_code(self, tmp_path, capsys, key, value):
         path = write_config(tmp_path, **{"seed": 1, key: value})

@@ -270,3 +270,94 @@ def test_sorted_form_checks():
         water_fill(fill, np.array([np.nan, 1.0, 1.0]))
     with pytest.raises(DimensionMismatch):  # budgets for another pool count
         water_fill(fill, np.ones(3))
+
+
+def _assert_same_sorted_form(got, want):
+    """Two sorted forms hold the same demands and blocks, bit for bit and dtype for dtype."""
+    assert got.layout is want.layout
+    assert np.array_equal(got.demands, want.demands)
+    assert len(got.blocks) == len(want.blocks)
+    for a, b in zip(got.blocks, want.blocks):
+        assert a.dtype == b.dtype and a.shape == b.shape
+        assert np.array_equal(a, b)
+        assert not a.flags.writeable
+
+
+def _scaled(d, chosen, multiplier):
+    return np.where(chosen, d * multiplier, d)
+
+
+def _marks(layout, pool, chosen):
+    return np.bincount(pool[chosen], minlength=layout.num_pools) > 0
+
+
+# sizes 1 (single-flow pools), around powers of two, 70 and 200 (widths 128 and 256,
+# whose n - rank values do not fit in int8) and one empty pool
+_SIZES = np.array([1, 1, 1, 2, 3, 5, 8, 9, 17, 70, 70, 200, 0])
+
+
+@pytest.mark.parametrize("case", ["hotspot", "uniform", "part-of-a-group", "single-flow",
+                                  "nothing"])
+def test_carried_sorted_form_equals_a_fresh_sort(case):
+    rng = np.random.default_rng(9)
+    pool = rng.permutation(np.repeat(np.arange(_SIZES.size), _SIZES))
+    layout = pool_layout(pool, _SIZES.size)
+    d = rng.choice([0.5, 1.0, 2.5], pool.size) * rng.choice([1.0, 1.0 + 1e-12], pool.size)
+    chosen = {
+        # the flows of two whole pools, as a hotspot's flows fill their own cells
+        "hotspot": np.isin(pool, [9, 11]),
+        "uniform": np.ones(pool.size, dtype=bool),
+        # one of the two pools of size 70 shares its group with one left as it was
+        "part-of-a-group": (pool == 10) & (rng.random(pool.size) < 0.5),
+        "single-flow": np.isin(pool, [0, 2]),
+        "nothing": np.zeros(pool.size, dtype=bool),
+    }[case]
+    changed = _marks(layout, pool, chosen)
+    earlier = sort_demands(_scaled(d, chosen, 5.0), layout)
+    for multiplier in (1.0, 9.0, 5.0):
+        demands = _scaled(d, chosen, multiplier)
+        fresh = sort_demands(demands, layout)
+        carried = sort_demands(demands, layout, earlier, changed)
+        _assert_same_sorted_form(carried, fresh)
+        for (seg, *_), new, old in zip(layout.groups, carried.blocks, earlier.blocks):
+            assert (new is old) == (not changed[seg].any())  # unmarked groups are shared
+        totals = np.bincount(pool, demands, _SIZES.size)
+        for share in (0.0, 0.4, 0.8, 1.2):
+            cap = share * totals
+            got = water_fill(carried, cap)
+            assert np.array_equal(got, water_fill(fresh, cap))
+            assert np.array_equal(got, _lexsort_fill(demands, cap, pool))
+        earlier = carried
+
+
+def test_pool_sizes_in_the_narrowest_type_that_holds_the_width():
+    # widths 64, 128 and 256 need int8, int16 and int16 to hold every n - rank of the
+    # level search; the fills divide by them exactly
+    sizes = np.array([64, 33, 100, 65, 200, 129])
+    pool = np.repeat(np.arange(sizes.size), sizes)
+    layout = pool_layout(pool, sizes.size)
+    for (seg, n, gather), want in zip(layout.groups, (np.int8, np.int16, np.int16)):
+        assert n.dtype == want and gather.shape[1] in (64, 128, 256)
+        assert np.array_equal(n[:, 0], sizes[seg]) and not n.flags.writeable
+    rng = np.random.default_rng(10)
+    d = rng.choice([0.5, 1.0, 2.5], pool.size) * rng.choice([1.0, 1.0 + 1e-12], pool.size)
+    for share in (0.2, 0.6, 0.95):
+        cap = share * np.bincount(pool, d)
+        assert np.array_equal(water_fill(d, cap, pool=layout), _lexsort_fill(d, cap, pool))
+
+
+def test_carried_sorted_form_checks():
+    layout = pool_layout(np.array([0, 1, 1]), 2)
+    other = pool_layout(np.array([0, 1, 1]), 2)
+    d = np.array([1.0, 2.0, 3.0])
+    fill = sort_demands(d, layout)
+    changed = np.array([True, False])
+    with pytest.raises(InvalidParams):  # an earlier form over another layout
+        sort_demands(d, other, fill, changed)
+    for marks in (np.array([1, 0]), np.array([True]), None):
+        with pytest.raises(InvalidParams):  # not one bool per pool
+            sort_demands(d, layout, fill, marks)
+    with pytest.raises(InvalidParams):  # marks with nothing to mark them against
+        sort_demands(d, layout, changed=changed)
+    with pytest.raises(InvalidParams):  # the demands are checked first
+        sort_demands(np.array([1.0, -1.0, 1.0]), layout, fill, changed)

@@ -149,6 +149,21 @@ class TestFlows:
     def test_bad_demand_names_flow(self, bad):
         with pytest.raises(InvalidParams, match="flow 7"):
             Flows([3, 7], [0, 0], [0, 0], [0, 0], [1.0, bad])
+        with pytest.raises(InvalidParams, match="flow 7"):
+            Flows([3, 7], [0, 0], [0, 0], [0, 0], [1.0, 1.0]).with_demand([1.0, bad])
+
+    def test_with_demand_shares_the_other_columns(self):
+        f = Flows.of(self.FLOWS)
+        demand = np.array([1.0, 2.0, 4.0])
+        g = f.with_demand(demand)
+        assert all(a is b for a, b in zip((g.id, g.entity, g.app, g.element),
+                                          (f.id, f.entity, f.app, f.element)))
+        assert g == Flows(f.id, f.entity, f.app, f.element, demand)
+        demand[0] = 5.0  # a writeable demand is copied, as on construction
+        assert g.demand[0] == 1.0 and not g.demand.flags.writeable
+        assert list(f.demand) == [0.5, 1.25, 3.0]
+        with pytest.raises(DimensionMismatch, match="demand"):
+            f.with_demand([1.0, 2.0])
 
 
 class TestExpandBounds:

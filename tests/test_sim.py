@@ -9,9 +9,10 @@ import numpy as np
 import pytest
 
 import ranshare
+from ranshare import sim
 from ranshare.baselines import ReservationConfig, net_rsv_allocate, per_bs_rsv_allocate
 from ranshare.errors import DimensionMismatch, InvalidParams, UnknownReference
-from ranshare.fairshare import water_fill
+from ranshare.fairshare import sort_demands, water_fill
 from ranshare.model import (AllocationMatrix, Application, Entity, Flow, FlowAllocation, Flows,
                             RadioElement, check_feasible)
 from ranshare.sim import (ALL_SCHEMES, HotspotParams, Scenario, ScenarioParams, add_hotspot,
@@ -157,6 +158,17 @@ class TestScaleLoad:
     def test_scaled_scenario_shares_the_flow_plan(self):
         scen = generate_scenario(DESK, 3)
         assert scale_load(scen, 2.0, flow_ids=np.array([0, 5])).flow_plan is scen.flow_plan
+
+    @pytest.mark.parametrize("flow_ids", [None, [0, 5]])
+    def test_scaled_scenario_shares_all_but_the_demands(self, flow_ids):
+        # only the demand column is new, so it alone is checked again
+        scen = generate_scenario(DESK, 3)
+        scaled = scale_load(scen, 2.0, flow_ids=flow_ids)
+        assert scaled == replace(scen, flows=scaled.flows)
+        for name in ("id", "entity", "app", "element"):
+            assert getattr(scaled.flows, name) is getattr(scen.flows, name)
+        assert not scaled.flows.demand.flags.writeable
+        assert not {"resource_demand", "cell_fill", "pair_fill"} & set(vars(scaled))
 
     @pytest.mark.parametrize("flow_ids", [None, np.array([0, 5])])
     def test_scaled_scenario_sorts_its_own_demands(self, flow_ids):
@@ -305,6 +317,8 @@ class TestFlowMetrics:
                           Flow(id=3, entity_id=0, app_id=0, element_id=0, demand_bw=3.0)])
         assert qoe_satisfied_count(self.alloc([1.0, 3.0], [1.0, 3.0], [1.0, 3.0],
                                               ids=(7, 3)), flows) == 2
+        shared = self.alloc([1.0, 3.0], [1.0, 3.0], [1.0, 3.0], ids=flows.id)
+        assert shared.flow_ids is flows.id and qoe_satisfied_count(shared, flows) == 2
         with pytest.raises(InvalidParams, match="not aligned"):
             qoe_satisfied_count(self.alloc([3.0, 1.0], [3.0, 1.0], [3.0, 1.0], ids=(3, 7)),
                                 flows)
@@ -392,31 +406,81 @@ class TestRunExperiment:
 
     @pytest.mark.parametrize("kind", ["linear", "logarithmic"])
     def test_rows_match_one_call_per_scheme(self, kind):
-        # the sweep's shared flow plan gives the rows of fresh scenarios scaled and
-        # allocated one public call at a time
+        # the sweep's shared flow plan and the fills each load sorts from the one
+        # before give the rows of fresh scenarios scaled and allocated one public call
+        # at a time: in load order, out of order with a load repeated, and uniformly
         base = generate_scenario(DESK, 5)
         hot = add_hotspot(base, HotspotParams(n_flows=60, n_elements=20), 6)
         ids = list(range(len(base.flows), len(hot.flows)))
         cfg = SolverConfig(epsilon=1.0)
-        allocate = {SCHEME_APP_OPT: lambda s: allocate_app_opt(s, kind, cfg)[0],
-                    "net-rsv": lambda s: net_rsv_allocate(s).flow_alloc,
-                    "per-bs-rsv": lambda s: per_bs_rsv_allocate(s).flow_alloc}
-        rep = run_experiment(hot, ALL_SCHEMES, [1.0, 4.0, 9.0], kind, solver_config=cfg,
-                             scale_flow_ids=ids)
-        assert len(rep.rows) == 9
-        for row in rep.rows:
-            scen = scale_load(replace(hot), row.load, flow_ids=ids)
-            alloc = allocate[row.scheme](scen)
-            assert row.total_utility == flow_utility(alloc, kind)
-            assert row.app_m_resource == float(alloc.resource[scen.flows.app == 0].sum())
-            assert row.qoe_satisfied == qoe_satisfied_count(alloc, scen.flows)
+        allocate = {SCHEME_APP_OPT: lambda s: allocate_app_opt(s, kind, cfg),
+                    "net-rsv": lambda s: (net_rsv_allocate(s).flow_alloc, None),
+                    "per-bs-rsv": lambda s: (per_bs_rsv_allocate(s).flow_alloc, None)}
+        for loads, flow_ids in (([1.0, 4.0, 9.0], ids), ([5.0, 1.0, 5.0, 9.0], ids),
+                                ([3.0, 1.0, 7.0], None)):
+            rep = run_experiment(hot, ALL_SCHEMES, loads, kind, solver_config=cfg,
+                                 scale_flow_ids=flow_ids)
+            assert [(r.scheme, r.load) for r in rep.rows] == \
+                [(s, load) for load in loads for s in ALL_SCHEMES]
+            for row in rep.rows:
+                scen = scale_load(replace(hot), row.load, flow_ids=flow_ids)
+                alloc, result = allocate[row.scheme](scen)
+                app_m = float(alloc.resource[scen.flows.app == 0].sum())
+                assert row.error is None
+                assert row.total_utility == flow_utility(alloc, kind)
+                assert row.app_m_resource == app_m
+                assert row.app_m_resource_fraction == app_m / hot.aggregate_capacity
+                assert row.qoe_satisfied == qoe_satisfied_count(alloc, scen.flows)
+                assert row.flows_total == len(hot.flows)
+                assert row.outer_iters == (0 if result is None else result.outer_iters)
 
     def test_sweep_keeps_no_load_cache_on_the_base(self):
-        # load 1 runs on the base itself, which outlives the sweep
+        # load 1 runs on the base itself, which outlives the sweep, whether it comes
+        # first or last and whatever the sweep scales
         base = generate_scenario(DESK, 4)
-        run_experiment(base, ALL_SCHEMES, [1.0, 2.0], "linear",
-                       solver_config=SolverConfig(epsilon=1.0))
-        assert "pair_fill" not in vars(base) and "resource_demand" not in vars(base)
+        for loads in ([1.0, 2.0], [2.0, 1.0]):
+            for flow_ids in (None, base.flows.id[::3]):
+                run_experiment(base, ALL_SCHEMES, loads, "linear",
+                               solver_config=SolverConfig(epsilon=1.0), scale_flow_ids=flow_ids)
+                assert not {"cell_fill", "pair_fill", "resource_demand"} & set(vars(base))
+
+    @pytest.mark.parametrize("scaled", ["hotspot", "uniform"])
+    def test_each_load_sorts_only_what_its_load_changed(self, scaled, monkeypatch):
+        # every cell of a sweep reads fills equal to fresh sorts of its load's demands;
+        # from the second load on they are sorted from the previous load's, sharing
+        # the blocks of every group that holds no scaled flow
+        base = generate_scenario(DESK, 5)
+        hot = add_hotspot(base, HotspotParams(n_flows=60, n_elements=4), 6)
+        flow_ids = hot.flows.id[len(base.flows):] if scaled == "hotspot" else None
+        seen = []
+        allocate = sim._allocate_for_scheme
+
+        def checked(scheme, scen, *args):
+            fills = {name: vars(scen)[name] for name in ("cell_fill", "pair_fill")
+                     if name in vars(scen)}
+            seen.append((scheme, fills))
+            for name, fill in fills.items():
+                fresh = sort_demands(fill.demands, fill.layout)
+                assert all(map(np.array_equal, fill.blocks, fresh.blocks))
+            return allocate(scheme, scen, *args)
+
+        monkeypatch.setattr(sim, "_allocate_for_scheme", checked)
+        run_experiment(hot, ALL_SCHEMES, [1.0, 4.0, 9.0], "logarithmic",
+                       solver_config=SolverConfig(epsilon=1.0), scale_flow_ids=flow_ids)
+        firsts = [fills for scheme, fills in seen if scheme == SCHEME_APP_OPT]
+        assert [sorted(fills) for fills in firsts] == [[], ["cell_fill", "pair_fill"],
+                                                      ["cell_fill", "pair_fill"]]
+        for name in ("cell_fill", "pair_fill"):
+            a, b = firsts[1][name], firsts[2][name]
+            shared = [x is y for x, y in zip(a.blocks, b.blocks)]
+            assert not any(shared) if scaled == "uniform" else any(shared) and not all(shared)
+
+    @pytest.mark.parametrize("flow_ids, error", [([999], UnknownReference),
+                                                 ([1.5], InvalidParams)])
+    def test_malformed_flow_ids_rejected_before_any_cell(self, flow_ids, error):
+        with pytest.raises(error):
+            run_experiment(generate_scenario(DESK, 1), ALL_SCHEMES, [1.0], "linear",
+                           scale_flow_ids=flow_ids)
 
     def test_per_bs_error_row_in_a_sweep(self):
         # five entities at half an element each oversubscribe it: per-bs-rsv fails at
