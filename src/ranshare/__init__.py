@@ -6,9 +6,8 @@ from .errors import (ConfigError, DimensionMismatch, DomainError, EmptyInterior,
                      InfeasibleConfig, InvalidParams, NotInterior, RanShareError,
                      UnknownReference)
 from .fairshare import water_fill
-from .model import (AllocationMatrix, Application, Entity, FeasibilityReport,
-                    Flow, FlowAllocation, Flows, ProblemInstance, RadioElement,
-                    check_feasible, expand_bounds)
+from .model import (AllocationMatrix, FeasibilityReport, Flow, FlowAllocation, Flows,
+                    ProblemInstance, check_feasible, expand_bounds)
 from .sim import (ALL_SCHEMES, ExperimentReport, ExperimentRow, HotspotParams,
                   SCHEME_APP_OPT, SCHEME_NET_RSV, SCHEME_PER_BS_RSV, Scenario,
                   ScenarioParams, add_hotspot, allocate_app_opt, build_instance,

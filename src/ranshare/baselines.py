@@ -73,13 +73,12 @@ def per_bs_rsv_allocate(scenario, cfg: ReservationConfig | None = None) -> Entit
     element idles its slice even when other entities overflow there.
     """
     cfg = cfg or ReservationConfig()
-    num_e = len(scenario.entities)
+    num_e = scenario.num_entities
     if num_e * cfg.per_bs_fraction > 1.0 + 1e-12:
         raise InvalidParams(
             f"{num_e} entities at per_bs_fraction={cfg.per_bs_fraction} oversubscribe elements"
         )
-    caps = np.array([el.capacity for el in scenario.elements])
-    return _fill_pools(scenario, np.tile(cfg.per_bs_fraction * caps, (num_e, 1)))
+    return _fill_pools(scenario, np.tile(cfg.per_bs_fraction * scenario.capacities, (num_e, 1)))
 
 
 def net_rsv_allocate(scenario, cfg: ReservationConfig | None = None) -> EntityAllocation:
@@ -94,10 +93,10 @@ def net_rsv_allocate(scenario, cfg: ReservationConfig | None = None) -> EntityAl
     use them (reservation semantics).
     """
     cfg = cfg or ReservationConfig()
-    num_e = len(scenario.entities)
-    num_i = len(scenario.elements)
-    caps = np.array([e.capacity for e in scenario.elements], dtype=float)
-    total_cap = float(caps.sum())
+    num_e = scenario.num_entities
+    caps = scenario.capacities
+    num_i = caps.size
+    total_cap = scenario.aggregate_capacity
 
     demand_ei = np.bincount(scenario.flow_plan.pairs.key, scenario.resource_demand,
                             num_e * num_i).reshape(num_e, num_i)

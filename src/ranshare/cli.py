@@ -291,10 +291,10 @@ def _run_single_solve(cfg, out_dir: Path) -> dict:
 
 def _run_sweep(cfg, out_dir: Path) -> dict:
     base = generate_scenario(_build(cfg, ScenarioParams), cfg["seed"])
-    _check_app(cfg, "focus_app_id", len(base.apps))
+    _check_app(cfg, "focus_app_id", base.num_apps)
     scale_ids = None
     if cfg["experiment"] == "hotspot":
-        _check_app(cfg, "hotspot_app", len(base.apps))
+        _check_app(cfg, "hotspot_app", base.num_apps)
         n_base = len(base.flows)
         base = add_hotspot(base, _build(cfg, HotspotParams), cfg["seed"] + HOTSPOT_SEED_OFFSET)
         scale_ids = base.flows.id[n_base:]

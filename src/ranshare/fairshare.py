@@ -239,14 +239,14 @@ class FlowPlan:
     Only the demands change with load, so a sweep builds these once and every
     load and scheme reads them: the pool layout of the (element, app) cells,
     the one of the (entity, element) pairs, and each flow's translating ratio.
-    ``scenario`` is anything with ``flows``, ``ratios`` and ``entities``;
+    ``scenario`` is anything with ``flows``, ``ratios`` and ``num_entities``;
     its flows' demands are never read.
     """
 
     def __init__(self, scenario):
         self.flows = scenario.flows
         self.ratios = scenario.ratios.values
-        self.num_entities = len(scenario.entities)
+        self.num_entities = scenario.num_entities
 
     @cached_property
     def cells(self) -> PoolLayout:

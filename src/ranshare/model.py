@@ -13,7 +13,6 @@ from collections import namedtuple
 from dataclasses import dataclass, field
 from functools import cached_property
 from operator import attrgetter
-from typing import Sequence
 
 import numpy as np
 
@@ -22,7 +21,7 @@ from .errors import DimensionMismatch, InfeasibleConfig, InvalidParams
 UTILITY_KINDS = ("linear", "logarithmic")
 
 
-def _frozen_array(values, shape=None, name="array", dtype=float) -> np.ndarray:
+def frozen_array(values, shape=None, name="array", dtype=float) -> np.ndarray:
     """``values`` as a read-only array of ``dtype``, copied unless it is one already.
 
     An input that is already read-only, of ``dtype`` and owns its data is
@@ -49,44 +48,6 @@ def integers(*values) -> bool:
     """Whether every value is an integer; numpy integers count, bools do not."""
     return all(issubclass(t, numbers.Integral) and not issubclass(t, bool)
                for t in set(map(type, values)))
-
-
-@dataclass(frozen=True)
-class Application:
-    """One abstract service class with QoE stringency and share bounds."""
-
-    id: int
-    qoe_factor: float  # resource units needed per Mbps
-    min_share: float   # fraction of capacity guaranteed
-    max_share: float   # fraction of capacity usable
-
-    def __post_init__(self):
-        if self.qoe_factor <= 0:
-            raise InvalidParams(f"application {self.id}: qoe_factor must be > 0")
-        if not (0.0 <= self.min_share <= self.max_share <= 1.0):
-            raise InvalidParams(
-                f"application {self.id}: need 0 <= min_share <= max_share <= 1, "
-                f"got ({self.min_share}, {self.max_share})"
-            )
-
-
-@dataclass(frozen=True)
-class RadioElement:
-    """A base station with an abstract resource capacity."""
-
-    id: int
-    capacity: float
-
-    def __post_init__(self):
-        if self.capacity <= 0:
-            raise InvalidParams(f"element {self.id}: capacity must be > 0")
-
-
-@dataclass(frozen=True)
-class Entity:
-    """An operator driving flows into the shared RAN."""
-
-    id: int
 
 
 # One flow, built on read from a Flows: owner, application, serving element, demand (Mbps).
@@ -118,7 +79,7 @@ class Flows:
                 whole = col.dtype.kind in "iu"
             if not whole:
                 raise InvalidParams(f"flow column {name} must hold integers, got {col!r}")
-            object.__setattr__(self, name, _frozen_array(col, n, name, np.int64))
+            object.__setattr__(self, name, frozen_array(col, n, name, np.int64))
         object.__setattr__(self, "demand", self._checked_demand(self.demand))
 
     def with_demand(self, demand) -> "Flows":
@@ -134,7 +95,7 @@ class Flows:
 
     def _checked_demand(self, demand) -> np.ndarray:
         """``demand`` as a read-only column of these flows; raises unless finite and > 0."""
-        demand = _frozen_array(demand, (len(self.id),), "demand")
+        demand = frozen_array(demand, (len(self.id),), "demand")
         bad = ~(np.isfinite(demand) & (demand > 0))
         if bad.any():
             raise InvalidParams(f"flow {self.id[np.argmax(bad)]}: demand_bw must be finite and > 0")
@@ -182,11 +143,11 @@ class FlowAllocation:
 
     def __post_init__(self):
         n = len(self.flow_ids)
-        object.__setattr__(self, "flow_ids", _frozen_array(self.flow_ids, (n,), "flow_ids", np.int64))
-        object.__setattr__(self, "bandwidth", _frozen_array(self.bandwidth, (n,), "bandwidth"))
-        object.__setattr__(self, "resource", _frozen_array(self.resource, (n,), "resource"))
+        object.__setattr__(self, "flow_ids", frozen_array(self.flow_ids, (n,), "flow_ids", np.int64))
+        object.__setattr__(self, "bandwidth", frozen_array(self.bandwidth, (n,), "bandwidth"))
+        object.__setattr__(self, "resource", frozen_array(self.resource, (n,), "resource"))
         object.__setattr__(
-            self, "demand_resource", _frozen_array(self.demand_resource, (n,), "demand_resource")
+            self, "demand_resource", frozen_array(self.demand_resource, (n,), "demand_resource")
         )
 
 
@@ -235,15 +196,15 @@ class ProblemInstance:
     utility_kind: str = "linear"
 
     def __post_init__(self):
-        cap = _frozen_array(self.capacities, name="capacities")
+        cap = frozen_array(self.capacities, name="capacities")
         if cap.ndim != 1 or cap.size == 0:
             raise DimensionMismatch("capacities must be a non-empty vector")
         lo = np.array(self.lower, dtype=float)
         if lo.ndim != 2 or lo.shape[0] != cap.size:
             raise DimensionMismatch("lower bound matrix must be (num_elements, num_apps)")
         shape = lo.shape
-        hi = _frozen_array(self.upper, shape, "upper")
-        co = _frozen_array(self.coeff, shape, "coeff")
+        hi = frozen_array(self.upper, shape, "upper")
+        co = frozen_array(self.coeff, shape, "coeff")
         lo.setflags(write=False)
 
         if self.utility_kind not in UTILITY_KINDS:
@@ -312,19 +273,19 @@ class FeasibilityReport:
                    self.box_lower, self.box_upper)
 
 
-def expand_bounds(apps: Sequence[Application], elements: Sequence[RadioElement]):
+def expand_bounds(min_share, max_share, capacities):
     """Expand per-application share fractions into per-element (lower, upper) bounds.
 
-    Every application's share fraction is applied uniformly to each element's
-    capacity; ``ProblemInstance`` sums the columns into the aggregate bounds.
-    Raises InfeasibleConfig when the guaranteed minimum shares cannot coexist
-    on one element.
+    Application k's share fractions ``min_share[k]`` and ``max_share[k]`` are
+    applied uniformly to each element's capacity; ``ProblemInstance`` sums the
+    columns into the aggregate bounds.  Raises InfeasibleConfig when the
+    guaranteed minimum shares cannot coexist on one element.
     """
-    if not apps or not elements:
+    mins = np.asarray(min_share, dtype=float)
+    maxs = np.asarray(max_share, dtype=float)
+    caps = np.asarray(capacities, dtype=float)
+    if not mins.size or not caps.size:
         raise InvalidParams("need at least one application and one element")
-    mins = np.array([a.min_share for a in apps], dtype=float)
-    maxs = np.array([a.max_share for a in apps], dtype=float)
-    caps = np.array([e.capacity for e in elements], dtype=float)
     if mins.sum() > 1.0 + 1e-12:
         raise InfeasibleConfig(
             f"sum of minimum shares is {mins.sum():.6g} > 1; lower bounds exceed capacity"

@@ -1,9 +1,10 @@
 """Scenario generation, flow-level allocation, and the comparison experiments.
 
-A scenario freezes one simulated RAN state (elements, entities, applications,
-flows, translating ratios) under a seed.  Experiments sweep load multipliers
-over a scheme set and record flow-level utility, per-application resource
-usage, and QoE satisfaction per (scheme, load) cell.
+A scenario freezes one simulated RAN state (element capacities, application
+share bounds, number of entities, flows, translating ratios) under a seed.
+Experiments sweep load multipliers over a scheme set and record flow-level
+utility, per-application resource usage, and QoE satisfaction per (scheme,
+load) cell.
 """
 
 from __future__ import annotations
@@ -18,9 +19,8 @@ import numpy as np
 from .baselines import ReservationConfig, net_rsv_allocate, per_bs_rsv_allocate
 from .errors import DimensionMismatch, InvalidParams, RanShareError, UnknownReference
 from .fairshare import FlowPlan, SortedDemands, sort_demands, water_fill
-from .model import (AllocationMatrix, Application, Entity, FlowAllocation, Flows,
-                    ProblemInstance, RadioElement, UTILITY_KINDS, expand_bounds, frozen,
-                    integers)
+from .model import (AllocationMatrix, FlowAllocation, Flows, ProblemInstance, UTILITY_KINDS,
+                    expand_bounds, frozen, frozen_array, integers)
 from .solver import SolveResult, SolverConfig, solve
 from .utility import TranslatingRatios, estimate_demand
 
@@ -96,30 +96,69 @@ class HotspotParams:
             raise InvalidParams("hotspot mean bandwidth must be finite and > 0")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Scenario:
-    elements: tuple
-    entities: tuple
-    apps: tuple
+    """One simulated RAN state: the radio elements' capacities, the applications'
+    share bounds, the number of entities, the flows and the translating ratios.
+
+    Element i has capacity ``capacities[i]``; application k is guaranteed the
+    fraction ``min_share[k]`` of every element's capacity and may use up to
+    ``max_share[k]``.  The arrays are read-only.
+    """
+
+    capacities: np.ndarray  # (I,), finite and > 0
+    min_share: np.ndarray   # (K,)
+    max_share: np.ndarray   # (K,), with 0 <= min_share <= max_share <= 1
+    num_entities: int
     flows: Flows
-    ratios: TranslatingRatios
+    ratios: TranslatingRatios  # (I, K): its shape sets I and K
     seed: int
 
     def __post_init__(self):
         num_i, num_k = self.ratios.shape
-        if num_i != len(self.elements) or num_k != len(self.apps):
-            raise InvalidParams("translating-ratio dimensions do not match the scenario")
+        caps = frozen_array(self.capacities, (num_i,), "capacities")
+        mins = frozen_array(self.min_share, (num_k,), "min_share")
+        maxs = frozen_array(self.max_share, (num_k,), "max_share")
+        bad = ~(np.isfinite(caps) & (caps > 0))
+        if bad.any():
+            raise InvalidParams(f"element {np.argmax(bad)}: capacity must be finite and > 0")
+        bad = ~((0.0 <= mins) & (mins <= maxs) & (maxs <= 1.0))
+        if bad.any():
+            k = np.argmax(bad)
+            raise InvalidParams(f"application {k}: need 0 <= min_share <= max_share <= 1, "
+                                f"got ({mins[k]}, {maxs[k]})")
+        if not integers(self.num_entities) or self.num_entities < 0:
+            raise InvalidParams(f"num_entities must be an integer >= 0, got {self.num_entities!r}")
+        object.__setattr__(self, "capacities", caps)
+        object.__setattr__(self, "min_share", mins)
+        object.__setattr__(self, "max_share", maxs)
         if not isinstance(self.flows, Flows):
             raise InvalidParams("scenario flows must be a Flows; build one with Flows.of")
         f = self.flows
         known = ((0 <= f.element) & (f.element < num_i) & (0 <= f.app) & (f.app < num_k)
-                 & (0 <= f.entity) & (f.entity < len(self.entities)))
+                 & (0 <= f.entity) & (f.entity < self.num_entities))
         if not known.all():
             raise InvalidParams(f"flow {f.id[np.argmin(known)]} references an unknown object")
 
+    def __eq__(self, other):
+        if not isinstance(other, Scenario):
+            return False
+        pairs = ((getattr(self, f.name), getattr(other, f.name)) for f in fields(Scenario))
+        return all(np.array_equal(a, b) if isinstance(a, np.ndarray) else a == b for a, b in pairs)
+
+    @property
+    def num_apps(self) -> int:
+        return self.min_share.size
+
+    @property
+    def apps(self) -> range:
+        """The application indices; kept for ``perfbench/workloads.py`` ``Sweep.check``,
+        which counts them."""
+        return range(self.num_apps)
+
     @property
     def aggregate_capacity(self) -> float:
-        return float(sum(e.capacity for e in self.elements))
+        return float(self.capacities.sum())
 
     @cached_property
     def flow_plan(self) -> FlowPlan:
@@ -175,18 +214,9 @@ def generate_scenario(params: ScenarioParams, seed: int) -> Scenario:
     if total_min > 1.0 + 1e-12:
         raise InvalidParams(f"share minima sum to {total_min:.6g} > 1")
 
-    apps = []
-    for k in range(params.num_apps):
-        focus = k < params.num_focus
-        apps.append(Application(
-            id=k,
-            qoe_factor=float(qoe_arranged[k]),
-            min_share=params.focus_min_share if focus else params.background_min_share,
-            max_share=params.focus_max_share if focus else params.background_max_share,
-        ))
-    elements = tuple(RadioElement(id=i, capacity=float(caps[i]))
-                     for i in range(params.num_elements))
-    entities = tuple(Entity(id=e) for e in range(params.num_entities))
+    focus = np.arange(params.num_apps) < params.num_focus
+    min_share = np.where(focus, params.focus_min_share, params.background_min_share)
+    max_share = np.where(focus, params.focus_max_share, params.background_max_share)
 
     channel = rng.uniform(*params.channel_range, (params.num_elements, params.num_apps))
     ratios = TranslatingRatios(qoe_arranged[None, :] * channel)
@@ -196,7 +226,8 @@ def generate_scenario(params: ScenarioParams, seed: int) -> Scenario:
     ent_of = rng.integers(0, params.num_entities, params.num_flows)
     bw = rng.uniform(*params.demand_range, params.num_flows)
     flows = Flows(np.arange(params.num_flows), ent_of, app_of, el_of, bw)
-    return Scenario(elements=elements, entities=entities, apps=tuple(apps),
+    return Scenario(capacities=frozen(caps), min_share=frozen(min_share),
+                    max_share=frozen(max_share), num_entities=params.num_entities,
                     flows=flows, ratios=ratios, seed=seed)
 
 
@@ -268,9 +299,9 @@ def add_hotspot(scenario: Scenario, params: HotspotParams, seed: int) -> Scenari
 
     The parameters must fit the scenario even when they add no flow.
     """
-    num_e = len(scenario.entities)
-    num_i = len(scenario.elements)
-    if not (0 <= params.app_id < len(scenario.apps)):
+    num_e = scenario.num_entities
+    num_i = scenario.capacities.size
+    if not (0 <= params.app_id < scenario.num_apps):
         raise InvalidParams(f"hotspot app {params.app_id} does not exist")
     if params.n_entities > num_e or params.n_elements > num_i:
         raise InvalidParams("hotspot entity/element counts exceed the scenario sizes")
@@ -313,9 +344,9 @@ def second_phase_allocate(scenario: Scenario, grant: AllocationMatrix) -> FlowAl
 
 def build_instance(scenario: Scenario, utility_kind: str) -> ProblemInstance:
     """Expand shares into bounds and estimate demands into utility coefficients."""
-    lower, upper = expand_bounds(scenario.apps, scenario.elements)
+    lower, upper = expand_bounds(scenario.min_share, scenario.max_share, scenario.capacities)
     return ProblemInstance(
-        capacities=np.array([e.capacity for e in scenario.elements]),
+        capacities=scenario.capacities,
         lower=lower, upper=upper,
         coeff=estimate_demand(scenario.flows, scenario.ratios),
         utility_kind=utility_kind,
@@ -441,8 +472,8 @@ def run_experiment(base: Scenario, schemes: Sequence[str], loads: Sequence[float
         raise InvalidParams(f"unknown schemes {unknown!r} in {schemes!r}; valid: {ALL_SCHEMES}")
     if utility_kind not in UTILITY_KINDS:
         raise InvalidParams(f"unknown utility kind {utility_kind!r}; valid: {UTILITY_KINDS}")
-    if not integers(focus_app_id) or not 0 <= focus_app_id < len(base.apps):
-        raise InvalidParams(f"focus_app_id must be an application index below {len(base.apps)}, "
+    if not integers(focus_app_id) or not 0 <= focus_app_id < base.num_apps:
+        raise InvalidParams(f"focus_app_id must be an application index below {base.num_apps}, "
                             f"got {focus_app_id!r}")
     chosen = None if scale_flow_ids is None else _Chosen.of(base.flows, scale_flow_ids)
     # every scheme's allocation is aligned with base.flows, so the focus

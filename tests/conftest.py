@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from ranshare.model import Application, ProblemInstance, RadioElement, expand_bounds
+from ranshare.model import ProblemInstance, expand_bounds
 
 
 def make_instance(capacities, lower, upper, coeff, kind="linear"):
@@ -18,15 +18,11 @@ def random_instance(rng, num_elements=None, num_apps=None, kind=None,
     kind = kind or ("linear" if rng.random() < 0.5 else "logarithmic")
     mins = rng.uniform(0.01, 0.5 / nk, nk)
     maxs = np.minimum(mins + rng.uniform(0.05, 0.5, nk), 1.0)
-    apps = [Application(id=k, qoe_factor=1.0,
-                        min_share=float(mins[k]), max_share=float(maxs[k]))
-            for k in range(nk)]
-    elements = [RadioElement(id=i, capacity=float(rng.uniform(100.0, 300.0)))
-                for i in range(ni)]
-    lower, upper = expand_bounds(apps, elements)
+    caps = rng.uniform(100.0, 300.0, ni)
+    lower, upper = expand_bounds(mins, maxs, caps)
     coeff = rng.uniform(0.0, 5.0, (ni, nk))
     coeff[rng.random((ni, nk)) < zero_coeff_prob] = 0.0
-    return ProblemInstance(np.array([e.capacity for e in elements]), lower, upper, coeff, kind)
+    return ProblemInstance(caps, lower, upper, coeff, kind)
 
 
 def pin_cells(inst, pin):

@@ -45,8 +45,8 @@ def _relaxed_physical_instance(scenario) -> ProblemInstance:
     bounds, so their allocations are checked against the physical constraint
     set alone (element capacities and non-negativity).
     """
-    caps = np.array([e.capacity for e in scenario.elements])
-    num_k = len(scenario.apps)
+    caps = scenario.capacities
+    num_k = scenario.num_apps
     upper = np.repeat(caps[:, None], num_k, axis=1)
     return ProblemInstance(
         capacities=caps,

@@ -5,18 +5,15 @@ from ranshare import baselines
 from ranshare.baselines import (ReservationConfig, net_rsv_allocate,
                                 per_bs_rsv_allocate)
 from ranshare.errors import InvalidParams
-from ranshare.model import Application, Entity, Flow, Flows, RadioElement
+from ranshare.model import Flow, Flows
 from ranshare.sim import Scenario, ScenarioParams, generate_scenario
 from ranshare.utility import TranslatingRatios
 
 
 def scenario_from(flows, capacities, num_entities=2, num_apps=2, ratio=1.0):
-    elements = tuple(RadioElement(id=i, capacity=c) for i, c in enumerate(capacities))
-    entities = tuple(Entity(id=e) for e in range(num_entities))
-    apps = tuple(Application(id=k, qoe_factor=1.0,
-                             min_share=0.0, max_share=1.0) for k in range(num_apps))
     ratios = TranslatingRatios(np.full((len(capacities), num_apps), ratio))
-    return Scenario(elements=elements, entities=entities, apps=apps,
+    return Scenario(capacities=capacities, min_share=np.zeros(num_apps),
+                    max_share=np.ones(num_apps), num_entities=num_entities,
                     flows=Flows.of(flows), ratios=ratios, seed=0)
 
 
@@ -62,7 +59,7 @@ class TestPerBsRsv:
                                                 num_apps=4, num_flows=200), 7)
         cfg = ReservationConfig()
         out = per_bs_rsv_allocate(scen, cfg)
-        caps = np.array([e.capacity for e in scen.elements])
+        caps = scen.capacities
         per_entity_element = out.per_entity.sum(axis=2)
         assert np.all(per_entity_element <= cfg.per_bs_fraction * caps[None, :] + 1e-9)
 
@@ -104,7 +101,7 @@ def test_element_totals_never_exceed_capacity(allocate):
                                                 num_apps=5, num_flows=400,
                                                 demand_range=(0.5, 5.0)), seed)
         out = allocate(scen)
-        caps = np.array([e.capacity for e in scen.elements])
+        caps = scen.capacities
         assert np.all(out.per_entity.sum(axis=(0, 2)) <= caps + 1e-9)
 
 
@@ -147,8 +144,8 @@ def _net_rsv_reference(scen, cfg=ReservationConfig()):
     """``net_rsv_allocate`` with each (entity, element) demand summed by ``np.add.at`` over
     the flows in input order."""
     flows = scen.flows
-    num_e, num_i = len(scen.entities), len(scen.elements)
-    caps = np.array([e.capacity for e in scen.elements], dtype=float)
+    caps = scen.capacities
+    num_e, num_i = scen.num_entities, caps.size
     total_cap = float(caps.sum())
     res_demand = flows.demand * scen.ratios.values[flows.element, flows.app]
     demand_ei = np.zeros((num_e, num_i))

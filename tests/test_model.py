@@ -1,33 +1,48 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from ranshare.errors import DimensionMismatch, InfeasibleConfig, InvalidParams
-from ranshare.model import (AllocationMatrix, Application, Flow, Flows, RadioElement,
-                            check_feasible, expand_bounds)
+from ranshare.model import AllocationMatrix, Flow, Flows, check_feasible, expand_bounds
+from ranshare.sim import Scenario
+from ranshare.utility import TranslatingRatios
 
 from conftest import make_instance
 
 
-def app(k, mn, mx, qoe=1.0):
-    return Application(id=k, qoe_factor=qoe, min_share=mn, max_share=mx)
+def scenario(capacities=(100.0, 200.0), min_share=(0.1, 0.2), max_share=(0.4, 0.5)):
+    """A scenario of these elements and applications, one entity and no flows."""
+    return Scenario(capacities=capacities, min_share=min_share, max_share=max_share,
+                    num_entities=1, flows=Flows.of([]),
+                    ratios=TranslatingRatios(np.ones((len(capacities), len(min_share)))), seed=0)
 
 
 class TestDomainTypes:
     def test_application_share_ordering_enforced(self):
-        with pytest.raises(InvalidParams):
-            app(0, 0.5, 0.4)
-        with pytest.raises(InvalidParams):
-            app(0, -0.1, 0.4)
-        with pytest.raises(InvalidParams):
-            app(0, 0.1, 1.2)
-
-    def test_application_qoe_positive(self):
-        with pytest.raises(InvalidParams):
-            app(0, 0.1, 0.2, qoe=0.0)
+        assert np.array_equal(scenario().max_share, [0.4, 0.5])
+        for mn, mx in [(0.5, 0.4), (-0.1, 0.4), (0.1, 1.2), (np.nan, 0.4)]:
+            with pytest.raises(InvalidParams, match="application 1"):
+                scenario(min_share=(0.1, mn), max_share=(0.4, mx))
 
     def test_element_capacity_positive(self):
-        with pytest.raises(InvalidParams):
-            RadioElement(id=0, capacity=0.0)
+        with pytest.raises(InvalidParams, match="element 1"):
+            scenario(capacities=(100.0, 0.0))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_element_capacity_finite(self, bad):
+        with pytest.raises(InvalidParams, match="element 0"):
+            scenario(capacities=(bad, 100.0))
+
+    def test_scenario_arrays_read_only_and_shaped(self):
+        scen = scenario()
+        for arr in (scen.capacities, scen.min_share, scen.max_share):
+            assert not arr.flags.writeable
+        # the translating ratios set the number of elements and applications
+        with pytest.raises(DimensionMismatch, match="max_share"):
+            replace(scen, max_share=[0.4, 0.5, 0.6])
+        with pytest.raises(DimensionMismatch, match="capacities"):
+            replace(scen, capacities=[100.0])
 
     def test_flow_demand_positive(self):
         with pytest.raises(InvalidParams, match="flow 0"):
@@ -168,42 +183,37 @@ class TestFlows:
 
 class TestExpandBounds:
     def test_single_element_single_app(self):
-        lower, upper = expand_bounds([app(0, 0.05, 0.40)], [RadioElement(id=0, capacity=100.0)])
+        lower, upper = expand_bounds([0.05], [0.40], [100.0])
         assert lower[0, 0] == 5.0 and upper[0, 0] == 40.0
 
     def test_focus_and_background_shares_aggregate(self):
         # two heavy apps at (5%, 40%) plus 98 background apps over B = 200,000
-        apps = [app(0, 0.05, 0.40), app(1, 0.05, 0.40)]
-        apps += [app(2 + j, 0.0001, 0.90 / 98) for j in range(98)]
-        elements = [RadioElement(id=i, capacity=200.0) for i in range(1000)]
-        lower, upper = expand_bounds(apps, elements)
-        inst = make_instance([e.capacity for e in elements], lower, upper, np.ones(lower.shape))
+        mins = [0.05, 0.05] + [0.0001] * 98
+        maxs = [0.40, 0.40] + [0.90 / 98] * 98
+        caps = np.full(1000, 200.0)
+        lower, upper = expand_bounds(mins, maxs, caps)
+        inst = make_instance(caps, lower, upper, np.ones(lower.shape))
         assert inst.app_lower[0] == pytest.approx(10_000.0, abs=1e-6)
         assert inst.app_upper[0] == pytest.approx(80_000.0, abs=1e-6)
 
     def test_oversubscribed_minima_rejected(self):
-        apps = [app(0, 0.6, 0.7), app(1, 0.6, 0.7)]
         with pytest.raises(InfeasibleConfig):
-            expand_bounds(apps, [RadioElement(id=0, capacity=100.0)])
+            expand_bounds([0.6, 0.6], [0.7, 0.7], [100.0])
 
     def test_aggregate_identities_exact(self):
         rng = np.random.default_rng(3)
-        apps = [app(k, float(m), float(m) + 0.02)
-                for k, m in enumerate(rng.uniform(0.001, 0.04, 12))]
-        elements = [RadioElement(id=i, capacity=float(c))
-                    for i, c in enumerate(rng.uniform(100, 300, 37))]
-        lower, upper = expand_bounds(apps, elements)
-        inst = make_instance([e.capacity for e in elements], lower, upper, np.ones(lower.shape))
+        mins = rng.uniform(0.001, 0.04, 12)
+        caps = rng.uniform(100, 300, 37)
+        lower, upper = expand_bounds(mins, mins + 0.02, caps)
+        inst = make_instance(caps, lower, upper, np.ones(lower.shape))
         # identities hold bit-for-bit, not just approximately
         assert np.array_equal(lower.sum(axis=0), inst.app_lower)
         assert np.array_equal(upper.sum(axis=0), inst.app_upper)
 
     def test_homogeneous_in_capacity(self):
-        apps = [app(0, 0.05, 0.4), app(1, 0.01, 0.2)]
-        els1 = [RadioElement(id=i, capacity=c) for i, c in enumerate([110.0, 250.0])]
-        els2 = [RadioElement(id=i, capacity=3.0 * c) for i, c in enumerate([110.0, 250.0])]
-        out1 = expand_bounds(apps, els1)
-        out2 = expand_bounds(apps, els2)
+        mins, maxs = [0.05, 0.01], [0.4, 0.2]
+        out1 = expand_bounds(mins, maxs, [110.0, 250.0])
+        out2 = expand_bounds(mins, maxs, [3.0 * 110.0, 3.0 * 250.0])
         for a, b in zip(out1, out2):
             assert np.allclose(3.0 * np.asarray(a), np.asarray(b), rtol=1e-15)
 

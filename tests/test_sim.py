@@ -13,8 +13,7 @@ from ranshare import sim
 from ranshare.baselines import ReservationConfig, net_rsv_allocate, per_bs_rsv_allocate
 from ranshare.errors import DimensionMismatch, InvalidParams, UnknownReference
 from ranshare.fairshare import sort_demands, water_fill
-from ranshare.model import (AllocationMatrix, Application, Entity, Flow, FlowAllocation, Flows,
-                            RadioElement, check_feasible)
+from ranshare.model import AllocationMatrix, Flow, FlowAllocation, Flows, check_feasible
 from ranshare.sim import (ALL_SCHEMES, HotspotParams, Scenario, ScenarioParams, add_hotspot,
                           allocate_app_opt, build_instance, flow_utility,
                           generate_scenario, qoe_satisfied_count, run_experiment,
@@ -26,6 +25,18 @@ from ranshare.utility import TranslatingRatios, estimate_demand
 DESK = ScenarioParams(num_elements=20, num_entities=5, num_apps=6, num_flows=120)
 
 
+def qoe_factors(params, seed):
+    """Each application's QoE factor in the scenario drawn from ``seed``: its ratios over
+    the seed's channel multipliers, which ``generate_scenario`` draws third."""
+    rng = np.random.default_rng(seed)
+    rng.uniform(*params.capacity_range, params.num_elements)
+    rng.uniform(*params.qoe_range, params.num_apps)
+    channel = rng.uniform(*params.channel_range, (params.num_elements, params.num_apps))
+    factors = generate_scenario(params, seed).ratios.values / channel
+    assert np.allclose(factors, factors[0], rtol=1e-14, atol=0.0)  # one factor per column
+    return factors[0]
+
+
 class TestGenerateScenario:
     def test_same_seed_identical(self):
         a = generate_scenario(DESK, 9)
@@ -35,23 +46,35 @@ class TestGenerateScenario:
     def test_different_seed_differs(self):
         assert generate_scenario(DESK, 1) != generate_scenario(DESK, 2)
 
+    def test_equality_reads_every_field(self):
+        scen = generate_scenario(DESK, 9)
+        assert scen == replace(scen)
+        for change in (dict(capacities=2.0 * scen.capacities), dict(min_share=scen.min_share / 2),
+                       dict(max_share=scen.max_share / 2), dict(num_entities=6), dict(seed=10)):
+            assert scen != replace(scen, **change)
+
     def test_ranges_respected(self):
         scen = generate_scenario(ScenarioParams(), 5)
-        caps = np.array([e.capacity for e in scen.elements])
-        assert caps.min() >= 100.0 and caps.max() <= 300.0
-        qoe = np.array([a.qoe_factor for a in scen.apps])
-        assert qoe.min() >= 0.1 and qoe.max() <= 2.0
+        assert scen.capacities.min() >= 100.0 and scen.capacities.max() <= 300.0
+        qoe = qoe_factors(ScenarioParams(), 5)
+        assert qoe.min() >= 0.1 * (1 - 1e-14) and qoe.max() <= 2.0 * (1 + 1e-14)
         assert scen.ratios.values.min() >= 0.1 and scen.ratios.values.max() <= 4.0
         bw = np.array([f.demand_bw for f in scen.flows])
         assert bw.min() >= 0.1 and bw.max() <= 1.0
 
     def test_focus_apps_have_heaviest_qoe_and_shares(self):
         scen = generate_scenario(ScenarioParams(), 5)
-        qoe = np.array([a.qoe_factor for a in scen.apps])
-        assert qoe[0] == qoe.max()
-        assert qoe[1] >= np.sort(qoe)[-2] - 1e-12
-        assert scen.apps[0].min_share == 0.05 and scen.apps[0].max_share == 0.40
-        assert scen.apps[2].min_share == pytest.approx(1e-4)
+        qoe = qoe_factors(ScenarioParams(), 5)
+        assert qoe[0] >= qoe.max() * (1 - 1e-14)
+        assert qoe[1] >= np.sort(qoe)[-2] * (1 - 1e-14)
+        assert scen.min_share[0] == 0.05 and scen.max_share[0] == 0.40
+        assert scen.min_share[1] == 0.05 and scen.max_share[1] == 0.40
+        assert scen.min_share[2] == pytest.approx(1e-4)
+
+    def test_aggregate_capacity_is_the_instances(self):
+        # one sum for the scenario and the solver's instance, read at full scale
+        scen = generate_scenario(ScenarioParams.full_scale(), 7)
+        assert scen.aggregate_capacity == build_instance(scen, "linear").aggregate_capacity
 
     def test_full_scale_counts(self):
         p = ScenarioParams.full_scale()
@@ -63,7 +86,7 @@ class TestParams:
     @pytest.mark.parametrize("field, value", [
         ("demand_range", (0.1, np.inf)), ("capacity_range", (100.0, np.inf)),
         ("channel_range", (1.0, np.inf)), ("num_flows", 2.5), ("num_elements", True),
-        ("num_focus", 1.0)])
+        ("num_focus", 1.0), ("qoe_range", (0.0, 2.0))])
     def test_scenario_params_rejected(self, field, value):
         with pytest.raises(InvalidParams, match="range|integers"):
             ScenarioParams(**{field: value})
@@ -95,7 +118,7 @@ class TestScenarioColumns:
 
     def test_unknown_reference_rejected(self):
         scen = generate_scenario(DESK, 3)
-        stray = Flow(id=999, entity_id=len(scen.entities), app_id=0, element_id=0,
+        stray = Flow(id=999, entity_id=scen.num_entities, app_id=0, element_id=0,
                      demand_bw=1.0)
         with pytest.raises(InvalidParams, match="flow 999"):
             replace(scen, flows=Flows.of([*scen.flows, stray]))
@@ -177,14 +200,14 @@ class TestScaleLoad:
         scen = generate_scenario(DESK, 3)
         base_demand, base_fill = scen.resource_demand, scen.pair_fill
         scaled = scale_load(scen, 3.0, flow_ids=flow_ids)
-        flows, num_i = scaled.flows, len(scen.elements)
+        flows, num_i = scaled.flows, scen.capacities.size
         want = flows.demand * scen.ratios.values[flows.element, flows.app]
         assert np.array_equal(scaled.resource_demand, want)
         assert not np.array_equal(scaled.resource_demand, base_demand)
         assert scaled.pair_fill is not base_fill
         assert scaled.pair_fill.demands is scaled.resource_demand
         pool = flows.entity * num_i + flows.element
-        budget = np.random.default_rng(1).uniform(0.0, 2.0, len(scen.entities) * num_i)
+        budget = np.random.default_rng(1).uniform(0.0, 2.0, scen.num_entities * num_i)
         assert np.array_equal(water_fill(scaled.pair_fill, budget),
                               water_fill(want, budget, pool=pool))
         assert np.array_equal(water_fill(scen.pair_fill, budget),
@@ -240,8 +263,7 @@ class TestSecondPhase:
         """A scenario of one cell (one element, entity and application) holding these flows."""
         flows = Flows.of(Flow(id=j, entity_id=0, app_id=0, element_id=0, demand_bw=d)
                          for j, d in enumerate(demands))
-        return Scenario(elements=(RadioElement(id=0, capacity=10.0),), entities=(Entity(id=0),),
-                        apps=(Application(id=0, qoe_factor=ratio, min_share=0.0, max_share=1.0),),
+        return Scenario(capacities=[10.0], min_share=[0.0], max_share=[1.0], num_entities=1,
                         flows=flows, ratios=TranslatingRatios([[ratio]]), seed=0)
 
     def test_ample_budget_serves_all(self):
