@@ -1,7 +1,6 @@
 """Application-level RAN-sharing resource allocation toolkit."""
 
-from .baselines import (EntityAllocation, ReservationConfig, net_rsv_allocate,
-                        per_bs_rsv_allocate)
+from .baselines import ReservationConfig, net_rsv_allocate, per_bs_rsv_allocate
 from .errors import (ConfigError, DimensionMismatch, DomainError, EmptyInterior,
                      InfeasibleConfig, InvalidParams, NotInterior, RanShareError,
                      UnknownReference)

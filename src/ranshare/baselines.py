@@ -8,12 +8,11 @@ comparison isolates the reservation policy rather than the flow scheduler.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
 from .errors import InvalidParams
-from .fairshare import FlowPlan, water_fill
+from .fairshare import water_fill
 from .model import FlowAllocation, frozen
 
 _REDISTRIBUTE_EPS = 1e-12
@@ -34,39 +33,22 @@ class ReservationConfig:
             raise InvalidParams("net_min_fraction cannot exceed net_max_fraction")
 
 
-@dataclass(frozen=True)
-class EntityAllocation:
-    """Resource actually delivered to each entity's flows, plus the flow detail."""
-
-    flow_alloc: FlowAllocation   # aligned with the scenario's flow order
-    plan: FlowPlan               # the scenario's: its (entity, element) pools and apps
-
-    @cached_property
-    def per_entity(self) -> np.ndarray:
-        """(E, I, K) resource attributed to flows, summed in flow order when first read."""
-        plan = self.plan
-        shape = (plan.num_entities, *plan.ratios.shape)
-        index = plan.pairs.key.astype(np.intp) * shape[2] + plan.flows.app
-        return frozen(np.bincount(index, self.flow_alloc.resource, np.prod(shape))).reshape(shape)
-
-
-def _fill_pools(scenario, budget):
+def _fill_pools(scenario, budget) -> FlowAllocation:
     """Water-fill each (entity, element) pool of the scenario's flows under budget[e, i].
 
     The demands are ``scenario.pair_fill``, sorted once per scenario, so both
-    baselines at one load share that half of the fill.
+    baselines at one load share that half of the fill.  The allocation is
+    aligned with ``scenario.flows``.
     """
-    plan = scenario.flow_plan
     alloc_res = water_fill(scenario.pair_fill, budget.ravel())
     # TranslatingRatios are strictly positive, so the division is safe
-    flow_alloc = FlowAllocation(flow_ids=scenario.flows.id,
-                                bandwidth=frozen(alloc_res / plan.ratio),
-                                resource=frozen(alloc_res),
-                                demand_resource=scenario.resource_demand)
-    return EntityAllocation(flow_alloc, plan)
+    return FlowAllocation(flow_ids=scenario.flows.id,
+                          bandwidth=frozen(alloc_res / scenario.flow_plan.ratio),
+                          resource=frozen(alloc_res),
+                          demand_resource=scenario.resource_demand)
 
 
-def per_bs_rsv_allocate(scenario, cfg: ReservationConfig | None = None) -> EntityAllocation:
+def per_bs_rsv_allocate(scenario, cfg: ReservationConfig | None = None) -> FlowAllocation:
     """Fixed per-element reservation: entity e owns fraction rho of every element.
 
     Budgets are hard and never shared, so an entity without flows at an
@@ -81,7 +63,7 @@ def per_bs_rsv_allocate(scenario, cfg: ReservationConfig | None = None) -> Entit
     return _fill_pools(scenario, np.tile(cfg.per_bs_fraction * scenario.capacities, (num_e, 1)))
 
 
-def net_rsv_allocate(scenario, cfg: ReservationConfig | None = None) -> EntityAllocation:
+def net_rsv_allocate(scenario, cfg: ReservationConfig | None = None) -> FlowAllocation:
     """Network-wide reservation with demand-adaptive budgets.
 
     Each entity's aggregate budget is its total resource demand clamped into

@@ -106,7 +106,11 @@ def sort_demands(demands, layout: PoolLayout, earlier: SortedDemands | None = No
     not one bool per pool.  Writeable demands are copied, so the sorted form
     never changes.
     """
-    d = _checked_demands(demands)
+    d = np.asarray(demands, dtype=float)
+    if d.ndim != 1:
+        raise InvalidParams("demands must be a 1-D array")
+    if not np.all(np.isfinite(d) & (d >= 0)):
+        raise InvalidParams("demands must be finite and non-negative")
     if d.flags.writeable:
         d = frozen(d.copy())
     if earlier is not None:
@@ -116,55 +120,57 @@ def sort_demands(demands, layout: PoolLayout, earlier: SortedDemands | None = No
         if changed.dtype != bool or changed.shape != (layout.num_pools,):
             raise InvalidParams(f"changed must mark each of the {layout.num_pools} pools "
                                 f"with one bool")
+        kept = earlier.blocks
     elif changed is not None:
         raise InvalidParams("changed pools are marked against an earlier sorted form")
-    return _sorted(d, layout, earlier, changed)
+    else:
+        changed, kept = np.ones(layout.num_pools, dtype=bool), (None,) * len(layout.groups)
+    if layout.key.size != d.size:
+        raise DimensionMismatch(f"a layout of {layout.key.size} demands given {d.size} demands")
+
+    padded = np.append(d, np.inf)
+    blocks = []
+    for (seg, _, gather), old in zip(layout.groups, kept):
+        rows = np.flatnonzero(changed[seg])
+        if rows.size == 0:
+            blocks.append(old)
+            continue
+        whole = rows.size == seg.size
+        block = padded[gather if whole else gather[rows]]
+        block.sort(axis=1)
+        if not whole:  # the earlier rows, with the marked ones sorted again
+            block, part = old.copy(), block
+            block[rows] = part
+        blocks.append(frozen(block))
+    return SortedDemands(d, layout, tuple(blocks))
 
 
-def water_fill(demands, capacity, pool=None) -> np.ndarray:
+def water_fill(fill: SortedDemands, capacity) -> np.ndarray:
     """Max-min fair split of each pool's budget across its demands.
 
-    Without ``pool`` all demands share the one budget ``capacity``; with it,
-    demand j draws on ``capacity[pool[j]]``.  ``pool`` is an array of pool
-    entries or a ``PoolLayout`` of them, built once by ``pool_layout`` and
-    reused for any demands over the same pools.  ``demands`` may instead be a
-    ``SortedDemands``, sorted once by ``sort_demands`` and reused for any
-    budgets; it carries its pools, so ``pool`` must then be None.  A pool
-    whose budget covers its demand gets exactly its demands, one with budget
-    <= 0 nothing, any other min(d, w) at the unique level w with
-    sum(min(d, w)) == budget.  Permuting the input permutes the output
-    identically.  Demands that are not a 1-D array of finite non-negative
-    values, NaN budgets and pool entries that do not index ``capacity`` raise
-    ``InvalidParams``, in that order; a pool array of another length than the
-    demands, or a layout of another length or another pool count than the
-    budgets, raises ``DimensionMismatch``.
+    ``fill`` holds the demands sorted over their pools by ``sort_demands``,
+    once for any budgets; demand j draws on ``capacity[p]``, p its pool in
+    ``fill.layout``.  A pool whose budget covers its demand gets exactly its
+    demands, one with budget <= 0 nothing, any other min(d, w) at the unique
+    level w with sum(min(d, w)) == budget.  Permuting the demands and their
+    pools permutes the output identically.  A ``fill`` that is not a
+    ``SortedDemands`` or NaN budgets raise ``InvalidParams``, budgets for
+    another pool count ``DimensionMismatch``.
 
-    A fill has two stages, and every call runs both on one path: a per-demand
-    stage (``sort_demands``: gather the demands into the layout's row blocks
-    and sort the values along the rows) and a per-budget stage (the row
-    ``cumsum``, the level search and ``np.minimum``).  The sums are not kept
-    with the sorted rows: a sorted form is kept across the loads of a sweep,
-    and it is half the size without them.  Only the values are sorted, never
-    the flows: the levels, and so the result, are those of a per-pool
+    This is the per-budget stage of a fill; ``sort_demands`` is the
+    per-demand one.  Each sorted row is summed with a row ``cumsum``, the
+    level searched and one ``np.minimum`` taken.  The sums are not kept with
+    the sorted rows: a sorted form is kept across the loads of a sweep, and
+    it is half the size without them.  Only the values are sorted, never the
+    flows: the levels, and so the result, are those of a per-pool
     ``np.cumsum`` over the demands in ``np.lexsort`` order, bit for bit.
     """
-    fill = demands if isinstance(demands, SortedDemands) else None
-    if fill is None:
-        d = _checked_demands(demands)
-        if pool is None:
-            pool, capacity = np.zeros(d.size, dtype=np.intp), [capacity]
-    elif pool is not None:
-        raise InvalidParams("sorted demands carry their pools; pass no pool with them")
+    if not isinstance(fill, SortedDemands):
+        raise InvalidParams(f"water_fill takes the SortedDemands of sort_demands, "
+                            f"got {type(fill).__name__}")
     cap = np.asarray(capacity, dtype=float)
     if cap.ndim != 1 or np.any(np.isnan(cap)):
         raise InvalidParams("capacity must be a 1-D array of budgets, none of them NaN")
-    if fill is None:
-        layout = pool
-        if not isinstance(layout, PoolLayout):
-            if np.shape(pool) != d.shape:
-                raise DimensionMismatch(f"{np.shape(pool)} pool entries for {d.shape} demands")
-            layout = pool_layout(pool, cap.size)
-        fill = _sorted(d, layout)
     if fill.layout.num_pools != cap.size:
         raise DimensionMismatch(f"{fill.layout.num_pools} pools given {cap.size} budgets")
 
@@ -191,46 +197,6 @@ def water_fill(demands, capacity, pool=None) -> np.ndarray:
     level[cap <= 0] = 0.0
     out = level[fill.layout.key]
     return np.minimum(fill.demands, out, out=out)
-
-
-def _checked_demands(demands) -> np.ndarray:
-    """``demands`` as a float array; raises ``InvalidParams`` unless 1-D, finite and >= 0."""
-    d = np.asarray(demands, dtype=float)
-    if d.ndim != 1:
-        raise InvalidParams("demands must be a 1-D array")
-    if not np.all(np.isfinite(d) & (d >= 0)):
-        raise InvalidParams("demands must be finite and non-negative")
-    return d
-
-
-def _sorted(d, layout, earlier=None, changed=None) -> SortedDemands:
-    """The per-demand stage of a fill of the checked demands ``d`` over ``layout``.
-
-    Only the rows of the pools ``changed`` marks are gathered and sorted; the
-    others come from ``earlier``.  Without ``earlier`` every pool is marked,
-    and every row is sorted.
-    """
-    if layout.key.size != d.size:
-        raise DimensionMismatch(f"a layout of {layout.key.size} demands given {d.size} demands")
-    if earlier is None:
-        changed, kept = np.ones(layout.num_pools, dtype=bool), (None,) * len(layout.groups)
-    else:
-        kept = earlier.blocks
-    padded = np.append(d, np.inf)
-    blocks = []
-    for (seg, _, gather), old in zip(layout.groups, kept):
-        rows = np.flatnonzero(changed[seg])
-        if rows.size == 0:
-            blocks.append(old)
-            continue
-        whole = rows.size == seg.size
-        block = padded[gather if whole else gather[rows]]
-        block.sort(axis=1)
-        if not whole:  # the earlier rows, with the marked ones sorted again
-            block, part = old.copy(), block
-            block[rows] = part
-        blocks.append(frozen(block))
-    return SortedDemands(d, layout, tuple(blocks))
 
 
 class FlowPlan:

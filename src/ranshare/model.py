@@ -101,18 +101,6 @@ class Flows:
             raise InvalidParams(f"flow {self.id[np.argmax(bad)]}: demand_bw must be finite and > 0")
         return demand
 
-    @classmethod
-    def of(cls, flows) -> "Flows":
-        """The columns of an iterable of Flow."""
-        try:
-            columns = list(zip(*flows, strict=True)) or [()] * len(Flow._fields)
-        except (TypeError, ValueError):  # an item that is no sequence, or of another length
-            columns = ()
-        if len(columns) != len(Flow._fields):
-            raise DimensionMismatch(f"every flow must have the {len(Flow._fields)} fields "
-                                    f"{', '.join(Flow._fields)}")
-        return cls(*columns)
-
     def __len__(self):
         return len(self.id)
 

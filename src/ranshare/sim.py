@@ -12,7 +12,7 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass, fields, replace
 from functools import cached_property
-from typing import NamedTuple, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -115,6 +115,9 @@ class Scenario:
     seed: int
 
     def __post_init__(self):
+        if not isinstance(self.ratios, TranslatingRatios):
+            raise InvalidParams(f"scenario ratios must be a TranslatingRatios, "
+                                f"got {type(self.ratios).__name__}")
         num_i, num_k = self.ratios.shape
         caps = frozen_array(self.capacities, (num_i,), "capacities")
         mins = frozen_array(self.min_share, (num_k,), "min_share")
@@ -133,7 +136,8 @@ class Scenario:
         object.__setattr__(self, "min_share", mins)
         object.__setattr__(self, "max_share", maxs)
         if not isinstance(self.flows, Flows):
-            raise InvalidParams("scenario flows must be a Flows; build one with Flows.of")
+            raise InvalidParams(f"scenario flows must be a Flows of columns, "
+                                f"got {type(self.flows).__name__}")
         f = self.flows
         known = ((0 <= f.element) & (f.element < num_i) & (0 <= f.app) & (f.app < num_k)
                  & (0 <= f.entity) & (f.entity < self.num_entities))
@@ -231,67 +235,62 @@ def generate_scenario(params: ScenarioParams, seed: int) -> Scenario:
                     flows=flows, ratios=ratios, seed=seed)
 
 
-def scale_load(scenario: Scenario, multiplier: float, flow_ids=None) -> Scenario:
+def scale_load(scenario: Scenario, multiplier: float, scaled=None) -> Scenario:
     """Multiply flow bandwidth demands; all other fields unchanged.
 
-    With ``flow_ids`` given, only those flows are scaled (hotspot sweeps).
-    Entries that are not integers raise ``InvalidParams`` (bools included),
-    ids that are not among the scenario's flows ``UnknownReference``.  The
+    With ``scaled``, one bool per flow, only the flows it marks are scaled
+    (hotspot sweeps).  A mask that is not bool raises ``InvalidParams``, one
+    of another length ``DimensionMismatch``, at every multiplier.  The
     scaled scenario shares this one's flow columns other than demand, which
     are not checked again, and its ``flow_plan``, and builds its own
     ``resource_demand``, ``cell_fill`` and ``pair_fill`` when they are read.
-    ``run_experiment`` resolves its flow ids to flows once per sweep and hands
-    the result in place of the ids.
+    ``run_experiment`` resolves its flow ids into this mask once per sweep.
     """
     flows = scenario.flows
-    if isinstance(flow_ids, _Chosen) and flow_ids.flows is flows:
-        chosen = flow_ids.mask
-    elif flow_ids is not None:
-        chosen = _Chosen.of(flows, flow_ids).mask
+    if scaled is not None:
+        scaled = np.asarray(scaled)
+        if scaled.dtype != bool:
+            raise InvalidParams(f"scaled must mark the flows with bools, got {scaled.dtype}")
+        if scaled.shape != flows.demand.shape:
+            raise DimensionMismatch(f"a mask of shape {scaled.shape} for {len(flows)} flows")
     if not 1.0 <= multiplier < np.inf:
         raise InvalidParams("load multiplier must be finite and >= 1")
     if multiplier == 1.0:
         return scenario
     demand = flows.demand * multiplier
-    if flow_ids is not None:
-        demand = np.where(chosen, demand, flows.demand)
+    if scaled is not None:
+        demand = np.where(scaled, demand, flows.demand)
     # the flows differ from the checked ones in demand alone, so the references
     # are not checked again
-    scaled = object.__new__(Scenario)
-    vars(scaled).update({f.name: getattr(scenario, f.name) for f in fields(Scenario)},
-                        flows=flows.with_demand(frozen(demand)), flow_plan=scenario.flow_plan)
-    return scaled
+    out = object.__new__(Scenario)
+    vars(out).update({f.name: getattr(scenario, f.name) for f in fields(Scenario)},
+                     flows=flows.with_demand(frozen(demand)), flow_plan=scenario.flow_plan)
+    return out
 
 
-class _Chosen(NamedTuple):
-    """Which of ``flows`` a load scales, resolved from flow ids once for many loads."""
+def _flow_mask(flows: Flows, flow_ids) -> np.ndarray:
+    """One bool per flow, marking the flows whose ids are among ``flow_ids``.
 
-    flows: Flows
-    mask: np.ndarray
-
-    @classmethod
-    def of(cls, flows: Flows, flow_ids) -> "_Chosen":
-        ids = _flow_id_array(flow_ids)
-        known = np.isin(ids, flows.id)
-        if not known.all():
-            raise UnknownReference(f"flow id {ids[np.argmin(known)]} is not among the flows")
-        return cls(flows, frozen(np.isin(flows.id, ids)))
-
-
-def _flow_id_array(flow_ids) -> np.ndarray:
-    """Flow ids as an int64 array; entries that are not integers raise ``InvalidParams``."""
-    if isinstance(flow_ids, np.ndarray) and flow_ids.dtype == np.int64 and flow_ids.ndim == 1:
-        return flow_ids
-    try:
-        ids = flow_ids.tolist() if isinstance(flow_ids, np.ndarray) else list(flow_ids)
-    except TypeError:
-        raise InvalidParams(f"flow ids must be an iterable of integers, got {flow_ids!r}") from None
-    if not integers(*ids):
-        raise InvalidParams(f"flow ids must be integers, got {flow_ids!r}")
-    try:
-        return np.array(ids, dtype=np.int64)
-    except OverflowError:
-        raise UnknownReference("a flow id lies outside the int64 range of flow ids") from None
+    Entries that are not integers raise ``InvalidParams`` (bools included),
+    ids that are not among the flows ``UnknownReference``.
+    """
+    ids = flow_ids
+    if not (isinstance(ids, np.ndarray) and ids.dtype == np.int64 and ids.ndim == 1):
+        try:
+            ids = ids.tolist() if isinstance(ids, np.ndarray) else list(ids)
+        except TypeError:
+            raise InvalidParams(f"flow ids must be an iterable of integers, "
+                                f"got {flow_ids!r}") from None
+        if not integers(*ids):
+            raise InvalidParams(f"flow ids must be integers, got {flow_ids!r}")
+        try:
+            ids = np.array(ids, dtype=np.int64)
+        except OverflowError:
+            raise UnknownReference("a flow id lies outside the int64 range of flow ids") from None
+    known = np.isin(ids, flows.id)
+    if not known.all():
+        raise UnknownReference(f"flow id {ids[np.argmin(known)]} is not among the flows")
+    return frozen(np.isin(flows.id, ids))
 
 
 def add_hotspot(scenario: Scenario, params: HotspotParams, seed: int) -> Scenario:
@@ -348,7 +347,7 @@ def build_instance(scenario: Scenario, utility_kind: str) -> ProblemInstance:
     return ProblemInstance(
         capacities=scenario.capacities,
         lower=lower, upper=upper,
-        coeff=estimate_demand(scenario.flows, scenario.ratios),
+        coeff=estimate_demand(scenario),
         utility_kind=utility_kind,
     )
 
@@ -411,8 +410,8 @@ def _allocate_for_scheme(scheme, scenario, utility_kind, solver_config, reservat
     if scheme == SCHEME_APP_OPT:
         return allocate_app_opt(scenario, utility_kind, solver_config)
     if scheme == SCHEME_NET_RSV:
-        return net_rsv_allocate(scenario, reservation_config).flow_alloc, None
-    return per_bs_rsv_allocate(scenario, reservation_config).flow_alloc, None
+        return net_rsv_allocate(scenario, reservation_config), None
+    return per_bs_rsv_allocate(scenario, reservation_config), None
 
 
 def _row(scheme, load, scen, utility_kind, focus, solver_config,
@@ -460,8 +459,9 @@ def run_experiment(base: Scenario, schemes: Sequence[str], loads: Sequence[float
     ``UnknownReference``.
 
     Each load's scenario comes from one ``scale_load`` call, with the flow ids
-    resolved once per sweep, and shares the base's ``flow_plan``, so the pool
-    layouts are built once per sweep.  A load's ``cell_fill`` and
+    resolved once per sweep into its mask of scaled flows, and shares the
+    base's ``flow_plan``, so the pool layouts are built once per sweep.  A
+    load's ``cell_fill`` and
     ``pair_fill`` are sorted from the previous load's, when that load built
     them: only the pools that hold a scaled flow are sorted again, and the
     previous load's fills are dropped first.  Under uniform scaling every pool
@@ -475,7 +475,7 @@ def run_experiment(base: Scenario, schemes: Sequence[str], loads: Sequence[float
     if not integers(focus_app_id) or not 0 <= focus_app_id < base.num_apps:
         raise InvalidParams(f"focus_app_id must be an application index below {base.num_apps}, "
                             f"got {focus_app_id!r}")
-    chosen = None if scale_flow_ids is None else _Chosen.of(base.flows, scale_flow_ids)
+    scaled = None if scale_flow_ids is None else _flow_mask(base.flows, scale_flow_ids)
     # every scheme's allocation is aligned with base.flows, so the focus
     # application's flows are the same entries at every load
     focus = np.flatnonzero(base.flows.app == focus_app_id)
@@ -483,8 +483,8 @@ def run_experiment(base: Scenario, schemes: Sequence[str], loads: Sequence[float
     rows, scen = [], None
     for load in loads:
         earlier = {} if scen is None else _drop_fills(scen)
-        scen = scale_load(base, float(load), flow_ids=chosen)
-        _carry_fills(earlier, scen, chosen, changed)
+        scen = scale_load(base, float(load), scaled)
+        _carry_fills(earlier, scen, scaled, changed)
         rows.extend(_row(scheme, float(load), scen, utility_kind, focus, solver_config,
                          reservation_config) for scheme in schemes)
     if scen is not None:  # it may be the base itself, which outlives the sweep
@@ -499,18 +499,18 @@ def _drop_fills(scen: Scenario) -> dict:
             if name in vars(scen)}
 
 
-def _carry_fills(earlier: dict, scen: Scenario, chosen, changed: dict):
+def _carry_fills(earlier: dict, scen: Scenario, scaled, changed: dict):
     """Sort for ``scen`` the fills in ``earlier``, dropped from a load of the same sweep.
 
-    ``chosen`` is the sweep's scaled flows, None for all of them, and
+    ``scaled`` is the sweep's mask of scaled flows, None for all of them, and
     ``changed`` caches per layout the pools that hold one: only their rows
     are sorted again.  Each earlier fill is released as its successor is built.
     """
     def carried(fill, demands):
         layout = fill.layout
         if layout not in changed:
-            changed[layout] = (np.ones(layout.num_pools, dtype=bool) if chosen is None
-                               else np.bincount(layout.key, chosen.mask, layout.num_pools) > 0)
+            changed[layout] = (np.ones(layout.num_pools, dtype=bool) if scaled is None
+                               else np.bincount(layout.key, scaled, layout.num_pools) > 0)
         return sort_demands(demands, layout, fill, changed[layout])
 
     if "cell_fill" in earlier:

@@ -6,8 +6,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, InvalidParams, UnknownReference
-from .model import AllocationMatrix, Flows, ProblemInstance
+from .errors import DomainError, InvalidParams
+from .model import AllocationMatrix, ProblemInstance, frozen
 
 
 @dataclass(frozen=True, eq=False)
@@ -33,27 +33,19 @@ class TranslatingRatios:
         return isinstance(other, TranslatingRatios) and np.array_equal(self.values, other.values)
 
 
-def estimate_demand(flows: Flows, ratios: TranslatingRatios) -> np.ndarray:
-    """Aggregate flow bandwidth demands into per-cell resource demands.
+def estimate_demand(scenario) -> np.ndarray:
+    """Aggregate the scenario's flow bandwidth demands into per-cell resource demands.
 
     Returns the read-only (I, K) array d with d[i, k] = p[i, k] * sum of
     demand_bw over flows served by element i under application k; cells
-    without flows stay 0.
+    without flows stay 0.  The flows' cells are the pools of
+    ``scenario.flow_plan.cells``, checked to lie on the grid when the
+    scenario was built.
     """
-    num_elements, num_apps = ratios.shape
-    outside = ~((0 <= flows.element) & (flows.element < num_elements)
-                & (0 <= flows.app) & (flows.app < num_apps))
-    if outside.any():
-        j = int(np.argmax(outside))
-        raise UnknownReference(
-            f"flow {flows.id[j]} references cell ({flows.element[j]}, {flows.app[j]}) "
-            f"outside the {num_elements}x{num_apps} grid"
-        )
-    bw = np.bincount(flows.element * num_apps + flows.app, weights=flows.demand,
+    num_elements, num_apps = scenario.ratios.shape
+    bw = np.bincount(scenario.flow_plan.cells.key, weights=scenario.flows.demand,
                      minlength=num_elements * num_apps)
-    demand = bw.reshape(num_elements, num_apps) * ratios.values
-    demand.setflags(write=False)
-    return demand
+    return frozen(bw.reshape(num_elements, num_apps) * scenario.ratios.values)
 
 
 def total_utility(inst: ProblemInstance, alloc: AllocationMatrix) -> float:

@@ -25,6 +25,13 @@ def random_instance(rng, num_elements=None, num_apps=None, kind=None,
     return ProblemInstance(caps, lower, upper, coeff, kind)
 
 
+def per_entity(scenario, flow_alloc):
+    """(E, I, K) resource granted to each entity's flows per cell, summed in flow order."""
+    shape = (scenario.num_entities, *scenario.ratios.shape)
+    index = scenario.flow_plan.pairs.key.astype(np.intp) * shape[2] + scenario.flows.app
+    return np.bincount(index, flow_alloc.resource, np.prod(shape)).reshape(shape)
+
+
 def pin_cells(inst, pin):
     """`inst` with the cells where `pin` is True pinned at their lower bound."""
     upper = np.where(pin, inst.lower, inst.upper)

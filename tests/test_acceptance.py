@@ -24,7 +24,7 @@ from ranshare.sim import (ALL_SCHEMES, HotspotParams, ScenarioParams,
 from ranshare.solver import (SolverConfig, interior_gradient, interior_objective,
                              solve)
 
-from conftest import random_instance
+from conftest import per_entity, random_instance
 from oracles import _repair, optimum_bracket
 
 DESK = ScenarioParams()  # 100 elements / 10 entities / 20 apps / 500 flows
@@ -55,8 +55,8 @@ def _relaxed_physical_instance(scenario) -> ProblemInstance:
     )
 
 
-def _aggregate_entity_matrix(entity_alloc) -> AllocationMatrix:
-    return AllocationMatrix(entity_alloc.per_entity.sum(axis=0))
+def _aggregate_entity_matrix(scenario, flow_alloc) -> AllocationMatrix:
+    return AllocationMatrix(per_entity(scenario, flow_alloc).sum(axis=0))
 
 
 def test_criterion_1_eps_suboptimality():
@@ -105,7 +105,7 @@ def test_criterion_2_feasibility_everywhere():
                 violations += 1
         relaxed = _relaxed_physical_instance(scen)
         for allocate in (per_bs_rsv_allocate, net_rsv_allocate):
-            agg = _aggregate_entity_matrix(allocate(scen))
+            agg = _aggregate_entity_matrix(scen, allocate(scen))
             checked += 1
             if not check_feasible(relaxed, agg, 1e-9).feasible:
                 violations += 1

@@ -9,12 +9,14 @@ from ranshare.model import Flow, Flows
 from ranshare.sim import Scenario, ScenarioParams, generate_scenario
 from ranshare.utility import TranslatingRatios
 
+from conftest import per_entity
+
 
 def scenario_from(flows, capacities, num_entities=2, num_apps=2, ratio=1.0):
     ratios = TranslatingRatios(np.full((len(capacities), num_apps), ratio))
     return Scenario(capacities=capacities, min_share=np.zeros(num_apps),
                     max_share=np.ones(num_apps), num_entities=num_entities,
-                    flows=Flows.of(flows), ratios=ratios, seed=0)
+                    flows=Flows(*zip(*flows)), ratios=ratios, seed=0)
 
 
 def flow(fid, entity, element, bw, app=0):
@@ -38,20 +40,20 @@ class TestPerBsRsv:
     def test_ample_budget_serves_all(self):
         scen = scenario_from([flow(0, 0, 0, 1.0), flow(1, 0, 0, 2.0)], [100.0])
         out = per_bs_rsv_allocate(scen)  # budget 5.0 >= demand 3.0
-        assert np.allclose(out.flow_alloc.bandwidth, [1.0, 2.0])
+        assert np.allclose(out.bandwidth, [1.0, 2.0])
 
     def test_scarce_budget_split_evenly(self):
         # two identical flows, budget half of their total -> each gets half
         scen = scenario_from([flow(0, 0, 0, 40.0), flow(1, 0, 0, 40.0)], [100.0])
         out = per_bs_rsv_allocate(scen)  # budget 5.0 resource units
-        assert np.allclose(out.flow_alloc.resource, [2.5, 2.5])
+        assert np.allclose(out.resource, [2.5, 2.5])
 
     def test_idle_slice_not_shared(self):
         # entity 1 has no flows at the element; its 5% stays idle while
         # entity 0 overflows
         scen = scenario_from([flow(0, 0, 0, 100.0)], [100.0])
         out = per_bs_rsv_allocate(scen)
-        assert out.flow_alloc.resource[0] == pytest.approx(5.0)  # capped at own slice
+        assert out.resource[0] == pytest.approx(5.0)  # capped at own slice
 
     def test_per_entity_element_cap(self):
         rng = np.random.default_rng(4)
@@ -60,7 +62,7 @@ class TestPerBsRsv:
         cfg = ReservationConfig()
         out = per_bs_rsv_allocate(scen, cfg)
         caps = scen.capacities
-        per_entity_element = out.per_entity.sum(axis=2)
+        per_entity_element = per_entity(scen, out).sum(axis=2)
         assert np.all(per_entity_element <= cfg.per_bs_fraction * caps[None, :] + 1e-9)
 
 
@@ -69,20 +71,20 @@ class TestNetRsv:
         # entity demands 1% of B -> floor of 2% applies, all flows satisfied
         scen = scenario_from([flow(0, 0, 0, 1.0)], [100.0])
         out = net_rsv_allocate(scen)
-        assert out.flow_alloc.bandwidth[0] == pytest.approx(1.0)
+        assert out.bandwidth[0] == pytest.approx(1.0)
 
     def test_cap_binds_above_max_demand(self):
         # entity demands 50% of B -> budget capped at 10%, a fifth of demand
         scen = scenario_from([flow(0, 0, 0, 50.0)], [100.0])
         out = net_rsv_allocate(scen)
-        assert out.flow_alloc.resource[0] == pytest.approx(10.0)
+        assert out.resource[0] == pytest.approx(10.0)
 
     def test_clamped_budgets_partition_exactly(self):
         # 20 entities each demanding exactly 5% -> budgets sum to B, no rescale
         flows = [flow(e, e, 0, 5.0) for e in range(20)]
         scen = scenario_from(flows, [100.0], num_entities=20)
         out = net_rsv_allocate(scen)
-        assert np.allclose(out.flow_alloc.resource, np.full(20, 5.0))
+        assert np.allclose(out.resource, np.full(20, 5.0))
 
     def test_aggregate_usage_within_cap(self):
         scen = generate_scenario(ScenarioParams(num_elements=10, num_entities=5,
@@ -90,8 +92,8 @@ class TestNetRsv:
         cfg = ReservationConfig()
         out = net_rsv_allocate(scen, cfg)
         total = scen.aggregate_capacity
-        per_entity = out.per_entity.sum(axis=(1, 2))
-        assert np.all(per_entity <= cfg.net_max_fraction * total + 1e-9)
+        per_entity_total = per_entity(scen, out).sum(axis=(1, 2))
+        assert np.all(per_entity_total <= cfg.net_max_fraction * total + 1e-9)
 
 
 @pytest.mark.parametrize("allocate", [per_bs_rsv_allocate, net_rsv_allocate])
@@ -102,7 +104,7 @@ def test_element_totals_never_exceed_capacity(allocate):
                                                 demand_range=(0.5, 5.0)), seed)
         out = allocate(scen)
         caps = scen.capacities
-        assert np.all(out.per_entity.sum(axis=(0, 2)) <= caps + 1e-9)
+        assert np.all(per_entity(scen, out).sum(axis=(0, 2)) <= caps + 1e-9)
 
 
 @pytest.mark.parametrize("allocate", [per_bs_rsv_allocate, net_rsv_allocate])
@@ -112,32 +114,9 @@ def test_flows_never_exceed_demand(allocate):
                                             demand_range=(0.5, 4.0)), 3)
     out = allocate(scen)
     demands = np.array([f.demand_bw for f in scen.flows])
-    assert np.all(out.flow_alloc.bandwidth <= demands + 1e-12)
+    assert np.all(out.bandwidth <= demands + 1e-12)
     p = np.array([scen.ratios.values[f.element_id, f.app_id] for f in scen.flows])
-    assert np.allclose(out.flow_alloc.resource, out.flow_alloc.bandwidth * p, rtol=1e-12)
-
-
-@pytest.mark.parametrize("allocate", [per_bs_rsv_allocate, net_rsv_allocate])
-def test_per_entity_sums_flows_in_input_order(allocate):
-    # 600 flows over 3 x 4 x 3 (entity, element, app) triples: every triple repeats, and
-    # the sum of each must be np.add.at's, which adds its terms in input order
-    scen = generate_scenario(ScenarioParams(num_elements=4, num_entities=3, num_apps=3,
-                                            num_flows=600, demand_range=(0.5, 5.0)), 13)
-    flows = scen.flows
-    assert np.unique(np.stack([flows.entity, flows.element, flows.app]), axis=1).shape[1] < 600
-    out = allocate(scen)
-    want = np.zeros(out.per_entity.shape)
-    np.add.at(want, (flows.entity, flows.element, flows.app), out.flow_alloc.resource)
-    assert np.array_equal(out.per_entity, want)
-
-
-@pytest.mark.parametrize("allocate", [per_bs_rsv_allocate, net_rsv_allocate])
-def test_per_entity_is_read_only_and_summed_once(allocate):
-    out = allocate(generate_scenario(ScenarioParams(num_elements=4, num_entities=3,
-                                                    num_apps=3, num_flows=60), 2))
-    with pytest.raises(ValueError):
-        out.per_entity[0, 0, 0] = 1.0
-    assert out.per_entity is out.per_entity
+    assert np.allclose(out.resource, out.bandwidth * p, rtol=1e-12)
 
 
 def _net_rsv_reference(scen, cfg=ReservationConfig()):
@@ -179,5 +158,5 @@ def test_net_rsv_demand_sums_flows_in_input_order():
     scen = generate_scenario(ScenarioParams(num_elements=4, num_entities=3, num_apps=3,
                                             num_flows=600, demand_range=(0.5, 5.0)), 13)
     got, want = net_rsv_allocate(scen), _net_rsv_reference(scen)
-    assert np.array_equal(got.flow_alloc.resource, want.flow_alloc.resource)
-    assert np.array_equal(got.per_entity, want.per_entity)
+    for name in ("flow_ids", "bandwidth", "resource", "demand_resource"):
+        assert np.array_equal(getattr(got, name), getattr(want, name))

@@ -9,26 +9,34 @@ from ranshare.errors import DimensionMismatch, InvalidParams
 from ranshare.fairshare import pool_layout, sort_demands, water_fill
 
 
+def fill_demands(d, budgets, pool=None):
+    """One fill of raw demands: all in one pool under the one budget ``budgets``, or
+    demand j in pool ``pool[j]`` under ``budgets[pool[j]]``, sorted afresh."""
+    if pool is None:
+        pool, budgets = np.zeros(np.size(d), dtype=np.intp), [budgets]
+    return water_fill(sort_demands(d, pool_layout(pool, len(budgets))), budgets)
+
+
 def test_capacity_covers_demand():
     d = np.array([1.0, 3.0, 0.5])
-    out = water_fill(d, 10.0)
+    out = fill_demands(d, 10.0)
     assert np.array_equal(out, d)
 
 
 def test_two_flows_water_level():
     # demands (1, 3), capacity 2 -> level 1 -> allocations (1, 1)
-    out = water_fill(np.array([1.0, 3.0]), 2.0)
+    out = fill_demands(np.array([1.0, 3.0]), 2.0)
     assert np.allclose(out, [1.0, 1.0])
 
 
 def test_identical_flows_split_evenly():
-    out = water_fill(np.array([4.0, 4.0]), 4.0)
+    out = fill_demands(np.array([4.0, 4.0]), 4.0)
     assert np.allclose(out, [2.0, 2.0])
 
 
 def test_empty_and_zero_capacity():
-    assert water_fill(np.array([]), 5.0).size == 0
-    assert np.array_equal(water_fill(np.array([1.0, 2.0]), 0.0), [0.0, 0.0])
+    assert fill_demands(np.array([]), 5.0).size == 0
+    assert np.array_equal(fill_demands(np.array([1.0, 2.0]), 0.0), [0.0, 0.0])
 
 
 def test_order_independent():
@@ -37,8 +45,8 @@ def test_order_independent():
         d = rng.uniform(0.0, 5.0, int(rng.integers(1, 12)))
         cap = float(rng.uniform(0.0, d.sum() * 1.2))
         perm = rng.permutation(d.size)
-        base = water_fill(d, cap)
-        permuted = water_fill(d[perm], cap)
+        base = fill_demands(d, cap)
+        permuted = fill_demands(d[perm], cap)
         assert np.array_equal(base[perm], permuted)
 
 
@@ -47,7 +55,7 @@ def test_conservation_and_caps():
     for _ in range(60):
         d = rng.uniform(0.0, 5.0, int(rng.integers(1, 10)))
         cap = float(rng.uniform(0.0, d.sum() * 1.5 + 0.1))
-        out = water_fill(d, cap)
+        out = fill_demands(d, cap)
         assert np.all(out <= d + 1e-12)
         assert out.sum() <= min(cap, d.sum()) + 1e-9
         if d.sum() > cap:  # scarce: capacity exhausted at the unique water level
@@ -58,14 +66,14 @@ def test_conservation_and_caps():
                                                ([1.0, 2.0], np.nan)])
 def test_non_finite_input_rejected(demands, capacity):
     with pytest.raises(InvalidParams):
-        water_fill(np.array(demands), capacity)
+        fill_demands(np.array(demands), capacity)
 
 
 def test_pool_must_index_capacity():
     with pytest.raises(InvalidParams):
-        water_fill(np.array([1.0, 2.0]), np.array([1.0]), pool=np.array([0, 1]))
+        fill_demands(np.array([1.0, 2.0]), np.array([1.0]), np.array([0, 1]))
     with pytest.raises(DimensionMismatch):
-        water_fill(np.array([1.0, 2.0]), np.array([1.0, 1.0]), pool=np.array([0]))
+        fill_demands(np.array([1.0, 2.0]), np.array([1.0, 1.0]), np.array([0]))
 
 
 @pytest.mark.parametrize("demands, pool", [([[1.0, 2.0]], None), ([1.0, -2.0], None),
@@ -74,7 +82,7 @@ def test_pool_must_index_capacity():
 def test_malformed_demands_and_pools_raise_invalid_params(demands, pool):
     capacity = 3.0 if pool is None else np.array([1.0, 1.0])
     with pytest.raises(InvalidParams):
-        water_fill(np.array(demands), capacity, pool=None if pool is None else np.array(pool))
+        fill_demands(np.array(demands), capacity, None if pool is None else np.array(pool))
 
 
 def _lexsort_fill(d, cap, pool):
@@ -106,7 +114,7 @@ def test_sort_matches_lexsort_bit_for_bit(num_pools):
         pool = rng.integers(0, num_pools, n)
         cap = rng.uniform(0.0, 2.0, num_pools) * np.bincount(pool, d, num_pools)
         cap[rng.random(num_pools) < 0.1] = 0.0
-        assert np.array_equal(water_fill(d, cap, pool=pool), _lexsort_fill(d, cap, pool))
+        assert np.array_equal(fill_demands(d, cap, pool), _lexsort_fill(d, cap, pool))
 
 
 def reference_fill(d, capacity):
@@ -156,9 +164,9 @@ def pooled_demands(draw):
 @given(pooled_demands())
 def test_segmented_fill_matches_per_pool_fill(case):
     d, budgets, pool, perm = case
-    got = water_fill(d, budgets, pool=pool)
+    got = fill_demands(d, budgets, pool)
     np.testing.assert_allclose(got, per_pool_fill(d, budgets, pool), rtol=1e-12, atol=0)
-    assert np.array_equal(water_fill(d[perm], budgets, pool=pool[perm]), got[perm])
+    assert np.array_equal(fill_demands(d[perm], budgets, pool[perm]), got[perm])
     for p, budget in enumerate(budgets):
         members = pool == p
         total = math.fsum(d[members])
@@ -170,7 +178,7 @@ def test_segmented_fill_matches_per_pool_fill(case):
 def _fill_without_warnings(d, budgets, pool=None):
     with warnings.catch_warnings():
         warnings.simplefilter("error")  # the padding divides 0/0 and x/0
-        return water_fill(d, budgets, pool=pool)
+        return fill_demands(d, budgets, pool)
 
 
 def test_pool_sizes_around_powers_of_two_in_one_call():
@@ -216,15 +224,15 @@ def test_one_layout_fills_many_demand_vectors_as_lexsort():
     for _ in range(4):
         d = rng.choice([0.0, 0.5, 1.0, 2.5], pool.size) * rng.choice([1.0, 1.0 + 1e-12], pool.size)
         cap = rng.uniform(0.0, 1.5, sizes.size) * np.bincount(pool, d, sizes.size)
-        assert np.array_equal(water_fill(d, cap, pool=layout), _lexsort_fill(d, cap, pool))
+        assert np.array_equal(water_fill(sort_demands(d, layout), cap), _lexsort_fill(d, cap, pool))
 
 
 def test_layout_checks():
     layout = pool_layout(np.array([0, 1, 1]), 2)
     with pytest.raises(DimensionMismatch):  # demands of another length
-        water_fill(np.ones(4), np.ones(2), pool=layout)
+        sort_demands(np.ones(4), layout)
     with pytest.raises(DimensionMismatch):  # budgets for another pool count
-        water_fill(np.ones(3), np.ones(3), pool=layout)
+        water_fill(sort_demands(np.ones(3), layout), np.ones(3))
     for pool, num_pools in (([0, 2], 2), ([0, 1], 0), ([0, 1], 2.0), ([[0, 1]], 2)):
         with pytest.raises(InvalidParams):
             pool_layout(np.array(pool), num_pools)
@@ -247,8 +255,8 @@ def test_one_sorted_form_fills_many_budget_vectors_as_lexsort():
                np.full(sizes.size, -np.inf)]
     for cap in budgets:
         got = water_fill(fill, cap)
-        assert np.array_equal(got, water_fill(d, cap, pool=pool))
-        assert np.array_equal(got, water_fill(d, cap, pool=layout))
+        assert np.array_equal(got, fill_demands(d, cap, pool))
+        assert np.array_equal(got, water_fill(sort_demands(d, layout), cap))
         assert np.array_equal(got, _lexsort_fill(d, cap, pool))
 
 
@@ -264,8 +272,8 @@ def test_sorted_form_checks():
         sort_demands(np.array([1.0, np.nan, 1.0]), layout)
     with pytest.raises(DimensionMismatch):  # demands of another length
         sort_demands(np.ones(4), layout)
-    with pytest.raises(InvalidParams):  # a sorted form carries its pools
-        water_fill(fill, np.ones(2), pool=layout)
+    with pytest.raises(InvalidParams):  # raw demands are sorted first
+        water_fill(d, np.ones(2))
     with pytest.raises(InvalidParams):  # NaN budgets, before the pool count
         water_fill(fill, np.array([np.nan, 1.0, 1.0]))
     with pytest.raises(DimensionMismatch):  # budgets for another pool count
@@ -343,7 +351,7 @@ def test_pool_sizes_in_the_narrowest_type_that_holds_the_width():
     d = rng.choice([0.5, 1.0, 2.5], pool.size) * rng.choice([1.0, 1.0 + 1e-12], pool.size)
     for share in (0.2, 0.6, 0.95):
         cap = share * np.bincount(pool, d)
-        assert np.array_equal(water_fill(d, cap, pool=layout), _lexsort_fill(d, cap, pool))
+        assert np.array_equal(water_fill(sort_demands(d, layout), cap), _lexsort_fill(d, cap, pool))
 
 
 def test_carried_sorted_form_checks():

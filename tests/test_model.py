@@ -14,7 +14,7 @@ from conftest import make_instance
 def scenario(capacities=(100.0, 200.0), min_share=(0.1, 0.2), max_share=(0.4, 0.5)):
     """A scenario of these elements and applications, one entity and no flows."""
     return Scenario(capacities=capacities, min_share=min_share, max_share=max_share,
-                    num_entities=1, flows=Flows.of([]),
+                    num_entities=1, flows=Flows([], [], [], [], []),
                     ratios=TranslatingRatios(np.ones((len(capacities), len(min_share)))), seed=0)
 
 
@@ -46,12 +46,12 @@ class TestDomainTypes:
 
     def test_flow_demand_positive(self):
         with pytest.raises(InvalidParams, match="flow 0"):
-            Flows.of([Flow(id=0, entity_id=0, app_id=0, element_id=0, demand_bw=0.0)])
+            Flows([0], [0], [0], [0], [0.0])
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_flow_demand_finite(self, bad):
         with pytest.raises(InvalidParams, match="flow 0"):
-            Flows.of([Flow(id=0, entity_id=0, app_id=0, element_id=0, demand_bw=bad)])
+            Flows([0], [0], [0], [0], [bad])
 
     @pytest.mark.parametrize("field", ["capacities", "lower", "upper", "coeff"])
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
@@ -101,26 +101,30 @@ class TestFlows:
              Flow(id=2, entity_id=0, app_id=1, element_id=4, demand_bw=1.25),
              Flow(id=9, entity_id=1, app_id=0, element_id=0, demand_bw=3.0)]
 
+    def flows(self, rows=slice(None)):
+        """The columns of ``FLOWS[rows]``."""
+        return Flows(*zip(*self.FLOWS[rows]))
+
     def test_round_trip(self):
-        f = Flows.of(self.FLOWS)
-        assert Flows.of(list(f)) == f
+        # columns to Flow views and back through the constructor
+        f = self.flows()
+        assert Flows(*zip(*f)) == f
         assert list(f) == self.FLOWS
-        assert Flows.of([]) == Flows([], [], [], [], [])
-        assert f != Flows.of(self.FLOWS[:2]) and f != self.FLOWS
+        assert f != self.flows(slice(2)) and f != self.FLOWS
 
     def test_sequence_reads(self):
-        f = Flows.of(self.FLOWS)
-        assert len(f) == 3 and len(Flows.of([])) == 0
+        f = self.flows()
+        assert len(f) == 3 and len(Flows([], [], [], [], [])) == 0
         assert f[1] == self.FLOWS[1] and f[-1] == self.FLOWS[-1]
         assert type(f[0].id) is int and type(f[0].demand_bw) is float
         assert isinstance(f[1:], Flows) and list(f[1:]) == self.FLOWS[1:]
-        assert f[::2] == Flows.of(self.FLOWS[::2])
+        assert f[::2] == self.flows(slice(None, None, 2))
         assert [g.id for g in f] == [5, 2, 9]
         with pytest.raises(IndexError):
             f[3]
 
     def test_columns_read_only(self):
-        f = Flows.of(self.FLOWS)
+        f = self.flows()
         assert f.id.dtype == np.int64 and f.demand.dtype == float
         for col in (f.id, f.entity, f.app, f.element, f.demand):
             with pytest.raises(ValueError):
@@ -154,12 +158,6 @@ class TestFlows:
         cols[column] = [1.0, 2.0]  # whole floats are integers
         assert Flows(*cols)[1] == Flow(*(c[1] for c in cols))
 
-    @pytest.mark.parametrize("flows", [[(1, 0, 0, 0)], [(1, 0, 0, 0, 1.0, 2)],
-                                       [(1, 0, 0, 0, 1.0), (2, 0, 0, 0)], [1, 2]])
-    def test_of_rejects_wrong_field_count(self, flows):
-        with pytest.raises(DimensionMismatch, match="5 fields"):
-            Flows.of(flows)
-
     @pytest.mark.parametrize("bad", [0.0, -1.0, np.nan, np.inf])
     def test_bad_demand_names_flow(self, bad):
         with pytest.raises(InvalidParams, match="flow 7"):
@@ -168,7 +166,7 @@ class TestFlows:
             Flows([3, 7], [0, 0], [0, 0], [0, 0], [1.0, 1.0]).with_demand([1.0, bad])
 
     def test_with_demand_shares_the_other_columns(self):
-        f = Flows.of(self.FLOWS)
+        f = self.flows()
         demand = np.array([1.0, 2.0, 4.0])
         g = f.with_demand(demand)
         assert all(a is b for a, b in zip((g.id, g.entity, g.app, g.element),

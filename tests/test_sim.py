@@ -12,8 +12,8 @@ import ranshare
 from ranshare import sim
 from ranshare.baselines import ReservationConfig, net_rsv_allocate, per_bs_rsv_allocate
 from ranshare.errors import DimensionMismatch, InvalidParams, UnknownReference
-from ranshare.fairshare import sort_demands, water_fill
-from ranshare.model import AllocationMatrix, Flow, FlowAllocation, Flows, check_feasible
+from ranshare.fairshare import pool_layout, sort_demands, water_fill
+from ranshare.model import AllocationMatrix, FlowAllocation, Flows, check_feasible
 from ranshare.sim import (ALL_SCHEMES, HotspotParams, Scenario, ScenarioParams, add_hotspot,
                           allocate_app_opt, build_instance, flow_utility,
                           generate_scenario, qoe_satisfied_count, run_experiment,
@@ -118,15 +118,25 @@ class TestScenarioColumns:
 
     def test_unknown_reference_rejected(self):
         scen = generate_scenario(DESK, 3)
-        stray = Flow(id=999, entity_id=scen.num_entities, app_id=0, element_id=0,
-                     demand_bw=1.0)
+        f = scen.flows
+        # a stray flow (id 999) of an entity the scenario does not have
+        stray = (999, scen.num_entities, 0, 0, 1.0)
+        flows = Flows(*(np.append(col, x) for col, x in
+                        zip((f.id, f.entity, f.app, f.element, f.demand), stray)))
         with pytest.raises(InvalidParams, match="flow 999"):
-            replace(scen, flows=Flows.of([*scen.flows, stray]))
+            replace(scen, flows=flows)
 
     def test_flow_tuple_rejected(self):
         scen = generate_scenario(DESK, 3)
-        with pytest.raises(InvalidParams, match="Flows.of"):
+        with pytest.raises(InvalidParams, match="Flows of columns, got tuple"):
             replace(scen, flows=tuple(scen.flows))
+
+    def test_ratios_of_another_type_rejected(self):
+        # a bare array has the ratios' shape but is no TranslatingRatios; a sweep on it
+        # failed with an untyped AttributeError
+        scen = generate_scenario(DESK, 3)
+        with pytest.raises(InvalidParams, match="TranslatingRatios, got ndarray"):
+            replace(scen, ratios=np.ones((20, 6)))
 
 
 class TestScaleLoad:
@@ -142,14 +152,28 @@ class TestScaleLoad:
 
     def test_demand_estimation_scales_linearly(self):
         scen = generate_scenario(DESK, 3)
-        d1 = estimate_demand(scen.flows, scen.ratios)
-        d4 = estimate_demand(scale_load(scen, 4.0).flows, scen.ratios)
+        d1 = estimate_demand(scen)
+        d4 = estimate_demand(scale_load(scen, 4.0))
         assert np.allclose(d4, 4.0 * d1, rtol=1e-12)
+
+    @pytest.mark.parametrize("kind", ["linear", "logarithmic"])
+    def test_coefficients_are_the_cell_sums_times_the_ratios(self, kind):
+        # the estimate sums each cell's demands in flow order, as one bincount over the
+        # flows' (element, app) cells gives them, bit for bit
+        base = generate_scenario(DESK, 5)
+        hot = add_hotspot(base, HotspotParams(n_flows=60, n_elements=20), 6)
+        mask = np.arange(len(hot.flows)) >= len(base.flows)
+        num_i, num_k = hot.ratios.shape
+        for load in (1.0, 5.0):
+            s = scale_load(hot, load, mask)
+            f = s.flows
+            want = np.bincount(f.element * num_k + f.app, f.demand, num_i * num_k)
+            assert np.array_equal(build_instance(s, kind).coeff,
+                                  want.reshape(num_i, num_k) * s.ratios.values)
 
     def test_subset_scaling(self):
         scen = generate_scenario(DESK, 3)
-        ids = {scen.flows[0].id, scen.flows[1].id}
-        scaled = scale_load(scen, 5.0, flow_ids=ids)
+        scaled = scale_load(scen, 5.0, np.arange(len(scen.flows)) < 2)
         assert scaled.flows[0].demand_bw == pytest.approx(5.0 * scen.flows[0].demand_bw)
         assert scaled.flows[2].demand_bw == scen.flows[2].demand_bw
 
@@ -157,36 +181,37 @@ class TestScaleLoad:
     def test_matches_per_flow_scaling(self, multiplier):
         base = generate_scenario(DESK, 3)
         hot = add_hotspot(base, HotspotParams(n_flows=40, n_elements=20), 4)
-        ids = tuple(f.id for f in hot.flows[len(base.flows):])
-        for flow_ids in (None, ids, set(ids[::3]), ()):
-            chosen = None if flow_ids is None else set(flow_ids)
+        n = len(hot.flows)
+        hotspot = np.arange(n) >= len(base.flows)
+        for mask in (None, hotspot, hotspot & (np.arange(n) % 3 == 0), np.zeros(n, dtype=bool)):
             want = tuple(f._replace(demand_bw=f.demand_bw * multiplier)
-                         if chosen is None or f.id in chosen else f for f in hot.flows)
-            scaled = scale_load(hot, multiplier, flow_ids=flow_ids)
+                         if mask is None or mask[j] else f for j, f in enumerate(hot.flows))
+            scaled = scale_load(hot, multiplier, mask)
             assert tuple(scaled.flows) == want
-            assert scaled.flows == Flows.of(want)
+            assert scaled.flows == Flows(*zip(*want))
             assert all(type(f.demand_bw) is float for f in scaled.flows)
 
-    @pytest.mark.parametrize("flow_ids, error", [
-        ([999], UnknownReference), ([1.5], InvalidParams), ([True], InvalidParams),
-        (["a"], InvalidParams), ([1, np.int64(2), False], InvalidParams),
-        (np.array([1.0]), InvalidParams), (np.array([[1]]), InvalidParams), (5, InvalidParams)])
-    def test_malformed_flow_ids_rejected(self, flow_ids, error):
+    @pytest.mark.parametrize("multiplier", [1.0, 2.0])
+    @pytest.mark.parametrize("mask, error", [
+        (np.ones(20, dtype=int), InvalidParams), ([1.0] * 20, InvalidParams),
+        (np.ones(19, dtype=bool), DimensionMismatch),
+        (np.ones((1, 20), dtype=bool), DimensionMismatch)], ids=["int", "float", "short", "2-D"])
+    def test_malformed_mask_rejected(self, mask, error, multiplier):
         scen = generate_scenario(ScenarioParams(num_elements=5, num_entities=2, num_apps=3,
                                                 num_flows=20), 1)
-        for multiplier in (1.0, 2.0):
-            with pytest.raises(error):
-                scale_load(scen, multiplier, flow_ids=flow_ids)
+        with pytest.raises(error):
+            scale_load(scen, multiplier, mask)
 
     def test_scaled_scenario_shares_the_flow_plan(self):
         scen = generate_scenario(DESK, 3)
-        assert scale_load(scen, 2.0, flow_ids=np.array([0, 5])).flow_plan is scen.flow_plan
+        assert scale_load(scen, 2.0, np.isin(scen.flows.id, [0, 5])).flow_plan is scen.flow_plan
 
     @pytest.mark.parametrize("flow_ids", [None, [0, 5]])
     def test_scaled_scenario_shares_all_but_the_demands(self, flow_ids):
         # only the demand column is new, so it alone is checked again
         scen = generate_scenario(DESK, 3)
-        scaled = scale_load(scen, 2.0, flow_ids=flow_ids)
+        scaled = scale_load(scen, 2.0, None if flow_ids is None
+                            else np.isin(scen.flows.id, flow_ids))
         assert scaled == replace(scen, flows=scaled.flows)
         for name in ("id", "entity", "app", "element"):
             assert getattr(scaled.flows, name) is getattr(scen.flows, name)
@@ -199,19 +224,20 @@ class TestScaleLoad:
         # handed on: the scaled scenario builds both from its own demands
         scen = generate_scenario(DESK, 3)
         base_demand, base_fill = scen.resource_demand, scen.pair_fill
-        scaled = scale_load(scen, 3.0, flow_ids=flow_ids)
+        scaled = scale_load(scen, 3.0, None if flow_ids is None
+                            else np.isin(scen.flows.id, flow_ids))
         flows, num_i = scaled.flows, scen.capacities.size
         want = flows.demand * scen.ratios.values[flows.element, flows.app]
         assert np.array_equal(scaled.resource_demand, want)
         assert not np.array_equal(scaled.resource_demand, base_demand)
         assert scaled.pair_fill is not base_fill
         assert scaled.pair_fill.demands is scaled.resource_demand
-        pool = flows.entity * num_i + flows.element
+        pool = pool_layout(flows.entity * num_i + flows.element, scen.num_entities * num_i)
         budget = np.random.default_rng(1).uniform(0.0, 2.0, scen.num_entities * num_i)
         assert np.array_equal(water_fill(scaled.pair_fill, budget),
-                              water_fill(want, budget, pool=pool))
+                              water_fill(sort_demands(want, pool), budget))
         assert np.array_equal(water_fill(scen.pair_fill, budget),
-                              water_fill(base_demand, budget, pool=pool))
+                              water_fill(sort_demands(base_demand, pool), budget))
 
     def test_rejects_below_one(self):
         with pytest.raises(InvalidParams):
@@ -261,8 +287,8 @@ class TestAddHotspot:
 class TestSecondPhase:
     def cell(self, demands, ratio=1.0):
         """A scenario of one cell (one element, entity and application) holding these flows."""
-        flows = Flows.of(Flow(id=j, entity_id=0, app_id=0, element_id=0, demand_bw=d)
-                         for j, d in enumerate(demands))
+        zeros = [0] * len(demands)
+        flows = Flows(range(len(demands)), zeros, zeros, zeros, demands)
         return Scenario(capacities=[10.0], min_share=[0.0], max_share=[1.0], num_entities=1,
                         flows=flows, ratios=TranslatingRatios([[ratio]]), seed=0)
 
@@ -305,7 +331,7 @@ class TestSecondPhase:
     def test_app_opt_flows_are_the_second_phase_of_its_grant(self, kind):
         base = generate_scenario(DESK, 5)
         hot = add_hotspot(base, HotspotParams(n_flows=60, n_elements=20), 6)
-        scen = scale_load(hot, 4.0, flow_ids=hot.flows.id[len(base.flows):])
+        scen = scale_load(hot, 4.0, np.arange(len(hot.flows)) >= len(base.flows))
         flow_alloc, result = allocate_app_opt(scen, kind, SolverConfig(epsilon=1.0))
         again = second_phase_allocate(scen, result.allocation)
         for name in ("flow_ids", "bandwidth", "resource", "demand_resource"):
@@ -314,8 +340,9 @@ class TestSecondPhase:
         f, grant, ratios = scen.flows, result.allocation.values, scen.ratios.values
         for i, k in {(int(i), int(k)) for i, k in zip(f.element, f.app)}:
             in_cell = (f.element == i) & (f.app == k)
+            alone = sort_demands(f.demand[in_cell], pool_layout(np.zeros(in_cell.sum(), int), 1))
             assert np.allclose(flow_alloc.bandwidth[in_cell],
-                               water_fill(f.demand[in_cell], grant[i, k] / ratios[i, k]),
+                               water_fill(alone, [grant[i, k] / ratios[i, k]]),
                                rtol=1e-12, atol=0.0)
 
 
@@ -325,18 +352,16 @@ class TestFlowMetrics:
         return FlowAllocation(flow_ids=ids, bandwidth=bw, resource=res, demand_resource=dres)
 
     def test_qoe_counts_fully_served(self):
-        flows = Flows.of([Flow(id=0, entity_id=0, app_id=0, element_id=0, demand_bw=1.0),
-                          Flow(id=1, entity_id=0, app_id=0, element_id=0, demand_bw=3.0)])
+        flows = Flows([0, 1], [0, 0], [0, 0], [0, 0], [1.0, 3.0])
         alloc = self.alloc([1.0, 1.0], [1.0, 1.0], [1.0, 3.0])
         assert qoe_satisfied_count(alloc, flows) == 1
 
     def test_qoe_zero_when_starved(self):
-        flows = Flows.of([Flow(id=0, entity_id=0, app_id=0, element_id=0, demand_bw=1.0)])
+        flows = Flows([0], [0], [0], [0], [1.0])
         assert qoe_satisfied_count(self.alloc([0.0], [0.0], [1.0]), flows) == 0
 
     def test_qoe_rejects_misaligned_allocation(self):
-        flows = Flows.of([Flow(id=7, entity_id=0, app_id=0, element_id=0, demand_bw=1.0),
-                          Flow(id=3, entity_id=0, app_id=0, element_id=0, demand_bw=3.0)])
+        flows = Flows([7, 3], [0, 0], [0, 0], [0, 0], [1.0, 3.0])
         assert qoe_satisfied_count(self.alloc([1.0, 3.0], [1.0, 3.0], [1.0, 3.0],
                                               ids=(7, 3)), flows) == 2
         shared = self.alloc([1.0, 3.0], [1.0, 3.0], [1.0, 3.0], ids=flows.id)
@@ -346,7 +371,7 @@ class TestFlowMetrics:
                                 flows)
 
     def test_qoe_rejects_unknown_flow_id(self):
-        flows = Flows.of([Flow(id=0, entity_id=0, app_id=0, element_id=0, demand_bw=1.0)])
+        flows = Flows([0], [0], [0], [0], [1.0])
         with pytest.raises(InvalidParams, match="not aligned"):
             qoe_satisfied_count(self.alloc([1.0, 1.0], [1.0, 1.0], [1.0, 1.0], ids=(0, 5)),
                                 flows)
@@ -436,8 +461,8 @@ class TestRunExperiment:
         ids = list(range(len(base.flows), len(hot.flows)))
         cfg = SolverConfig(epsilon=1.0)
         allocate = {SCHEME_APP_OPT: lambda s: allocate_app_opt(s, kind, cfg),
-                    "net-rsv": lambda s: (net_rsv_allocate(s).flow_alloc, None),
-                    "per-bs-rsv": lambda s: (per_bs_rsv_allocate(s).flow_alloc, None)}
+                    "net-rsv": lambda s: (net_rsv_allocate(s), None),
+                    "per-bs-rsv": lambda s: (per_bs_rsv_allocate(s), None)}
         for loads, flow_ids in (([1.0, 4.0, 9.0], ids), ([5.0, 1.0, 5.0, 9.0], ids),
                                 ([3.0, 1.0, 7.0], None)):
             rep = run_experiment(hot, ALL_SCHEMES, loads, kind, solver_config=cfg,
@@ -445,7 +470,8 @@ class TestRunExperiment:
             assert [(r.scheme, r.load) for r in rep.rows] == \
                 [(s, load) for load in loads for s in ALL_SCHEMES]
             for row in rep.rows:
-                scen = scale_load(replace(hot), row.load, flow_ids=flow_ids)
+                scen = scale_load(replace(hot), row.load,
+                                  None if flow_ids is None else np.isin(hot.flows.id, flow_ids))
                 alloc, result = allocate[row.scheme](scen)
                 app_m = float(alloc.resource[scen.flows.app == 0].sum())
                 assert row.error is None
@@ -497,12 +523,29 @@ class TestRunExperiment:
             shared = [x is y for x, y in zip(a.blocks, b.blocks)]
             assert not any(shared) if scaled == "uniform" else any(shared) and not all(shared)
 
-    @pytest.mark.parametrize("flow_ids, error", [([999], UnknownReference),
-                                                 ([1.5], InvalidParams)])
+    @pytest.mark.parametrize("flow_ids, error", [
+        ([999], UnknownReference), ([1.5], InvalidParams), ([True], InvalidParams),
+        (["a"], InvalidParams), ([1, np.int64(2), False], InvalidParams),
+        (np.array([1.0]), InvalidParams), (np.array([[1]]), InvalidParams), (5, InvalidParams)])
     def test_malformed_flow_ids_rejected_before_any_cell(self, flow_ids, error):
-        with pytest.raises(error):
-            run_experiment(generate_scenario(DESK, 1), ALL_SCHEMES, [1.0], "linear",
-                           scale_flow_ids=flow_ids)
+        for loads in ([1.0], [2.0]):
+            with pytest.raises(error):
+                run_experiment(generate_scenario(DESK, 1), ALL_SCHEMES, loads, "linear",
+                               scale_flow_ids=flow_ids)
+
+    def test_flow_id_forms_give_the_same_rows(self):
+        # the hotspot ids as a tuple (what perfbench passes), an int64 array (what the
+        # CLI passes), a list and a set
+        base = generate_scenario(DESK, 5)
+        hot = add_hotspot(base, HotspotParams(n_flows=60, n_elements=20), 6)
+        ids = hot.flows.id[len(base.flows):]
+        assert ids.dtype == np.int64
+        rows = [tuple(replace(row, solve_ms=None) for row in run_experiment(
+                    hot, ALL_SCHEMES, [1.0, 4.0], "logarithmic",
+                    solver_config=SolverConfig(epsilon=1.0), scale_flow_ids=form).rows)
+                for form in (tuple(ids.tolist()), ids, ids.tolist(), set(ids.tolist()))]
+        assert all(r == rows[0] for r in rows[1:])
+        assert rows[0][3].total_utility != rows[0][0].total_utility  # load 4 scaled the ids
 
     def test_per_bs_error_row_in_a_sweep(self):
         # five entities at half an element each oversubscribe it: per-bs-rsv fails at

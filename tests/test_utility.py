@@ -3,15 +3,24 @@ import math
 import numpy as np
 import pytest
 
-from ranshare.errors import DomainError, InvalidParams, UnknownReference
-from ranshare.model import AllocationMatrix, Flow, Flows
+from ranshare.errors import DomainError, InvalidParams
+from ranshare.model import AllocationMatrix, Flows
+from ranshare.sim import Scenario
 from ranshare.utility import TranslatingRatios, estimate_demand, total_utility
 
 from conftest import make_instance, random_instance
 
 
-def flow(fid, element, app, bw, entity=0):
-    return Flow(id=fid, entity_id=entity, app_id=app, element_id=element, demand_bw=bw)
+def cells(ratios, *flows):
+    """A scenario over the grid of ``ratios`` holding one entity's flows, each given as
+    (element, app, demand_bw)."""
+    ratios = TranslatingRatios(ratios)
+    num_i, num_k = ratios.shape
+    element, app, bw = zip(*flows) if flows else ((), (), ())
+    zeros = [0] * len(bw)
+    return Scenario(capacities=np.ones(num_i), min_share=np.zeros(num_k),
+                    max_share=np.ones(num_k), num_entities=1,
+                    flows=Flows(range(len(bw)), zeros, app, element, bw), ratios=ratios, seed=0)
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, 0.0])
@@ -22,38 +31,33 @@ def test_translating_ratios_finite_and_positive(bad):
 
 class TestEstimateDemand:
     def test_no_flows_gives_zero_matrix(self):
-        ratios = TranslatingRatios(np.full((3, 2), 1.5))
-        d = estimate_demand(Flows.of([]), ratios)
+        d = estimate_demand(cells(np.full((3, 2), 1.5)))
         assert np.array_equal(d, np.zeros((3, 2)))
         assert not d.flags.writeable
 
     def test_single_flow_scaled_by_ratio(self):
-        ratios = TranslatingRatios([[1.0, 1.5]])
-        d = estimate_demand(Flows.of([flow(0, 0, 1, 2.0)]), ratios)
+        d = estimate_demand(cells([[1.0, 1.5]], (0, 1, 2.0)))
         assert d[0, 1] == pytest.approx(3.0)
 
     def test_flows_at_same_cell_sum_before_scaling(self):
-        ratios = TranslatingRatios([[2.0]])
-        flows = [flow(0, 0, 0, 0.5), flow(1, 0, 0, 1.0), flow(2, 0, 0, 0.5)]
-        d = estimate_demand(Flows.of(flows), ratios)
+        d = estimate_demand(cells([[2.0]], (0, 0, 0.5), (0, 0, 1.0), (0, 0, 0.5)))
         assert d[0, 0] == pytest.approx(4.0)
 
     def test_unknown_cell_rejected(self):
-        ratios = TranslatingRatios([[1.0]])
-        with pytest.raises(UnknownReference):
-            estimate_demand(Flows.of([flow(0, 0, 3, 1.0)]), ratios)
+        # a flow outside the grid never reaches the estimate: its scenario is not built
+        with pytest.raises(InvalidParams, match="unknown object"):
+            cells([[1.0]], (0, 3, 1.0))
 
     def test_additive_in_flow_splits(self):
         # splitting one flow into two with the same total leaves demand unchanged
         rng = np.random.default_rng(11)
-        ratios = TranslatingRatios(rng.uniform(0.1, 4.0, (4, 3)))
+        ratios = rng.uniform(0.1, 4.0, (4, 3))
         for _ in range(25):
             i, k = int(rng.integers(4)), int(rng.integers(3))
             bw = float(rng.uniform(0.5, 3.0))
             cut = float(rng.uniform(0.1, 0.9)) * bw
-            whole = estimate_demand(Flows.of([flow(0, i, k, bw)]), ratios)
-            split = estimate_demand(Flows.of([flow(0, i, k, cut), flow(1, i, k, bw - cut)]),
-                                    ratios)
+            whole = estimate_demand(cells(ratios, (i, k, bw)))
+            split = estimate_demand(cells(ratios, (i, k, cut), (i, k, bw - cut)))
             assert np.allclose(whole, split, rtol=1e-12, atol=1e-12)
 
 
