@@ -202,6 +202,18 @@ class TestScaleLoad:
         with pytest.raises(error):
             scale_load(scen, multiplier, mask)
 
+    @pytest.mark.parametrize("flow_ids, error", [
+        ([999], UnknownReference), ([1.5], InvalidParams), ([True], InvalidParams),
+        (["a"], InvalidParams), ([1, np.int64(2), False], InvalidParams),
+        (np.array([1.0]), InvalidParams), (np.array([[1]]), InvalidParams), (5, InvalidParams)])
+    def test_malformed_flow_ids_rejected(self, flow_ids, error):
+        # run_experiment resolves scale_flow_ids into scale_load's mask, at every load
+        scen = generate_scenario(ScenarioParams(num_elements=5, num_entities=2, num_apps=3,
+                                                num_flows=20), 1)
+        for loads in ([1.0], [2.0]):
+            with pytest.raises(error):
+                run_experiment(scen, ALL_SCHEMES, loads, "linear", scale_flow_ids=flow_ids)
+
     def test_scaled_scenario_shares_the_flow_plan(self):
         scen = generate_scenario(DESK, 3)
         assert scale_load(scen, 2.0, np.isin(scen.flows.id, [0, 5])).flow_plan is scen.flow_plan
@@ -523,15 +535,12 @@ class TestRunExperiment:
             shared = [x is y for x, y in zip(a.blocks, b.blocks)]
             assert not any(shared) if scaled == "uniform" else any(shared) and not all(shared)
 
-    @pytest.mark.parametrize("flow_ids, error", [
-        ([999], UnknownReference), ([1.5], InvalidParams), ([True], InvalidParams),
-        (["a"], InvalidParams), ([1, np.int64(2), False], InvalidParams),
-        (np.array([1.0]), InvalidParams), (np.array([[1]]), InvalidParams), (5, InvalidParams)])
+    @pytest.mark.parametrize("flow_ids, error", [([999], UnknownReference),
+                                                 ([1.5], InvalidParams)])
     def test_malformed_flow_ids_rejected_before_any_cell(self, flow_ids, error):
-        for loads in ([1.0], [2.0]):
-            with pytest.raises(error):
-                run_experiment(generate_scenario(DESK, 1), ALL_SCHEMES, loads, "linear",
-                               scale_flow_ids=flow_ids)
+        with pytest.raises(error):
+            run_experiment(generate_scenario(DESK, 1), ALL_SCHEMES, [1.0], "linear",
+                           scale_flow_ids=flow_ids)
 
     def test_flow_id_forms_give_the_same_rows(self):
         # the hotspot ids as a tuple (what perfbench passes), an int64 array (what the
