@@ -24,7 +24,6 @@ from .model import AllocationMatrix, ProblemInstance, integers
 from .utility import _utility_sum, marginal_utility, total_utility
 
 _ARMIJO = 1e-4
-_CONTRACTION = 0.5
 _BOUNDARY_FRACTION = 1e-12  # trial slacks must keep this fraction of their previous value
 _MAX_BACKTRACKS = 80
 _PLATEAU_WINDOW = 20
@@ -243,7 +242,10 @@ class _InnerProblem:
 
     def gradient(self, s, t, slacks=None):
         row, col = self.barrier_terms(self.slacks(s) if slacks is None else slacks)
-        g = t * marginal_utility(self.inst.utility_kind, self.inst.coeff, s)
+        if self.inst.utility_kind == "linear":
+            g = t * self.inst.coeff
+        else:
+            g = t * marginal_utility(self.inst.coeff, s)
         return g - row[:, None] - col[None, :]
 
     def curvature_terms(self, slacks):
@@ -415,44 +417,59 @@ def _newton_cg_direction(terms, g, mask):
     matrix-vector product costs one pass over the grid.  Truncated CG output
     always has positive inner product with g (an ascent direction).
 
-    Every grid vector of the iteration (x, r, z, p, the product and one
-    temporary) and the row and column sums of the product are buffers
-    allocated once per call and updated in place, in the same floating-point
-    operations as the textbook expressions.  The residual is exactly +0.0
-    off the mask, so the preconditioned residual is too, and only the
-    product needs zeroing there.
+    Every grid vector of the iteration is a buffer allocated once per call
+    and updated in place, in the same floating-point operations as the
+    textbook expressions.  p and the negated product -H p share one
+    (2, I, K) buffer and x and r another, so x += alpha p and
+    r -= alpha H p are one multiply and one add: rounding is symmetric, so
+    ((-damping) p - w row) - v col is exactly -(H p), r + alpha (-H p) is
+    exactly r - alpha H p, and -(p . (-H p)) is exactly p . H p.  The
+    residual is exactly +0.0 off the mask, so the preconditioned residual
+    and p are too, and only the product needs zeroing there: it is
+    multiplied by the mask as floats, which gives a signed zero wherever the
+    product is finite, and a signed zero added to r's +0.0 leaves +0.0.  A
+    product that is not finite off the mask gives NaN there and so a NaN
+    p . H p; the product is then zeroed exactly and p . H p taken again.
     """
     w_el, v_app, precond = terms
     damping = 1e-12 * float(precond.max())  # keeps the masked Hessian nonsingular
-    off = ~mask
-    hp, tmp = np.empty(precond.shape), np.empty(precond.shape)
+    keep = mask.astype(float)
+    pn, xr, tmp = (np.empty((2,) + precond.shape) for _ in range(3))
+    p, neg_hp = pn  # p and -H p
+    x, r = xr
     row_sum, col_sum = np.empty(precond.shape[0]), np.empty(precond.shape[1])
+    row_term = row_sum[:, None]
     b = np.where(mask, g, 0.0)
-    x = np.zeros_like(b)
-    r = b.copy()
+    x.fill(0.0)
+    r[...] = b
     z = r / precond  # +0.0 off the mask, as r is
-    p = z.copy()
+    p[...] = z
     rz = float(np.vdot(r, z))
     b_norm = float(np.abs(b).max())
     if b_norm == 0.0 or rz <= 0.0:
         return z
     for _ in range(_MAX_CG):
-        # hp = H p: damping p + w (row sums of p) + v (column sums of p), 0 off the mask
-        np.multiply(p, damping, out=hp)
+        # -H p = -(damping p + w (row sums of p) + v (column sums of p)), 0 off the mask
+        np.multiply(p, -damping, out=neg_hp)
         np.add.reduce(p, axis=1, out=row_sum)
         row_sum *= w_el
-        hp += row_sum[:, None]
+        neg_hp -= row_term
         np.add.reduce(p, axis=0, out=col_sum)
         col_sum *= v_app
-        hp += col_sum
-        np.copyto(hp, 0.0, where=off)
-        php = float(np.vdot(p, hp))
+        neg_hp -= col_sum
+        neg_hp *= keep
+        php = -float(np.vdot(p, neg_hp))
+        if php != php:
+            np.copyto(neg_hp, 0.0, where=~mask)
+            php = -float(np.vdot(p, neg_hp))
         if php <= 0.0:
             return p if not x.any() else x
         alpha = rz / php
-        x += np.multiply(p, alpha, out=tmp)
-        r -= np.multiply(hp, alpha, out=tmp)
-        if np.abs(r, out=tmp).max() <= 1e-2 * b_norm:
+        xr += np.multiply(pn, alpha, out=tmp)
+        # max |r| <= tol: no entry above tol or below -tol and none NaN, which both
+        # reductions propagate; the first test alone rejects most steps
+        if (np.maximum.reduce(r, axis=None) <= 1e-2 * b_norm
+                and np.minimum.reduce(r, axis=None) >= -1e-2 * b_norm):
             break
         np.divide(r, precond, out=z)
         rz_new = float(np.vdot(r, z))
@@ -474,14 +491,17 @@ def _grid_line_search(work: _InnerProblem, s, slacks, d, g, t: float, f_cur: flo
     (``slacks``).  Returns (point, its slacks, its value), or None when no
     step within ``_MAX_BACKTRACKS`` halvings is accepted.
 
-    A trial is built in one grid buffer, and its slacks are one vector, laid
-    out by :attr:`_InnerProblem.slack_layout`, tested in one comparison.  When
-    a built trial fails on an element row (the witness), the next trials
-    first clip and sum that row alone, whose 1-D sum is the row's entry of
-    the grid's row sums, and are rejected unbuilt while it still fails;
-    rejected trials are mostly rejected this way.  The witness is cleared
-    when a built trial fails first on a column or passes the slack test.
-    Only a trial that passes has its gain and value computed.
+    The step of trial k is 2^-k.  A trial is built in one grid buffer, and
+    its slacks are one vector, laid out by :attr:`_InnerProblem.slack_layout`,
+    tested in one comparison.  When a built trial fails first on an element
+    row (the witness), that row alone is clipped and summed at every
+    remaining step in one (steps, K) stack, each of whose rows sums to the
+    same bits as the 1-D row, that is, as the row's entry of the grid's row
+    sums.  A failing witness fails the whole trial, so the next trial built
+    is the first whose witness passes, and the search fails when there is
+    none.  A trial that fails first on a column, or passes the slack test,
+    is followed by the next step built in full.  Only a trial that passes
+    has its gain and value computed.
     """
     lo, hi = work.inst.lower, work.inst.upper
     take, sign, offset = work.slack_layout
@@ -491,41 +511,44 @@ def _grid_line_search(work: _InnerProblem, s, slacks, d, g, t: float, f_cur: flo
                        np.finfo(float).smallest_subnormal)
     num_el, num_rows = s.shape[0], work.capacities.size
     low_start = num_rows + work.app_upper.size  # where the lower application slacks start
-    trial, line = np.empty(s.shape), np.empty(s.shape[1])
+    steps = np.ldexp(1.0, -np.arange(_MAX_BACKTRACKS))  # 1, 1/2, 1/4, ...: exact halvings
+    trial = np.empty(s.shape)
     sums, x = np.empty(num_el + s.shape[1]), np.empty(take.size)
     row_sums, col_sums = sums[:num_el], sums[num_el:]
-    witness = None  # the slack index of the element row that failed the last trial built
-    alpha = 1.0
-    for _ in range(_MAX_BACKTRACKS):
-        if witness is not None:
-            i = take[witness]
-            np.multiply(d[i], alpha, out=line)
-            line += s[i]
-            line.clip(lo[i], hi[i], out=line)
-            if not offset[witness] + sign[witness] * np.add.reduce(line) >= floor[witness]:
-                alpha *= _CONTRACTION
-                continue
-        np.multiply(d, alpha, out=trial)
+    k = 0
+    while k < _MAX_BACKTRACKS:
+        np.multiply(d, steps[k], out=trial)
         trial += s
         trial.clip(lo, hi, out=trial)
         np.add.reduce(trial, axis=1, out=row_sums)
         np.add.reduce(trial, axis=0, out=col_sums)
-        np.take(sums, take, out=x)
+        sums.take(take, out=x)
         x *= sign
         x += offset
         passed = x >= floor
-        if passed.all():
-            witness = None
+        witness = int(passed.argmin())  # the first slack that fails, or 0 when none does
+        k += 1
+        if passed[witness]:
             gain = float(np.vdot(g, trial - s))
             if gain > 0:
                 trial_slacks = (x[:num_rows], x[num_rows:low_start], x[low_start:])
                 f_new = work.value(trial, t, trial_slacks)
                 if f_new >= f_cur + _ARMIJO * gain:
                     return trial, trial_slacks, f_new
-        else:
-            first = int(passed.argmin())
-            witness = first if first < num_rows else None
-        alpha *= _CONTRACTION
+            continue
+        if witness >= num_rows:  # a column fails first: no row to look ahead on
+            continue
+        i = take[witness]
+        lines = np.multiply.outer(steps[k:], d[i])
+        lines += s[i]
+        lines.clip(lo[i], hi[i], out=lines)
+        row_slack = np.add.reduce(lines, axis=1)
+        row_slack *= sign[witness]
+        row_slack += offset[witness]
+        ahead = (row_slack >= floor[witness]).nonzero()[0]
+        if not ahead.size:
+            return None
+        k += int(ahead[0])
     return None
 
 
@@ -608,6 +631,7 @@ def solve(inst: ProblemInstance, config: SolverConfig | None = None) -> SolveRes
     """
     cfg = config or SolverConfig()
     work = _InnerProblem(inst)
+    scale = inst.aggregate_capacity + inst.num_apps  # gap_bound(inst, t) is scale / t
     if inst.utility_kind == "logarithmic":
         s, centre = None, _Centre(inst)
     else:
@@ -616,7 +640,7 @@ def solve(inst: ProblemInstance, config: SolverConfig | None = None) -> SolveRes
     t = cfg.t0
     trace = []
     exact = None  # (rows, tau) of the last centre, for its dual multipliers
-    while gap_bound(inst, t) > cfg.epsilon and len(trace) < cfg.max_outer_iters:
+    while scale / t > cfg.epsilon and len(trace) < cfg.max_outer_iters:
         if centre is None:
             s, iters, status, _ = _inner_loop(work, s, t)
             utility, _, barrier = work.evaluate(s)
@@ -629,7 +653,7 @@ def solve(inst: ProblemInstance, config: SolverConfig | None = None) -> SolveRes
             t=t,
             objective=utility,
             barrier=barrier,
-            gap_bound=gap_bound(inst, t),
+            gap_bound=scale / t,
             inner_iters=iters,
             inner_status=status,
         ))
@@ -643,10 +667,10 @@ def solve(inst: ProblemInstance, config: SolverConfig | None = None) -> SolveRes
     return SolveResult(
         allocation=alloc,
         objective=trace[-1].objective if trace else total_utility(inst, alloc),
-        gap_bound=gap_bound(inst, t),
+        gap_bound=scale / t,
         outer_iters=len(trace),
         inner_iters_total=sum(tr.inner_iters for tr in trace),
-        converged=gap_bound(inst, t) <= cfg.epsilon and dual_gap <= cfg.epsilon,
+        converged=scale / t <= cfg.epsilon and dual_gap <= cfg.epsilon,
         dual_gap=dual_gap,
         trace=tuple(trace),
     )

@@ -66,10 +66,9 @@ def _utility_sum(inst: ProblemInstance, s: np.ndarray) -> float:
     return float(np.vdot(inst.coeff, np.log(s)))
 
 
-def marginal_utility(kind: str, coeff: np.ndarray, s: np.ndarray) -> np.ndarray:
-    """Elementwise derivative of the utility with respect to the allocation."""
-    if kind == "linear":
-        return np.array(coeff, dtype=float, copy=True)
+def marginal_utility(coeff: np.ndarray, s: np.ndarray) -> np.ndarray:
+    """Elementwise derivative of the logarithmic utility with respect to the allocation
+    (the linear utility's is ``coeff``)."""
     if np.any(s <= 0):
         raise DomainError("logarithmic marginal utility requires s > 0")
     return coeff / s

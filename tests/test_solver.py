@@ -338,7 +338,7 @@ def _textbook_cg_direction(terms, g, mask, exits):
         x += alpha * p
         r -= alpha * hp
         if np.abs(r).max() <= 1e-2 * b_norm:
-            exits.append("residual")
+            end = "residual"
             break
         z = r / precond
         z[~mask] = 0.0
@@ -347,9 +347,11 @@ def _textbook_cg_direction(terms, g, mask, exits):
         p = z + beta * p
         rz = rz_new
     else:
-        exits.append("max_cg")
+        end = "max_cg"
     if float(np.vdot(x, b)) <= 0.0:
+        exits.append("not_ascent")
         return z
+    exits.append(end)
     return x
 
 
@@ -379,7 +381,7 @@ def _textbook_grid_search(work, s, slacks, d, g, t, f_cur, trials):
                 trials.append("armijo")
             else:
                 trials.append("gain")
-        alpha *= solver._CONTRACTION
+        alpha *= 0.5
     return None
 
 
@@ -478,6 +480,21 @@ class TestLinearInnerIteration:
         assert trials == [("row", 0), "accepted"]
         assert np.array_equal(step[0], [[1.0, 4.0], [0.5, 1.0]])
 
+    def test_witness_passes_late_and_another_row_fails(self, checked):
+        # Element 0 fails every step down to 2^-20 and passes at 2^-21; element 1 fails the
+        # trial built there and passes at 2^-22, where the step is accepted.
+        _, trials = checked
+        inst = make_instance([10.0, 10.0, 100.0], np.zeros((3, 2)),
+                             [[40.0, 20.0], [40.0, 20.0], [20.0, 20.0]], np.ones((3, 2)))
+        work = _InnerProblem(inst)
+        s = np.ones((3, 2))
+        slacks = work.interior_slacks(s)
+        d = np.array([[2.0 ** 23, 0.0], [2.0 ** 24, 0.0], [0.0, 0.0]])
+        step = solver._grid_line_search(work, s, slacks, d, work.gradient(s, 10.0, slacks),
+                                        10.0, work.value(s, 10.0, slacks))
+        assert trials == [("row", 0)] * 21 + [("row", 1), "accepted"]
+        assert np.array_equal(step[0], [[3.0, 1.0], [5.0, 1.0], [1.0, 1.0]])
+
     def test_exhausted_search_returns_none(self, checked):
         _, trials = checked
         rng = np.random.default_rng(163)
@@ -521,6 +538,28 @@ class TestLinearInnerIteration:
             solver._newton_cg_direction((w_el, v_app, precond), rng.normal(size=shape), mask)
         assert {"first_curvature", "curvature"} <= set(exits)
 
+    def test_direction_without_ascent_exits_with_the_preconditioned_residual(self, checked):
+        # p^T H p overflows to inf, so every step is 0: x stays 0, x^T b = 0 after _MAX_CG
+        # steps, and the direction is the preconditioned residual.
+        exits, _ = checked
+        terms = (np.array([10.0]), np.array([10.0, 10.0]), np.array([[1e-154, 1.0]]))
+        d = solver._newton_cg_direction(terms, np.ones((1, 2)), np.array([[True, False]]))
+        assert exits == ["not_ascent"] and np.array_equal(d, [[1e154, 0.0]])
+
+    def test_product_not_finite_off_the_mask(self, checked):
+        # An infinite weight on a row without a free coordinate makes H p NaN there, off the
+        # mask: it must be zeroed as the textbook product zeroes it.
+        exits, _ = checked
+        rng = np.random.default_rng(179)
+        w_el, v_app = rng.uniform(1.0, 2.0, 4), rng.uniform(1.0, 2.0, 3)
+        w_el[1] = np.inf
+        mask = rng.random((4, 3)) < 0.8
+        mask[1] = False
+        with np.errstate(invalid="ignore"):
+            d = solver._newton_cg_direction((w_el, v_app, rng.uniform(1.0, 3.0, (4, 3))),
+                                            rng.normal(size=(4, 3)), mask)
+        assert exits == ["residual"] and np.isfinite(d).all()
+
 
 def test_linear_inner_loop_stalls_after_one_failed_search(monkeypatch):
     # the truncated-CG step is the only direction: when its search fails, the loop ends
@@ -543,6 +582,13 @@ def test_row_slice_sum_is_the_row_of_the_grid_sum(width):
     grid = rng.uniform(0.0, 1.0, (300, width)) * 10.0 ** rng.uniform(-8, 8, (300, width))
     rows = grid.sum(axis=1)
     assert np.array_equal(np.array([np.add.reduce(row) for row in grid]), rows)
+    # After a failed trial the search sums its witness row at every remaining step at once,
+    # in a C-contiguous (steps, width) stack: each of its rows sums as the 1-D row does.
+    for steps in (1, 2, 9, solver._MAX_BACKTRACKS - 1):
+        stack = np.multiply.outer(np.ldexp(1.0, -np.arange(steps)), grid[0]) + grid[1]
+        assert stack.flags.c_contiguous
+        assert np.array_equal(np.add.reduce(stack, axis=1),
+                              np.array([np.add.reduce(row) for row in stack]))
     if width > 1:
         assert np.array_equal(grid.sum(axis=0), np.cumsum(grid, axis=0)[-1])
         assert not np.array_equal(np.array([np.add.reduce(col) for col in grid.T]),
