@@ -88,22 +88,21 @@ class SortedDemands:
     blocks: tuple
 
 
-def sort_demands(demands, layout: PoolLayout, earlier: SortedDemands | None = None,
-                 changed=None) -> SortedDemands:
+def sort_demands(demands, layout: PoolLayout, earlier: SortedDemands | None = None
+                 ) -> SortedDemands:
     """``demands`` over the pools of ``layout``, sorted once for fills under many budgets.
 
-    With ``earlier``, a sorted form over the same layout, ``changed`` is one
-    bool per pool that marks every pool whose demands may differ from
-    ``earlier``'s; the rows of the other pools are taken from ``earlier`` as
-    they are, and a group with no marked pool shares its blocks.  The result
-    is the one a fresh sort gives, bit for bit, when the marks hold; a sweep
-    whose loads scale a few flows sorts only their pools again.  A fresh sort
-    is the case where every pool is marked.
+    With ``earlier``, a sorted form over the same layout, only the pools where
+    some demand's bits differ from ``earlier.demands`` are sorted again (0.0
+    against -0.0 is a change); the rows of the other pools are taken from
+    ``earlier`` as they are, and a group whose pools all kept their demands
+    shares its block.  The result is the one a fresh sort gives, bit for bit,
+    so a sweep whose loads scale a few flows sorts only their pools again.
 
     Demands that are not a 1-D array of finite non-negative values raise
     ``InvalidParams``, and a layout of another length ``DimensionMismatch``;
-    so does an ``earlier`` over another layout, or ``changed`` without it or
-    not one bool per pool.  Writeable demands are copied, so the sorted form
+    an ``earlier`` that is not a sorted form over this layout raises
+    ``InvalidParams``.  Writeable demands are copied, so the sorted form
     never changes.
     """
     d = np.asarray(demands, dtype=float)
@@ -113,20 +112,16 @@ def sort_demands(demands, layout: PoolLayout, earlier: SortedDemands | None = No
         raise InvalidParams("demands must be finite and non-negative")
     if d.flags.writeable:
         d = frozen(d.copy())
-    if earlier is not None:
-        changed = np.asarray(changed)
-        if earlier.layout is not layout:
-            raise InvalidParams("an earlier sorted form must be over the same layout")
-        if changed.dtype != bool or changed.shape != (layout.num_pools,):
-            raise InvalidParams(f"changed must mark each of the {layout.num_pools} pools "
-                                f"with one bool")
-        kept = earlier.blocks
-    elif changed is not None:
-        raise InvalidParams("changed pools are marked against an earlier sorted form")
-    else:
-        changed, kept = np.ones(layout.num_pools, dtype=bool), (None,) * len(layout.groups)
+    if earlier is not None and not (isinstance(earlier, SortedDemands)
+                                    and earlier.layout is layout):
+        raise InvalidParams("an earlier sorted form must be over the same layout")
     if layout.key.size != d.size:
         raise DimensionMismatch(f"a layout of {layout.key.size} demands given {d.size} demands")
+    if earlier is None:
+        changed, kept = np.ones(layout.num_pools, dtype=bool), (None,) * len(layout.groups)
+    else:
+        changed, kept = np.zeros(layout.num_pools, dtype=bool), earlier.blocks
+        changed[layout.key[d.view(np.int64) != earlier.demands.view(np.int64)]] = True
 
     padded = np.append(d, np.inf)
     blocks = []
@@ -138,7 +133,7 @@ def sort_demands(demands, layout: PoolLayout, earlier: SortedDemands | None = No
         whole = rows.size == seg.size
         block = padded[gather if whole else gather[rows]]
         block.sort(axis=1)
-        if not whole:  # the earlier rows, with the marked ones sorted again
+        if not whole:  # the earlier rows, with the changed ones sorted again
             block, part = old.copy(), block
             block[rows] = part
         blocks.append(frozen(block))

@@ -9,6 +9,7 @@ load) cell.
 
 from __future__ import annotations
 
+import numbers
 import time
 from dataclasses import dataclass, fields, replace
 from functools import cached_property
@@ -196,14 +197,33 @@ class Scenario:
         return sort_demands(self.resource_demand, self.flow_plan.pairs)
 
 
+def _rng(seed) -> np.random.Generator:
+    """The generator of ``seed``; a seed that is not a non-negative integer (a bool,
+    None, a float or a string) raises ``InvalidParams``."""
+    if not integers(seed) or seed < 0:
+        raise InvalidParams(f"a seed must be a non-negative integer, got {seed!r}")
+    return np.random.default_rng(seed)
+
+
+def _multiplier(load) -> float:
+    """``load`` as a float; one that is not a real number (a bool, None or a string),
+    or not finite and >= 1, raises ``InvalidParams``."""
+    if (not isinstance(load, numbers.Real) or isinstance(load, bool)
+            or not 1.0 <= load < np.inf):
+        raise InvalidParams(f"a load multiplier must be a finite real number >= 1, "
+                            f"got {load!r}")
+    return float(load)
+
+
 def generate_scenario(params: ScenarioParams, seed: int) -> Scenario:
     """Draw one scenario; deterministic field-for-field given the seed.
 
     The ``num_focus`` applications with the largest QoE factors (the most
     data-consuming ones) are relabeled to ids 0, 1, ... and receive the
-    explicit focus share bounds; the rest share the background bounds.
+    explicit focus share bounds; the rest share the background bounds.  A
+    seed that is not a non-negative integer raises ``InvalidParams``.
     """
-    rng = np.random.default_rng(seed)
+    rng = _rng(seed)
     caps = rng.uniform(*params.capacity_range, params.num_elements)
     qoe = rng.uniform(*params.qoe_range, params.num_apps)
 
@@ -240,7 +260,8 @@ def scale_load(scenario: Scenario, multiplier: float, scaled=None) -> Scenario:
 
     With ``scaled``, one bool per flow, only the flows it marks are scaled
     (hotspot sweeps).  A mask that is not bool raises ``InvalidParams``, one
-    of another length ``DimensionMismatch``, at every multiplier.  The
+    of another length ``DimensionMismatch``, at every multiplier, and so
+    does a multiplier that is not a finite real number >= 1.  The
     scaled scenario shares this one's flow columns other than demand, which
     are not checked again, and its ``flow_plan``, and builds its own
     ``resource_demand``, ``cell_fill`` and ``pair_fill`` when they are read.
@@ -253,8 +274,7 @@ def scale_load(scenario: Scenario, multiplier: float, scaled=None) -> Scenario:
             raise InvalidParams(f"scaled must mark the flows with bools, got {scaled.dtype}")
         if scaled.shape != flows.demand.shape:
             raise DimensionMismatch(f"a mask of shape {scaled.shape} for {len(flows)} flows")
-    if not 1.0 <= multiplier < np.inf:
-        raise InvalidParams("load multiplier must be finite and >= 1")
+    multiplier = _multiplier(multiplier)
     if multiplier == 1.0:
         return scenario
     demand = flows.demand * multiplier
@@ -296,8 +316,10 @@ def _flow_mask(flows: Flows, flow_ids) -> np.ndarray:
 def add_hotspot(scenario: Scenario, params: HotspotParams, seed: int) -> Scenario:
     """Append concentrated flows of one application; deterministic given the seed.
 
-    The parameters must fit the scenario even when they add no flow.
+    The parameters and the seed must fit the scenario even when they add no
+    flow; a seed that is not a non-negative integer raises ``InvalidParams``.
     """
+    rng = _rng(seed)
     num_e = scenario.num_entities
     num_i = scenario.capacities.size
     if not (0 <= params.app_id < scenario.num_apps):
@@ -307,7 +329,6 @@ def add_hotspot(scenario: Scenario, params: HotspotParams, seed: int) -> Scenari
     if params.n_flows == 0:
         return scenario
 
-    rng = np.random.default_rng(seed)
     ents = rng.choice(num_e, size=params.n_entities, replace=False)
     els = rng.choice(num_i, size=params.n_elements, replace=False)
     ent_of = ents[rng.integers(0, params.n_entities, params.n_flows)]
@@ -454,18 +475,18 @@ def run_experiment(base: Scenario, schemes: Sequence[str], loads: Sequence[float
     Every entry of ``schemes`` must be one of ``ALL_SCHEMES``, ``utility_kind``
     one of ``model.UTILITY_KINDS``, and ``focus_app_id``, the application whose
     resource the rows report, one of the scenario's; otherwise the sweep raises
-    ``InvalidParams`` before its first cell.  Flow ids that are not integers
-    raise ``InvalidParams`` there too, and ids that are not among the flows
-    ``UnknownReference``.
+    ``InvalidParams`` before its first cell.  Loads that are not finite real
+    numbers >= 1 (bools, strings and None included) and flow ids that are
+    not integers raise ``InvalidParams`` there too, and ids that are not
+    among the flows ``UnknownReference``.
 
     Each load's scenario comes from one ``scale_load`` call, with the flow ids
     resolved once per sweep into its mask of scaled flows, and shares the
     base's ``flow_plan``, so the pool layouts are built once per sweep.  A
-    load's ``cell_fill`` and
-    ``pair_fill`` are sorted from the previous load's, when that load built
-    them: only the pools that hold a scaled flow are sorted again, and the
-    previous load's fills are dropped first.  Under uniform scaling every pool
-    holds one, so each load sorts in full.
+    load's ``cell_fill`` and ``pair_fill`` are sorted from the previous
+    load's, when that load built them: only the pools whose demands changed
+    are sorted again, and the previous load's fills are dropped first.  Under
+    uniform scaling every pool changes, so each load sorts in full.
     """
     unknown = [scheme for scheme in schemes if scheme not in ALL_SCHEMES]
     if unknown:
@@ -475,17 +496,17 @@ def run_experiment(base: Scenario, schemes: Sequence[str], loads: Sequence[float
     if not integers(focus_app_id) or not 0 <= focus_app_id < base.num_apps:
         raise InvalidParams(f"focus_app_id must be an application index below {base.num_apps}, "
                             f"got {focus_app_id!r}")
+    loads = [_multiplier(load) for load in loads]
     scaled = None if scale_flow_ids is None else _flow_mask(base.flows, scale_flow_ids)
     # every scheme's allocation is aligned with base.flows, so the focus
     # application's flows are the same entries at every load
     focus = np.flatnonzero(base.flows.app == focus_app_id)
-    changed = {}  # per layout: the pools that hold a scaled flow
     rows, scen = [], None
     for load in loads:
         earlier = {} if scen is None else _drop_fills(scen)
-        scen = scale_load(base, float(load), scaled)
-        _carry_fills(earlier, scen, scaled, changed)
-        rows.extend(_row(scheme, float(load), scen, utility_kind, focus, solver_config,
+        scen = scale_load(base, load, scaled)
+        _carry_fills(earlier, scen)
+        rows.extend(_row(scheme, load, scen, utility_kind, focus, solver_config,
                          reservation_config) for scheme in schemes)
     if scen is not None:  # it may be the base itself, which outlives the sweep
         _drop_fills(scen)
@@ -499,21 +520,16 @@ def _drop_fills(scen: Scenario) -> dict:
             if name in vars(scen)}
 
 
-def _carry_fills(earlier: dict, scen: Scenario, scaled, changed: dict):
+def _carry_fills(earlier: dict, scen: Scenario):
     """Sort for ``scen`` the fills in ``earlier``, dropped from a load of the same sweep.
 
-    ``scaled`` is the sweep's mask of scaled flows, None for all of them, and
-    ``changed`` caches per layout the pools that hold one: only their rows
-    are sorted again.  Each earlier fill is released as its successor is built.
+    Only the pools whose demands changed are sorted again.  Each earlier fill
+    is released as its successor is built.
     """
-    def carried(fill, demands):
-        layout = fill.layout
-        if layout not in changed:
-            changed[layout] = (np.ones(layout.num_pools, dtype=bool) if scaled is None
-                               else np.bincount(layout.key, scaled, layout.num_pools) > 0)
-        return sort_demands(demands, layout, fill, changed[layout])
-
+    plan = scen.flow_plan
     if "cell_fill" in earlier:
-        vars(scen)["cell_fill"] = carried(earlier.pop("cell_fill"), scen.flows.demand)
+        vars(scen)["cell_fill"] = sort_demands(scen.flows.demand, plan.cells,
+                                               earlier.pop("cell_fill"))
     if "pair_fill" in earlier:
-        vars(scen)["pair_fill"] = carried(earlier.pop("pair_fill"), scen.resource_demand)
+        vars(scen)["pair_fill"] = sort_demands(scen.resource_demand, plan.pairs,
+                                               earlier.pop("pair_fill"))

@@ -3,7 +3,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from ranshare.errors import DimensionMismatch, InvalidParams
 from ranshare.fairshare import pool_layout, sort_demands, water_fill
@@ -283,20 +283,22 @@ def test_sorted_form_checks():
 def _assert_same_sorted_form(got, want):
     """Two sorted forms hold the same demands and blocks, bit for bit and dtype for dtype."""
     assert got.layout is want.layout
-    assert np.array_equal(got.demands, want.demands)
+    assert got.demands.tobytes() == want.demands.tobytes()
     assert len(got.blocks) == len(want.blocks)
     for a, b in zip(got.blocks, want.blocks):
         assert a.dtype == b.dtype and a.shape == b.shape
-        assert np.array_equal(a, b)
+        assert a.tobytes() == b.tobytes()
         assert not a.flags.writeable
+
+
+def _assert_shared_where_unchanged(carried, earlier, changed_pools):
+    """A carried form shares an earlier block exactly where no pool of its group changed."""
+    for (seg, *_), new, old in zip(carried.layout.groups, carried.blocks, earlier.blocks):
+        assert (new is old) == (not np.isin(seg, changed_pools).any())
 
 
 def _scaled(d, chosen, multiplier):
     return np.where(chosen, d * multiplier, d)
-
-
-def _marks(layout, pool, chosen):
-    return np.bincount(pool[chosen], minlength=layout.num_pools) > 0
 
 
 # sizes 1 (single-flow pools), around powers of two, 70 and 200 (widths 128 and 256,
@@ -320,15 +322,13 @@ def test_carried_sorted_form_equals_a_fresh_sort(case):
         "single-flow": np.isin(pool, [0, 2]),
         "nothing": np.zeros(pool.size, dtype=bool),
     }[case]
-    changed = _marks(layout, pool, chosen)
     earlier = sort_demands(_scaled(d, chosen, 5.0), layout)
     for multiplier in (1.0, 9.0, 5.0):
         demands = _scaled(d, chosen, multiplier)
         fresh = sort_demands(demands, layout)
-        carried = sort_demands(demands, layout, earlier, changed)
+        carried = sort_demands(demands, layout, earlier)
         _assert_same_sorted_form(carried, fresh)
-        for (seg, *_), new, old in zip(layout.groups, carried.blocks, earlier.blocks):
-            assert (new is old) == (not changed[seg].any())  # unmarked groups are shared
+        _assert_shared_where_unchanged(carried, earlier, pool[chosen])
         totals = np.bincount(pool, demands, _SIZES.size)
         for share in (0.0, 0.4, 0.8, 1.2):
             cap = share * totals
@@ -359,13 +359,54 @@ def test_carried_sorted_form_checks():
     other = pool_layout(np.array([0, 1, 1]), 2)
     d = np.array([1.0, 2.0, 3.0])
     fill = sort_demands(d, layout)
-    changed = np.array([True, False])
     with pytest.raises(InvalidParams):  # an earlier form over another layout
-        sort_demands(d, other, fill, changed)
-    for marks in (np.array([1, 0]), np.array([True]), None):
-        with pytest.raises(InvalidParams):  # not one bool per pool
-            sort_demands(d, layout, fill, marks)
-    with pytest.raises(InvalidParams):  # marks with nothing to mark them against
-        sort_demands(d, layout, changed=changed)
+        sort_demands(d, other, fill)
+    with pytest.raises(InvalidParams):  # an earlier that is no sorted form
+        sort_demands(d, layout, fill.blocks)
+    with pytest.raises(DimensionMismatch):  # demands of another length
+        sort_demands(d[:2], layout, fill)
     with pytest.raises(InvalidParams):  # the demands are checked first
-        sort_demands(np.array([1.0, -1.0, 1.0]), layout, fill, changed)
+        sort_demands(np.array([1.0, -1.0, 1.0]), layout, fill)
+
+
+def test_carried_sort_finds_the_pools_whose_demands_changed():
+    # pool 0's demands go from (1, 2) to (5, 2): keeping its earlier sorted row
+    # would hand out (5, 2) from its budget of 4
+    layout = pool_layout(np.array([0, 0, 1, 1]), 2)
+    earlier = sort_demands(np.array([1.0, 2.0, 3.0, 4.0]), layout)
+    carried = sort_demands(np.array([5.0, 2.0, 3.0, 4.0]), layout, earlier)
+    assert water_fill(carried, [4.0, 7.0]).tolist() == [2.0, 2.0, 3.0, 4.0]
+
+
+@st.composite
+def two_demand_vectors(draw):
+    """A pool per demand, and two demand vectors over them that share some entries."""
+    num_pools = draw(st.integers(1, 8))
+    value = st.sampled_from([0.0, -0.0, 0.5, 1.0, 1.0 + 1e-12, 2.5]) | st.floats(0.0, 100.0)
+    pool = np.array(draw(st.lists(st.integers(0, num_pools - 1), max_size=60)), dtype=np.intp)
+    n = pool.size
+    first, other = (np.array(draw(st.lists(value, min_size=n, max_size=n)), dtype=float)
+                    for _ in range(2))
+    keep = np.array(draw(st.lists(st.booleans(), min_size=n, max_size=n)), dtype=bool)
+    return pool, num_pools, first, np.where(keep, first, other)
+
+
+@settings(max_examples=300, deadline=None)
+@given(two_demand_vectors())
+@example((np.array([0, 0, 1, 1]), 2, np.array([1.0, 2.0, 3.0, 4.0]),
+          np.array([5.0, 2.0, 3.0, 4.0])))
+# 0.0 against -0.0 is a change
+@example((np.array([0, 1, 1]), 2, np.array([0.0, 1.0, -0.0]), np.array([-0.0, 1.0, 0.0])))
+def test_carried_sort_is_a_fresh_sort(case):
+    pool, num_pools, d1, d2 = case
+    layout = pool_layout(pool, num_pools)
+    earlier = sort_demands(d1, layout)
+    carried = sort_demands(d2, layout, earlier)
+    fresh = sort_demands(d2, layout)
+    _assert_same_sorted_form(carried, fresh)
+    _assert_shared_where_unchanged(carried, earlier,
+                                   pool[d1.view(np.int64) != d2.view(np.int64)])
+    totals = np.bincount(pool, d2, num_pools)
+    for share in (0.0, 0.5, 1.0):
+        assert water_fill(carried, share * totals).tobytes() == \
+            water_fill(fresh, share * totals).tobytes()

@@ -24,6 +24,17 @@ from ranshare.utility import TranslatingRatios, estimate_demand
 
 DESK = ScenarioParams(num_elements=20, num_entities=5, num_apps=6, num_flows=120)
 
+# seeds that are not non-negative integers: None would draw from OS entropy, and a
+# bool would read as 0 or 1
+BAD_SEEDS = pytest.mark.parametrize("seed", [-1, 1.5, np.float64(2.0), "3", True, None],
+                                    ids=["negative", "float", "numpy-float", "str", "bool",
+                                         "None"])
+# loads that are not real numbers; the string "2" must not run as load 2.0
+NOT_REAL_LOADS = pytest.mark.parametrize("load", ["2", "abc", None, True, np.bool_(True),
+                                                  [2.0]],
+                                         ids=["numeric-str", "str", "None", "bool",
+                                              "numpy-bool", "list"])
+
 
 def qoe_factors(params, seed):
     """Each application's QoE factor in the scenario drawn from ``seed``: its ratios over
@@ -45,6 +56,14 @@ class TestGenerateScenario:
 
     def test_different_seed_differs(self):
         assert generate_scenario(DESK, 1) != generate_scenario(DESK, 2)
+
+    def test_numpy_integer_seed_accepted(self):
+        assert generate_scenario(DESK, np.int64(9)) == generate_scenario(DESK, 9)
+
+    @BAD_SEEDS
+    def test_malformed_seed_rejected(self, seed):
+        with pytest.raises(InvalidParams, match="seed"):
+            generate_scenario(DESK, seed)
 
     def test_equality_reads_every_field(self):
         scen = generate_scenario(DESK, 9)
@@ -260,6 +279,11 @@ class TestScaleLoad:
         with pytest.raises(InvalidParams):
             scale_load(generate_scenario(DESK, 3), multiplier)
 
+    @NOT_REAL_LOADS
+    def test_rejects_non_real(self, load):
+        with pytest.raises(InvalidParams, match="load multiplier"):
+            scale_load(generate_scenario(DESK, 3), load)
+
 
 class TestAddHotspot:
     def test_zero_flows_identity(self):
@@ -273,6 +297,13 @@ class TestAddHotspot:
         with pytest.raises(InvalidParams):
             add_hotspot(generate_scenario(DESK, 3),
                         HotspotParams(**{"n_flows": 0, "n_elements": 20, **params}), 1)
+
+    @BAD_SEEDS
+    @pytest.mark.parametrize("n_flows", [0, 30])
+    def test_malformed_seed_rejected(self, seed, n_flows):
+        with pytest.raises(InvalidParams, match="seed"):
+            add_hotspot(generate_scenario(DESK, 3),
+                        HotspotParams(n_flows=n_flows, n_elements=20), seed)
 
     def test_counts_and_targets(self):
         scen = generate_scenario(DESK, 3)
@@ -578,6 +609,12 @@ class TestRunExperiment:
         # a bare string is a sequence of one-letter schemes, none of them known
         with pytest.raises(InvalidParams, match="unknown schemes"):
             run_experiment(generate_scenario(DESK, 1), schemes, [1.0], "linear")
+
+    @NOT_REAL_LOADS
+    def test_malformed_load_rejected_before_any_cell(self, load, monkeypatch):
+        monkeypatch.setattr(sim, "_row", lambda *args: pytest.fail("a cell ran"))
+        with pytest.raises(InvalidParams, match="load multiplier"):
+            run_experiment(generate_scenario(DESK, 1), ALL_SCHEMES, [1.0, load], "linear")
 
     def test_unknown_utility_kind_rejected_before_any_cell(self):
         with pytest.raises(InvalidParams, match="unknown utility kind"):
