@@ -133,6 +133,7 @@ class Scenario:
                                 f"got ({mins[k]}, {maxs[k]})")
         if not integers(self.num_entities) or self.num_entities < 0:
             raise InvalidParams(f"num_entities must be an integer >= 0, got {self.num_entities!r}")
+        _checked_seed(self.seed)
         object.__setattr__(self, "capacities", caps)
         object.__setattr__(self, "min_share", mins)
         object.__setattr__(self, "max_share", maxs)
@@ -197,12 +198,17 @@ class Scenario:
         return sort_demands(self.resource_demand, self.flow_plan.pairs)
 
 
-def _rng(seed) -> np.random.Generator:
-    """The generator of ``seed``; a seed that is not a non-negative integer (a bool,
-    None, a float or a string) raises ``InvalidParams``."""
+def _checked_seed(seed):
+    """``seed``; one that is not a non-negative integer (a bool, None, a float or a
+    string) raises ``InvalidParams``.  Numpy integers are accepted."""
     if not integers(seed) or seed < 0:
         raise InvalidParams(f"a seed must be a non-negative integer, got {seed!r}")
-    return np.random.default_rng(seed)
+    return seed
+
+
+def _rng(seed) -> np.random.Generator:
+    """The generator of ``seed``, checked by ``_checked_seed``."""
+    return np.random.default_rng(_checked_seed(seed))
 
 
 def _multiplier(load) -> float:
@@ -475,10 +481,11 @@ def run_experiment(base: Scenario, schemes: Sequence[str], loads: Sequence[float
     Every entry of ``schemes`` must be one of ``ALL_SCHEMES``, ``utility_kind``
     one of ``model.UTILITY_KINDS``, and ``focus_app_id``, the application whose
     resource the rows report, one of the scenario's; otherwise the sweep raises
-    ``InvalidParams`` before its first cell.  Loads that are not finite real
-    numbers >= 1 (bools, strings and None included) and flow ids that are
-    not integers raise ``InvalidParams`` there too, and ids that are not
-    among the flows ``UnknownReference``.
+    ``InvalidParams`` before its first cell.  Loads that are no iterable (a
+    bare number or None), loads that are not finite real numbers >= 1
+    (bools, strings and None included) and flow ids that are not integers
+    raise ``InvalidParams`` there too, and ids that are not among the flows
+    ``UnknownReference``.
 
     Each load's scenario comes from one ``scale_load`` call, with the flow ids
     resolved once per sweep into its mask of scaled flows, and shares the
@@ -496,6 +503,11 @@ def run_experiment(base: Scenario, schemes: Sequence[str], loads: Sequence[float
     if not integers(focus_app_id) or not 0 <= focus_app_id < base.num_apps:
         raise InvalidParams(f"focus_app_id must be an application index below {base.num_apps}, "
                             f"got {focus_app_id!r}")
+    try:
+        loads = list(loads)
+    except TypeError:
+        raise InvalidParams(f"loads must be an iterable of load multipliers, "
+                            f"got {loads!r}") from None
     loads = [_multiplier(load) for load in loads]
     scaled = None if scale_flow_ids is None else _flow_mask(base.flows, scale_flow_ids)
     # every scheme's allocation is aligned with base.flows, so the focus

@@ -117,6 +117,43 @@ def test_sort_matches_lexsort_bit_for_bit(num_pools):
         assert np.array_equal(fill_demands(d, cap, pool), _lexsort_fill(d, cap, pool))
 
 
+def _floats_away(x, k):
+    """``x`` moved ``k`` floats up, or ``-k`` down."""
+    for _ in range(abs(k)):
+        x = np.nextafter(x, np.inf if k > 0 else -np.inf)
+    return x
+
+
+def test_budgets_at_and_around_every_breakpoint_fill_as_lexsort():
+    # every budget sits at some rank's breakpoint prefix + (n - rank) * demand, or up to
+    # 4 floats from it, over rows of ties (values times 1, 1 + 2**-52 or 1 - 2**-53),
+    # where the level test can go true, false and true again along a row, rows with
+    # zero and subnormal demands, and pools of exactly a power-of-two size, whose rows
+    # have no padding to stop a search that finds no rank
+    rng = np.random.default_rng(12)
+    sizes = np.tile([1, 2, 3, 4, 5, 7, 8, 9, 16, 17, 32], 8)
+    pool = rng.permutation(np.repeat(np.arange(sizes.size), sizes))
+    subnormal = np.nextafter(0.0, 1.0)
+    d = rng.choice([0.5, 1.0, 3.0, 7.25], pool.size) * rng.choice(
+        [1.0, 1.0 + 2.0**-52, 1.0 - 2.0**-53], pool.size)
+    kind = pool % 4  # 0: ties; 1: ties and zeros; 2: subnormals and zeros; 3: all three
+    d[(kind % 2 == 1) & (rng.random(pool.size) < 0.3)] = 0.0
+    small = (kind >= 2) & (rng.random(pool.size) < 0.7)
+    d[small] = rng.integers(0, 4, small.sum()) * subnormal
+    fill = sort_demands(d, pool_layout(pool, sizes.size))
+    # each pool's breakpoints in ascending rank, its last one repeated up to the widest
+    breakpoints = np.empty((sizes.size, sizes.max()))
+    for p in range(sizes.size):
+        values = np.sort(d[pool == p])
+        below = np.append(0.0, np.cumsum(values)[:-1])
+        at = below + (values.size - np.arange(values.size)) * values
+        breakpoints[p] = np.append(at, np.repeat(at[-1], sizes.max() - values.size))
+    for rank in range(sizes.max()):
+        for k in range(-4, 5):
+            cap = _floats_away(breakpoints[:, rank], k)
+            assert water_fill(fill, cap).tobytes() == _lexsort_fill(d, cap, pool).tobytes()
+
+
 def reference_fill(d, capacity):
     """One pool, by a scan over the sorted demands for the water level."""
     if d.size == 0 or capacity <= 0:
@@ -281,20 +318,25 @@ def test_sorted_form_checks():
 
 
 def _assert_same_sorted_form(got, want):
-    """Two sorted forms hold the same demands and blocks, bit for bit and dtype for dtype."""
+    """Two sorted forms hold the same demands and tables, bit for bit and dtype for dtype."""
     assert got.layout is want.layout
     assert got.demands.tobytes() == want.demands.tobytes()
-    assert len(got.blocks) == len(want.blocks)
-    for a, b in zip(got.blocks, want.blocks):
-        assert a.dtype == b.dtype and a.shape == b.shape
-        assert a.tobytes() == b.tobytes()
-        assert not a.flags.writeable
+    assert len(got.tables) == len(want.tables) == len(got.layout.groups)
+    for table, other in zip(got.tables, want.tables):
+        assert len(table) == len(other) == 3  # prefix, threshold, total
+        for a, b in zip(table, other):
+            assert a.dtype == b.dtype and a.shape == b.shape
+            assert a.tobytes() == b.tobytes()
+            assert not a.flags.writeable
 
 
 def _assert_shared_where_unchanged(carried, earlier, changed_pools):
-    """A carried form shares an earlier block exactly where no pool of its group changed."""
-    for (seg, *_), new, old in zip(carried.layout.groups, carried.blocks, earlier.blocks):
-        assert (new is old) == (not np.isin(seg, changed_pools).any())
+    """A carried form shares an earlier group's tables, not copies of them, exactly where
+    no pool of the group changed."""
+    for (seg, *_), new, old in zip(carried.layout.groups, carried.tables, earlier.tables):
+        unchanged = not np.isin(seg, changed_pools).any()
+        assert (new is old) == unchanged
+        assert all((a is b) == unchanged for a, b in zip(new, old))
 
 
 def _scaled(d, chosen, multiplier):
@@ -362,7 +404,7 @@ def test_carried_sorted_form_checks():
     with pytest.raises(InvalidParams):  # an earlier form over another layout
         sort_demands(d, other, fill)
     with pytest.raises(InvalidParams):  # an earlier that is no sorted form
-        sort_demands(d, layout, fill.blocks)
+        sort_demands(d, layout, fill.tables)
     with pytest.raises(DimensionMismatch):  # demands of another length
         sort_demands(d[:2], layout, fill)
     with pytest.raises(InvalidParams):  # the demands are checked first

@@ -150,6 +150,17 @@ class TestScenarioColumns:
         with pytest.raises(InvalidParams, match="Flows of columns, got tuple"):
             replace(scen, flows=tuple(scen.flows))
 
+    @BAD_SEEDS
+    def test_malformed_seed_rejected(self, seed):
+        # a scenario assembled from another's parts, as perfbench's traffic assembles
+        # one, checks its seed as generate_scenario does
+        with pytest.raises(InvalidParams, match="seed"):
+            replace(generate_scenario(DESK, 3), seed=seed)
+
+    def test_numpy_integer_seed_accepted(self):
+        scen = generate_scenario(DESK, 3)
+        assert replace(scen, seed=np.int64(3)) == scen
+
     def test_ratios_of_another_type_rejected(self):
         # a bare array has the ratios' shape but is no TranslatingRatios; a sweep on it
         # failed with an untyped AttributeError
@@ -539,7 +550,7 @@ class TestRunExperiment:
     def test_each_load_sorts_only_what_its_load_changed(self, scaled, monkeypatch):
         # every cell of a sweep reads fills equal to fresh sorts of its load's demands;
         # from the second load on they are sorted from the previous load's, sharing
-        # the blocks of every group that holds no scaled flow
+        # the tables of every group that holds no scaled flow
         base = generate_scenario(DESK, 5)
         hot = add_hotspot(base, HotspotParams(n_flows=60, n_elements=4), 6)
         flow_ids = hot.flows.id[len(base.flows):] if scaled == "hotspot" else None
@@ -552,7 +563,8 @@ class TestRunExperiment:
             seen.append((scheme, fills))
             for name, fill in fills.items():
                 fresh = sort_demands(fill.demands, fill.layout)
-                assert all(map(np.array_equal, fill.blocks, fresh.blocks))
+                assert [[a.tobytes() for a in table] for table in fill.tables] == \
+                    [[a.tobytes() for a in table] for table in fresh.tables]
             return allocate(scheme, scen, *args)
 
         monkeypatch.setattr(sim, "_allocate_for_scheme", checked)
@@ -563,7 +575,7 @@ class TestRunExperiment:
                                                       ["cell_fill", "pair_fill"]]
         for name in ("cell_fill", "pair_fill"):
             a, b = firsts[1][name], firsts[2][name]
-            shared = [x is y for x, y in zip(a.blocks, b.blocks)]
+            shared = [x is y for x, y in zip(a.tables, b.tables)]
             assert not any(shared) if scaled == "uniform" else any(shared) and not all(shared)
 
     @pytest.mark.parametrize("flow_ids, error", [([999], UnknownReference),
@@ -615,6 +627,14 @@ class TestRunExperiment:
         monkeypatch.setattr(sim, "_row", lambda *args: pytest.fail("a cell ran"))
         with pytest.raises(InvalidParams, match="load multiplier"):
             run_experiment(generate_scenario(DESK, 1), ALL_SCHEMES, [1.0, load], "linear")
+
+    @pytest.mark.parametrize("loads", [2.0, np.float64(2.0), np.array(2.0), None],
+                             ids=["float", "numpy-float", "0-d-array", "None"])
+    def test_loads_that_are_no_iterable_rejected_before_any_cell(self, loads, monkeypatch):
+        # a bare load once failed with an untyped TypeError
+        monkeypatch.setattr(sim, "_row", lambda *args: pytest.fail("a cell ran"))
+        with pytest.raises(InvalidParams, match="iterable of load multipliers"):
+            run_experiment(generate_scenario(DESK, 1), ALL_SCHEMES, loads, "linear")
 
     def test_unknown_utility_kind_rejected_before_any_cell(self):
         with pytest.raises(InvalidParams, match="unknown utility kind"):
