@@ -73,18 +73,15 @@ def pool_layout(pool, num_pools) -> PoolLayout:
 
 @dataclass(frozen=True, eq=False)
 class SortedDemands:
-    """Demands grouped by pool and tabulated: the half of a fill that no budget enters.
+    """Demands grouped, sorted and summed by pool: the half of a fill that no budget enters.
 
     ``demands`` are the checked demands and ``layout`` their pools.  ``tables``
-    holds, per group of ``layout.groups``, read-only ``(prefix, threshold,
-    total)`` over each pool's demands sorted along a row of the group's
-    width: ``prefix[p, r]`` is the sum of the demands below rank r, as a row
-    ``np.cumsum`` gives it; ``threshold[p, r]`` the largest float budget
-    under which the level rank r proposes, ``(budget - prefix) / (n - r)``
-    rounded, does not exceed its demand (``+inf`` in the padding); ``total``
+    holds, per group of ``layout.groups``, read-only ``(block, prefix,
+    total)``: the pools' demands sorted along each ``+inf``-padded row, the
+    sum of the entries below each rank as a row ``np.cumsum`` gives it, and
     each pool's sum.  A later sorted form over the same layout may share the
     tables of the groups whose demands it keeps.  ``water_fill`` fills it
-    under any budgets with one comparison per entry and one level per pool.
+    under any budgets: the level search and one ``np.minimum``.
     """
 
     demands: np.ndarray
@@ -94,19 +91,19 @@ class SortedDemands:
 
 def sort_demands(demands, layout: PoolLayout, earlier: SortedDemands | None = None
                  ) -> SortedDemands:
-    """``demands`` over the pools of ``layout``, tabulated once for fills under many budgets.
+    """``demands`` over the pools of ``layout``, sorted and summed once for fills under
+    many budgets.
 
-    Each pool's demands are sorted along a ``+inf``-padded row, summed with a
-    row ``np.cumsum`` and given each rank's budget threshold (see
-    ``SortedDemands``), so a fill sums nothing and builds no grid of floats.
+    Each pool's demands are sorted along a ``+inf``-padded row and summed
+    with a row ``np.cumsum`` (see ``SortedDemands``), so a fill sums nothing.
 
     With ``earlier``, a sorted form over the same layout, only the pools where
-    some demand's bits differ from ``earlier.demands`` are tabulated again
-    (0.0 against -0.0 is a change); the rows of the other pools are taken
-    from ``earlier`` as they are, and a group whose pools all kept their
-    demands shares its tables.  The result is the one a fresh sort gives,
-    bit for bit, so a sweep whose loads scale a few flows tabulates only
-    their pools again.
+    some demand's bits differ from ``earlier.demands`` are sorted and summed
+    again (0.0 against -0.0 is a change); the rows of the other pools are
+    taken from ``earlier`` as they are, and a group whose pools all kept their
+    demands shares its tables.  The result is the one a fresh sort gives, bit
+    for bit, so a sweep whose loads scale a few flows sorts only their pools
+    again.
 
     Demands that are not a 1-D array of finite non-negative values raise
     ``InvalidParams``, and a layout of another length ``DimensionMismatch``;
@@ -132,156 +129,49 @@ def sort_demands(demands, layout: PoolLayout, earlier: SortedDemands | None = No
         changed, kept = np.zeros(layout.num_pools, dtype=bool), earlier.tables
         changed[layout.key[d.view(np.int64) != earlier.demands.view(np.int64)]] = True
 
-    tables, redo, parts = list(kept), [], []
-    for g, (seg, n, gather) in enumerate(layout.groups):
+    padded = np.append(d, np.inf)
+    tables = []
+    for (seg, n, gather), old in zip(layout.groups, kept):
         rows = np.flatnonzero(changed[seg])
-        if rows.size == seg.size:
-            redo.append((g, None))
-            parts.append((gather, n))
-        elif rows.size:
-            redo.append((g, rows))
-            parts.append((gather[rows], n[rows]))
-    for (g, rows), table in zip(redo, _tabulate(np.append(d, np.inf), parts)):
-        if rows is not None:  # the earlier rows, with the changed ones tabulated again
-            table, part = tuple(a.copy() for a in kept[g]), table
+        if rows.size == 0:
+            tables.append(old)
+            continue
+        whole = rows.size == seg.size
+        if not whole:
+            n, gather = n[rows], gather[rows]
+        block = padded[gather]
+        block.sort(axis=1)
+        prefix = np.empty(block.shape)
+        prefix[:, 0] = 0.0
+        np.cumsum(block[:, :-1], axis=1, out=prefix[:, 1:])
+        at = np.arange(len(block)), n[:, 0] - 1
+        table = block, prefix, prefix[at] + block[at]
+        if not whole:  # the earlier rows, with the changed ones sorted and summed again
+            table, part = tuple(a.copy() for a in old), table
             for a, b in zip(table, part):
                 a[rows] = b
-        tables[g] = tuple(map(frozen, table))
+        tables.append(tuple(map(frozen, table)))
     return SortedDemands(d, layout, tuple(tables))
-
-
-_SMALLEST_NORMAL = np.finfo(float).tiny
-_SUBNORMAL_STEP = np.nextafter(0.0, 1.0)
-_INF_BITS = np.array(np.inf).view(np.int64)
-# entries tabulated at a time: a chunk's temporaries stay small and in a core's cache,
-# which took about a fifth off tabulating a hotspot-flows unit's two forms
-_CHUNK = 1 << 14
-
-
-def _tabulate(padded, parts):
-    """The (prefix, threshold, total) of each (gather, n) of ``parts``: the pools, of sizes
-    n, whose demands ``gather`` picks from ``padded``, a chunk of rows at a time.
-
-    A rank's threshold is exact: the test that fixes a pool's level,
-    ``(budget - prefix) / (n - rank) <= demand`` in floating point, holds for
-    every budget up to it and for none above, since each rounding is
-    monotone in the budget.  It lies next to ``prefix + m * demand`` (m =
-    n - rank), the budget at which the rank's level equals its demand: at it
-    or one float below it for about 95% of the ranks of uniform demands.
-    Each guess is tested, then the float beside it on the side the first
-    test points to; the ranks whose two tests agree, whose threshold lies
-    further out, are searched together once every chunk is done.  Zero and
-    subnormal demands start ``m / 2`` subnormal steps higher, where the
-    rounding of their level to 0 or to the demand puts the threshold.
-    """
-    tables, further = [], []
-    for gather, n in parts:
-        prefix, threshold = np.empty(gather.shape), np.empty(gather.shape)
-        total = np.empty(len(gather))
-        w = gather.shape[1]
-        half = w // 2  # every pool of a group holds more than half its width
-        pad = np.arange(half, w) >= n
-        real = ~pad
-        step = max(1, _CHUNK // w)
-        cols, sizes = np.arange(w, dtype=float), n.astype(float)
-        m_rows, work_rows = (np.empty((min(step, len(gather)), w)) for _ in range(2))
-        for start in range(0, len(gather), step):
-            part = slice(start, start + step)
-            # the indices are in range, and mode="clip" spares np.take a buffered copy
-            block = np.take(padded, gather[part], mode="clip")
-            block.sort(axis=1)
-            sums, guess = prefix[part], threshold[part]
-            sums[:, 0] = 0.0
-            np.cumsum(block[:, :-1], axis=1, out=sums[:, 1:])
-            rows, last = np.arange(len(block)), n[part, 0] - 1
-            total[part] = sums[rows, last] + block[rows, last]
-            m = np.subtract(sizes[part], cols, out=m_rows[:len(block)])
-            work = work_rows[:len(block)]
-            with np.errstate(invalid="ignore", over="ignore", divide="ignore"):  # padding
-                np.multiply(block, m, out=guess)
-                guess += sums
-                low = np.flatnonzero(block[:, 0] < _SMALLEST_NORMAL)  # sorted first
-                if low.size:
-                    guess[low] += np.where(block[low] < _SMALLEST_NORMAL,
-                                           np.floor(m[low] / 2) * _SUBNORMAL_STEP, 0.0)
-                holds = _holds(guess, sums, m, block, work)
-                shift = holds.astype(np.int64)
-                bits = guess.view(np.int64)
-                bits -= 1
-                bits += shift  # the guess where it holds, else the float below it
-                # the float above a guess that holds, the one below one that fails
-                probe = np.add(bits, shift, out=work.view(np.int64)).view(float)
-                agree = _holds(probe, sums, m, block, probe)
-            np.equal(agree, holds, out=agree)
-            agree[:, half:] &= real[part]
-            agree = np.flatnonzero(agree)
-            if agree.size:  # (bits, where, start, up, prefix, m, demand)
-                further.append((bits, agree, bits.ravel()[agree] + shift.ravel()[agree],
-                                *(a.ravel()[agree] for a in (holds, sums, m, block))))
-            np.copyto(guess[:, half:], np.inf, where=pad[part])
-        tables.append((prefix, threshold, total))
-    if further:  # searched together, as a search costs mostly per numpy call
-        found = _search(*(np.concatenate(column) for column in zip(*(f[2:] for f in further))))
-        offsets = np.cumsum([f[1].size for f in further])[:-1]
-        for (bits, at, *_), value in zip(further, np.split(found, offsets)):
-            bits.ravel()[at] = value
-    return tables
-
-
-def _holds(budget, prefix, m, demand, out):
-    """Whether the level ``(budget - prefix) / m`` does not exceed ``demand``, rounded as
-    ``water_fill`` rounds it; ``out`` takes the levels and may be ``budget``."""
-    level = np.subtract(budget, prefix, out=out)
-    level /= m
-    return level <= demand
-
-
-def _search(start, up, prefix, m, demand):
-    """The bits of the largest budget for which ``_holds``, from the bits ``start`` of one
-    that holds, where ``up``, else of one that fails (non-negative floats order as their
-    bits; 0.0 always holds and +inf never does).
-
-    The probes step away from ``start`` at doubling distances until the test
-    flips, then bisect.
-    """
-    lo, hi = np.where(up, start, 0), np.where(up, _INF_BITS, start)
-    out, todo = lo.copy(), np.flatnonzero(hi - lo > 1)
-    lo, hi, up, prefix, m, demand = (a[todo] for a in (lo, hi, up, prefix, m, demand))
-    step = np.ones_like(lo)
-    while todo.size:
-        np.minimum(step, (hi - lo) // 2, out=step)
-        probe = np.where(up, lo + step, hi - step)
-        holds = _holds(probe.view(float), prefix, m, demand, None)
-        lo, hi = np.where(holds, probe, lo), np.where(holds, hi, probe)
-        out[todo] = lo
-        step *= 2
-        open_ = hi - lo > 1
-        todo, lo, hi, up, prefix, m, demand, step = (
-            a[open_] for a in (todo, lo, hi, up, prefix, m, demand, step))
-    return out
 
 
 def water_fill(fill: SortedDemands, capacity) -> np.ndarray:
     """Max-min fair split of each pool's budget across its demands.
 
-    ``fill`` holds the demands tabulated over their pools by ``sort_demands``,
-    once for any budgets; demand j draws on ``capacity[p]``, p its pool in
-    ``fill.layout``.  A pool whose budget covers its demand gets exactly its
-    demands, one with budget <= 0 nothing, any other min(d, w) at the unique
-    level w with sum(min(d, w)) == budget.  Permuting the demands and their
-    pools permutes the output identically.  A ``fill`` that is not a
+    ``fill`` holds the demands sorted and summed over their pools by
+    ``sort_demands``, once for any budgets; demand j draws on ``capacity[p]``,
+    p its pool in ``fill.layout``.  A pool whose budget covers its demand gets
+    exactly its demands, one with budget <= 0 nothing, any other min(d, w) at
+    the unique level w with sum(min(d, w)) == budget.  Permuting the demands
+    and their pools permutes the output identically.  A ``fill`` that is not a
     ``SortedDemands`` or NaN budgets raise ``InvalidParams``, budgets for
     another pool count ``DimensionMismatch``.
 
     This is the per-budget stage of a fill; ``sort_demands`` is the
-    per-demand one.  A pool's level is the one proposed by its first rank
-    whose level does not exceed its demand: the first whose threshold is not
-    below the budget.  A fill compares each padded entry with its pool's
-    budget once, computes one level per pool and takes one ``np.minimum``;
-    it sums nothing and builds no grid of floats.  Only the values are
-    sorted, never the flows: the levels, and so the result, are those of a
-    per-pool ``np.cumsum`` over the demands in ``np.lexsort`` order, bit for
-    bit.
+    per-demand one, and it keeps each sorted row's sums, so a fill only
+    searches each row for its level and takes one ``np.minimum``.  Only the
+    values are sorted, never the flows: the levels, and so the result, are
+    those of a per-pool ``np.cumsum`` over the demands in ``np.lexsort``
+    order, bit for bit.
     """
     if not isinstance(fill, SortedDemands):
         raise InvalidParams(f"water_fill takes the SortedDemands of sort_demands, "
@@ -293,22 +183,45 @@ def water_fill(fill: SortedDemands, capacity) -> np.ndarray:
         raise DimensionMismatch(f"{fill.layout.num_pools} pools given {cap.size} budgets")
 
     level = np.full(cap.size, np.inf)
-    for (seg, n, _), (prefix, threshold, total) in zip(fill.layout.groups, fill.tables):
+    for (seg, n, _), (block, prefix, total) in zip(fill.layout.groups, fill.tables):
         budget = cap[seg]
-        # argmax finds the first rank whether the thresholds rise along the row or,
-        # in a row of ties, not.  A pool whose budget does not cover its total has
-        # such a rank among its demands (its last passes); for any other pool argmax
-        # may stop in the padding or, with no padding, at 0, and its level gives way
-        # to inf or 0 below
-        rank = (threshold >= budget[:, None]).argmax(axis=1)
-        np.minimum(rank, n[:, 0] - 1, out=rank)
-        with np.errstate(invalid="ignore"):  # inf - inf, in a pool its budget covers
-            at = (budget - prefix[np.arange(seg.size), rank]) / (n[:, 0] - rank)
+        # the level if the entries from this rank up all sit at it; the first
+        # rank where it does not exceed the entry's demand fixes the pool's level.
+        # A pool with no such rank among its demands has a budget that covers its
+        # total, so the level taken from its padding or its rank 0 gives way to inf
+        # n - rank in the narrow type of n, 8 bytes fewer per entry than a float
+        # grid; the division promotes each to the float it is, exactly
+        with np.errstate(divide="ignore", invalid="ignore"):  # in the padding
+            candidate = np.subtract(budget[:, None], prefix)
+            candidate /= n - np.arange(block.shape[1], dtype=n.dtype)
+        first = (candidate <= block).argmax(axis=1)
+        at = candidate[np.arange(seg.size), first]
         level[seg] = np.where(total <= budget, np.inf, np.maximum(at, 0.0))
     level[cap <= 0] = 0.0
-    # numpy gathers with a narrow key about half as fast as with one widened first
-    out = level[fill.layout.key.astype(np.intp)]
+    out = _spread(level, fill.layout.key)
     return np.minimum(fill.demands, out, out=out)
+
+
+# keys widened at a time by _spread: 128 KiB of intp, which stays in a core's cache
+_SPREAD_CHUNK = 1 << 14
+
+
+def _spread(level, key):
+    """``level[key]``, with the narrow ``key`` widened to intp a chunk at a time.
+
+    numpy gathers fastest with an intp index.  Given a narrow one it widens
+    the whole key into a fresh array first, and a layout that kept an intp
+    key would hold 1.4 MB more per sweep of 120,000 flows; a chunk at a time
+    takes such a gather from about 0.39 to 0.20 ms on a 2-vCPU host.
+    """
+    out = np.empty(key.size)
+    wide = np.empty(min(key.size, _SPREAD_CHUNK), dtype=np.intp)
+    for start in range(0, key.size, _SPREAD_CHUNK):
+        part = wide[:key.size - start]
+        np.copyto(part, key[start:start + _SPREAD_CHUNK])
+        # mode="clip" lets np.take write to out directly: the keys are in range
+        np.take(level, part, mode="clip", out=out[start:start + part.size])
+    return out
 
 
 class FlowPlan:

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from ranshare import fairshare
 from ranshare.errors import DimensionMismatch, InvalidParams
 from ranshare.fairshare import pool_layout, sort_demands, water_fill
 
@@ -152,6 +153,19 @@ def test_budgets_at_and_around_every_breakpoint_fill_as_lexsort():
         for k in range(-4, 5):
             cap = _floats_away(breakpoints[:, rank], k)
             assert water_fill(fill, cap).tobytes() == _lexsort_fill(d, cap, pool).tobytes()
+
+
+@pytest.mark.parametrize("chunk", [1, 7, 1 << 14])
+def test_levels_reach_the_demands_a_chunk_of_keys_at_a_time(chunk, monkeypatch):
+    # 40,001 demands are no multiple of any chunk, so the last one is short
+    monkeypatch.setattr(fairshare, "_SPREAD_CHUNK", chunk)
+    rng = np.random.default_rng(13)
+    pool = rng.integers(0, 300, 40_001)
+    d = rng.uniform(0.0, 2.0, pool.size)
+    cap = 0.6 * np.bincount(pool, d, 300)
+    cap[::7] = 0.0
+    got = water_fill(sort_demands(d, pool_layout(pool, 300)), cap)
+    assert got.tobytes() == _lexsort_fill(d, cap, pool).tobytes()
 
 
 def reference_fill(d, capacity):
@@ -323,7 +337,7 @@ def _assert_same_sorted_form(got, want):
     assert got.demands.tobytes() == want.demands.tobytes()
     assert len(got.tables) == len(want.tables) == len(got.layout.groups)
     for table, other in zip(got.tables, want.tables):
-        assert len(table) == len(other) == 3  # prefix, threshold, total
+        assert len(table) == len(other) == 3  # block, prefix, total
         for a, b in zip(table, other):
             assert a.dtype == b.dtype and a.shape == b.shape
             assert a.tobytes() == b.tobytes()
