@@ -13,7 +13,7 @@ import numpy as np
 
 from .errors import InvalidParams
 from .fairshare import water_fill
-from .model import FlowAllocation, frozen
+from .model import FlowAllocation, frozen, reals
 
 _REDISTRIBUTE_EPS = 1e-12
 
@@ -27,8 +27,8 @@ class ReservationConfig:
     def __post_init__(self):
         for name in ("per_bs_fraction", "net_min_fraction", "net_max_fraction"):
             v = getattr(self, name)
-            if not (0.0 <= v <= 1.0):
-                raise InvalidParams(f"{name} must lie in [0, 1], got {v}")
+            if not (reals(v) and 0.0 <= v <= 1.0):
+                raise InvalidParams(f"{name} must be a real number in [0, 1], got {v!r}")
         if self.net_min_fraction > self.net_max_fraction:
             raise InvalidParams("net_min_fraction cannot exceed net_max_fraction")
 

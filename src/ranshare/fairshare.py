@@ -97,13 +97,12 @@ def sort_demands(demands, layout: PoolLayout, earlier: SortedDemands | None = No
     Each pool's demands are sorted along a ``+inf``-padded row and summed
     with a row ``np.cumsum`` (see ``SortedDemands``), so a fill sums nothing.
 
-    With ``earlier``, a sorted form over the same layout, only the pools where
-    some demand's bits differ from ``earlier.demands`` are sorted and summed
-    again (0.0 against -0.0 is a change); the rows of the other pools are
-    taken from ``earlier`` as they are, and a group whose pools all kept their
-    demands shares its tables.  The result is the one a fresh sort gives, bit
-    for bit, so a sweep whose loads scale a few flows sorts only their pools
-    again.
+    With ``earlier``, a sorted form over the same layout, a group whose pools
+    all kept the bits of their demands in ``earlier.demands`` shares the
+    earlier tables (0.0 against -0.0 is a change), and any other group is
+    sorted and summed whole, as a fresh sort does.  The result is the one a
+    fresh sort gives, bit for bit, so a sweep whose loads scale a few flows
+    sorts only the groups of their pools again.
 
     Demands that are not a 1-D array of finite non-negative values raise
     ``InvalidParams``, and a layout of another length ``DimensionMismatch``;
@@ -132,25 +131,16 @@ def sort_demands(demands, layout: PoolLayout, earlier: SortedDemands | None = No
     padded = np.append(d, np.inf)
     tables = []
     for (seg, n, gather), old in zip(layout.groups, kept):
-        rows = np.flatnonzero(changed[seg])
-        if rows.size == 0:
+        if not changed[seg].any():
             tables.append(old)
             continue
-        whole = rows.size == seg.size
-        if not whole:
-            n, gather = n[rows], gather[rows]
         block = padded[gather]
         block.sort(axis=1)
         prefix = np.empty(block.shape)
         prefix[:, 0] = 0.0
         np.cumsum(block[:, :-1], axis=1, out=prefix[:, 1:])
         at = np.arange(len(block)), n[:, 0] - 1
-        table = block, prefix, prefix[at] + block[at]
-        if not whole:  # the earlier rows, with the changed ones sorted and summed again
-            table, part = tuple(a.copy() for a in old), table
-            for a, b in zip(table, part):
-                a[rows] = b
-        tables.append(tuple(map(frozen, table)))
+        tables.append(tuple(map(frozen, (block, prefix, prefix[at] + block[at]))))
     return SortedDemands(d, layout, tuple(tables))
 
 

@@ -7,7 +7,6 @@ allocation is an |I| x |K| matrix of non-negative resource amounts.
 
 from __future__ import annotations
 
-import copy
 import numbers
 from collections import namedtuple
 from dataclasses import dataclass, field
@@ -50,10 +49,18 @@ def integers(*values) -> bool:
                for t in set(map(type, values)))
 
 
+def reals(*values) -> bool:
+    """Whether every value is a real number; numpy numbers count, bools, None and
+    strings do not."""
+    return all(issubclass(t, numbers.Real) and not issubclass(t, bool)
+               for t in set(map(type, values)))
+
+
 # One flow, built on read from a Flows: owner, application, serving element, demand (Mbps).
 Flow = namedtuple("Flow", ["id", "entity_id", "app_id", "element_id", "demand_bw"])
 
-_columns = attrgetter("id", "entity", "app", "element", "demand")
+_COLUMN_NAMES = ("id", "entity", "app", "element", "demand")
+_columns = attrgetter(*_COLUMN_NAMES)
 
 
 @dataclass(frozen=True, eq=False)
@@ -70,8 +77,11 @@ class Flows:
     demand: np.ndarray  # Mbps
 
     def __post_init__(self):
+        for name, col in zip(_COLUMN_NAMES, _columns(self)):
+            if np.ndim(col) == 0:
+                raise InvalidParams(f"flow column {name} must be a sequence, got {col!r}")
         n = (len(self.id),)
-        for name in ("id", "entity", "app", "element"):
+        for name in _COLUMN_NAMES[:4]:
             col = np.asarray(getattr(self, name))
             if col.dtype.kind == "f":  # whole numbers that fit, or the cast truncates them
                 whole = bool(((np.trunc(col) == col) & (np.abs(col) < 2.0 ** 63)).all())
@@ -80,26 +90,11 @@ class Flows:
             if not whole:
                 raise InvalidParams(f"flow column {name} must hold integers, got {col!r}")
             object.__setattr__(self, name, frozen_array(col, n, name, np.int64))
-        object.__setattr__(self, "demand", self._checked_demand(self.demand))
-
-    def with_demand(self, demand) -> "Flows":
-        """These flows with ``demand`` in place of their demands.
-
-        The id, entity, app and element columns are shared unchecked, since
-        they were checked when these flows were built; ``demand`` is checked
-        as on construction.
-        """
-        flows = copy.copy(self)
-        object.__setattr__(flows, "demand", self._checked_demand(demand))
-        return flows
-
-    def _checked_demand(self, demand) -> np.ndarray:
-        """``demand`` as a read-only column of these flows; raises unless finite and > 0."""
-        demand = frozen_array(demand, (len(self.id),), "demand")
+        demand = frozen_array(self.demand, n, "demand")
         bad = ~(np.isfinite(demand) & (demand > 0))
         if bad.any():
             raise InvalidParams(f"flow {self.id[np.argmax(bad)]}: demand_bw must be finite and > 0")
-        return demand
+        object.__setattr__(self, "demand", demand)
 
     def __len__(self):
         return len(self.id)
@@ -267,13 +262,17 @@ def expand_bounds(min_share, max_share, capacities):
     Application k's share fractions ``min_share[k]`` and ``max_share[k]`` are
     applied uniformly to each element's capacity; ``ProblemInstance`` sums the
     columns into the aggregate bounds.  Raises InfeasibleConfig when the
-    guaranteed minimum shares cannot coexist on one element.
+    guaranteed minimum shares cannot coexist on one element, and
+    DimensionMismatch when the two share vectors differ in shape.
     """
     mins = np.asarray(min_share, dtype=float)
     maxs = np.asarray(max_share, dtype=float)
     caps = np.asarray(capacities, dtype=float)
     if not mins.size or not caps.size:
         raise InvalidParams("need at least one application and one element")
+    if mins.shape != maxs.shape:
+        raise DimensionMismatch(f"minimum shares of shape {mins.shape} against maximum "
+                                f"shares of shape {maxs.shape}")
     if mins.sum() > 1.0 + 1e-12:
         raise InfeasibleConfig(
             f"sum of minimum shares is {mins.sum():.6g} > 1; lower bounds exceed capacity"

@@ -9,7 +9,6 @@ load) cell.
 
 from __future__ import annotations
 
-import numbers
 import time
 from dataclasses import dataclass, fields, replace
 from functools import cached_property
@@ -21,7 +20,7 @@ from .baselines import ReservationConfig, net_rsv_allocate, per_bs_rsv_allocate
 from .errors import DimensionMismatch, InvalidParams, RanShareError, UnknownReference
 from .fairshare import FlowPlan, SortedDemands, sort_demands, water_fill
 from .model import (AllocationMatrix, FlowAllocation, Flows, ProblemInstance, UTILITY_KINDS,
-                    expand_bounds, frozen, frozen_array, integers)
+                    expand_bounds, frozen, frozen_array, integers, reals)
 from .solver import SolveResult, SolverConfig, solve
 from .utility import TranslatingRatios, estimate_demand
 
@@ -58,8 +57,15 @@ class ScenarioParams:
             raise InvalidParams("scenario counts must be integers")
         if min(self.num_elements, self.num_entities, self.num_apps) < 1 or self.num_flows < 0:
             raise InvalidParams("element/entity/app counts must be >= 1, flows >= 0")
+        for name in ("focus_min_share", "focus_max_share", "background_min_share",
+                     "background_max_share"):
+            if not reals(getattr(self, name)):
+                raise InvalidParams(f"{name} must be a real number, got {getattr(self, name)!r}")
         for name in ("capacity_range", "qoe_range", "channel_range", "demand_range"):
-            lo, hi = getattr(self, name)
+            pair = getattr(self, name)
+            if not (isinstance(pair, (tuple, list)) and len(pair) == 2 and reals(*pair)):
+                raise InvalidParams(f"{name} must be a pair of real numbers, got {pair!r}")
+            lo, hi = pair
             if not (0 < lo <= hi < np.inf):
                 raise InvalidParams(f"{name} must satisfy 0 < low <= high < inf")
         if not (0 <= self.num_focus <= self.num_apps):
@@ -93,8 +99,8 @@ class HotspotParams:
             raise InvalidParams("hotspot app id and counts must be integers")
         if self.n_flows < 0 or min(self.n_entities, self.n_elements) < 1:
             raise InvalidParams("hotspot flow count must be >= 0, entity/element counts >= 1")
-        if not 0 < self.mean_bw < np.inf:
-            raise InvalidParams("hotspot mean bandwidth must be finite and > 0")
+        if not (reals(self.mean_bw) and 0 < self.mean_bw < np.inf):
+            raise InvalidParams("hotspot mean bandwidth must be a finite real number > 0")
 
 
 @dataclass(frozen=True, eq=False)
@@ -214,8 +220,7 @@ def _rng(seed) -> np.random.Generator:
 def _multiplier(load) -> float:
     """``load`` as a float; one that is not a real number (a bool, None or a string),
     or not finite and >= 1, raises ``InvalidParams``."""
-    if (not isinstance(load, numbers.Real) or isinstance(load, bool)
-            or not 1.0 <= load < np.inf):
+    if not (reals(load) and 1.0 <= load < np.inf):
         raise InvalidParams(f"a load multiplier must be a finite real number >= 1, "
                             f"got {load!r}")
     return float(load)
@@ -269,7 +274,8 @@ def scale_load(scenario: Scenario, multiplier: float, scaled=None) -> Scenario:
     of another length ``DimensionMismatch``, at every multiplier, and so
     does a multiplier that is not a finite real number >= 1.  The
     scaled scenario shares this one's flow columns other than demand, which
-    are not checked again, and its ``flow_plan``, and builds its own
+    the ``Flows`` constructor takes as they are, with no pass over their
+    data, and its ``flow_plan``, and builds its own
     ``resource_demand``, ``cell_fill`` and ``pair_fill`` when they are read.
     ``run_experiment`` resolves its flow ids into this mask once per sweep.
     """
@@ -290,7 +296,8 @@ def scale_load(scenario: Scenario, multiplier: float, scaled=None) -> Scenario:
     # are not checked again
     out = object.__new__(Scenario)
     vars(out).update({f.name: getattr(scenario, f.name) for f in fields(Scenario)},
-                     flows=flows.with_demand(frozen(demand)), flow_plan=scenario.flow_plan)
+                     flows=replace(flows, demand=frozen(demand)),
+                     flow_plan=scenario.flow_plan)
     return out
 
 
@@ -491,9 +498,10 @@ def run_experiment(base: Scenario, schemes: Sequence[str], loads: Sequence[float
     resolved once per sweep into its mask of scaled flows, and shares the
     base's ``flow_plan``, so the pool layouts are built once per sweep.  A
     load's ``cell_fill`` and ``pair_fill`` are sorted from the previous
-    load's, when that load built them: only the pools whose demands changed
-    are sorted again, and the previous load's fills are dropped first.  Under
-    uniform scaling every pool changes, so each load sorts in full.
+    load's, when that load built them: only the groups of pools where some
+    demand changed are sorted again, and the previous load's fills are
+    dropped first.  Under uniform scaling every pool changes, so each load
+    sorts in full.
     """
     unknown = [scheme for scheme in schemes if scheme not in ALL_SCHEMES]
     if unknown:

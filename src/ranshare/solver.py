@@ -20,7 +20,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import EmptyInterior, InvalidParams, NotInterior
-from .model import AllocationMatrix, ProblemInstance, integers
+from .model import AllocationMatrix, ProblemInstance, integers, reals
 from .utility import _utility_sum, marginal_utility, total_utility
 
 _ARMIJO = 1e-4
@@ -43,8 +43,9 @@ class SolverConfig:
     max_outer_iters: int = 100
 
     def __post_init__(self):
-        if not all(math.isfinite(v) for v in (self.epsilon, self.t0, self.mu)):
-            raise InvalidParams("epsilon, t0 and mu must be finite")
+        if not (reals(self.epsilon, self.t0, self.mu)
+                and all(math.isfinite(v) for v in (self.epsilon, self.t0, self.mu))):
+            raise InvalidParams("epsilon, t0 and mu must be finite real numbers")
         if self.epsilon <= 0:
             raise InvalidParams("epsilon must be > 0")
         if self.t0 <= 0:

@@ -163,12 +163,13 @@ class TestFlows:
         with pytest.raises(InvalidParams, match="flow 7"):
             Flows([3, 7], [0, 0], [0, 0], [0, 0], [1.0, bad])
         with pytest.raises(InvalidParams, match="flow 7"):
-            Flows([3, 7], [0, 0], [0, 0], [0, 0], [1.0, 1.0]).with_demand([1.0, bad])
+            replace(Flows([3, 7], [0, 0], [0, 0], [0, 0], [1.0, 1.0]), demand=[1.0, bad])
 
-    def test_with_demand_shares_the_other_columns(self):
+    def test_replaced_demand_shares_the_other_columns(self):
+        # the constructor takes read-only int64 columns as they are
         f = self.flows()
         demand = np.array([1.0, 2.0, 4.0])
-        g = f.with_demand(demand)
+        g = replace(f, demand=demand)
         assert all(a is b for a, b in zip((g.id, g.entity, g.app, g.element),
                                           (f.id, f.entity, f.app, f.element)))
         assert g == Flows(f.id, f.entity, f.app, f.element, demand)
@@ -176,7 +177,18 @@ class TestFlows:
         assert g.demand[0] == 1.0 and not g.demand.flags.writeable
         assert list(f.demand) == [0.5, 1.25, 3.0]
         with pytest.raises(DimensionMismatch, match="demand"):
-            f.with_demand([1.0, 2.0])
+            replace(f, demand=[1.0, 2.0])
+
+    @pytest.mark.parametrize("column", range(5))
+    @pytest.mark.parametrize("bad", [None, 1, 2.5], ids=["None", "int", "float"])
+    def test_column_that_is_no_sequence_named(self, column, bad):
+        cols = [[0, 1], [0, 0], [0, 0], [0, 0], [1.0, 1.0]]
+        cols[column] = bad
+        name = ("id", "entity", "app", "element", "demand")[column]
+        with pytest.raises(InvalidParams, match=f"column {name} "):
+            Flows(*cols)
+        with pytest.raises(InvalidParams, match="column id "):
+            Flows(1, 2, 3, 4, 5)
 
 
 class TestExpandBounds:
@@ -197,6 +209,11 @@ class TestExpandBounds:
     def test_oversubscribed_minima_rejected(self):
         with pytest.raises(InfeasibleConfig):
             expand_bounds([0.6, 0.6], [0.7, 0.7], [100.0])
+
+    @pytest.mark.parametrize("maxs", [[0.3], [0.3, 0.4, 0.5], [[0.3, 0.4]]])
+    def test_share_vectors_of_other_shapes_rejected(self, maxs):
+        with pytest.raises(DimensionMismatch):
+            expand_bounds([0.1, 0.2], maxs, [1.0])
 
     def test_aggregate_identities_exact(self):
         rng = np.random.default_rng(3)

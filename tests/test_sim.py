@@ -117,6 +117,28 @@ class TestParams:
         with pytest.raises(InvalidParams):
             HotspotParams(**{field: value})
 
+    @pytest.mark.parametrize("cls, field, value", [
+        (SolverConfig, "epsilon", "a"), (SolverConfig, "t0", None), (SolverConfig, "epsilon", True),
+        (SolverConfig, "mu", "10"),
+        (ReservationConfig, "per_bs_fraction", "a"), (ReservationConfig, "net_max_fraction", None),
+        (ReservationConfig, "net_max_fraction", True),
+        (HotspotParams, "mean_bw", "x"), (HotspotParams, "mean_bw", True),
+        (ScenarioParams, "capacity_range", (1.0,)), (ScenarioParams, "demand_range", (0.1, 0.5, 1.0)),
+        (ScenarioParams, "qoe_range", 5), (ScenarioParams, "qoe_range", ("a", 2.0)),
+        (ScenarioParams, "channel_range", (True, 2.0)), (ScenarioParams, "focus_min_share", "a"),
+        (ScenarioParams, "focus_max_share", True), (ScenarioParams, "background_max_share", None)],
+        ids=lambda v: v.__name__ if isinstance(v, type) else None)
+    def test_settings_that_are_no_real_numbers_rejected(self, cls, field, value):
+        # a real-valued setting that is a string, None or a bool, or a range that is no
+        # pair of real numbers, is a typed error, not a TypeError or ValueError
+        with pytest.raises(InvalidParams, match=field.split("_")[0]):
+            cls(**{field: value})
+
+    def test_numpy_numbers_accepted_as_settings(self):
+        assert SolverConfig(epsilon=np.float64(1e-2), t0=np.int64(2)).t0 == 2
+        assert ScenarioParams(capacity_range=[np.int64(100), 300.0]).capacity_range[0] == 100
+        assert HotspotParams(mean_bw=np.float32(2.0)).mean_bw == 2.0
+
     def test_numpy_integer_counts_accepted(self):
         assert ScenarioParams(num_flows=np.int64(5)).num_flows == 5
         assert HotspotParams(n_flows=np.int32(3)).n_flows == 3
@@ -259,6 +281,10 @@ class TestScaleLoad:
             assert getattr(scaled.flows, name) is getattr(scen.flows, name)
         assert not scaled.flows.demand.flags.writeable
         assert not {"resource_demand", "cell_fill", "pair_fill"} & set(vars(scaled))
+        # an allocation made for the scaled flows shares their id column, so
+        # qoe_satisfied_count does not compare the ids
+        alloc = second_phase_allocate(scaled, AllocationMatrix(np.ones(scen.ratios.shape)))
+        assert alloc.flow_ids is scaled.flows.id
 
     @pytest.mark.parametrize("flow_ids", [None, np.array([0, 5])])
     def test_scaled_scenario_sorts_its_own_demands(self, flow_ids):
