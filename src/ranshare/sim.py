@@ -62,12 +62,13 @@ class ScenarioParams:
             if not reals(getattr(self, name)):
                 raise InvalidParams(f"{name} must be a real number, got {getattr(self, name)!r}")
         for name in ("capacity_range", "qoe_range", "channel_range", "demand_range"):
-            pair = getattr(self, name)
-            if not (isinstance(pair, (tuple, list)) and len(pair) == 2 and reals(*pair)):
-                raise InvalidParams(f"{name} must be a pair of real numbers, got {pair!r}")
-            lo, hi = pair
-            if not (0 < lo <= hi < np.inf):
-                raise InvalidParams(f"{name} must satisfy 0 < low <= high < inf")
+            try:
+                lo, hi = getattr(self, name)
+            except (TypeError, ValueError):  # not a pair
+                lo = hi = None
+            if not (reals(lo, hi) and 0 < lo <= hi < np.inf):
+                raise InvalidParams(f"{name} must be a pair of real numbers with "
+                                    f"0 < low <= high < inf, got {getattr(self, name)!r}")
         if not (0 <= self.num_focus <= self.num_apps):
             raise InvalidParams("num_focus must lie in [0, num_apps]")
 

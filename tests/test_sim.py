@@ -137,6 +137,7 @@ class TestParams:
     def test_numpy_numbers_accepted_as_settings(self):
         assert SolverConfig(epsilon=np.float64(1e-2), t0=np.int64(2)).t0 == 2
         assert ScenarioParams(capacity_range=[np.int64(100), 300.0]).capacity_range[0] == 100
+        assert ScenarioParams(qoe_range=np.array([0.5, 1.0])).qoe_range[1] == 1.0
         assert HotspotParams(mean_bw=np.float32(2.0)).mean_bw == 2.0
 
     def test_numpy_integer_counts_accepted(self):
