@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -215,19 +216,26 @@ def _spread(level, key):
 
 
 class FlowPlan:
-    """The load-invariant parts of one flow set's flow level, each built on first use.
+    """One flow set's flow level: the load-invariant parts, each built on first use, and
+    the latest demands sorted over them.
 
-    Only the demands change with load, so a sweep builds these once and every
-    load and scheme reads them: the pool layout of the (element, app) cells,
-    the one of the (entity, element) pairs, and each flow's translating ratio.
-    ``scenario`` is anything with ``flows``, ``ratios`` and ``num_entities``;
-    its flows' demands are never read.
+    A sweep builds the pool layouts of the (element, app) cells and of the
+    (entity, element) pairs, and each flow's translating ratio, once for
+    every load and scheme.  ``scenario`` has ``flows``, ``ratios`` and
+    ``num_entities``.  The plan keeps the resource demand and the sorted
+    form over each layout of the latest demand array it is given, which it
+    holds only weakly: the same read-only array gets them again, another a
+    form built from the kept one by ``sort_demands(demands, layout,
+    earlier)``.  So a load sorts again only the groups it changed, and
+    reading two scenarios of one plan by turns sorts at every turn.
+    ``release`` drops what the plan keeps.
     """
 
     def __init__(self, scenario):
         self.flows = scenario.flows
         self.ratios = scenario.ratios.values
         self.num_entities = scenario.num_entities
+        self._kept = {}
 
     @cached_property
     def cells(self) -> PoolLayout:
@@ -243,3 +251,23 @@ class FlowPlan:
     @cached_property
     def ratio(self) -> np.ndarray:
         return frozen(self.ratios[self.flows.element, self.flows.app])
+
+    def resource_demand(self, demand) -> np.ndarray:
+        return self._latest("resource", demand, lambda _: frozen(demand * self.ratio))
+
+    def cell_fill(self, demand) -> SortedDemands:
+        return self._latest("cells", demand, lambda old: sort_demands(demand, self.cells, old))
+
+    def pair_fill(self, demand) -> SortedDemands:
+        return self._latest("pairs", demand, lambda old: sort_demands(
+            self.resource_demand(demand), self.pairs, old))
+
+    def release(self):
+        self._kept.clear()
+
+    def _latest(self, name, demand, build):
+        source, kept = self._kept.get(name, (lambda: None, None))
+        if source() is not demand or demand.flags.writeable:
+            kept = build(kept)
+            self._kept[name] = weakref.ref(demand), kept
+        return kept

@@ -78,7 +78,7 @@ class Flows:
 
     def __post_init__(self):
         for name, col in zip(_COLUMN_NAMES, _columns(self)):
-            if np.ndim(col) == 0:
+            if _column(self, name, np.ndim) == 0:
                 raise InvalidParams(f"flow column {name} must be a sequence, got {col!r}")
         n = (len(self.id),)
         for name in _COLUMN_NAMES[:4]:
@@ -90,7 +90,7 @@ class Flows:
             if not whole:
                 raise InvalidParams(f"flow column {name} must hold integers, got {col!r}")
             object.__setattr__(self, name, frozen_array(col, n, name, np.int64))
-        demand = frozen_array(self.demand, n, "demand")
+        demand = _column(self, "demand", lambda col: frozen_array(col, n, "demand"))
         bad = ~(np.isfinite(demand) & (demand > 0))
         if bad.any():
             raise InvalidParams(f"flow {self.id[np.argmax(bad)]}: demand_bw must be finite and > 0")
@@ -109,6 +109,16 @@ class Flows:
 
     def __eq__(self, other):
         return isinstance(other, Flows) and all(map(np.array_equal, _columns(self), _columns(other)))
+
+
+def _column(flows, name, convert):
+    """``convert`` of the column ``name``; a ragged column or one holding no numbers
+    raises ``InvalidParams``, where numpy raises ``ValueError`` or ``TypeError``."""
+    try:
+        return convert(getattr(flows, name))
+    except (TypeError, ValueError):
+        raise InvalidParams(f"flow column {name} must be a flat sequence of numbers, "
+                            f"got {getattr(flows, name)!r}") from None
 
 
 @dataclass(frozen=True)

@@ -18,7 +18,7 @@ import numpy as np
 
 from .baselines import ReservationConfig, net_rsv_allocate, per_bs_rsv_allocate
 from .errors import DimensionMismatch, InvalidParams, RanShareError, UnknownReference
-from .fairshare import FlowPlan, SortedDemands, sort_demands, water_fill
+from .fairshare import FlowPlan, SortedDemands, water_fill
 from .model import (AllocationMatrix, FlowAllocation, Flows, ProblemInstance, UTILITY_KINDS,
                     expand_bounds, frozen, frozen_array, integers, reals)
 from .solver import SolveResult, SolverConfig, solve
@@ -175,34 +175,23 @@ class Scenario:
 
     @cached_property
     def flow_plan(self) -> FlowPlan:
-        """The load-invariant parts of the flow level, shared by ``scale_load``'s results."""
+        """The flow level (see ``FlowPlan``), shared by ``scale_load``'s results."""
         return FlowPlan(self)
 
-    @cached_property
+    @property
     def resource_demand(self) -> np.ndarray:
-        """Each flow's demand in resource units, at its cell's ratio; read-only.
+        """Each flow's demand in resource units, at its cell's ratio; read-only."""
+        return self.flow_plan.resource_demand(self.flows.demand)
 
-        It changes with load, so ``scale_load`` never hands it on.
-        """
-        return frozen(self.flows.demand * self.flow_plan.ratio)
-
-    @cached_property
+    @property
     def cell_fill(self) -> SortedDemands:
-        """The bandwidth demands sorted by (element, application) cell, as app-opt fills them.
+        """The bandwidth demands sorted by (element, application) cell, as app-opt fills."""
+        return self.flow_plan.cell_fill(self.flows.demand)
 
-        It changes with load, so ``scale_load`` never hands it on; a sweep
-        builds each load's from the one before (see ``run_experiment``).
-        """
-        return sort_demands(self.flows.demand, self.flow_plan.cells)
-
-    @cached_property
+    @property
     def pair_fill(self) -> SortedDemands:
-        """The resource demands sorted by (entity, element) pool, as both baselines fill them.
-
-        It changes with load, so ``scale_load`` never hands it on; a sweep
-        builds each load's from the one before (see ``run_experiment``).
-        """
-        return sort_demands(self.resource_demand, self.flow_plan.pairs)
+        """The resource demands sorted by (entity, element) pool, as the baselines fill."""
+        return self.flow_plan.pair_fill(self.flows.demand)
 
 
 def _checked_seed(seed):
@@ -276,8 +265,8 @@ def scale_load(scenario: Scenario, multiplier: float, scaled=None) -> Scenario:
     does a multiplier that is not a finite real number >= 1.  The
     scaled scenario shares this one's flow columns other than demand, which
     the ``Flows`` constructor takes as they are, with no pass over their
-    data, and its ``flow_plan``, and builds its own
-    ``resource_demand``, ``cell_fill`` and ``pair_fill`` when they are read.
+    data, and its ``flow_plan``, which sorts its ``cell_fill`` and
+    ``pair_fill`` from the plan's last forms, again only where demands changed.
     ``run_experiment`` resolves its flow ids into this mask once per sweep.
     """
     flows = scenario.flows
@@ -308,19 +297,17 @@ def _flow_mask(flows: Flows, flow_ids) -> np.ndarray:
     Entries that are not integers raise ``InvalidParams`` (bools included),
     ids that are not among the flows ``UnknownReference``.
     """
-    ids = flow_ids
-    if not (isinstance(ids, np.ndarray) and ids.dtype == np.int64 and ids.ndim == 1):
-        try:
-            ids = ids.tolist() if isinstance(ids, np.ndarray) else list(ids)
-        except TypeError:
-            raise InvalidParams(f"flow ids must be an iterable of integers, "
-                                f"got {flow_ids!r}") from None
-        if not integers(*ids):
-            raise InvalidParams(f"flow ids must be integers, got {flow_ids!r}")
-        try:
-            ids = np.array(ids, dtype=np.int64)
-        except OverflowError:
-            raise UnknownReference("a flow id lies outside the int64 range of flow ids") from None
+    try:
+        ids = list(flow_ids.tolist() if isinstance(flow_ids, np.ndarray) else flow_ids)
+    except TypeError:
+        raise InvalidParams(f"flow ids must be an iterable of integers, "
+                            f"got {flow_ids!r}") from None
+    if not integers(*ids):
+        raise InvalidParams(f"flow ids must be integers, got {flow_ids!r}")
+    try:
+        ids = np.array(ids, dtype=np.int64)
+    except OverflowError:
+        raise UnknownReference("a flow id lies outside the int64 range of flow ids") from None
     known = np.isin(ids, flows.id)
     if not known.all():
         raise UnknownReference(f"flow id {ids[np.argmin(known)]} is not among the flows")
@@ -497,12 +484,12 @@ def run_experiment(base: Scenario, schemes: Sequence[str], loads: Sequence[float
 
     Each load's scenario comes from one ``scale_load`` call, with the flow ids
     resolved once per sweep into its mask of scaled flows, and shares the
-    base's ``flow_plan``, so the pool layouts are built once per sweep.  A
-    load's ``cell_fill`` and ``pair_fill`` are sorted from the previous
-    load's, when that load built them: only the groups of pools where some
-    demand changed are sorted again, and the previous load's fills are
-    dropped first.  Under uniform scaling every pool changes, so each load
-    sorts in full.
+    base's ``flow_plan``, so the pool layouts are built once per sweep.  Before
+    a load's rows are timed, the sweep reads what they fill: ``cell_fill``
+    when app-opt runs, ``pair_fill`` when a baseline does.  The plan sorts
+    each from the previous load's form, again only in the groups where some
+    demand changed, and drops that form; it is released when the sweep ends.
+    A demand that cannot be sorted raises from the sweep, at any load.
     """
     unknown = [scheme for scheme in schemes if scheme not in ALL_SCHEMES]
     if unknown:
@@ -522,35 +509,18 @@ def run_experiment(base: Scenario, schemes: Sequence[str], loads: Sequence[float
     # every scheme's allocation is aligned with base.flows, so the focus
     # application's flows are the same entries at every load
     focus = np.flatnonzero(base.flows.app == focus_app_id)
-    rows, scen = [], None
-    for load in loads:
-        earlier = {} if scen is None else _drop_fills(scen)
-        scen = scale_load(base, load, scaled)
-        _carry_fills(earlier, scen)
-        rows.extend(_row(scheme, load, scen, utility_kind, focus, solver_config,
-                         reservation_config) for scheme in schemes)
-    if scen is not None:  # it may be the base itself, which outlives the sweep
-        _drop_fills(scen)
+    plan, rows = base.flow_plan, []
+    try:
+        for load in loads:
+            scen = scale_load(base, load, scaled)
+            # the forms, and the resource demand every row reads, built before any row is timed
+            if SCHEME_APP_OPT in schemes:
+                plan.cell_fill(scen.flows.demand)
+            if any(scheme != SCHEME_APP_OPT for scheme in schemes):
+                plan.pair_fill(scen.flows.demand)
+            plan.resource_demand(scen.flows.demand)
+            rows.extend(_row(scheme, load, scen, utility_kind, focus, solver_config,
+                             reservation_config) for scheme in schemes)
+    finally:
+        plan.release()
     return ExperimentReport(rows=tuple(rows))
-
-
-def _drop_fills(scen: Scenario) -> dict:
-    """Remove the per-load caches of ``scen``; returns its fills by name."""
-    vars(scen).pop("resource_demand", None)
-    return {name: vars(scen).pop(name) for name in ("cell_fill", "pair_fill")
-            if name in vars(scen)}
-
-
-def _carry_fills(earlier: dict, scen: Scenario):
-    """Sort for ``scen`` the fills in ``earlier``, dropped from a load of the same sweep.
-
-    Only the pools whose demands changed are sorted again.  Each earlier fill
-    is released as its successor is built.
-    """
-    plan = scen.flow_plan
-    if "cell_fill" in earlier:
-        vars(scen)["cell_fill"] = sort_demands(scen.flows.demand, plan.cells,
-                                               earlier.pop("cell_fill"))
-    if "pair_fill" in earlier:
-        vars(scen)["pair_fill"] = sort_demands(scen.resource_demand, plan.pairs,
-                                               earlier.pop("pair_fill"))

@@ -33,6 +33,7 @@ _MAX_CG = 25  # CG iterations per truncated-Newton direction
 _FLOAT_MAX = np.finfo(float).max
 _NO_SLACKS = np.empty(0)  # the application slacks of a barrier without application terms
 INTERIOR_SHIFT = 0.5  # theta of the starting-point perturbation
+_MAGNITUDE = 1e50  # the largest capacity, coefficient and multiplier t a solve takes
 
 
 @dataclass(frozen=True)
@@ -142,6 +143,33 @@ def interior_start(inst: ProblemInstance, shift: float = INTERIOR_SHIFT) -> Allo
     ])
     s = lo + np.where(free, delta, 0.0)
     return AllocationMatrix(s)
+
+
+def _check_magnitudes(inst: ProblemInstance, cfg: SolverConfig):
+    """Raise ``InvalidParams`` unless the element capacities, and every multiplier t from
+    ``t0`` up to (B + |K|)/epsilon, lie in [1/_MAGNITUDE, _MAGNITUDE], and for linear
+    utility every coefficient is at most _MAGNITUDE (:class:`_Centre` checks those of a
+    log solve's free cells).
+
+    Within that range the products and quotients of the barrier stay finite and
+    non-zero; outside it a capacity of 1e300 overflows t times the capacity, and t0 =
+    1e-300 at a capacity of 1e-300 divides by zero.
+    """
+    caps = inst.capacities
+    t_top = max(cfg.t0, (inst.aggregate_capacity + inst.num_apps) / cfg.epsilon)
+    for what, low, high in (("element capacities", caps.min(), caps.max()),
+                            ("multipliers t from t0 to (B + |K|)/epsilon", cfg.t0, t_top)):
+        if not (1.0 / _MAGNITUDE <= low and high <= _MAGNITUDE):
+            raise InvalidParams(f"{what} must lie in [{1.0 / _MAGNITUDE:g}, {_MAGNITUDE:g}], "
+                                f"got [{low:g}, {high:g}]")
+    if inst.utility_kind == "linear":
+        _check_coefficients(inst.coeff)
+
+
+def _check_coefficients(coeff):
+    if coeff.max(initial=0.0) > _MAGNITUDE:
+        raise InvalidParams(f"utility coefficients must be at most {_MAGNITUDE:g}, "
+                            f"got {coeff.max():g}")
 
 
 def _check_interior(inst: ProblemInstance, free):
@@ -362,6 +390,7 @@ class _Centre:
         place = np.arange(self.row.size) - np.repeat(np.cumsum(n) - n, n)
         self.lo, self.hi, self.c = (a[self.row, self.col]
                                     for a in (inst.lower, inst.upper, inst.coeff))
+        _check_coefficients(self.c)
         ratio = np.full((rows.size, 2 * width), np.inf)
         # A breakpoint beyond the largest float is never reached at a finite tau: the largest
         # float stands in for it, and every breakpoint stays finite.
@@ -628,9 +657,11 @@ def solve(inst: ProblemInstance, config: SolverConfig | None = None) -> SolveRes
     Only linear solves start from :func:`interior_start`; a log solve's
     centre checks the same interior (:func:`_check_interior`), and the solve
     builds the start only when the bound needs no outer iteration, since its
-    centres ignore it.
+    centres ignore it.  Magnitudes outside the range :func:`_check_magnitudes`
+    states raise ``InvalidParams`` before the first outer iteration.
     """
     cfg = config or SolverConfig()
+    _check_magnitudes(inst, cfg)
     work = _InnerProblem(inst)
     scale = inst.aggregate_capacity + inst.num_apps  # gap_bound(inst, t) is scale / t
     if inst.utility_kind == "logarithmic":

@@ -147,6 +147,17 @@ class TestFlows:
         with pytest.raises(DimensionMismatch, match="app"):
             Flows([0, 1], [0, 0], [0], [0, 0], [1.0, 1.0])
 
+    @pytest.mark.parametrize("column, values", [
+        (0, [[1], [1, 2]]), (4, [[1.0], [1.0, 2.0]]), (4, ["a", 1.0]), (4, [None, "b"])],
+        ids=["ragged-id", "ragged-demand", "str-demand", "no-number-demand"])
+    def test_malformed_column_rejected(self, column, values):
+        # numpy raises ValueError for each; the constructor names the column instead
+        cols = [[1, 2], [0, 0], [0, 0], [0, 0], [1.0, 1.0]]
+        cols[column] = values
+        name = ("id", "entity", "app", "element", "demand")[column]
+        with pytest.raises(InvalidParams, match=f"column {name} "):
+            Flows(*cols)
+
     @pytest.mark.parametrize("column", range(4))
     @pytest.mark.parametrize("bad", [1.7, np.nan, np.inf, 1e30, "1"])
     def test_non_integer_column_rejected(self, column, bad):

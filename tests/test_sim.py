@@ -2,6 +2,7 @@ import math
 import os
 import subprocess
 import sys
+import weakref
 from dataclasses import replace
 from pathlib import Path
 
@@ -9,7 +10,7 @@ import numpy as np
 import pytest
 
 import ranshare
-from ranshare import sim
+from ranshare import fairshare, sim
 from ranshare.baselines import ReservationConfig, net_rsv_allocate, per_bs_rsv_allocate
 from ranshare.errors import DimensionMismatch, InvalidParams, UnknownReference
 from ranshare.fairshare import pool_layout, sort_demands, water_fill
@@ -34,6 +35,23 @@ NOT_REAL_LOADS = pytest.mark.parametrize("load", ["2", "abc", None, True, np.boo
                                                   [2.0]],
                                          ids=["numeric-str", "str", "None", "bool",
                                               "numpy-bool", "list"])
+
+
+def table_bits(fill):
+    """The bytes of every table of a sorted form, to compare forms bit for bit."""
+    return [[a.tobytes() for a in table] for table in fill.tables]
+
+
+def fresh_bits(fill):
+    """``table_bits`` of a fresh sort of ``fill``'s demands over its layout."""
+    return table_bits(sort_demands(fill.demands, fill.layout))
+
+
+def hotspot_scenario():
+    """A desk scenario with 60 hotspot flows on 4 elements, and the mask of those flows."""
+    base = generate_scenario(DESK, 5)
+    hot = add_hotspot(base, HotspotParams(n_flows=60, n_elements=4), 6)
+    return hot, np.arange(len(hot.flows)) >= len(base.flows)
 
 
 def qoe_factors(params, seed):
@@ -258,7 +276,8 @@ class TestScaleLoad:
     @pytest.mark.parametrize("flow_ids, error", [
         ([999], UnknownReference), ([1.5], InvalidParams), ([True], InvalidParams),
         (["a"], InvalidParams), ([1, np.int64(2), False], InvalidParams),
-        (np.array([1.0]), InvalidParams), (np.array([[1]]), InvalidParams), (5, InvalidParams)])
+        (np.array([1.0]), InvalidParams), (np.array([[1]]), InvalidParams), (5, InvalidParams),
+        (np.array(5), InvalidParams)])
     def test_malformed_flow_ids_rejected(self, flow_ids, error):
         # run_experiment resolves scale_flow_ids into scale_load's mask, at every load
         scen = generate_scenario(ScenarioParams(num_elements=5, num_entities=2, num_apps=3,
@@ -289,8 +308,8 @@ class TestScaleLoad:
 
     @pytest.mark.parametrize("flow_ids", [None, np.array([0, 5])])
     def test_scaled_scenario_sorts_its_own_demands(self, flow_ids):
-        # the base's resource demand and pair fill, cached before it is scaled, are never
-        # handed on: the scaled scenario builds both from its own demands
+        # the base's resource demand and pair fill, read before it is scaled, are not the
+        # scaled scenario's: it builds both from its own demands
         scen = generate_scenario(DESK, 3)
         base_demand, base_fill = scen.resource_demand, scen.pair_fill
         scaled = scale_load(scen, 3.0, None if flow_ids is None
@@ -307,6 +326,30 @@ class TestScaleLoad:
                               water_fill(sort_demands(want, pool), budget))
         assert np.array_equal(water_fill(scen.pair_fill, budget),
                               water_fill(sort_demands(base_demand, pool), budget))
+
+    def test_scaled_by_hand_sorts_from_the_forms_read_before(self):
+        # a library caller's scaled scenario shares the plan, so its forms are sorted
+        # from the ones last read: equal to fresh sorts, sharing the tables of every
+        # group that holds no scaled flow
+        hot, mask = hotspot_scenario()
+        before = hot.cell_fill, hot.pair_fill
+        scaled = scale_load(hot, 3.0, mask)
+        for old, new in zip(before, (scaled.cell_fill, scaled.pair_fill)):
+            assert table_bits(new) == fresh_bits(new)
+            shared = [x is y for x, y in zip(old.tables, new.tables)]
+            assert any(shared) and not all(shared)
+
+    def test_alternate_reads_of_one_plan_sort_afresh(self):
+        # two scenarios of one plan read by turns: each read re-sorts from the other's
+        # forms, and every form is that of a fresh sort of its own demands
+        hot, mask = hotspot_scenario()
+        scaled = scale_load(hot, 3.0, mask)
+        for scen in (hot, scaled, hot, scaled, scaled):
+            cell, pair = scen.cell_fill, scen.pair_fill
+            assert cell.demands is scen.flows.demand
+            assert np.array_equal(pair.demands, scen.flows.demand * scen.flow_plan.ratio)
+            assert table_bits(cell) == fresh_bits(cell)
+            assert table_bits(pair) == fresh_bits(pair)
 
     def test_rejects_below_one(self):
         with pytest.raises(InvalidParams):
@@ -563,47 +606,96 @@ class TestRunExperiment:
                 assert row.flows_total == len(hot.flows)
                 assert row.outer_iters == (0 if result is None else result.outer_iters)
 
-    def test_sweep_keeps_no_load_cache_on_the_base(self):
+    def test_sweep_keeps_no_load_cache_on_the_base(self, monkeypatch):
         # load 1 runs on the base itself, which outlives the sweep, whether it comes
-        # first or last and whatever the sweep scales
+        # first or last and whatever the sweep scales; once the sweep returns, neither
+        # the base nor its plan holds a load's resource demand or sorted forms
         base = generate_scenario(DESK, 4)
+        held = []
+        allocate = sim._allocate_for_scheme
+
+        def watched(scheme, scen, *args):
+            held.extend(map(weakref.ref, (scen.resource_demand, scen.cell_fill, scen.pair_fill)))
+            return allocate(scheme, scen, *args)
+
+        monkeypatch.setattr(sim, "_allocate_for_scheme", watched)
         for loads in ([1.0, 2.0], [2.0, 1.0]):
             for flow_ids in (None, base.flows.id[::3]):
                 run_experiment(base, ALL_SCHEMES, loads, "linear",
                                solver_config=SolverConfig(epsilon=1.0), scale_flow_ids=flow_ids)
                 assert not {"cell_fill", "pair_fill", "resource_demand"} & set(vars(base))
+                assert held and all(ref() is None for ref in held)
+                held.clear()
+
+    @pytest.mark.parametrize("failing", [1, 2])
+    def test_sort_failure_raises_at_any_load_and_releases_the_plan(self, failing,
+                                                                   monkeypatch):
+        # the forms are sorted before the rows, so a failing sort is no error row; the
+        # forms built before it are released with the plan
+        base = generate_scenario(DESK, 4)
+        sorts, held = [], []
+
+        def sort(*args):
+            sorts.append(args[1])  # the layout: the earlier form must not be kept here
+            if len(sorts) > 2 * (failing - 1):
+                raise InvalidParams("demands must be finite and non-negative")
+            form = sort_demands(*args)
+            held.append(weakref.ref(form))
+            return form
+
+        monkeypatch.setattr(fairshare, "sort_demands", sort)
+        with pytest.raises(InvalidParams):
+            run_experiment(base, ALL_SCHEMES, [1.0, 2.0], "linear",
+                           solver_config=SolverConfig(epsilon=1.0))
+        assert len(held) == 2 * (failing - 1) and all(ref() is None for ref in held)
 
     @pytest.mark.parametrize("scaled", ["hotspot", "uniform"])
     def test_each_load_sorts_only_what_its_load_changed(self, scaled, monkeypatch):
-        # every cell of a sweep reads fills equal to fresh sorts of its load's demands;
-        # from the second load on they are sorted from the previous load's, sharing
-        # the tables of every group that holds no scaled flow
-        base = generate_scenario(DESK, 5)
-        hot = add_hotspot(base, HotspotParams(n_flows=60, n_elements=4), 6)
-        flow_ids = hot.flows.id[len(base.flows):] if scaled == "hotspot" else None
-        seen = []
+        # every load's sorted forms are built before its rows, so no row sorts, and each
+        # equals a fresh sort of its load's demands bit for bit; from the second load on
+        # they are sorted from the previous load's, sharing the tables of every group
+        # that holds no scaled flow
+        hot, mask = hotspot_scenario()
+        flow_ids = hot.flows.id[mask] if scaled == "hotspot" else None
+        seen, sorts = [], []
         allocate = sim._allocate_for_scheme
 
         def checked(scheme, scen, *args):
-            fills = {name: vars(scen)[name] for name in ("cell_fill", "pair_fill")
-                     if name in vars(scen)}
-            seen.append((scheme, fills))
-            for name, fill in fills.items():
-                fresh = sort_demands(fill.demands, fill.layout)
-                assert [[a.tobytes() for a in table] for table in fill.tables] == \
-                    [[a.tobytes() for a in table] for table in fresh.tables]
+            before = len(sorts)
+            fills = scen.cell_fill, scen.pair_fill
+            assert len(sorts) == before
+            assert fills[0].demands is scen.flows.demand
+            assert fills[1].demands is scen.resource_demand
+            for fill in fills:
+                assert table_bits(fill) == fresh_bits(fill)
+            if scheme == SCHEME_APP_OPT:
+                seen.append(fills)
             return allocate(scheme, scen, *args)
 
         monkeypatch.setattr(sim, "_allocate_for_scheme", checked)
+        monkeypatch.setattr(fairshare, "sort_demands",
+                            lambda *a: sorts.append(a[1]) or sort_demands(*a))
         run_experiment(hot, ALL_SCHEMES, [1.0, 4.0, 9.0], "logarithmic",
                        solver_config=SolverConfig(epsilon=1.0), scale_flow_ids=flow_ids)
-        firsts = [fills for scheme, fills in seen if scheme == SCHEME_APP_OPT]
-        assert [sorted(fills) for fills in firsts] == [[], ["cell_fill", "pair_fill"],
-                                                      ["cell_fill", "pair_fill"]]
-        for name in ("cell_fill", "pair_fill"):
-            a, b = firsts[1][name], firsts[2][name]
-            shared = [x is y for x, y in zip(a.tables, b.tables)]
-            assert not any(shared) if scaled == "uniform" else any(shared) and not all(shared)
+        assert len(seen) == 3 and len(sorts) == 6
+        for earlier, later in zip(seen, seen[1:]):
+            for a, b in zip(earlier, later):
+                shared = [x is y for x, y in zip(a.tables, b.tables)]
+                assert not any(shared) if scaled == "uniform" else any(shared) and not all(shared)
+
+    def test_app_opt_sweep_sorts_no_pair_form(self, monkeypatch):
+        # only the baselines fill the (entity, element) pairs; the app-opt rows are those
+        # of the sweep over every scheme
+        hot, mask = hotspot_scenario()
+        layouts = []
+        monkeypatch.setattr(fairshare, "sort_demands",
+                            lambda *a: layouts.append(a[1]) or sort_demands(*a))
+        kwargs = dict(solver_config=SolverConfig(epsilon=1.0), scale_flow_ids=hot.flows.id[mask])
+        alone = run_experiment(hot, [SCHEME_APP_OPT], [1.0, 2.0], "logarithmic", **kwargs)
+        assert layouts == [hot.flow_plan.cells] * 2
+        every = run_experiment(hot, ALL_SCHEMES, [1.0, 2.0], "logarithmic", **kwargs)
+        assert [replace(r, solve_ms=None) for r in alone.rows] == \
+            [replace(r, solve_ms=None) for r in every.rows if r.scheme == SCHEME_APP_OPT]
 
     @pytest.mark.parametrize("flow_ids, error", [([999], UnknownReference),
                                                  ([1.5], InvalidParams)])

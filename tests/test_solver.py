@@ -852,6 +852,32 @@ class TestSolve:
         assert [tr.inner_status for tr in r.trace] == ["converged"] * len(r.trace)
         assert np.array_equal(r.allocation.values, inst.lower)
 
+    @pytest.mark.parametrize("capacity, lower, upper, coeff, kind, cfg", [
+        (1e300, 1.0, 2e299, 1.0, "linear", {}),
+        (1e300, 1.0, 2e299, 1.0, "logarithmic", {}),
+        (10.0, 1.0, 4.0, 1e300, "linear", {"epsilon": 1e-12}),
+        (10.0, 1.0, 4.0, 1e300, "logarithmic", {"epsilon": 1e-12}),
+        (1e-300, 1e-302, 4e-301, 1.0, "logarithmic", {"t0": 1e-300})],
+        ids=["capacity-linear", "capacity-log", "coefficient-linear", "coefficient-log",
+             "tiny-log"])
+    def test_magnitudes_outside_the_range_rejected(self, capacity, lower, upper, coeff, kind,
+                                                   cfg):
+        # the first three overflowed and the last divided by zero inside the solve, which
+        # the suite's RuntimeWarning filter turns into an error
+        inst = ProblemInstance([capacity], [[lower, lower]],
+                               [[upper, upper]], [[coeff, 1.0]], kind)
+        with pytest.raises(InvalidParams, match="must"):
+            solve(inst, SolverConfig(**cfg))
+
+    @pytest.mark.parametrize("kind", ["linear", "logarithmic"])
+    @pytest.mark.parametrize("scale, epsilon, t0", [(1e49, 10.0, 1.0), (1e-49, 1e-3, 1e-50)])
+    def test_magnitudes_at_the_edges_of_the_range_solve(self, kind, scale, epsilon, t0):
+        inst = ProblemInstance([scale], [[0.01 * scale, 0.01 * scale]],
+                               [[0.4 * scale, 0.4 * scale]], [[1e50, 1.0]], kind)
+        r = solve(inst, SolverConfig(epsilon=epsilon, t0=t0))
+        assert r.outer_iters > 0 and math.isfinite(r.objective) and math.isfinite(r.dual_gap)
+        assert check_feasible(inst, r.allocation, 0.0).feasible
+
     def test_1x1_linear_reaches_box_cap(self, tiny_instance):
         r = solve(tiny_instance, SolverConfig(epsilon=1e-3))
         assert r.converged
