@@ -146,19 +146,23 @@ class FlowAllocation:
 
 @dataclass(frozen=True)
 class AllocationMatrix:
-    """Decision variables: resource granted to application k at element i."""
+    """Decision variables: resource granted to application k at element i.
+
+    ``values`` is taken by :func:`frozen_array`'s rule: a read-only float array
+    that owns its data is shared, anything else is copied once, and the stored
+    array is read-only.
+    """
 
     values: np.ndarray
 
     def __post_init__(self):
-        arr = np.array(self.values, dtype=float)
+        arr = frozen_array(self.values, name="allocation")
         if arr.ndim != 2:
             raise DimensionMismatch(f"allocation must be 2-D, got shape {arr.shape}")
         if not np.isfinite(arr).all():
             raise InvalidParams("allocation amounts must be finite")
         if np.any(arr < 0):
             raise InvalidParams("allocation amounts must be non-negative")
-        arr.setflags(write=False)
         object.__setattr__(self, "values", arr)
 
     @property
@@ -180,6 +184,10 @@ class ProblemInstance:
 
     The application bounds ``app_lower`` and ``app_upper`` are the column
     sums of ``lower`` and ``upper``, so the cell boxes enforce every one.
+
+    Every array is taken by :func:`frozen_array`'s rule: a read-only array of
+    floats that owns its data is shared, anything else is copied once, and
+    the stored arrays are read-only.
     """
 
     capacities: np.ndarray   # (I,)
@@ -192,13 +200,12 @@ class ProblemInstance:
         cap = frozen_array(self.capacities, name="capacities")
         if cap.ndim != 1 or cap.size == 0:
             raise DimensionMismatch("capacities must be a non-empty vector")
-        lo = np.array(self.lower, dtype=float)
+        lo = frozen_array(self.lower, name="lower")
         if lo.ndim != 2 or lo.shape[0] != cap.size:
             raise DimensionMismatch("lower bound matrix must be (num_elements, num_apps)")
         shape = lo.shape
         hi = frozen_array(self.upper, shape, "upper")
         co = frozen_array(self.coeff, shape, "coeff")
-        lo.setflags(write=False)
 
         if self.utility_kind not in UTILITY_KINDS:
             raise InvalidParams(f"utility_kind must be one of {UTILITY_KINDS}")

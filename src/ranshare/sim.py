@@ -368,7 +368,7 @@ def build_instance(scenario: Scenario, utility_kind: str) -> ProblemInstance:
     lower, upper = expand_bounds(scenario.min_share, scenario.max_share, scenario.capacities)
     return ProblemInstance(
         capacities=scenario.capacities,
-        lower=lower, upper=upper,
+        lower=frozen(lower), upper=frozen(upper),
         coeff=estimate_demand(scenario),
         utility_kind=utility_kind,
     )

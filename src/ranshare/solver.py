@@ -20,7 +20,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import EmptyInterior, InvalidParams, NotInterior
-from .model import AllocationMatrix, ProblemInstance, integers, reals
+from .model import AllocationMatrix, ProblemInstance, frozen, integers, reals
 from .utility import _utility_sum, marginal_utility, total_utility
 
 _ARMIJO = 1e-4
@@ -141,8 +141,7 @@ def interior_start(inst: ProblemInstance, shift: float = INTERIOR_SHIFT) -> Allo
         (hi - lo) / 2.0,
         np.broadcast_to(app_span[None, :] / (2.0 * num_el), lo.shape),
     ])
-    s = lo + np.where(free, delta, 0.0)
-    return AllocationMatrix(s)
+    return AllocationMatrix(frozen(lo + np.where(free, delta, 0.0)))
 
 
 def _check_magnitudes(inst: ProblemInstance, cfg: SolverConfig):
@@ -310,10 +309,11 @@ class _InnerProblem:
         the barrier, without ``centre``) plus a non-negative term per cell, so
         a gap far below the utility keeps its digits.
 
-        ``cells``, given with ``centre`` for log utility, is (row, col) of the
-        centre's free cells with c > 0.  Only their terms are computed: every
-        other cell sits at lo, with c = 0, or is pinned, so its term is exactly
-        0.0, and the terms are summed on the same zero grid.
+        ``cells``, given with ``centre`` for log utility, is (the flat indices
+        of the centre's free cells with c > 0, a grid to hold the terms).  Only
+        those cells' terms are computed: every other cell sits at lo, with
+        c = 0, or is pinned, so its term is exactly 0.0.  The grid is zeroed,
+        the terms are placed in it, and it is summed as the dense terms are.
         """
         inst = self.inst
         bs, ms, ls = self.interior_slacks(s)
@@ -326,10 +326,11 @@ class _InnerProblem:
         nu = _spread(self.app_active, 1.0 / (t * ms) - 1.0 / (t * ls))
         lo, hi, c = inst.lower, inst.upper, inst.coeff
         if cells is not None:
-            row, col = cells
-            terms = np.zeros(s.shape)
-            terms[row, col] = _log_terms(c[row, col], lam[row] + nu[col], lo[row, col],
-                                         hi[row, col], s[row, col])
+            flat, terms = cells
+            row, col = np.divmod(flat, s.shape[1])
+            terms.fill(0.0)
+            np.put(terms, flat, _log_terms(c.take(flat), lam[row] + nu[col], lo.take(flat),
+                                           hi.take(flat), s.take(flat)))
         elif inst.utility_kind == "logarithmic":
             terms = _log_terms(c, lam[:, None] + nu[None, :], lo, hi, s)
         else:
@@ -368,27 +369,27 @@ class _Centre:
     t (F - sum lo) rises with slope 1 + t slope.
 
     One point buffer, and for :meth:`utility` one buffer of its logarithms,
-    are filled from ``lower`` once, the logarithms only where c > 0 (0 where
-    they carry no utility); each centre rewrites only the free cells with
-    c > 0, since every other cell stays at lo.  The instance must have a
-    strict interior (:func:`_check_interior`).
+    are filled from ``lower`` once, the logarithms only at the cells with
+    c > 0 (0 elsewhere, where they carry no utility); each centre rewrites
+    only the free cells with c > 0, since every other cell stays at lo.  The
+    cells are gathered and scattered by their flat indices (``cells``).  The
+    instance must have a strict interior (:func:`_check_interior`).
     """
 
     def __init__(self, inst: ProblemInstance):
         box_free = inst.upper > inst.lower
         row_slack, _ = _check_interior(inst, box_free)
         self.lower, self.coeff = inst.lower, inst.coeff
-        self.point = inst.lower.copy()
-        free = box_free & (inst.coeff > 0)
-        self.row, self.col = np.divmod(np.flatnonzero(free), free.shape[1])
-        per_row = np.bincount(self.row, minlength=free.shape[0])
+        num_el, num_app = box_free.shape
+        self.cells = np.flatnonzero(box_free & (inst.coeff > 0))
+        per_row = np.bincount(self.cells // num_app, minlength=num_el)
         rows = np.flatnonzero(per_row)
         n = per_row[rows]
         width = int(n.max(initial=0))
         # each free cell's row in the block, and its place in that row
         self.block_row = np.repeat(np.arange(rows.size), n)
-        place = np.arange(self.row.size) - np.repeat(np.cumsum(n) - n, n)
-        self.lo, self.hi, self.c = (a[self.row, self.col]
+        place = np.arange(self.cells.size) - np.repeat(np.cumsum(n) - n, n)
+        self.lo, self.hi, self.c = (a.take(self.cells)
                                     for a in (inst.lower, inst.upper, inst.coeff))
         _check_coefficients(self.c)
         ratio = np.full((rows.size, 2 * width), np.inf)
@@ -414,28 +415,36 @@ class _Centre:
         self.moved = np.hstack([first, np.cumsum(rise, axis=1)])
         self.rows = rows
         self.headroom = row_slack[rows]
-        self.iters = int(self.row.size > 0)  # inner iterations a centre records
+        self.iters = int(self.cells.size > 0)  # inner iterations a centre records
+        self.point = inst.lower.copy()
 
     def __call__(self, t: float):
         """(the centre at t, the point buffer, which the next call overwrites; tau = t sigma
         there on each element of ``rows``)."""
         target = t * self.headroom
-        level = self.tau + t * self.moved
+        level = np.multiply(self.moved, t)
+        level += self.tau
         below = np.count_nonzero(level < target[:, None], axis=1)
         rows, j = np.arange(below.size), np.maximum(below - 1, 0)
         tau = self.tau[rows, j] + (target - level[rows, j]) / (1.0 + t * self.slope[rows, j])
-        self.placed = np.clip(self.c * tau[self.block_row], self.lo, self.hi)
-        self.point[self.row, self.col] = self.placed
+        placed = self.c * tau[self.block_row]
+        np.maximum(placed, self.lo, out=placed)
+        np.minimum(placed, self.hi, out=placed)
+        np.put(self.point, self.cells, placed)
+        self.placed = placed
         return self.point, tau
 
     @cached_property
     def logs(self):
-        return np.log(self.lower, out=np.zeros(self.lower.shape), where=self.coeff > 0)
+        weighted = np.flatnonzero(self.coeff > 0)
+        logs = np.zeros(self.lower.shape)
+        np.put(logs, weighted, np.log(self.lower.take(weighted)))
+        return logs
 
     def utility(self) -> float:
         """The log utility of the last centre, summed over the whole grid as
         ``total_utility`` sums it."""
-        self.logs[self.row, self.col] = np.log(self.placed)
+        np.put(self.logs, self.cells, np.log(self.placed))
         return float(np.vdot(self.coeff, self.logs))
 
 
@@ -637,7 +646,7 @@ def solve_inner(inst: ProblemInstance, start: AllocationMatrix, t: float) -> All
     the strictly interior ``start``.
     """
     if inst.utility_kind == "logarithmic":
-        return AllocationMatrix(_Centre(inst)(t)[0])
+        return AllocationMatrix(frozen(_Centre(inst)(t)[0]))
     s, _, _, _ = _inner_loop(_InnerProblem(inst), start.values.copy(), t)
     return AllocationMatrix(s)
 
@@ -656,9 +665,18 @@ def solve(inst: ProblemInstance, config: SolverConfig | None = None) -> SolveRes
 
     Only linear solves start from :func:`interior_start`; a log solve's
     centre checks the same interior (:func:`_check_interior`), and the solve
-    builds the start only when the bound needs no outer iteration, since its
-    centres ignore it.  Magnitudes outside the range :func:`_check_magnitudes`
-    states raise ``InvalidParams`` before the first outer iteration.
+    builds the start only when it is the result, since its centres ignore it:
+    when the bound needs no outer iteration, or the first centre fails
+    (below).  Magnitudes outside the range :func:`_check_magnitudes` states
+    raise ``InvalidParams`` before the first outer iteration.
+
+    Within that range a log centre can place a row within the rounding of
+    its capacity, so that the row's fresh slack is not positive.  The outer
+    loop then ends: the solve returns the centre before, placed again at the
+    trace's last t, or the start when the first centre fails, unconverged.
+    A log solve's allocation is its centre's point buffer, frozen and not
+    copied; the breakpoint block is dropped before ``dual_gap``, whose cell
+    terms go into the log buffer.
     """
     cfg = config or SolverConfig()
     _check_magnitudes(inst, cfg)
@@ -678,8 +696,14 @@ def solve(inst: ProblemInstance, config: SolverConfig | None = None) -> SolveRes
             utility, _, barrier = work.evaluate(s)
         else:
             (s, tau), iters, status = centre(t), centre.iters, "converged"
+            try:
+                barrier = work.barrier(s)
+            except NotInterior:
+                # a row placed within the rounding of its capacity sums past it: end at the
+                # last centre, placed again bit for bit, or at the start when there is none
+                s = centre(trace[-1].t)[0] if trace else None
+                break
             exact = centre.rows, tau
-            barrier = work.barrier(s)
             utility = centre.utility()
         trace.append(OuterTrace(
             t=t,
@@ -693,9 +717,12 @@ def solve(inst: ProblemInstance, config: SolverConfig | None = None) -> SolveRes
 
     if s is None:
         s = interior_start(inst).values
-    alloc = AllocationMatrix(s)
-    dual_gap = work.dual_gap(s, trace[-1].t if trace else t, exact,
-                             None if exact is None else (centre.row, centre.col))
+    cells = None
+    if exact is not None:
+        del centre.tau, centre.slope, centre.moved  # the breakpoint block is read no more
+        cells = centre.cells, centre.logs
+    alloc = AllocationMatrix(frozen(s))
+    dual_gap = work.dual_gap(s, trace[-1].t if trace else t, exact, cells)
     return SolveResult(
         allocation=alloc,
         objective=trace[-1].objective if trace else total_utility(inst, alloc),

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from ranshare.errors import DimensionMismatch, InfeasibleConfig, InvalidParams
-from ranshare.model import AllocationMatrix, Flow, Flows, check_feasible, expand_bounds
+from ranshare.model import (AllocationMatrix, Flow, Flows, check_feasible, expand_bounds,
+                            frozen)
 from ranshare.sim import Scenario
 from ranshare.utility import TranslatingRatios
 
@@ -94,6 +95,32 @@ class TestDomainTypes:
     def test_instance_is_immutable(self, tiny_instance):
         with pytest.raises(ValueError):
             tiny_instance.lower[0, 0] = 5.0
+
+    @pytest.mark.parametrize("field", ["capacities", "lower", "upper", "coeff", "allocation"])
+    def test_arrays_taken_by_the_frozen_array_rule(self, field):
+        # a read-only float array that owns its data is shared; a writeable one is copied, so
+        # the caller's later writes do not reach it, and so is a read-only view; the stored
+        # array is never writeable
+        arrays = dict(capacities=[10.0, 10.0], lower=[[2.0], [2.0]], upper=[[8.0], [8.0]],
+                      coeff=[[1.0], [1.0]])
+        values = [[4.0], [4.0]] if field == "allocation" else arrays[field]
+
+        def taken(arr):
+            if field == "allocation":
+                return AllocationMatrix(arr).values
+            return getattr(make_instance(**{**arrays, field: arr}), field)
+
+        owned = frozen(np.array(values))
+        assert taken(owned) is owned
+        writeable = np.array(values)
+        got = taken(writeable)
+        writeable[0] = 3.0
+        assert np.array_equal(got, values) and not got.flags.writeable
+        view = frozen(np.array(values * 2))[:2]
+        got = taken(view)
+        assert got is not view and np.array_equal(got, view) and not got.flags.writeable
+        with pytest.raises(ValueError):
+            got[0] = 3.0
 
 
 class TestFlows:

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -6,7 +7,8 @@ import pytest
 from ranshare.errors import EmptyInterior, InvalidParams, NotInterior
 from ranshare.model import AllocationMatrix, ProblemInstance, check_feasible
 from ranshare import solver
-from ranshare.sim import ScenarioParams, build_instance, generate_scenario
+from ranshare.sim import (HotspotParams, ScenarioParams, add_hotspot, allocate_app_opt,
+                          build_instance, generate_scenario, run_experiment)
 from ranshare.solver import (OuterTrace, SolverConfig, _Centre, _InnerProblem, _inner_loop,
                              barrier_value, gap_bound, interior_gradient, interior_objective,
                              interior_start, solve, solve_inner)
@@ -200,6 +202,15 @@ def _log_instance(rng, pin_share=0.3):
     return inst
 
 
+def _rounding_scenario():
+    """The 2,000-flow desk scenario with a 3,000-flow hotspot, capacities and demands scaled
+    by 1024: its exact centres round past the capacity from t = 1e10 on."""
+    scen = generate_scenario(ScenarioParams(num_flows=2000, capacity_range=(102400, 307200),
+                                            demand_range=(102.4, 1024)), 7)
+    return add_hotspot(scen, HotspotParams(n_flows=3000, n_entities=2, n_elements=30,
+                                           mean_bw=5120), 8)
+
+
 class TestCentre:
     def test_solve_lands_in_the_highs_bracket(self):
         rng = np.random.default_rng(2024)
@@ -273,7 +284,8 @@ class TestCentre:
 
     def test_dual_gap_on_the_utility_cells_is_the_dense_one(self):
         # away from the centre's own tau the cell terms are far from 0; every cell without
-        # utility sits at lo or is pinned, so its term is 0.0 and the sums agree bit for bit
+        # utility sits at lo or is pinned, so its term is 0.0 and the sums agree bit for bit;
+        # the grid the terms go into is zeroed first, whatever it held
         inst = _sparse_log_case()
         work, centre = _InnerProblem(inst), _Centre(inst)
         for t in (1.0, 10.0, 1e3):
@@ -281,7 +293,8 @@ class TestCentre:
             for scale in (0.5, 1.0, 3.0):
                 exact = centre.rows, tau * scale
                 dense = work.dual_gap(s, t, exact)
-                assert work.dual_gap(s, t, exact, (centre.row, centre.col)) == dense
+                scratch = np.full(s.shape, np.nan)
+                assert work.dual_gap(s, t, exact, (centre.cells, scratch)) == dense
 
     def test_equal_ratios_give_identical_allocations(self):
         # every free cell of a row has the breakpoints lo/c = 0.5 and hi/c = 2.5: ties
@@ -301,6 +314,75 @@ class TestCentre:
         assert check_feasible(inst, r.allocation, tol=0.0).feasible
         assert r.objective == pytest.approx(math.log(4.0), abs=1e-3)
         assert r.converged
+
+    def test_centre_rounding_past_capacity_ends_at_the_last_centre(self):
+        # at t = 1e10 the centre places 8 rows whose sums round above their capacity, its
+        # sigma within a few ulp of B_i: the solve ends at the centre before, unconverged
+        scen = _rounding_scenario()
+        cfg = SolverConfig(epsilon=1e-3)
+        _, r = allocate_app_opt(scen, "logarithmic", cfg)
+        inst = build_instance(scen, "logarithmic")
+        assert check_feasible(inst, r.allocation, tol=0.0).feasible
+        assert not r.converged and r.outer_iters < cfg.max_outer_iters
+        t = r.trace[-1].t
+        assert r.gap_bound == gap_bound(inst, t * cfg.mu) > cfg.epsilon
+        # the returned point is the centre at the trace's last t, and every figure is its own
+        centre = _Centre(inst)
+        s, tau = centre(t)
+        assert np.array_equal(r.allocation.values, s)
+        assert r.objective == r.trace[-1].objective == total_utility(inst, r.allocation)
+        assert r.trace[-1].barrier == barrier_value(inst, r.allocation)
+        assert r.dual_gap == _InnerProblem(inst).dual_gap(s, t, (centre.rows, tau))
+        report = run_experiment(scen, ["app-opt"], [1], "logarithmic", cfg)
+        assert [row.error for row in report.rows] == [None]
+
+    def test_first_centre_past_capacity_returns_the_start(self):
+        # the same scenario from t0 = 1e10: no centre is interior, so the solve returns the
+        # start, as one without an outer iteration does
+        inst = build_instance(_rounding_scenario(), "logarithmic")
+        cfg = SolverConfig(epsilon=1e-3, t0=1e10)
+        r = solve(inst, cfg)
+        start = interior_start(inst)
+        assert r.outer_iters == 0 and r.trace == () and not r.converged
+        assert np.array_equal(r.allocation.values, start.values)
+        assert r.objective == total_utility(inst, start)
+        assert r.gap_bound == gap_bound(inst, cfg.t0)
+        assert r.dual_gap == _InnerProblem(inst).dual_gap(start.values, cfg.t0)
+
+    def test_hotspot_sweep_over_scales_stays_feasible(self):
+        # capacities, demands and the hotspot's bandwidth scaled by 2^0 .. 2^30: from 2^12 on
+        # a centre's rows round past their capacity before the bound meets epsilon
+        ended_early = 0
+        for k in range(31):
+            f = 2.0 ** k
+            scen = generate_scenario(ScenarioParams(
+                num_elements=20, num_entities=4, num_apps=5, num_flows=200,
+                capacity_range=(100 * f, 300 * f), demand_range=(0.1 * f, 1.0 * f)), 3)
+            scen = add_hotspot(scen, HotspotParams(n_flows=300, n_entities=2, n_elements=10,
+                                                   mean_bw=5 * f), 4)
+            inst = build_instance(scen, "logarithmic")
+            r = solve(inst, SolverConfig(epsilon=1e-3))
+            assert check_feasible(inst, r.allocation, tol=0.0).feasible, k
+            ended_early += r.gap_bound > 1e-3
+        assert ended_early >= 10
+
+
+def test_full_scale_log_solve_holds_at_most_four_grids():
+    # the traced peak of a full-scale log solve above what was live at the call, in grids of
+    # I x K floats: the point, which becomes the allocation, the log buffer, which is
+    # dual_gap's scratch, and the breakpoint block with the centre's temporaries
+    inst = build_instance(generate_scenario(ScenarioParams.full_scale(), 42), "logarithmic")
+    cfg = SolverConfig(epsilon=1e-2)
+    tracemalloc.start()
+    try:
+        live = tracemalloc.get_traced_memory()[0]
+        r = solve(inst, cfg)
+        peak = tracemalloc.get_traced_memory()[1] - live
+    finally:
+        tracemalloc.stop()
+    assert r.converged
+    grids = peak / inst.lower.nbytes
+    assert grids <= 4.0, f"{grids:.2f} grids"
 
 
 def _textbook_cg_direction(terms, g, mask, exits):
