@@ -26,6 +26,7 @@ from .utility import _utility_sum, marginal_utility, total_utility
 _ARMIJO = 1e-4
 _BOUNDARY_FRACTION = 1e-12  # trial slacks must keep this fraction of their previous value
 _MAX_BACKTRACKS = 80
+_LOOKAHEAD = 8  # steps a witness row is tested at before the rest: most pass within them
 _PLATEAU_WINDOW = 20
 _INNER_TOL = 1e-8  # linear inner stop: projected gradient (log centres are exact)
 _MAX_INNER_ITERS = 500  # linear inner loop cap
@@ -211,11 +212,14 @@ class _InnerProblem:
 
     def __init__(self, inst: ProblemInstance):
         self.inst = inst
-        self.free = inst.upper > inst.lower
-        self.el_active = self.free.any(axis=1)
+        free = inst.upper > inst.lower
+        linear = inst.utility_kind == "linear"
+        self.el_active = free.any(axis=1)
         # Linear utility keeps the application terms, upper and lower alike: its
         # truncated-CG results move with them.
-        self.app_active = self.free.any(axis=0) & (inst.utility_kind == "linear")
+        self.app_active = free.any(axis=0) & linear
+        # the cells the linear inner loop moves; a log solve's centre places its own
+        self.free = free if linear else None
         self.app_terms = bool(self.app_active.any())
         # the bounds of the constraints in the barrier
         self.capacities = inst.capacities[self.el_active]
@@ -309,11 +313,11 @@ class _InnerProblem:
         the barrier, without ``centre``) plus a non-negative term per cell, so
         a gap far below the utility keeps its digits.
 
-        ``cells``, given with ``centre`` for log utility, is (the flat indices
-        of the centre's free cells with c > 0, a grid to hold the terms).  Only
-        those cells' terms are computed: every other cell sits at lo, with
-        c = 0, or is pinned, so its term is exactly 0.0.  The grid is zeroed,
-        the terms are placed in it, and it is summed as the dense terms are.
+        ``cells``, given with ``centre`` for log utility, is the flat indices
+        of the centre's free cells with c > 0.  Only those cells' terms are
+        computed, and summed in flat order after the multipliers' part: every
+        other cell sits at lo, with c = 0, or is pinned, so its term is
+        exactly 0.0.
         """
         inst = self.inst
         bs, ms, ls = self.interior_slacks(s)
@@ -326,11 +330,9 @@ class _InnerProblem:
         nu = _spread(self.app_active, 1.0 / (t * ms) - 1.0 / (t * ls))
         lo, hi, c = inst.lower, inst.upper, inst.coeff
         if cells is not None:
-            flat, terms = cells
-            row, col = np.divmod(flat, s.shape[1])
-            terms.fill(0.0)
-            np.put(terms, flat, _log_terms(c.take(flat), lam[row] + nu[col], lo.take(flat),
-                                           hi.take(flat), s.take(flat)))
+            row, col = np.divmod(cells, s.shape[1])
+            terms = _log_terms(c.take(cells), lam[row] + nu[col], lo.take(cells),
+                               hi.take(cells), s.take(cells))
         elif inst.utility_kind == "logarithmic":
             terms = _log_terms(c, lam[:, None] + nu[None, :], lo, hi, s)
         else:
@@ -368,31 +370,38 @@ class _Centre:
     on the segment after the last breakpoint below t (B_i - sum lo), where
     t (F - sum lo) rises with slope 1 + t slope.
 
-    One point buffer, and for :meth:`utility` one buffer of its logarithms,
-    are filled from ``lower`` once, the logarithms only at the cells with
-    c > 0 (0 elsewhere, where they carry no utility); each centre rewrites
-    only the free cells with c > 0, since every other cell stays at lo.  The
-    cells are gathered and scattered by their flat indices (``cells``).  The
-    instance must have a strict interior (:func:`_check_interior`).
+    The block is sorted with a leading column of zeros, tau = 0, which no
+    breakpoint lies below, and its sums are accumulated in place.  One point
+    buffer is filled from ``lower`` once, after the block is built; each
+    centre rewrites only the free cells with c > 0, since every other cell
+    stays at lo.  The cells are gathered and scattered by their flat indices
+    (``cells``).  :meth:`utility` sums over the weighted cells (c > 0) alone,
+    as ``total_utility`` does: it keeps their coefficients and logarithms as
+    two vectors in flat order, the logarithms taken from ``lower`` once, and
+    rewrites only the logarithms of the free ones (``slots``).  The instance
+    must have a strict interior (:func:`_check_interior`).
     """
 
     def __init__(self, inst: ProblemInstance):
         box_free = inst.upper > inst.lower
         row_slack, _ = _check_interior(inst, box_free)
-        self.lower, self.coeff = inst.lower, inst.coeff
         num_el, num_app = box_free.shape
-        self.cells = np.flatnonzero(box_free & (inst.coeff > 0))
+        weighted = np.flatnonzero(inst.coeff > 0)
+        free = box_free.take(weighted)
+        self.cells, self.slots = weighted[free], np.flatnonzero(free)
+        self.weights, self.logs = inst.coeff.take(weighted), np.log(inst.lower.take(weighted))
         per_row = np.bincount(self.cells // num_app, minlength=num_el)
         rows = np.flatnonzero(per_row)
         n = per_row[rows]
         width = int(n.max(initial=0))
-        # each free cell's row in the block, and its place in that row
+        # each free cell's row in the block, and its place in that row after column 0
         self.block_row = np.repeat(np.arange(rows.size), n)
-        place = np.arange(self.cells.size) - np.repeat(np.cumsum(n) - n, n)
+        place = np.arange(1, self.cells.size + 1) - np.repeat(np.cumsum(n) - n, n)
         self.lo, self.hi, self.c = (a.take(self.cells)
                                     for a in (inst.lower, inst.upper, inst.coeff))
         _check_coefficients(self.c)
-        ratio = np.full((rows.size, 2 * width), np.inf)
+        ratio = np.full((rows.size, 2 * width + 1), np.inf)
+        ratio[:, 0] = 0.0  # tau = 0: every cell at lo
         # A breakpoint beyond the largest float is never reached at a finite tau: the largest
         # float stands in for it, and every breakpoint stays finite.
         with np.errstate(over="ignore"):
@@ -402,17 +411,19 @@ class _Centre:
         step[self.block_row, place] = self.c
         step[self.block_row, width + place] = -self.c
         order = np.argsort(ratio, axis=1, kind="stable")
-        ratio = np.take_along_axis(ratio, order, axis=1)
-        step = np.take_along_axis(step, order, axis=1)
-        del order
+        self.tau = np.take_along_axis(ratio, order, axis=1)
+        self.slope = np.take_along_axis(step, order, axis=1)
+        del ratio, step, order
         # the padding repeats the row's last breakpoint
-        np.minimum(ratio, ratio[np.arange(rows.size), 2 * n - 1][:, None], out=ratio)
-        first = np.zeros((rows.size, 1))  # tau = 0: every cell at lo
-        self.tau = np.hstack([first, ratio])
+        np.minimum(self.tau, self.tau[np.arange(rows.size), 2 * n][:, None], out=self.tau)
+        np.cumsum(self.slope, axis=1, out=self.slope)
         # a row's c summed in and out again can round below 0
-        self.slope = np.hstack([first, np.maximum(np.cumsum(step, axis=1), 0.0)])
-        rise = np.diff(self.tau, axis=1) * self.slope[:, :-1]
-        self.moved = np.hstack([first, np.cumsum(rise, axis=1)])
+        np.maximum(self.slope, 0.0, out=self.slope)
+        self.moved = np.empty(self.tau.shape)
+        self.moved[:, 0] = 0.0
+        np.subtract(self.tau[:, 1:], self.tau[:, :-1], out=self.moved[:, 1:])
+        self.moved[:, 1:] *= self.slope[:, :-1]
+        np.cumsum(self.moved, axis=1, out=self.moved)
         self.rows = rows
         self.headroom = row_slack[rows]
         self.iters = int(self.cells.size > 0)  # inner iterations a centre records
@@ -434,18 +445,11 @@ class _Centre:
         self.placed = placed
         return self.point, tau
 
-    @cached_property
-    def logs(self):
-        weighted = np.flatnonzero(self.coeff > 0)
-        logs = np.zeros(self.lower.shape)
-        np.put(logs, weighted, np.log(self.lower.take(weighted)))
-        return logs
-
     def utility(self) -> float:
-        """The log utility of the last centre, summed over the whole grid as
+        """The log utility of the last centre, summed over the weighted cells as
         ``total_utility`` sums it."""
-        np.put(self.logs, self.cells, np.log(self.placed))
-        return float(np.vdot(self.coeff, self.logs))
+        np.put(self.logs, self.slots, np.log(self.placed))
+        return float(np.vdot(self.weights, self.logs))
 
 
 def _newton_cg_direction(terms, g, mask):
@@ -533,14 +537,16 @@ def _grid_line_search(work: _InnerProblem, s, slacks, d, g, t: float, f_cur: flo
     The step of trial k is 2^-k.  A trial is built in one grid buffer, and
     its slacks are one vector, laid out by :attr:`_InnerProblem.slack_layout`,
     tested in one comparison.  When a built trial fails first on an element
-    row (the witness), that row alone is clipped and summed at every
-    remaining step in one (steps, K) stack, each of whose rows sums to the
-    same bits as the 1-D row, that is, as the row's entry of the grid's row
-    sums.  A failing witness fails the whole trial, so the next trial built
-    is the first whose witness passes, and the search fails when there is
-    none.  A trial that fails first on a column, or passes the slack test,
-    is followed by the next step built in full.  Only a trial that passes
-    has its gain and value computed.
+    row (the witness), that row alone is clipped and summed at the next
+    ``_LOOKAHEAD`` steps in one (steps, K) stack, and at every step after
+    them in a second stack when none of those passes.  Each row of a stack
+    sums to the same bits as the 1-D row, that is, as the row's entry of the
+    grid's row sums.  A failing witness fails the whole trial, so the next
+    trial built is the first whose witness passes, and the search fails when
+    there is none.  A trial that fails first on a column, or passes the
+    slack test, is followed by the next step built in full.  Only a trial
+    that passes has its gain and value computed.  Trials and stacks are
+    clipped by ``np.maximum`` and ``np.minimum`` in place, as ``clip`` would.
     """
     lo, hi = work.inst.lower, work.inst.upper
     take, sign, offset = work.slack_layout
@@ -558,7 +564,8 @@ def _grid_line_search(work: _InnerProblem, s, slacks, d, g, t: float, f_cur: flo
     while k < _MAX_BACKTRACKS:
         np.multiply(d, steps[k], out=trial)
         trial += s
-        trial.clip(lo, hi, out=trial)
+        np.maximum(trial, lo, out=trial)
+        np.minimum(trial, hi, out=trial)
         np.add.reduce(trial, axis=1, out=row_sums)
         np.add.reduce(trial, axis=0, out=col_sums)
         sums.take(take, out=x)
@@ -578,16 +585,19 @@ def _grid_line_search(work: _InnerProblem, s, slacks, d, g, t: float, f_cur: flo
         if witness >= num_rows:  # a column fails first: no row to look ahead on
             continue
         i = take[witness]
-        lines = np.multiply.outer(steps[k:], d[i])
-        lines += s[i]
-        lines.clip(lo[i], hi[i], out=lines)
-        row_slack = np.add.reduce(lines, axis=1)
-        row_slack *= sign[witness]
-        row_slack += offset[witness]
-        ahead = (row_slack >= floor[witness]).nonzero()[0]
-        if not ahead.size:
-            return None
-        k += int(ahead[0])
+        for chunk in (steps[k:k + _LOOKAHEAD], steps[k + _LOOKAHEAD:]):
+            lines = np.multiply.outer(chunk, d[i])
+            lines += s[i]
+            np.maximum(lines, lo[i], out=lines)
+            np.minimum(lines, hi[i], out=lines)
+            row_slack = np.add.reduce(lines, axis=1)
+            row_slack *= sign[witness]
+            row_slack += offset[witness]
+            ahead = (row_slack >= floor[witness]).nonzero()[0]
+            if ahead.size:
+                k += int(ahead[0])
+                break
+            k += chunk.size  # after both chunks k is _MAX_BACKTRACKS: the search fails
     return None
 
 
@@ -675,8 +685,8 @@ def solve(inst: ProblemInstance, config: SolverConfig | None = None) -> SolveRes
     loop then ends: the solve returns the centre before, placed again at the
     trace's last t, or the start when the first centre fails, unconverged.
     A log solve's allocation is its centre's point buffer, frozen and not
-    copied; the breakpoint block is dropped before ``dual_gap``, whose cell
-    terms go into the log buffer.
+    copied; the breakpoint block is dropped before ``dual_gap``, which sums
+    the terms of the centre's cells alone.
     """
     cfg = config or SolverConfig()
     _check_magnitudes(inst, cfg)
@@ -720,7 +730,7 @@ def solve(inst: ProblemInstance, config: SolverConfig | None = None) -> SolveRes
     cells = None
     if exact is not None:
         del centre.tau, centre.slope, centre.moved  # the breakpoint block is read no more
-        cells = centre.cells, centre.logs
+        cells = centre.cells
     alloc = AllocationMatrix(frozen(s))
     dual_gap = work.dual_gap(s, trace[-1].t if trace else t, exact, cells)
     return SolveResult(

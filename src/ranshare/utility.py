@@ -49,12 +49,17 @@ def estimate_demand(scenario) -> np.ndarray:
 
 
 def total_utility(inst: ProblemInstance, alloc: AllocationMatrix) -> float:
-    """Sum of per-cell utilities over the whole grid."""
+    """Sum of per-cell utilities: c s over the whole grid for linear utility; for
+    logarithmic utility c log s over the weighted cells (c > 0) alone, in flat order.
+
+    A cell with c = 0 carries no log utility, so its allocation changes no bit of the
+    sum; every allocation must still be strictly positive (``DomainError``).
+    """
     return _utility_sum(inst, alloc.values)
 
 
 def _utility_sum(inst: ProblemInstance, s: np.ndarray) -> float:
-    """Sum of per-cell utilities of the allocation array ``s``."""
+    """Sum of per-cell utilities of the allocation array ``s``, as :func:`total_utility`."""
     if s.shape != inst.coeff.shape:
         raise InvalidParams(
             f"allocation shape {s.shape} does not match instance {inst.coeff.shape}"
@@ -63,7 +68,8 @@ def _utility_sum(inst: ProblemInstance, s: np.ndarray) -> float:
         return float(np.vdot(inst.coeff, s))
     if (s <= 0).any():
         raise DomainError("logarithmic utility requires strictly positive allocations")
-    return float(np.vdot(inst.coeff, np.log(s)))
+    weighted = np.flatnonzero(inst.coeff > 0)
+    return float(np.vdot(inst.coeff.take(weighted), np.log(s.take(weighted))))
 
 
 def marginal_utility(coeff: np.ndarray, s: np.ndarray) -> np.ndarray:

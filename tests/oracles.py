@@ -1,4 +1,18 @@
-"""Exact reference optima for the solver tests, computed with scipy's HiGHS.
+"""Exact reference optima for the solver tests: per element row, and with scipy's HiGHS.
+
+``exact_optimum`` returns the optimum of a ``ProblemInstance`` and its point,
+solved element row by element row.  ``ProblemInstance`` stores the
+application bounds as the column sums of the cell boxes, so every point of
+the boxes meets them, and the problem splits into one problem per row: the
+most utility from its cells within their boxes and the row's capacity.
+
+* linear utility: a greedy fractional knapsack.  From the lower bounds, the
+  row's headroom goes to its cells with c > 0 by decreasing c, each up to
+  its upper bound.
+* logarithmic utility: the cells with c > 0 sit at clip(c / lambda, lo, hi)
+  and the others at lo.  lambda is 0, every such cell at hi, when that fits
+  the capacity; otherwise it is the root of the row's sum, which falls as
+  lambda grows, found by bisection (Patriksson 2008).
 
 ``optimum_bracket`` returns bounds ``lower <= optimum <= upper`` on the
 optimal utility of a ``ProblemInstance``, computed independently of the
@@ -15,7 +29,9 @@ The point is made exactly feasible before its utility is read: clipped to the
 box and retracted onto the coupling constraints by ``_repair``, which removes
 HiGHS's primal feasibility tolerance.
 
-The library itself stays numpy-only; scipy is a test dependency.
+The row split is checked against HiGHS, which does not assume it, on small
+instances; it is cheap at any size.  The library itself stays numpy-only;
+scipy is a test dependency.
 """
 
 from __future__ import annotations
@@ -30,6 +46,44 @@ from ranshare.utility import total_utility
 
 _BRACKET_RTOL = 1e-9
 _MAX_ROUNDS = 200
+_BISECTIONS = 100  # halvings of log(lambda): the bracket closes to adjacent floats by 64
+
+
+class Optimum(NamedTuple):
+    value: float
+    point: AllocationMatrix  # an optimal allocation, feasible up to rounding
+
+
+def exact_optimum(inst: ProblemInstance) -> Optimum:
+    """The optimal utility of ``inst`` and its point, solved element row by element row
+    (see the module docstring); the value is the point's ``total_utility``."""
+    lo, hi, c, caps = inst.lower, inst.upper, inst.coeff, inst.capacities
+    weighted = c > 0
+    if inst.utility_kind == "linear":
+        order = np.argsort(-c, axis=1, kind="stable")
+        width = np.take_along_axis(np.where(weighted, hi - lo, 0.0), order, axis=1)
+        filled = np.cumsum(width, axis=1) - width  # taken by the cells before each one
+        room = (caps - lo.sum(axis=1))[:, None]
+        point = lo.copy()
+        np.put_along_axis(point, order, np.take_along_axis(lo, order, axis=1)
+                          + np.clip(room - filled, 0.0, width), axis=1)
+    else:
+        def fill(lam):
+            return np.where(weighted, np.clip(c / lam[:, None], lo, hi), lo)
+
+        top = np.where(weighted, hi, lo)
+        fits = top.sum(axis=1) <= caps  # lambda = 0
+        # below min c/hi every weighted cell is at hi, which does not fit; above max c/lo
+        # every one is at lo, which does
+        low = np.where(fits, 1.0, np.where(weighted, c / hi, np.inf).min(axis=1))
+        high = np.where(fits, 1.0, np.where(weighted, c / lo, 0.0).max(axis=1))
+        for _ in range(_BISECTIONS):
+            mid = np.sqrt(low) * np.sqrt(high)
+            below = fill(mid).sum(axis=1) <= caps
+            high, low = np.where(below, mid, high), np.where(below, low, mid)
+        point = np.where(fits[:, None], top, fill(high))
+    point = AllocationMatrix(point)
+    return Optimum(total_utility(inst, point), point)
 
 
 class Bracket(NamedTuple):

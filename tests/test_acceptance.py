@@ -25,7 +25,7 @@ from ranshare.solver import (SolverConfig, interior_gradient, interior_objective
                              solve)
 
 from conftest import per_entity, random_instance
-from oracles import _repair, optimum_bracket
+from oracles import _repair, exact_optimum
 
 DESK = ScenarioParams()  # 100 elements / 10 entities / 20 apps / 500 flows
 DESK_HOTSPOT = HotspotParams()  # 600 flows from 2 entities over all 100 elements
@@ -60,8 +60,9 @@ def _aggregate_entity_matrix(scenario, flow_alloc) -> AllocationMatrix:
 
 
 def test_criterion_1_eps_suboptimality():
-    """u_upper - u_solver <= eps + 1e-6 on >= 200 random small instances, where
-    u_upper >= the optimum is the upper end of ``oracles.optimum_bracket``."""
+    """u_opt - u_solver <= eps + 1e-6 on >= 200 random small instances, where u_opt is
+    the optimum ``oracles.exact_optimum`` solves row by row (checked against HiGHS in
+    ``test_oracle``)."""
     rng = np.random.default_rng(2024)
     eps = 1e-3
     start = time.perf_counter()
@@ -71,7 +72,7 @@ def test_criterion_1_eps_suboptimality():
         kind = "linear" if trial % 2 == 0 else "logarithmic"
         inst = random_instance(rng, kind=kind)
         result = solve(inst, SolverConfig(epsilon=eps))
-        gap = optimum_bracket(inst).upper - result.objective
+        gap = exact_optimum(inst).value - result.objective
         worst = max(worst, gap)
         if gap > eps + 1e-6:
             failures += 1

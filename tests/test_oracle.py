@@ -1,5 +1,5 @@
-"""The reference optima of ``oracles.optimum_bracket`` on analytic cases and
-against the solver."""
+"""The reference optima of ``oracles.optimum_bracket`` and ``oracles.exact_optimum`` on
+analytic cases, against each other and against the solver."""
 
 import math
 import os
@@ -14,8 +14,8 @@ import ranshare
 from ranshare.model import check_feasible
 from ranshare.solver import SolverConfig, solve
 
-from conftest import make_instance, random_instance
-from oracles import optimum_bracket
+from conftest import make_instance, pin_cells, random_instance
+from oracles import exact_optimum, optimum_bracket
 
 
 def test_1x1_linear_analytic_optimum(tiny_instance):
@@ -46,6 +46,36 @@ def test_oracle_allocations_feasible():
         b = optimum_bracket(inst)
         assert b.lower <= b.upper
         assert check_feasible(inst, b.point, 1e-9).feasible
+        kinds.add(inst.utility_kind)
+    assert kinds == {"linear", "logarithmic"}
+
+
+def test_exact_optimum_on_analytic_rows():
+    # linear: the row's headroom of 10 fills the heavier cell first
+    inst = make_instance([10.0], [[0.0, 0.0]], [[10.0, 10.0]], [[1.0, 2.0]])
+    assert np.array_equal(exact_optimum(inst).point.values, [[0.0, 10.0]])
+    # log, boxes that fit the capacity: every cell at its upper bound (lambda = 0)
+    inst = make_instance([10.0], [[2.0]], [[8.0]], [[3.0]], "logarithmic")
+    assert exact_optimum(inst).value == 3.0 * math.log(8.0)
+    # log, capacity binding: s = c / lambda with 1/lambda = 2 fills 8 = 2 + 6
+    inst = make_instance([8.0], [[1.0, 1.0]], [[7.0, 7.0]], [[1.0, 3.0]], "logarithmic")
+    best = exact_optimum(inst)
+    assert np.allclose(best.point.values, [[2.0, 6.0]], rtol=1e-15, atol=0.0)
+    assert best.value == pytest.approx(math.log(2.0) + 3.0 * math.log(6.0), rel=1e-15)
+
+
+def test_exact_optimum_lies_in_the_highs_bracket():
+    # the row split against HiGHS, which does not assume it, with pinned cells and cells
+    # without utility
+    rng = np.random.default_rng(9)
+    kinds = set()
+    for trial in range(40):
+        inst = random_instance(rng, zero_coeff_prob=0.3)
+        if trial % 3 == 0:
+            inst = pin_cells(inst, rng.random(inst.lower.shape) < 0.3)
+        best, bracket = exact_optimum(inst), optimum_bracket(inst)
+        assert bracket.lower - 1e-9 <= best.value <= bracket.upper + 1e-9
+        assert check_feasible(inst, best.point, 1e-9).feasible
         kinds.add(inst.utility_kind)
     assert kinds == {"linear", "logarithmic"}
 

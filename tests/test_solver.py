@@ -15,7 +15,7 @@ from ranshare.solver import (OuterTrace, SolverConfig, _Centre, _InnerProblem, _
 from ranshare.utility import total_utility
 
 from conftest import make_instance, pin_cells, random_instance
-from oracles import optimum_bracket
+from oracles import exact_optimum, optimum_bracket
 
 
 class TestBarrier:
@@ -282,19 +282,30 @@ class TestCentre:
         assert np.array_equal(r.allocation.values, interior_start(inst).values)
         assert r.objective == total_utility(inst, interior_start(inst))
 
-    def test_dual_gap_on_the_utility_cells_is_the_dense_one(self):
-        # away from the centre's own tau the cell terms are far from 0; every cell without
-        # utility sits at lo or is pinned, so its term is 0.0 and the sums agree bit for bit;
-        # the grid the terms go into is zeroed first, whatever it held
+    def test_dual_gap_on_the_utility_cells_sums_their_dense_terms(self):
+        # away from the centre's own tau the cell terms are far from 0; every other cell sits
+        # at lo, with c = 0, or is pinned, so its dense term is exactly 0.0; the cell path is
+        # the multipliers' part plus the dense terms taken at the cells and summed, bit for bit
         inst = _sparse_log_case()
         work, centre = _InnerProblem(inst), _Centre(inst)
+        others = np.ones(inst.lower.size, bool)
+        others[centre.cells] = False
         for t in (1.0, 10.0, 1e3):
             s, tau = centre(t)
+            bs = work.interior_slacks(s)[0]
             for scale in (0.5, 1.0, 3.0):
                 exact = centre.rows, tau * scale
-                dense = work.dual_gap(s, t, exact)
-                scratch = np.full(s.shape, np.nan)
-                assert work.dual_gap(s, t, exact, (centre.cells, scratch)) == dense
+                lam = np.zeros(inst.num_elements)
+                lam[work.el_active] = 1.0 / (t * bs)
+                lam[centre.rows] = 1.0 / (tau * scale)
+                paid = float(lam[work.el_active] @ bs)
+                dense = solver._log_terms(inst.coeff, lam[:, None], inst.lower, inst.upper,
+                                          s).ravel()
+                assert np.all(dense[others] == 0.0)
+                assert scale == 1.0 or dense[centre.cells].max() > 1e-3
+                gap = work.dual_gap(s, t, exact, centre.cells)
+                assert gap == float(paid + dense[centre.cells].sum())
+                assert gap == pytest.approx(work.dual_gap(s, t, exact), rel=1e-12)
 
     def test_equal_ratios_give_identical_allocations(self):
         # every free cell of a row has the breakpoints lo/c = 0.5 and hi/c = 2.5: ties
@@ -367,11 +378,17 @@ class TestCentre:
         assert ended_early >= 10
 
 
-def test_full_scale_log_solve_holds_at_most_four_grids():
+@pytest.fixture(scope="module")
+def full_scale_log():
+    """The full-scale log instance: 1000 x 100, seed 42."""
+    return build_instance(generate_scenario(ScenarioParams.full_scale(), 42), "logarithmic")
+
+
+def test_full_scale_log_solve_holds_at_most_three_grids(full_scale_log):
     # the traced peak of a full-scale log solve above what was live at the call, in grids of
-    # I x K floats: the point, which becomes the allocation, the log buffer, which is
-    # dual_gap's scratch, and the breakpoint block with the centre's temporaries
-    inst = build_instance(generate_scenario(ScenarioParams.full_scale(), 42), "logarithmic")
+    # I x K floats: the point, which becomes the allocation, and the breakpoint block with
+    # the centre's temporaries and its per-cell vectors; no log grid
+    inst = full_scale_log
     cfg = SolverConfig(epsilon=1e-2)
     tracemalloc.start()
     try:
@@ -381,8 +398,21 @@ def test_full_scale_log_solve_holds_at_most_four_grids():
     finally:
         tracemalloc.stop()
     assert r.converged
+    assert r.objective == total_utility(inst, r.allocation)
     grids = peak / inst.lower.nbytes
-    assert grids <= 4.0, f"{grids:.2f} grids"
+    assert grids <= 3.0, f"{grids:.2f} grids"
+
+
+def test_full_scale_log_solve_is_certified_by_the_exact_optimum(full_scale_log):
+    # the true gap, read from the optimum solved row by row: within epsilon, and bounded by
+    # the dual gap the centre's cells certify
+    inst = full_scale_log
+    cfg = SolverConfig(epsilon=1e-2)
+    r = solve(inst, cfg)
+    optimum = exact_optimum(inst).value
+    assert r.converged and check_feasible(inst, r.allocation, tol=0.0).feasible
+    assert 0.0 < optimum - r.objective <= cfg.epsilon
+    assert r.dual_gap >= optimum - r.objective
 
 
 def _textbook_cg_direction(terms, g, mask, exits):
@@ -664,9 +694,11 @@ def test_row_slice_sum_is_the_row_of_the_grid_sum(width):
     grid = rng.uniform(0.0, 1.0, (300, width)) * 10.0 ** rng.uniform(-8, 8, (300, width))
     rows = grid.sum(axis=1)
     assert np.array_equal(np.array([np.add.reduce(row) for row in grid]), rows)
-    # After a failed trial the search sums its witness row at every remaining step at once,
-    # in a C-contiguous (steps, width) stack: each of its rows sums as the 1-D row does.
-    for steps in (1, 2, 9, solver._MAX_BACKTRACKS - 1):
+    # After a failed trial the search sums its witness row at the next _LOOKAHEAD steps at
+    # once, and at the steps after them in a second stack: C-contiguous (steps, width) stacks
+    # of every height a chunk can have, each of whose rows sums as the 1-D row does.
+    assert solver._LOOKAHEAD < solver._MAX_BACKTRACKS
+    for steps in range(1, solver._MAX_BACKTRACKS):
         stack = np.multiply.outer(np.ldexp(1.0, -np.arange(steps)), grid[0]) + grid[1]
         assert stack.flags.c_contiguous
         assert np.array_equal(np.add.reduce(stack, axis=1),
@@ -680,24 +712,24 @@ def test_row_slice_sum_is_the_row_of_the_grid_sum(width):
 def _fresh_evaluation_solve(inst, cfg):
     """:func:`solve` with every outer iterate evaluated afresh: its trace entry from
     ``total_utility`` and ``barrier_value``, and the next linear inner loop's start from the
-    point alone; a log iterate is a new centre's, whose tau gives the dual multipliers.
-    Returns (allocation, trace, objective, dual_gap)."""
+    point alone; a log iterate is a new centre's, whose tau gives the dual multipliers and
+    whose cells the dual gap's terms.  Returns (allocation, trace, objective, dual_gap)."""
     work = _InnerProblem(inst)
     s = interior_start(inst).values.copy()
-    t, trace, exact = cfg.t0, [], None
+    t, trace, exact, cells = cfg.t0, [], None, None
     while gap_bound(inst, t) > cfg.epsilon and len(trace) < cfg.max_outer_iters:
         if inst.utility_kind == "linear":
             s, iters, status, _ = _inner_loop(work, s, t)
         else:
             centre = _Centre(inst)
             (s, tau), iters, status = centre(t), centre.iters, "converged"
-            exact = centre.rows, tau
+            exact, cells = (centre.rows, tau), centre.cells
         alloc = AllocationMatrix(s)
         trace.append(OuterTrace(t, total_utility(inst, alloc), barrier_value(inst, alloc),
                                 gap_bound(inst, t), iters, status))
         t *= cfg.mu
     return (s, trace, total_utility(inst, AllocationMatrix(s)),
-            work.dual_gap(s, trace[-1].t, exact))
+            work.dual_gap(s, trace[-1].t, exact, cells))
 
 
 def _sparse_log_case():

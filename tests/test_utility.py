@@ -100,3 +100,26 @@ class TestTotalUtility:
             assert mid >= ends - 1e-9
             if np.abs(s1 - s2).max() > 1.0:  # strict away from the diagonal
                 assert mid > ends
+
+    def test_log_cells_without_utility_change_no_bit(self):
+        # the log sum runs over the cells with c > 0 alone: any positive value at a cell with
+        # c = 0 gives the same bits, and a non-positive value anywhere still raises
+        rng = np.random.default_rng(29)
+        unweighted_seen = weighted_seen = 0
+        for _ in range(40):
+            inst = random_instance(rng, kind="logarithmic", zero_coeff_prob=0.5)
+            lo, hi = inst.lower, inst.upper
+            s = lo + rng.uniform(0.1, 0.9, lo.shape) * (hi - lo)
+            want = total_utility(inst, AllocationMatrix(s))
+            unweighted = inst.coeff == 0
+            unweighted_seen += int(unweighted.sum())
+            weighted_seen += int((~unweighted).sum())
+            moved = np.where(unweighted, 10.0 ** rng.uniform(-300, 300, lo.shape), s)
+            assert total_utility(inst, AllocationMatrix(moved)) == want
+            for cell in np.ndindex(lo.shape):
+                for bad in (0.0, -0.0):
+                    broken = moved.copy()
+                    broken[cell] = bad
+                    with pytest.raises(DomainError):
+                        total_utility(inst, AllocationMatrix(broken))
+        assert unweighted_seen >= 20 and weighted_seen >= 20
