@@ -15,8 +15,6 @@ from .errors import InvalidParams
 from .fairshare import water_fill
 from .model import FlowAllocation, frozen, reals
 
-_REDISTRIBUTE_EPS = 1e-12
-
 
 @dataclass(frozen=True)
 class ReservationConfig:
@@ -63,16 +61,42 @@ def per_bs_rsv_allocate(scenario, cfg: ReservationConfig | None = None) -> FlowA
     return _fill_pools(scenario, np.tile(cfg.per_bs_fraction * scenario.capacities, (num_e, 1)))
 
 
+def _reserve(demand_ei, budgets, capacities):
+    """Each entity's reserves, entity by entity on the capacity the ones before it left.
+
+    Entity e reserves min(lam * d_i, rem_i) at each element it demands (d_i > 0): lam = inf
+    when that fits its budget, else the reserves sum to it.  One breakpoint search over
+    rem_i / d_i finds lam (Patriksson 2008).  Sorted stably, breakpoint j spends
+    sum_{l<j} rem_l + (rem_j / d_j) sum_{l>=j} d_l; with j the count of spends below the
+    budget (rounding can leave them out of order), lam = (budget - sum_{l<j} rem_l) /
+    sum_{l>=j} d_l.
+    """
+    remaining = capacities.copy()
+    reserved = np.zeros(demand_ei.shape)
+    for e, budget in enumerate(budgets):
+        cells = np.flatnonzero(demand_ei[e] > 0)
+        d, rem = demand_ei[e, cells], remaining[cells]
+        ratio = rem / d
+        order = np.argsort(ratio, kind="stable")
+        spent = np.zeros(cells.size + 1)  # on the elements before each breakpoint
+        np.cumsum(rem[order], out=spent[1:])
+        unsaturated = np.cumsum(d[order][::-1])[::-1]  # the demand from each breakpoint on
+        j = np.count_nonzero(spent[:-1] + ratio[order] * unsaturated < budget)
+        lam = (budget - spent[j]) / unsaturated[j] if j < cells.size else np.inf
+        reserved[e, cells] = np.minimum(lam * d, rem)
+        remaining[cells] -= reserved[e, cells]
+    return reserved
+
+
 def net_rsv_allocate(scenario, cfg: ReservationConfig | None = None) -> FlowAllocation:
     """Network-wide reservation with demand-adaptive budgets.
 
     Each entity's aggregate budget is its total resource demand clamped into
     [net_min, net_max] fractions of the aggregate capacity (rescaled if the
-    budgets oversubscribe it).  The budget is spread over elements in
-    proportion to the entity's per-element demand, truncated by remaining
-    element capacity with the excess re-spread over the entity's other
-    elements.  Reserved amounts are held even if the entity's flows cannot
-    use them (reservation semantics).
+    budgets oversubscribe it), and spread as min(lam * demand, remaining
+    capacity) over the elements it demands (:func:`_reserve`), so the reserves
+    scale exactly with the unit.  Reserved amounts are held even if the
+    entity's flows cannot use them (reservation semantics).
     """
     cfg = cfg or ReservationConfig()
     num_e = scenario.num_entities
@@ -88,26 +112,4 @@ def net_rsv_allocate(scenario, cfg: ReservationConfig | None = None) -> FlowAllo
                       cfg.net_max_fraction * total_cap)
     if budgets.sum() > total_cap:
         budgets *= total_cap / budgets.sum()
-
-    remaining = caps.copy()
-    reserved = np.zeros((num_e, num_i))
-    for e in range(num_e):
-        if demand_e[e] <= 0:
-            continue  # nothing to spread the budget over
-        pool = budgets[e]
-        alloc = np.zeros(num_i)
-        active = demand_ei[e] > 0
-        while pool > _REDISTRIBUTE_EPS * budgets[e] and active.any():
-            weights = demand_ei[e] * active
-            share = pool * weights / weights.sum()
-            give = np.minimum(share, remaining - alloc)
-            give = np.maximum(give, 0.0)
-            given = float(give.sum())
-            alloc += give
-            pool -= given
-            active &= (remaining - alloc) > _REDISTRIBUTE_EPS
-            if given <= _REDISTRIBUTE_EPS * max(budgets[e], 1.0):
-                break
-        reserved[e] = alloc
-        remaining -= alloc
-    return _fill_pools(scenario, reserved)
+    return _fill_pools(scenario, _reserve(demand_ei, budgets, caps))

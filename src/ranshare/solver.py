@@ -295,45 +295,40 @@ class _InnerProblem:
         v_app = _spread(self.app_active, 1.0 / (ms * ms) + 1.0 / (ls * ls))
         return w_el, v_app, np.maximum(w_el[:, None] + v_app[None, :], 1e-300)
 
-    def dual_gap(self, s, t, centre=None, cells=None) -> float:
+    def dual_gap(self, s, t, centre=None) -> float:
         """Lagrangian dual at the barrier multipliers of t, minus the utility of ``s``.
 
         The multipliers are lambda_i = 1/(t bs_i), nu+_k = 1/(t ms_k) and
         nu-_k = 1/(t ls_k) for the constraints in the barrier, 0 for the
-        others.  ``centre``, when given, is (rows, tau) of the exact centre
-        ``s`` (:class:`_Centre`): those rows take lambda_i = 1/tau_i,
-        since the fresh slack of a row rounds at about 1e-14 B_i, far above
-        its sigma at large t.  With a = lambda_i + nu+_k - nu-_k, each cell of
-        the dual maximizes u(x) - a x over its box: at clip(c/a, lo, hi) for
-        log utility (hi where a <= 0), at a box corner for linear.  By weak
+        others.  With a = lambda_i + nu+_k - nu-_k, each cell of the dual
+        maximizes u(x) - a x over its box: at clip(c/a, lo, hi) for log
+        utility (hi where a <= 0), at a box corner for linear.  By weak
         duality, for any multipliers >= 0, the utility of ``s`` plus this gap
         bounds the optimum; the dual keeps the cell boxes, which enforce every
         bound the barrier leaves out.  The difference is summed term by term,
         the multipliers times the slacks of ``s`` (m/t for the m constraints in
-        the barrier, without ``centre``) plus a non-negative term per cell, so
-        a gap far below the utility keeps its digits.
+        the barrier) plus a non-negative term per cell, so a gap far below the
+        utility keeps its digits.
 
-        ``cells``, given with ``centre`` for log utility, is the flat indices
-        of the centre's free cells with c > 0.  Only those cells' terms are
-        computed, and summed in flat order after the multipliers' part: every
-        other cell sits at lo, with c = 0, or is pinned, so its term is
-        exactly 0.0.
+        ``centre``, when given, is (rows, tau) of the exact log centre ``s``
+        (:class:`_Centre`): those rows take lambda_i = 1/tau_i, since the fresh
+        slack of a row rounds at about 1e-14 B_i, far above its sigma at large
+        t.  Each cell with c > 0 then sits at the maximizer of
+        c log x - x / tau_i over its box, and every other cell at lo or pinned,
+        so every cell term vanishes up to rounding, and the gap is the
+        multipliers times the slacks.
         """
-        inst = self.inst
         bs, ms, ls = self.interior_slacks(s)
         lam = _spread(self.el_active, 1.0 / (t * bs))
-        paid = (bs.size + ms.size + ls.size) / t  # the multipliers times the slacks
         if centre is not None:
             rows, tau = centre
             lam[rows] = 1.0 / tau
-            paid = float(lam[self.el_active] @ bs) + (ms.size + ls.size) / t
+            return float(lam[self.el_active] @ bs) + (ms.size + ls.size) / t
+        paid = (bs.size + ms.size + ls.size) / t  # the multipliers times the slacks
         nu = _spread(self.app_active, 1.0 / (t * ms) - 1.0 / (t * ls))
+        inst = self.inst
         lo, hi, c = inst.lower, inst.upper, inst.coeff
-        if cells is not None:
-            row, col = np.divmod(cells, s.shape[1])
-            terms = _log_terms(c.take(cells), lam[row] + nu[col], lo.take(cells),
-                               hi.take(cells), s.take(cells))
-        elif inst.utility_kind == "logarithmic":
+        if inst.utility_kind == "logarithmic":
             terms = _log_terms(c, lam[:, None] + nu[None, :], lo, hi, s)
         else:
             a = lam[:, None] + nu[None, :]
@@ -685,8 +680,7 @@ def solve(inst: ProblemInstance, config: SolverConfig | None = None) -> SolveRes
     loop then ends: the solve returns the centre before, placed again at the
     trace's last t, or the start when the first centre fails, unconverged.
     A log solve's allocation is its centre's point buffer, frozen and not
-    copied; the breakpoint block is dropped before ``dual_gap``, which sums
-    the terms of the centre's cells alone.
+    copied, and its ``dual_gap`` is the centre's multipliers times its slacks.
     """
     cfg = config or SolverConfig()
     _check_magnitudes(inst, cfg)
@@ -727,12 +721,8 @@ def solve(inst: ProblemInstance, config: SolverConfig | None = None) -> SolveRes
 
     if s is None:
         s = interior_start(inst).values
-    cells = None
-    if exact is not None:
-        del centre.tau, centre.slope, centre.moved  # the breakpoint block is read no more
-        cells = centre.cells
     alloc = AllocationMatrix(frozen(s))
-    dual_gap = work.dual_gap(s, trace[-1].t if trace else t, exact, cells)
+    dual_gap = work.dual_gap(s, trace[-1].t if trace else t, exact)
     return SolveResult(
         allocation=alloc,
         objective=trace[-1].objective if trace else total_utility(inst, alloc),

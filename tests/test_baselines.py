@@ -1,12 +1,16 @@
+import dataclasses
+from functools import lru_cache
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from ranshare import baselines
 from ranshare.baselines import (ReservationConfig, net_rsv_allocate,
                                 per_bs_rsv_allocate)
 from ranshare.errors import InvalidParams
 from ranshare.model import Flow, Flows
-from ranshare.sim import Scenario, ScenarioParams, generate_scenario
+from ranshare.sim import Scenario, ScenarioParams, generate_scenario, scale_load
 from ranshare.utility import TranslatingRatios
 
 from conftest import per_entity
@@ -119,37 +123,26 @@ def test_flows_never_exceed_demand(allocate):
     assert np.allclose(out.resource, out.bandwidth * p, rtol=1e-12)
 
 
-def _net_rsv_reference(scen, cfg=ReservationConfig()):
-    """``net_rsv_allocate`` with each (entity, element) demand summed by ``np.add.at`` over
-    the flows in input order."""
+def _net_rsv_inputs(scen, cfg=ReservationConfig()):
+    """(demand_ei, budgets) of ``net_rsv_allocate``, with each (entity, element) demand
+    summed by ``np.add.at`` over the flows in input order."""
     flows = scen.flows
     caps = scen.capacities
-    num_e, num_i = scen.num_entities, caps.size
     total_cap = float(caps.sum())
     res_demand = flows.demand * scen.ratios.values[flows.element, flows.app]
-    demand_ei = np.zeros((num_e, num_i))
+    demand_ei = np.zeros((scen.num_entities, caps.size))
     np.add.at(demand_ei, (flows.entity, flows.element), res_demand)
-    demand_e = demand_ei.sum(axis=1)
-    budgets = np.clip(demand_e, cfg.net_min_fraction * total_cap,
+    budgets = np.clip(demand_ei.sum(axis=1), cfg.net_min_fraction * total_cap,
                       cfg.net_max_fraction * total_cap)
     if budgets.sum() > total_cap:
         budgets *= total_cap / budgets.sum()
-    remaining = caps.copy()
-    reserved = np.zeros((num_e, num_i))
-    eps = baselines._REDISTRIBUTE_EPS
-    for e in np.flatnonzero(demand_e > 0):
-        pool, alloc, active = budgets[e], np.zeros(num_i), demand_ei[e] > 0
-        while pool > eps * budgets[e] and active.any():
-            weights = demand_ei[e] * active
-            give = np.maximum(np.minimum(pool * weights / weights.sum(), remaining - alloc), 0.0)
-            alloc += give
-            pool -= float(give.sum())
-            active &= (remaining - alloc) > eps
-            if float(give.sum()) <= eps * max(budgets[e], 1.0):
-                break
-        reserved[e] = alloc
-        remaining -= alloc
-    return baselines._fill_pools(scen, reserved)
+    return demand_ei, budgets
+
+
+def _net_rsv_reference(scen):
+    """``net_rsv_allocate`` on the demands of :func:`_net_rsv_inputs`."""
+    demand_ei, budgets = _net_rsv_inputs(scen)
+    return baselines._fill_pools(scen, baselines._reserve(demand_ei, budgets, scen.capacities))
 
 
 def test_net_rsv_demand_sums_flows_in_input_order():
@@ -160,3 +153,82 @@ def test_net_rsv_demand_sums_flows_in_input_order():
     got, want = net_rsv_allocate(scen), _net_rsv_reference(scen)
     for name in ("flow_ids", "bandwidth", "resource", "demand_resource"):
         assert np.array_equal(getattr(got, name), getattr(want, name))
+
+
+def _proportional_spread(demand_ei, budgets, capacities, eps=1e-12):
+    """Each entity's budget spread in proportion to its demand, truncated by the remaining
+    capacity, with the excess spread again over the elements not yet full, round by round:
+    an independent reference for ``baselines._reserve``, which it matches to rounding."""
+    remaining = capacities.copy()
+    reserved = np.zeros(demand_ei.shape)
+    for e, budget in enumerate(budgets):
+        pool, alloc, active = budget, np.zeros(capacities.size), demand_ei[e] > 0
+        while pool > eps * budget and active.any():
+            weights = demand_ei[e] * active
+            give = np.maximum(np.minimum(pool * weights / weights.sum(), remaining - alloc), 0.0)
+            alloc += give
+            pool -= float(give.sum())
+            active &= (remaining - alloc) > eps
+            if float(give.sum()) <= eps * max(budget, 1.0):
+                break
+        reserved[e] = alloc
+        remaining -= alloc
+    return reserved
+
+
+def _reserve_cases():
+    """(demand_ei, budgets, capacities): the 5,000-flow desk scenario at loads 1, 4 and 10,
+    where most spreads saturate an element, and a hand-made one where entity 0's budget
+    exceeds the capacity of the one element it demands."""
+    for seed in range(2):
+        base = generate_scenario(ScenarioParams(num_flows=5000), seed)
+        for load in (1.0, 4.0, 10.0):
+            scen = scale_load(base, load)
+            yield (*_net_rsv_inputs(scen), scen.capacities)
+    scen = scenario_from([flow(0, 0, 0, 50.0), flow(1, 1, 0, 0.5), flow(2, 1, 1, 20.0)],
+                         [1.0, 100.0])
+    yield (*_net_rsv_inputs(scen), scen.capacities)
+
+
+def test_reserve_spends_each_budget_or_fills_every_demanded_element():
+    fills = 0
+    for demand_ei, budgets, caps in _reserve_cases():
+        got = baselines._reserve(demand_ei, budgets, caps)
+        np.testing.assert_allclose(got, _proportional_spread(demand_ei, budgets, caps),
+                                   rtol=1e-11, atol=0)
+        remaining = caps.copy()
+        for e, budget in enumerate(budgets):
+            demanded = demand_ei[e] > 0
+            assert np.all(got[e] <= remaining) and np.all(got[e][~demanded] == 0.0)
+            if np.array_equal(got[e][demanded], remaining[demanded]):
+                fills += demanded.any()
+            else:
+                assert got[e].sum() == pytest.approx(budget, rel=1e-12, abs=0)
+            remaining -= got[e]
+    assert fills >= 1
+
+
+@lru_cache(maxsize=None)
+def _desk_at_load(seed, load):
+    """The 5,000-flow desk scenario at a load where net-rsv's spread saturates elements."""
+    return scale_load(generate_scenario(ScenarioParams(num_flows=5000), seed), load)
+
+
+def _in_units_of(scen, k):
+    """``scen`` with capacities and flow demands multiplied by 2^k, exactly."""
+    flows = dataclasses.replace(scen.flows, demand=np.ldexp(scen.flows.demand, k))
+    return dataclasses.replace(scen, capacities=np.ldexp(scen.capacities, k), flows=flows)
+
+
+@settings(max_examples=40, deadline=None)
+@given(k=st.integers(-80, 80), seed=st.integers(0, 3), load=st.sampled_from([4.0, 10.0]))
+@example(k=-60, seed=1, load=10.0)
+def test_baselines_scale_exactly_with_the_unit(k, seed, load):
+    # multiplying by 2^k is exact, so every reserve, fill and ratio scales bit for bit; QoE
+    # counts are not compared, since QOE_SLACK is absolute
+    unit = _desk_at_load(seed, load)
+    scaled = _in_units_of(unit, k)
+    for allocate in (net_rsv_allocate, per_bs_rsv_allocate):
+        want, got = allocate(unit), allocate(scaled)
+        assert np.array_equal(got.resource, np.ldexp(want.resource, k)), allocate.__name__
+        assert np.array_equal(got.bandwidth, np.ldexp(want.bandwidth, k)), allocate.__name__

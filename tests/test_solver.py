@@ -212,16 +212,16 @@ def _rounding_scenario():
 
 
 class TestCentre:
-    def test_solve_lands_in_the_highs_bracket(self):
+    def test_solve_is_within_epsilon_of_the_exact_optimum(self):
         rng = np.random.default_rng(2024)
         seen = np.zeros(2, int)  # pinned cells, free cells without utility
         for _ in range(20):
             inst = _log_instance(rng)
             r = solve(inst, SolverConfig(epsilon=1e-3))
-            optimum = optimum_bracket(inst)
+            optimum = exact_optimum(inst).value
             assert check_feasible(inst, r.allocation, tol=0.0).feasible
-            assert optimum.upper - r.objective <= 1e-3 + 1e-6
-            assert r.objective + r.dual_gap >= optimum.lower - 1e-9
+            assert optimum - r.objective <= 1e-3 + 1e-6
+            assert r.objective + r.dual_gap >= optimum - 1e-9
             box_free = inst.upper > inst.lower
             seen += int((~box_free).sum()), int((box_free & (inst.coeff == 0)).sum())
         assert seen.min() >= 10
@@ -282,30 +282,22 @@ class TestCentre:
         assert np.array_equal(r.allocation.values, interior_start(inst).values)
         assert r.objective == total_utility(inst, interior_start(inst))
 
-    def test_dual_gap_on_the_utility_cells_sums_their_dense_terms(self):
-        # away from the centre's own tau the cell terms are far from 0; every other cell sits
-        # at lo, with c = 0, or is pinned, so its dense term is exactly 0.0; the cell path is
-        # the multipliers' part plus the dense terms taken at the cells and summed, bit for bit
+    def test_dual_gap_at_the_centre_is_its_multipliers_times_its_slacks(self):
+        # at the centre's own tau each cell with c > 0 sits at the maximizer of
+        # c log x - x / tau over its box, and every other cell at lo or pinned: every dense
+        # term of the dual is 0 up to the rounding of c tau against c / (1 / tau), and the gap
+        # is the multipliers times the slacks, bit for bit
         inst = _sparse_log_case()
         work, centre = _InnerProblem(inst), _Centre(inst)
-        others = np.ones(inst.lower.size, bool)
-        others[centre.cells] = False
         for t in (1.0, 10.0, 1e3):
             s, tau = centre(t)
             bs = work.interior_slacks(s)[0]
-            for scale in (0.5, 1.0, 3.0):
-                exact = centre.rows, tau * scale
-                lam = np.zeros(inst.num_elements)
-                lam[work.el_active] = 1.0 / (t * bs)
-                lam[centre.rows] = 1.0 / (tau * scale)
-                paid = float(lam[work.el_active] @ bs)
-                dense = solver._log_terms(inst.coeff, lam[:, None], inst.lower, inst.upper,
-                                          s).ravel()
-                assert np.all(dense[others] == 0.0)
-                assert scale == 1.0 or dense[centre.cells].max() > 1e-3
-                gap = work.dual_gap(s, t, exact, centre.cells)
-                assert gap == float(paid + dense[centre.cells].sum())
-                assert gap == pytest.approx(work.dual_gap(s, t, exact), rel=1e-12)
+            lam = np.zeros(inst.num_elements)
+            lam[work.el_active] = 1.0 / (t * bs)
+            lam[centre.rows] = 1.0 / tau
+            assert work.dual_gap(s, t, (centre.rows, tau)) == float(lam[work.el_active] @ bs)
+            dense = solver._log_terms(inst.coeff, lam[:, None], inst.lower, inst.upper, s)
+            assert np.all(np.abs(dense) <= 1e-15 * (inst.coeff + lam[:, None] * s))
 
     def test_equal_ratios_give_identical_allocations(self):
         # every free cell of a row has the breakpoints lo/c = 0.5 and hi/c = 2.5: ties
@@ -712,24 +704,24 @@ def test_row_slice_sum_is_the_row_of_the_grid_sum(width):
 def _fresh_evaluation_solve(inst, cfg):
     """:func:`solve` with every outer iterate evaluated afresh: its trace entry from
     ``total_utility`` and ``barrier_value``, and the next linear inner loop's start from the
-    point alone; a log iterate is a new centre's, whose tau gives the dual multipliers and
-    whose cells the dual gap's terms.  Returns (allocation, trace, objective, dual_gap)."""
+    point alone; a log iterate is a new centre's, whose tau gives the dual multipliers.
+    Returns (allocation, trace, objective, dual_gap)."""
     work = _InnerProblem(inst)
     s = interior_start(inst).values.copy()
-    t, trace, exact, cells = cfg.t0, [], None, None
+    t, trace, exact = cfg.t0, [], None
     while gap_bound(inst, t) > cfg.epsilon and len(trace) < cfg.max_outer_iters:
         if inst.utility_kind == "linear":
             s, iters, status, _ = _inner_loop(work, s, t)
         else:
             centre = _Centre(inst)
             (s, tau), iters, status = centre(t), centre.iters, "converged"
-            exact, cells = (centre.rows, tau), centre.cells
+            exact = centre.rows, tau
         alloc = AllocationMatrix(s)
         trace.append(OuterTrace(t, total_utility(inst, alloc), barrier_value(inst, alloc),
                                 gap_bound(inst, t), iters, status))
         t *= cfg.mu
     return (s, trace, total_utility(inst, AllocationMatrix(s)),
-            work.dual_gap(s, trace[-1].t, exact, cells))
+            work.dual_gap(s, trace[-1].t, exact))
 
 
 def _sparse_log_case():
@@ -789,9 +781,9 @@ def test_log_solve_matches_cg_objective(seed):
     inst = _log_case(seed)
     r = solve(inst, SolverConfig(epsilon=1e-4))
     assert r.objective == pytest.approx(CG_LOG_OBJECTIVES[seed], rel=1e-9, abs=0.0)
-    # the pin itself is within epsilon of the optimum; a bracket 1e-8 wide suffices
-    optimum = optimum_bracket(inst, rtol=1e-8)
-    assert optimum.upper - 1e-4 <= CG_LOG_OBJECTIVES[seed] <= optimum.upper
+    # the pin itself is within epsilon of the optimum
+    optimum = exact_optimum(inst).value
+    assert optimum - 1e-4 <= CG_LOG_OBJECTIVES[seed] <= optimum + 1e-9
 
 
 class TestInnerStop:
