@@ -68,6 +68,9 @@ class Flows:
     """A flow sequence as aligned read-only columns: entry j of each is flow j.
 
     It reads as a sequence of Flow: an int index gives a Flow, a slice a Flows.
+    Each column is taken by :func:`frozen_array`'s rule: a read-only column of
+    its dtype (int64, or float for ``demand``) that owns its data is shared,
+    anything else is copied once.
     """
 
     id: np.ndarray

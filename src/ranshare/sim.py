@@ -18,7 +18,7 @@ import numpy as np
 
 from .baselines import ReservationConfig, net_rsv_allocate, per_bs_rsv_allocate
 from .errors import DimensionMismatch, InvalidParams, RanShareError, UnknownReference
-from .fairshare import FlowPlan, SortedDemands, water_fill
+from .fairshare import FlowPlan, SortedDemands, chunks, water_fill
 from .model import (AllocationMatrix, FlowAllocation, Flows, ProblemInstance, UTILITY_KINDS,
                     expand_bounds, frozen, frozen_array, integers, reals)
 from .solver import SolveResult, SolverConfig, solve
@@ -250,7 +250,8 @@ def generate_scenario(params: ScenarioParams, seed: int) -> Scenario:
     el_of = rng.integers(0, params.num_elements, params.num_flows)
     ent_of = rng.integers(0, params.num_entities, params.num_flows)
     bw = rng.uniform(*params.demand_range, params.num_flows)
-    flows = Flows(np.arange(params.num_flows), ent_of, app_of, el_of, bw)
+    # fresh columns, handed over frozen so that Flows shares them
+    flows = Flows(*map(frozen, (np.arange(params.num_flows), ent_of, app_of, el_of, bw)))
     return Scenario(capacities=frozen(caps), min_share=frozen(min_share),
                     max_share=frozen(max_share), num_entities=params.num_entities,
                     flows=flows, ratios=ratios, seed=seed)
@@ -338,9 +339,10 @@ def add_hotspot(scenario: Scenario, params: HotspotParams, seed: int) -> Scenari
 
     f = scenario.flows
     ids = f.id.max(initial=-1) + 1 + np.arange(params.n_flows)
-    flows = Flows(np.append(f.id, ids), np.append(f.entity, ent_of),
-                  np.append(f.app, np.full(params.n_flows, params.app_id)),
-                  np.append(f.element, el_of), np.append(f.demand, bw))
+    # fresh columns, handed over frozen so that Flows shares them
+    flows = Flows(*map(frozen, (np.append(f.id, ids), np.append(f.entity, ent_of),
+                                np.append(f.app, np.full(params.n_flows, params.app_id)),
+                                np.append(f.element, el_of), np.append(f.demand, bw))))
     return replace(scenario, flows=flows)
 
 
@@ -388,23 +390,34 @@ def qoe_satisfied_count(flow_alloc: FlowAllocation, flows: Flows) -> int:
     """Number of flows whose demand was met; the allocation must be aligned with them.
 
     An allocation made for these flows shares their id column, and is not compared.
+    The flows are counted a cache-sized chunk at a time (``fairshare.chunks``), so
+    no flow-length temporary is made.
     """
     if flow_alloc.flow_ids is not flows.id and not np.array_equal(flow_alloc.flow_ids, flows.id):
         raise InvalidParams("flow allocation is not aligned with the flows")
-    return int(np.count_nonzero(flow_alloc.bandwidth >= flows.demand - QOE_SLACK))
+    granted, demand, met = flow_alloc.bandwidth, flows.demand, 0
+    for part, need in chunks(demand.size):
+        np.subtract(demand[part], QOE_SLACK, out=need)
+        met += np.count_nonzero(granted[part] >= need)
+    return int(met)
 
 
 def flow_utility(flow_alloc: FlowAllocation, kind: str) -> float:
     """Flow-level utility: served resource (linear) or demand-weighted log of it.
 
     ``LOG_FLOOR`` keeps the logarithm finite for starved flows; scheme ordering
-    is insensitive to its exact value.
+    is insensitive to its exact value.  The log utility is summed a cache-sized
+    chunk at a time (``fairshare.chunks``), so no flow-length temporary is made;
+    the chunks' dot products add up in chunk order.
     """
     if kind == "linear":
         return float(flow_alloc.resource.sum())
     if kind == "logarithmic":
-        granted = np.maximum(flow_alloc.resource, LOG_FLOOR)
-        return float(np.vdot(flow_alloc.demand_resource, np.log(granted, out=granted)))
+        resource, weight, total = flow_alloc.resource, flow_alloc.demand_resource, 0.0
+        for part, granted in chunks(resource.size):
+            np.maximum(resource[part], LOG_FLOOR, out=granted)
+            total += np.vdot(weight[part], np.log(granted, out=granted))
+        return float(total)
     raise InvalidParams(f"unknown utility kind {kind!r}")
 
 
@@ -488,8 +501,10 @@ def run_experiment(base: Scenario, schemes: Sequence[str], loads: Sequence[float
     a load's rows are timed, the sweep reads what they fill: ``cell_fill``
     when app-opt runs, ``pair_fill`` when a baseline does.  The plan sorts
     each from the previous load's form, again only in the groups where some
-    demand changed, and drops that form; it is released when the sweep ends.
-    A demand that cannot be sorted raises from the sweep, at any load.
+    demand changed, and drops that form.  When the sweep ends, even by
+    raising, the whole plan is released, its layouts and ratios too, so the
+    base keeps no flow-length array the sweep built.  A demand that cannot be
+    sorted raises from the sweep, at any load.
     """
     unknown = [scheme for scheme in schemes if scheme not in ALL_SCHEMES]
     if unknown:

@@ -158,7 +158,7 @@ def test_budgets_at_and_around_every_breakpoint_fill_as_lexsort():
 @pytest.mark.parametrize("chunk", [1, 7, 1 << 14])
 def test_levels_reach_the_demands_a_chunk_of_keys_at_a_time(chunk, monkeypatch):
     # 40,001 demands are no multiple of any chunk, so the last one is short
-    monkeypatch.setattr(fairshare, "_SPREAD_CHUNK", chunk)
+    monkeypatch.setattr(fairshare, "_CHUNK", chunk)
     rng = np.random.default_rng(13)
     pool = rng.integers(0, 300, 40_001)
     d = rng.uniform(0.0, 2.0, pool.size)

@@ -1,7 +1,9 @@
 import math
 import os
+import gc
 import subprocess
 import sys
+import tracemalloc
 import weakref
 from dataclasses import replace
 from pathlib import Path
@@ -692,7 +694,10 @@ class TestRunExperiment:
                             lambda *a: layouts.append(a[1]) or sort_demands(*a))
         kwargs = dict(solver_config=SolverConfig(epsilon=1.0), scale_flow_ids=hot.flows.id[mask])
         alone = run_experiment(hot, [SCHEME_APP_OPT], [1.0, 2.0], "logarithmic", **kwargs)
-        assert layouts == [hot.flow_plan.cells] * 2
+        # the sweep releases its plan, so the layout is the one each sort was given: one
+        # object, over the (element, app) cells
+        assert len(layouts) == 2 and layouts[0] is layouts[1]
+        assert layouts[0].num_pools == hot.ratios.values.size
         every = run_experiment(hot, ALL_SCHEMES, [1.0, 2.0], "logarithmic", **kwargs)
         assert [replace(r, solve_ms=None) for r in alone.rows] == \
             [replace(r, solve_ms=None) for r in every.rows if r.scheme == SCHEME_APP_OPT]
@@ -765,6 +770,100 @@ class TestRunExperiment:
                              solver_config=SolverConfig(epsilon=0.5))
         series = [r.total_utility for r in rep.rows]
         assert all(b >= a - 1e-6 for a, b in zip(series, series[1:]))
+
+
+def traced(call):
+    """(what ``call()`` returns, its traced peak and the traced bytes it leaves, each
+    above what was live when it began)."""
+    gc.collect()
+    tracemalloc.start()
+    try:
+        live = tracemalloc.get_traced_memory()[0]
+        out = call()
+        gc.collect()
+        left, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return out, peak - live, left - live
+
+
+def hotspot_flows():
+    """A fresh hotspot sweep's inputs at the benchmark's size: 100,000 base flows, 20,000
+    hotspot flows, and the hotspot flows' ids."""
+    base = generate_scenario(ScenarioParams(num_flows=100_000), 1)
+    hot = add_hotspot(base, HotspotParams(n_flows=20_000), 2)
+    return hot, hot.flows.id[len(base.flows):]
+
+
+def hotspot_sweep(hot, ids):
+    return run_experiment(hot, ALL_SCHEMES, [1.0, 5.0, 10.0, 15.0], "logarithmic",
+                          solver_config=SolverConfig(epsilon=1.0), scale_flow_ids=ids)
+
+
+class TestFlowLevelMemory:
+    """What a hotspot sweep of 120,000 flows holds, by tracemalloc; one flow-length float
+    array is 0.96 MB."""
+
+    def test_generated_columns_are_not_copied(self):
+        # Flows shares the fresh frozen columns that generate_scenario and add_hotspot hand
+        # it; a copy of each would double the peak
+        def columns(scen):
+            return sum(getattr(scen.flows, name).nbytes
+                       for name in ("id", "entity", "app", "element", "demand"))
+
+        base, peak, _ = traced(lambda: generate_scenario(ScenarioParams(num_flows=100_000), 1))
+        assert peak < 1.5 * columns(base)
+        hot, peak, _ = traced(lambda: add_hotspot(base, HotspotParams(n_flows=20_000), 2))
+        assert peak < 1.5 * columns(hot)
+
+    def test_sweep_leaves_only_its_report(self):
+        # the released plan keeps neither its sorted forms nor its layouts and ratios, which
+        # held 2.7 MB; what is left is the report's rows and the plan's empty shell
+        hot, ids = hotspot_flows()
+        report, _, left = traced(lambda: hotspot_sweep(hot, ids))
+        assert all(row.error is None for row in report.rows)
+        assert left < 1 << 16
+
+    def test_sweep_peak(self):
+        # the sweep peaks at 13.3 flow-length arrays, in a carried pair sort: the load's
+        # demand and resource demand, the earlier resource demand, the plan's ratios, both
+        # sorted forms, the two layouts and the sort's padded copy; with a flow-length
+        # temporary in each row's QoE count it peaked there, at 13.6
+        hot, ids = hotspot_flows()
+        _, peak, _ = traced(lambda: hotspot_sweep(hot, ids))
+        assert peak < 13.45 * 8 * len(hot.flows)
+
+    @pytest.mark.parametrize("metric", [lambda a, f: qoe_satisfied_count(a, f),
+                                        lambda a, f: flow_utility(a, "logarithmic"),
+                                        lambda a, f: flow_utility(a, "linear")],
+                             ids=["qoe", "log-utility", "linear-utility"])
+    def test_metrics_make_no_flow_length_temporary(self, metric):
+        hot, _ = hotspot_flows()
+        alloc = net_rsv_allocate(hot)
+        _, peak, _ = traced(lambda: metric(alloc, hot.flows))
+        assert peak < 8 * len(hot.flows)
+
+    def test_second_sweep_rebuilds_the_released_plan(self):
+        hot, ids = hotspot_flows()
+        first, again = (tuple(replace(row, solve_ms=None) for row in hotspot_sweep(hot, ids).rows)
+                        for _ in range(2))
+        assert first == again
+
+    @pytest.mark.parametrize("chunk", [1, 7, 1 << 14])
+    def test_metrics_a_chunk_at_a_time(self, chunk, monkeypatch):
+        # whole-array references; the log utility's chunks add their dot products in
+        # another order, so it keeps a float64 rounding tolerance
+        hot, mask = hotspot_scenario()
+        scen = scale_load(hot, 3.0, mask)
+        alloc = net_rsv_allocate(scen)
+        monkeypatch.setattr(fairshare, "_CHUNK", chunk)
+        granted = np.maximum(alloc.resource, sim.LOG_FLOOR)
+        met = qoe_satisfied_count(alloc, scen.flows)
+        assert type(met) is int  # a report row's count, written as JSON
+        assert met == np.count_nonzero(alloc.bandwidth >= scen.flows.demand - sim.QOE_SLACK)
+        assert flow_utility(alloc, "logarithmic") == pytest.approx(
+            np.vdot(alloc.demand_resource, np.log(granted)), rel=1e-13)
+        assert flow_utility(alloc, "linear") == float(alloc.resource.sum())
 
 
 def test_generated_lower_corner_feasible_with_zero_tol():
