@@ -31,18 +31,14 @@ class ReservationConfig:
             raise InvalidParams("net_min_fraction cannot exceed net_max_fraction")
 
 
-def _fill_pools(scenario, budget) -> FlowAllocation:
-    """Water-fill each (entity, element) pool of the scenario's flows under budget[e, i].
-
-    The demands are ``scenario.pair_fill``, sorted once per scenario, so both
-    baselines at one load share that half of the fill.  The allocation is
-    aligned with ``scenario.flows``.
-    """
-    alloc_res = water_fill(scenario.pair_fill, budget.ravel())
+def flow_allocation(scenario, resource) -> FlowAllocation:
+    """The allocation of the ``resource`` a scheme filled, aligned with ``scenario.flows``:
+    each flow's bandwidth is its resource over its ratio, its demand the load's resource
+    demand, which the sorted forms of both baselines (``pair_fill``) and app-opt hold."""
     # TranslatingRatios are strictly positive, so the division is safe
     return FlowAllocation(flow_ids=scenario.flows.id,
-                          bandwidth=frozen(alloc_res / scenario.flow_plan.ratio),
-                          resource=frozen(alloc_res),
+                          bandwidth=frozen(resource / scenario.flow_plan.ratio),
+                          resource=frozen(resource),
                           demand_resource=scenario.resource_demand)
 
 
@@ -58,7 +54,8 @@ def per_bs_rsv_allocate(scenario, cfg: ReservationConfig | None = None) -> FlowA
         raise InvalidParams(
             f"{num_e} entities at per_bs_fraction={cfg.per_bs_fraction} oversubscribe elements"
         )
-    return _fill_pools(scenario, np.tile(cfg.per_bs_fraction * scenario.capacities, (num_e, 1)))
+    budget = np.tile(cfg.per_bs_fraction * scenario.capacities, num_e)
+    return flow_allocation(scenario, water_fill(scenario.pair_fill, budget))
 
 
 def _reserve(demand_ei, budgets, capacities):
@@ -112,4 +109,5 @@ def net_rsv_allocate(scenario, cfg: ReservationConfig | None = None) -> FlowAllo
                       cfg.net_max_fraction * total_cap)
     if budgets.sum() > total_cap:
         budgets *= total_cap / budgets.sum()
-    return _fill_pools(scenario, _reserve(demand_ei, budgets, caps))
+    return flow_allocation(scenario, water_fill(scenario.pair_fill,
+                                                _reserve(demand_ei, budgets, caps).ravel()))

@@ -233,11 +233,11 @@ class FlowPlan:
     A sweep builds the pool layouts of the (element, app) cells and of the
     (entity, element) pairs, and each flow's translating ratio, once for
     every load and scheme.  ``scenario`` has ``flows``, ``ratios`` and
-    ``num_entities``.  The plan keeps the resource demand and the sorted
-    form over each layout of the latest demand array it is given, which it
-    holds only weakly: the same read-only array gets them again, another a
-    form built from the kept one by ``sort_demands(demands, layout,
-    earlier)``.  So a load sorts again only the groups it changed, and
+    ``num_entities``.  The plan keeps the resource demand, which both layouts
+    sort, and the sorted form over each layout of the latest demand array it
+    is given, which it holds only weakly: the same read-only array gets them
+    again, another a form built from the kept one by ``sort_demands(demands,
+    layout, earlier)``.  So a load sorts again only the groups it changed, and
     reading two scenarios of one plan by turns sorts at every turn.
     ``release`` drops all the plan built, the layouts and the ratios too, so
     a released plan holds no flow-length array; the next read builds again
@@ -269,7 +269,8 @@ class FlowPlan:
         return self._latest("resource", demand, lambda _: frozen(demand * self.ratio))
 
     def cell_fill(self, demand) -> SortedDemands:
-        return self._latest("cells", demand, lambda old: sort_demands(demand, self.cells, old))
+        return self._latest("cells", demand, lambda old: sort_demands(
+            self.resource_demand(demand), self.cells, old))
 
     def pair_fill(self, demand) -> SortedDemands:
         return self._latest("pairs", demand, lambda old: sort_demands(

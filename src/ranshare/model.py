@@ -25,13 +25,17 @@ def frozen_array(values, shape=None, name="array", dtype=float) -> np.ndarray:
 
     An input that is already read-only, of ``dtype`` and owns its data is
     shared, not copied: a caller who turns writes back on for an array they
-    froze, and then writes to it, is outside the contract.
+    froze, and then writes to it, is outside the contract.  An input numpy
+    cannot convert, ragged or not numeric, raises ``InvalidParams`` naming it.
     """
     if (isinstance(values, np.ndarray) and not values.flags.writeable
             and values.base is None and values.dtype == dtype):
         arr = values
     else:
-        arr = frozen(np.array(values, dtype=dtype))
+        try:
+            arr = frozen(np.array(values, dtype=dtype))
+        except (TypeError, ValueError, OverflowError) as exc:
+            raise InvalidParams(f"{name} must be a regular array of numbers: {exc}") from None
     if shape is not None and arr.shape != tuple(shape):
         raise DimensionMismatch(f"{name}: expected shape {tuple(shape)}, got {arr.shape}")
     return arr
@@ -81,7 +85,7 @@ class Flows:
 
     def __post_init__(self):
         for name, col in zip(_COLUMN_NAMES, _columns(self)):
-            if _column(self, name, np.ndim) == 0:
+            if _ndim(col, name) == 0:
                 raise InvalidParams(f"flow column {name} must be a sequence, got {col!r}")
         n = (len(self.id),)
         for name in _COLUMN_NAMES[:4]:
@@ -93,7 +97,7 @@ class Flows:
             if not whole:
                 raise InvalidParams(f"flow column {name} must hold integers, got {col!r}")
             object.__setattr__(self, name, frozen_array(col, n, name, np.int64))
-        demand = _column(self, "demand", lambda col: frozen_array(col, n, "demand"))
+        demand = frozen_array(self.demand, n, "flow column demand")
         bad = ~(np.isfinite(demand) & (demand > 0))
         if bad.any():
             raise InvalidParams(f"flow {self.id[np.argmax(bad)]}: demand_bw must be finite and > 0")
@@ -114,14 +118,14 @@ class Flows:
         return isinstance(other, Flows) and all(map(np.array_equal, _columns(self), _columns(other)))
 
 
-def _column(flows, name, convert):
-    """``convert`` of the column ``name``; a ragged column or one holding no numbers
-    raises ``InvalidParams``, where numpy raises ``ValueError`` or ``TypeError``."""
+def _ndim(col, name):
+    """The dimension count of the column ``col``; a ragged column raises
+    ``InvalidParams``, where numpy raises ``ValueError``."""
     try:
-        return convert(getattr(flows, name))
+        return np.ndim(col)
     except (TypeError, ValueError):
         raise InvalidParams(f"flow column {name} must be a flat sequence of numbers, "
-                            f"got {getattr(flows, name)!r}") from None
+                            f"got {col!r}") from None
 
 
 @dataclass(frozen=True)

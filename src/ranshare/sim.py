@@ -16,7 +16,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .baselines import ReservationConfig, net_rsv_allocate, per_bs_rsv_allocate
+from .baselines import ReservationConfig, flow_allocation, net_rsv_allocate, per_bs_rsv_allocate
 from .errors import DimensionMismatch, InvalidParams, RanShareError, UnknownReference
 from .fairshare import FlowPlan, SortedDemands, chunks, water_fill
 from .model import (AllocationMatrix, FlowAllocation, Flows, ProblemInstance, UTILITY_KINDS,
@@ -185,7 +185,7 @@ class Scenario:
 
     @property
     def cell_fill(self) -> SortedDemands:
-        """The bandwidth demands sorted by (element, application) cell, as app-opt fills."""
+        """The resource demands sorted by (element, application) cell, as app-opt fills."""
         return self.flow_plan.cell_fill(self.flows.demand)
 
     @property
@@ -244,7 +244,7 @@ def generate_scenario(params: ScenarioParams, seed: int) -> Scenario:
     max_share = np.where(focus, params.focus_max_share, params.background_max_share)
 
     channel = rng.uniform(*params.channel_range, (params.num_elements, params.num_apps))
-    ratios = TranslatingRatios(qoe_arranged[None, :] * channel)
+    ratios = TranslatingRatios(frozen(qoe_arranged[None, :] * channel))
 
     app_of = rng.integers(0, params.num_apps, params.num_flows)
     el_of = rng.integers(0, params.num_elements, params.num_flows)
@@ -349,20 +349,15 @@ def add_hotspot(scenario: Scenario, params: HotspotParams, seed: int) -> Scenari
 def second_phase_allocate(scenario: Scenario, grant: AllocationMatrix) -> FlowAllocation:
     """Distribute each cell's resource grant among the cell's flows.
 
-    Each (element, application) cell's grant, turned into bandwidth by the
-    cell's translating ratio, is water-filled across the cell's flow demands;
-    leftover budget stays unassigned.  The allocation is aligned with
-    ``scenario.flows``.  A grant whose shape is not the scenario's cells
-    raises ``DimensionMismatch``.
+    Each (element, application) cell's grant is water-filled across its flows'
+    resource demands, as the baselines fill, and max-min fair in bandwidth too,
+    since a cell's flows share its ratio; leftover budget stays unassigned.  A
+    grant whose shape is not the scenario's cells raises ``DimensionMismatch``.
     """
     if grant.shape != scenario.ratios.shape:
         raise DimensionMismatch(f"grant shape {grant.shape} does not match the scenario's "
                                 f"cells {scenario.ratios.shape}")
-    bandwidth = frozen(water_fill(scenario.cell_fill,
-                                  (grant.values / scenario.ratios.values).ravel()))
-    return FlowAllocation(flow_ids=scenario.flows.id, bandwidth=bandwidth,
-                          resource=frozen(bandwidth * scenario.flow_plan.ratio),
-                          demand_resource=scenario.resource_demand)
+    return flow_allocation(scenario, water_fill(scenario.cell_fill, grant.values.ravel()))
 
 
 def build_instance(scenario: Scenario, utility_kind: str) -> ProblemInstance:
@@ -528,12 +523,11 @@ def run_experiment(base: Scenario, schemes: Sequence[str], loads: Sequence[float
     try:
         for load in loads:
             scen = scale_load(base, load, scaled)
-            # the forms, and the resource demand every row reads, built before any row is timed
+            # the forms, built before any row is timed, over the resource demand every row reads
             if SCHEME_APP_OPT in schemes:
                 plan.cell_fill(scen.flows.demand)
             if any(scheme != SCHEME_APP_OPT for scheme in schemes):
                 plan.pair_fill(scen.flows.demand)
-            plan.resource_demand(scen.flows.demand)
             rows.extend(_row(scheme, load, scen, utility_kind, focus, solver_config,
                              reservation_config) for scheme in schemes)
     finally:

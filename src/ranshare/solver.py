@@ -652,7 +652,7 @@ def solve_inner(inst: ProblemInstance, start: AllocationMatrix, t: float) -> All
     """
     if inst.utility_kind == "logarithmic":
         return AllocationMatrix(frozen(_Centre(inst)(t)[0]))
-    s, _, _, _ = _inner_loop(_InnerProblem(inst), start.values.copy(), t)
+    s, _, _, _ = _inner_loop(_InnerProblem(inst), start.values, t)
     return AllocationMatrix(s)
 
 
@@ -689,7 +689,7 @@ def solve(inst: ProblemInstance, config: SolverConfig | None = None) -> SolveRes
     if inst.utility_kind == "logarithmic":
         s, centre = None, _Centre(inst)
     else:
-        s, centre = interior_start(inst).values.copy(), None
+        s, centre = interior_start(inst).values, None
 
     t = cfg.t0
     trace = []

@@ -7,22 +7,22 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, InvalidParams
-from .model import AllocationMatrix, ProblemInstance, frozen
+from .model import AllocationMatrix, ProblemInstance, frozen, frozen_array
 
 
 @dataclass(frozen=True, eq=False)
 class TranslatingRatios:
-    """Average resource units needed per Mbps for application k at element i."""
+    """Average resource units needed per Mbps for application k at element i; ``values``
+    is taken by :func:`frozen_array`'s rule."""
 
     values: np.ndarray  # (I, K), strictly positive
 
     def __post_init__(self):
-        arr = np.array(self.values, dtype=float)
+        arr = frozen_array(self.values, name="translating ratios")
         if arr.ndim != 2:
             raise InvalidParams("translating ratios must form a 2-D matrix")
         if not np.all((arr > 0) & np.isfinite(arr)):
             raise InvalidParams("translating ratios must be finite and strictly positive")
-        arr.setflags(write=False)
         object.__setattr__(self, "values", arr)
 
     @property

@@ -6,9 +6,10 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from ranshare import baselines
-from ranshare.baselines import (ReservationConfig, net_rsv_allocate,
+from ranshare.baselines import (ReservationConfig, flow_allocation, net_rsv_allocate,
                                 per_bs_rsv_allocate)
 from ranshare.errors import InvalidParams
+from ranshare.fairshare import water_fill
 from ranshare.model import Flow, Flows
 from ranshare.sim import Scenario, ScenarioParams, generate_scenario, scale_load
 from ranshare.utility import TranslatingRatios
@@ -142,7 +143,8 @@ def _net_rsv_inputs(scen, cfg=ReservationConfig()):
 def _net_rsv_reference(scen):
     """``net_rsv_allocate`` on the demands of :func:`_net_rsv_inputs`."""
     demand_ei, budgets = _net_rsv_inputs(scen)
-    return baselines._fill_pools(scen, baselines._reserve(demand_ei, budgets, scen.capacities))
+    budget = baselines._reserve(demand_ei, budgets, scen.capacities)
+    return flow_allocation(scen, water_fill(scen.pair_fill, budget.ravel()))
 
 
 def test_net_rsv_demand_sums_flows_in_input_order():

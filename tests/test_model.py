@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from ranshare.errors import DimensionMismatch, InfeasibleConfig, InvalidParams
-from ranshare.model import (AllocationMatrix, Flow, Flows, check_feasible, expand_bounds,
-                            frozen)
+from ranshare.model import (AllocationMatrix, Flow, FlowAllocation, Flows, check_feasible,
+                            expand_bounds, frozen)
 from ranshare.sim import Scenario
 from ranshare.utility import TranslatingRatios
 
@@ -96,18 +96,21 @@ class TestDomainTypes:
         with pytest.raises(ValueError):
             tiny_instance.lower[0, 0] = 5.0
 
-    @pytest.mark.parametrize("field", ["capacities", "lower", "upper", "coeff", "allocation"])
+    @pytest.mark.parametrize("field", ["capacities", "lower", "upper", "coeff", "allocation",
+                                       "ratios"])
     def test_arrays_taken_by_the_frozen_array_rule(self, field):
         # a read-only float array that owns its data is shared; a writeable one is copied, so
         # the caller's later writes do not reach it, and so is a read-only view; the stored
         # array is never writeable
         arrays = dict(capacities=[10.0, 10.0], lower=[[2.0], [2.0]], upper=[[8.0], [8.0]],
                       coeff=[[1.0], [1.0]])
-        values = [[4.0], [4.0]] if field == "allocation" else arrays[field]
+        values = [[4.0], [4.0]] if field in ("allocation", "ratios") else arrays[field]
 
         def taken(arr):
             if field == "allocation":
                 return AllocationMatrix(arr).values
+            if field == "ratios":
+                return TranslatingRatios(arr).values
             return getattr(make_instance(**{**arrays, field: arr}), field)
 
         owned = frozen(np.array(values))
@@ -121,6 +124,20 @@ class TestDomainTypes:
         assert got is not view and np.array_equal(got, view) and not got.flags.writeable
         with pytest.raises(ValueError):
             got[0] = 3.0
+
+    @pytest.mark.parametrize("bad", [[[1.0, 2.0], [3.0]], [["a", "b"]], [[1j, 2.0]]],
+                             ids=["ragged", "str", "complex"])
+    @pytest.mark.parametrize("build, name", [
+        (lambda bad: make_instance([10.0, 10.0], bad, [[8.0], [8.0]], [[1.0], [1.0]]), "lower"),
+        (AllocationMatrix, "allocation"),
+        (lambda bad: FlowAllocation([0, 1], bad, [1.0, 1.0], [1.0, 1.0]), "bandwidth"),
+        (lambda bad: scenario(capacities=bad), "capacities"),
+        (TranslatingRatios, "translating ratios"),
+    ], ids=["instance", "allocation", "flow-allocation", "scenario", "ratios"])
+    def test_array_numpy_cannot_convert_rejected(self, build, name, bad):
+        # numpy raises ValueError or TypeError for each; the constructor names the array
+        with pytest.raises(InvalidParams, match=f"^{name} must be a regular array of numbers"):
+            build(bad)
 
 
 class TestFlows:

@@ -348,7 +348,7 @@ class TestScaleLoad:
         scaled = scale_load(hot, 3.0, mask)
         for scen in (hot, scaled, hot, scaled, scaled):
             cell, pair = scen.cell_fill, scen.pair_fill
-            assert cell.demands is scen.flows.demand
+            assert cell.demands is scen.resource_demand
             assert np.array_equal(pair.demands, scen.flows.demand * scen.flow_plan.ratio)
             assert table_bits(cell) == fresh_bits(cell)
             assert table_bits(pair) == fresh_bits(pair)
@@ -470,6 +470,49 @@ class TestSecondPhase:
             assert np.allclose(flow_alloc.bandwidth[in_cell],
                                water_fill(alone, [grant[i, k] / ratios[i, k]]),
                                rtol=1e-12, atol=0.0)
+
+
+def bandwidth_space_second_phase(scen, grant):
+    """The second phase filled in bandwidth: each cell's grant over its ratio, water-filled
+    across the bandwidth demands of the cell's flows, and the resource the filled
+    bandwidth times the ratio.  Returns (bandwidth, resource)."""
+    fill = sort_demands(scen.flows.demand, scen.flow_plan.cells)
+    bandwidth = water_fill(fill, (grant.values / scen.ratios.values).ravel())
+    return bandwidth, bandwidth * scen.flow_plan.ratio
+
+
+class TestResourceFill:
+    @pytest.mark.parametrize("kind", ["linear", "logarithmic"])
+    @pytest.mark.parametrize("load", [1.0, 4.0, 10.0])
+    @pytest.mark.parametrize("inputs", ["desk", "hotspot"])
+    def test_second_phase_matches_the_bandwidth_fill(self, inputs, load, kind):
+        # the flows of a cell share its ratio, so a max-min fill of the grant over their
+        # resource demands is one of the grant over the ratio over their bandwidth demands:
+        # only rounding moves, and no flow's QoE
+        if inputs == "desk":
+            base, mask = generate_scenario(DESK, 5), None
+        else:
+            base, mask = hotspot_scenario()
+        scen = scale_load(base, load, mask)
+        got, result = allocate_app_opt(scen, kind, SolverConfig(epsilon=1.0))
+        bandwidth, resource = bandwidth_space_second_phase(scen, result.allocation)
+        assert np.allclose(got.bandwidth, bandwidth, rtol=1e-15, atol=0.0)
+        assert np.allclose(got.resource, resource, rtol=1e-15, atol=0.0)
+        assert qoe_satisfied_count(got, scen.flows) == np.count_nonzero(
+            bandwidth >= scen.flows.demand - sim.QOE_SLACK)
+
+    def test_every_scheme_fills_the_one_resource_demand(self):
+        # at one load, app-opt's cells and the baselines' pairs sort the same resource
+        # demand array, and every scheme's allocation reports it as its demand
+        hot, mask = hotspot_scenario()
+        scen = scale_load(hot, 3.0, mask)
+        demand = scen.resource_demand
+        assert scen.cell_fill.demands is demand and scen.pair_fill.demands is demand
+        allocs = (allocate_app_opt(scen, "logarithmic", SolverConfig(epsilon=1.0))[0],
+                  net_rsv_allocate(scen), per_bs_rsv_allocate(scen))
+        for alloc in allocs:
+            assert alloc.demand_resource is demand
+            assert np.array_equal(alloc.bandwidth, alloc.resource / scen.flow_plan.ratio)
 
 
 class TestFlowMetrics:
@@ -666,7 +709,7 @@ class TestRunExperiment:
             before = len(sorts)
             fills = scen.cell_fill, scen.pair_fill
             assert len(sorts) == before
-            assert fills[0].demands is scen.flows.demand
+            assert fills[0].demands is scen.resource_demand
             assert fills[1].demands is scen.resource_demand
             for fill in fills:
                 assert table_bits(fill) == fresh_bits(fill)

@@ -190,6 +190,22 @@ class TestSolveInner:
                 assert work.value(s, t) >= work.value(s0, t)  # interior, and the maximizer
             assert check_feasible(inst, AllocationMatrix(s), tol=0.0).feasible
 
+    def test_linear_inner_loop_only_reads_its_start(self):
+        # solve and solve_inner hand their read-only start over uncopied: a write to it
+        # would raise, and the loop ends where it ends from a writeable copy, bit for bit
+        inst = random_instance(np.random.default_rng(43), num_elements=5, num_apps=4,
+                               kind="linear")
+        start = interior_start(inst).values
+        before = start.copy()
+        assert not start.flags.writeable
+        for t in (1.0, 50.0):
+            s, iters, status, history = _inner_loop(_InnerProblem(inst), start, t)
+            again = _inner_loop(_InnerProblem(inst), start.copy(), t)
+            assert iters > 0 and np.array_equal(s, again[0])
+            assert (iters, status, history) == again[1:]
+        assert np.array_equal(start, before)
+        assert np.array_equal(solve_inner(inst, interior_start(inst), 50.0).values, s)
+
 
 def _log_instance(rng, pin_share=0.3):
     """A random log instance of 1-6 x 1-6 with 30% zero coefficients; every other one has
