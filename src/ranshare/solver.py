@@ -26,7 +26,6 @@ from .utility import _utility_sum, marginal_utility, total_utility
 _ARMIJO = 1e-4
 _BOUNDARY_FRACTION = 1e-12  # trial slacks must keep this fraction of their previous value
 _MAX_BACKTRACKS = 80
-_LOOKAHEAD = 8  # steps a witness row is tested at before the rest: most pass within them
 _PLATEAU_WINDOW = 20
 _INNER_TOL = 1e-8  # linear inner stop: projected gradient (log centres are exact)
 _MAX_INNER_ITERS = 500  # linear inner loop cap
@@ -371,20 +370,18 @@ class _Centre:
     centre rewrites only the free cells with c > 0, since every other cell
     stays at lo.  The cells are gathered and scattered by their flat indices
     (``cells``).  :meth:`utility` sums over the weighted cells (c > 0) alone,
-    as ``total_utility`` does: it keeps their coefficients and logarithms as
-    two vectors in flat order, the logarithms taken from ``lower`` once, and
-    rewrites only the logarithms of the free ones (``slots``).  The instance
-    must have a strict interior (:func:`_check_interior`).
+    as ``total_utility`` does: it keeps their flat indices (``weighted``) and
+    coefficients, and gathers the point there.  The instance must have a
+    strict interior (:func:`_check_interior`).
     """
 
     def __init__(self, inst: ProblemInstance):
         box_free = inst.upper > inst.lower
         row_slack, _ = _check_interior(inst, box_free)
         num_el, num_app = box_free.shape
-        weighted = np.flatnonzero(inst.coeff > 0)
-        free = box_free.take(weighted)
-        self.cells, self.slots = weighted[free], np.flatnonzero(free)
-        self.weights, self.logs = inst.coeff.take(weighted), np.log(inst.lower.take(weighted))
+        self.weighted = np.flatnonzero(inst.coeff > 0)
+        self.weights = inst.coeff.take(self.weighted)
+        self.cells = self.weighted[box_free.take(self.weighted)]
         per_row = np.bincount(self.cells // num_app, minlength=num_el)
         rows = np.flatnonzero(per_row)
         n = per_row[rows]
@@ -437,14 +434,12 @@ class _Centre:
         np.maximum(placed, self.lo, out=placed)
         np.minimum(placed, self.hi, out=placed)
         np.put(self.point, self.cells, placed)
-        self.placed = placed
         return self.point, tau
 
     def utility(self) -> float:
         """The log utility of the last centre, summed over the weighted cells as
         ``total_utility`` sums it."""
-        np.put(self.logs, self.slots, np.log(self.placed))
-        return float(np.vdot(self.weights, self.logs))
+        return float(np.vdot(self.weights, np.log(self.point.take(self.weighted))))
 
 
 def _newton_cg_direction(terms, g, mask):
@@ -532,13 +527,12 @@ def _grid_line_search(work: _InnerProblem, s, slacks, d, g, t: float, f_cur: flo
     The step of trial k is 2^-k.  A trial is built in one grid buffer, and
     its slacks are one vector, laid out by :attr:`_InnerProblem.slack_layout`,
     tested in one comparison.  When a built trial fails first on an element
-    row (the witness), that row alone is clipped and summed at the next
-    ``_LOOKAHEAD`` steps in one (steps, K) stack, and at every step after
-    them in a second stack when none of those passes.  Each row of a stack
-    sums to the same bits as the 1-D row, that is, as the row's entry of the
-    grid's row sums.  A failing witness fails the whole trial, so the next
-    trial built is the first whose witness passes, and the search fails when
-    there is none.  A trial that fails first on a column, or passes the
+    row (the witness), that row alone is clipped and summed at every
+    remaining step in one (steps, K) stack.  Each row of the stack sums to
+    the same bits as the 1-D row, that is, as the row's entry of the grid's
+    row sums.  A failing witness fails the whole trial, so the next trial
+    built is the first whose witness passes, and the search fails when there
+    is none.  A trial that fails first on a column, or passes the
     slack test, is followed by the next step built in full.  Only a trial
     that passes has its gain and value computed.  Trials and stacks are
     clipped by ``np.maximum`` and ``np.minimum`` in place, as ``clip`` would.
@@ -580,19 +574,17 @@ def _grid_line_search(work: _InnerProblem, s, slacks, d, g, t: float, f_cur: flo
         if witness >= num_rows:  # a column fails first: no row to look ahead on
             continue
         i = take[witness]
-        for chunk in (steps[k:k + _LOOKAHEAD], steps[k + _LOOKAHEAD:]):
-            lines = np.multiply.outer(chunk, d[i])
-            lines += s[i]
-            np.maximum(lines, lo[i], out=lines)
-            np.minimum(lines, hi[i], out=lines)
-            row_slack = np.add.reduce(lines, axis=1)
-            row_slack *= sign[witness]
-            row_slack += offset[witness]
-            ahead = (row_slack >= floor[witness]).nonzero()[0]
-            if ahead.size:
-                k += int(ahead[0])
-                break
-            k += chunk.size  # after both chunks k is _MAX_BACKTRACKS: the search fails
+        lines = np.multiply.outer(steps[k:], d[i])
+        lines += s[i]
+        np.maximum(lines, lo[i], out=lines)
+        np.minimum(lines, hi[i], out=lines)
+        row_slack = np.add.reduce(lines, axis=1)
+        row_slack *= sign[witness]
+        row_slack += offset[witness]
+        ahead = (row_slack >= floor[witness]).nonzero()[0]
+        if not ahead.size:
+            break
+        k += int(ahead[0])
     return None
 
 

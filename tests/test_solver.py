@@ -397,10 +397,10 @@ def centre_buffer_bytes(inst):
 
     The point grid, which becomes the allocation; the breakpoint block's ``tau``,
     ``slope`` and ``moved``, and a call's ``level`` with its comparison mask; eleven
-    vectors over the free cells with c > 0 (the eight :class:`_Centre` keeps, its last
-    placement, and a call's new one with its gather) and ten over the rows that hold
-    such a cell (the two it keeps, a call's temporaries and the barrier's slacks).  No
-    log grid.
+    vectors over the free cells with c > 0 (the seven :class:`_Centre` keeps, two that a
+    call's placement and its gather or the utility's gather and its logarithms add, and
+    two to spare) and ten over the rows that hold such a cell (the two it keeps, a
+    call's temporaries and the barrier's slacks).  No log grid.
     """
     free = (inst.upper > inst.lower) & (inst.coeff > 0)
     per_row = free.sum(axis=1)
@@ -412,7 +412,7 @@ def centre_buffer_bytes(inst):
 @pytest.mark.parametrize("seed", [7, 42])
 def test_full_scale_log_solve_holds_its_centre_buffers_alone(seed):
     # the traced peak of a full-scale log solve above what was live at the call; seed 7
-    # peaks at 3.03 grids, seed 42 at 2.71, each below its own centre's buffers
+    # peaks at 2.93 grids, seed 42 at 2.61, each below its own centre's buffers
     inst = build_instance(generate_scenario(ScenarioParams.full_scale(), seed), "logarithmic")
     cfg = SolverConfig(epsilon=1e-2)
     tracemalloc.start()
@@ -427,6 +427,22 @@ def test_full_scale_log_solve_holds_its_centre_buffers_alone(seed):
     limit = centre_buffer_bytes(inst)
     assert peak <= limit, f"{peak / inst.lower.nbytes:.3f} grids, limit " \
                           f"{limit / inst.lower.nbytes:.3f}"
+
+
+def test_centre_utility_is_the_total_utility_at_every_outer_t(full_scale_log, monkeypatch):
+    # the utility each outer iterate records, against total_utility of the point afresh
+    inst, seen, utility = full_scale_log, [], _Centre.utility
+
+    def checked(centre):
+        got = utility(centre)
+        seen.append((got, total_utility(inst, AllocationMatrix(centre.point))))
+        return got
+
+    monkeypatch.setattr(_Centre, "utility", checked)
+    r = solve(inst, SolverConfig(epsilon=1e-2))
+    assert len(seen) == r.outer_iters == 8
+    assert all(got == fresh for got, fresh in seen)
+    assert [tr.objective for tr in r.trace] == [got for got, _ in seen]
 
 
 def test_full_scale_log_solve_is_certified_by_the_exact_optimum(full_scale_log):
@@ -531,6 +547,33 @@ def _assert_same_search(got, want):
         assert got[2] == want[2]
 
 
+def _witness_stack_steps(work, s, slacks, d, trials):
+    """The look-ahead of :func:`_grid_line_search` read off the full-trial search's
+    ``trials``: after a trial whose element row i fails first, the search builds next the
+    first later trial whose row i passes.  Returns, per look-ahead, that trial's step in the
+    stack of the remaining steps (0 for the next one), or None when row i fails at all of
+    them, which ends the search."""
+    lo, hi = work.inst.lower, work.inst.upper
+    rows = np.flatnonzero(work.el_active)
+
+    def row_passes(k, row):
+        x = work.slacks(np.clip(s + np.ldexp(1.0, -k) * d, lo, hi))[0][row]
+        return x >= solver._BOUNDARY_FRACTION * slacks[0][row] and x > 0
+
+    stack_steps, k = [], 0
+    while k < len(trials):
+        outcome, k = trials[k], k + 1
+        if isinstance(outcome, tuple):
+            row = int(np.searchsorted(rows, outcome[1]))
+            ahead = next((j for j in range(k, solver._MAX_BACKTRACKS) if row_passes(j, row)),
+                         None)
+            stack_steps.append(None if ahead is None else ahead - k)
+            if ahead is None:
+                break
+            k = ahead
+    return stack_steps
+
+
 def _wide_linear_instance(rng, num_elements, num_apps, capacity_room):
     """A linear instance with cell boxes in [0, 10) and element capacities
     ``capacity_room`` times the row sums of the upper bounds."""
@@ -589,6 +632,31 @@ class TestLinearInnerIteration:
         assert any(a == b for a, b in after)
         assert any(isinstance(b, tuple) and a != b for a, b in after)
 
+    def test_lookahead_matches_the_full_trial_search(self, monkeypatch):
+        # The searches of a solve at the desk-linear benchmark's size (5,000 flows), each
+        # replayed against the search that builds the full trial at every step: the same
+        # accepted trial, bit for bit.  Their witnesses pass at the first step of the
+        # look-ahead's stack and at step 8 or later; the hand cases below add one passing at
+        # step 20 and one that never passes.
+        searches, search = [], solver._grid_line_search
+
+        def recorded(*args):
+            searches.append((args, search(*args)))
+            return searches[-1][1]
+
+        monkeypatch.setattr(solver, "_grid_line_search", recorded)
+        monkeypatch.setattr(solver, "_MAX_INNER_ITERS", 40)
+        desk = build_instance(generate_scenario(ScenarioParams(num_flows=5000), 1), "linear")
+        solve(desk, SolverConfig(epsilon=1.0))
+        stack_steps = []
+        for (work, s, slacks, d, g, t, f_cur), got in searches:
+            trials = []
+            _assert_same_search(got, _textbook_grid_search(work, s, slacks, d, g, t, f_cur,
+                                                           trials))
+            stack_steps += _witness_stack_steps(work, s, slacks, d, trials)
+        assert len(searches) == 200
+        assert 0 in stack_steps and any(j is not None and j >= 8 for j in stack_steps)
+
     def test_column_fails_first_and_the_witness_clears(self, checked):
         _, trials = checked
         rng = np.random.default_rng(157)
@@ -616,6 +684,7 @@ class TestLinearInnerIteration:
         step = solver._grid_line_search(work, s, slacks, d, work.gradient(s, 10.0, slacks),
                                         10.0, work.value(s, 10.0, slacks))
         assert trials == [("row", 0), "accepted"]
+        assert _witness_stack_steps(work, s, slacks, d, trials) == [0]
         assert np.array_equal(step[0], [[1.0, 4.0], [0.5, 1.0]])
 
     def test_witness_passes_late_and_another_row_fails(self, checked):
@@ -631,6 +700,7 @@ class TestLinearInnerIteration:
         step = solver._grid_line_search(work, s, slacks, d, work.gradient(s, 10.0, slacks),
                                         10.0, work.value(s, 10.0, slacks))
         assert trials == [("row", 0)] * 21 + [("row", 1), "accepted"]
+        assert _witness_stack_steps(work, s, slacks, d, trials) == [20, 0]
         assert np.array_equal(step[0], [[3.0, 1.0], [5.0, 1.0], [1.0, 1.0]])
 
     def test_exhausted_search_returns_none(self, checked):
@@ -646,6 +716,7 @@ class TestLinearInnerIteration:
         d[2] = 1e30  # element row 2 fails at every halving
         assert solver._grid_line_search(work, s, slacks, d, g, 2.0, f) is None
         assert trials == [("row", 2)] * solver._MAX_BACKTRACKS
+        assert _witness_stack_steps(work, s, slacks, d, trials) == [None]
         trials.clear()
         # every trial stays inside and moves against the gradient
         assert solver._grid_line_search(work, s, slacks, -1e-3 * g, g, 2.0, f) is None
@@ -720,10 +791,9 @@ def test_row_slice_sum_is_the_row_of_the_grid_sum(width):
     grid = rng.uniform(0.0, 1.0, (300, width)) * 10.0 ** rng.uniform(-8, 8, (300, width))
     rows = grid.sum(axis=1)
     assert np.array_equal(np.array([np.add.reduce(row) for row in grid]), rows)
-    # After a failed trial the search sums its witness row at the next _LOOKAHEAD steps at
-    # once, and at the steps after them in a second stack: C-contiguous (steps, width) stacks
-    # of every height a chunk can have, each of whose rows sums as the 1-D row does.
-    assert solver._LOOKAHEAD < solver._MAX_BACKTRACKS
+    # After a failed trial the search sums its witness row at every remaining step at once:
+    # C-contiguous (steps, width) stacks of every height it can have, each of whose rows
+    # sums as the 1-D row does.
     for steps in range(1, solver._MAX_BACKTRACKS):
         stack = np.multiply.outer(np.ldexp(1.0, -np.arange(steps)), grid[0]) + grid[1]
         assert stack.flags.c_contiguous
