@@ -447,72 +447,99 @@ def _newton_cg_direction(terms, g, mask):
 
     ``terms`` is ``_InnerProblem.curvature_terms`` at the current point.  The
     Hessian has diagonal-plus-rank-one-per-row/column structure, so each
-    matrix-vector product costs one pass over the grid.  Truncated CG output
-    always has positive inner product with g (an ascent direction).
+    matrix-vector product costs one pass over the unmasked cells and the row
+    and column sums of p.  Truncated CG output always has positive inner
+    product with g (an ascent direction).
 
-    Every grid vector of the iteration is a buffer allocated once per call
-    and updated in place, in the same floating-point operations as the
-    textbook expressions.  p and the negated product -H p share one
-    (2, I, K) buffer and x and r another, so x += alpha p and
-    r -= alpha H p are one multiply and one add: rounding is symmetric, so
-    ((-damping) p - w row) - v col is exactly -(H p), r + alpha (-H p) is
-    exactly r - alpha H p, and -(p . (-H p)) is exactly p . H p.  The
-    residual is exactly +0.0 off the mask, so the preconditioned residual
-    and p are too, and only the product needs zeroing there: it is
-    multiplied by the mask as floats, which gives a signed zero wherever the
-    product is finite, and a signed zero added to r's +0.0 leaves +0.0.  A
-    product that is not finite off the mask gives NaN there and so a NaN
-    p . H p; the product is then zeroed exactly and p . H p taken again.
+    The step gives the bits of the textbook form, in which every grid vector
+    is +0.0 off the mask and every product is zeroed there: the benchmark's
+    reference rows rest on them, and re-rounding the CG's sums moved one by
+    1.2%.  It runs on the unmasked cells alone (``cells``, in row-major
+    order): p, -H p, x, r, z and the preconditioner are vectors over them,
+    and no product off the mask is formed.  An elementwise operation gives a
+    cell the same bits wherever the cell is kept, so the vectors hold the
+    textbook's values.  A sum's rounding depends on where its terms lie, so
+    the sums stay on the grid, into which the vectors are scattered with
+    +0.0 off the mask:
+
+    - the row sums of p are numpy's pairwise sums of the grid's rows;
+    - the grid's column sums add row by row from +0.0, which ``np.bincount``
+      over the cells repeats in less time than the grid's reduce; a
+      one-column grid, which numpy sums pairwise as a row, is summed on the
+      grid;
+    - both dot products and the final ascent test are ``np.vdot`` of two
+      grids: a dot of the vectors alone rounds differently, and ``np.dot``
+      warns of an overflowing product where ``np.vdot`` does not.
+
+    Each grid is its own buffer, so a returned direction holds one grid.
+
+    p and -H p share one (2, n) buffer and x and r another, so
+    x += alpha p and r -= alpha H p are one multiply and one add: rounding is
+    symmetric, so ((-damping) p - w row) - v col is exactly -(H p),
+    r + alpha (-H p) is exactly r - alpha H p, and -(p . (-H p)) is exactly
+    p . H p.
     """
     w_el, v_app, precond = terms
     damping = 1e-12 * float(precond.max())  # keeps the masked Hessian nonsingular
-    keep = mask.astype(float)
-    pn, xr, tmp = (np.empty((2,) + precond.shape) for _ in range(3))
+    num_app = mask.shape[1]
+    cells = np.flatnonzero(mask)
+    row, col = np.divmod(cells, num_app)
+    diag = precond.take(cells)
+    # p, -H p, x, r and z on the grid, zero-padded, flat; p's rows as a view
+    grid_p, grid_hp, grid_x, grid_r, grid_z = (np.zeros(mask.size) for _ in range(5))
+    p_rows = grid_p.reshape(mask.shape)
+    pn, xr, tmp = (np.empty((2, cells.size)) for _ in range(3))
     p, neg_hp = pn  # p and -H p
     x, r = xr
-    row_sum, col_sum = np.empty(precond.shape[0]), np.empty(precond.shape[1])
-    row_term = row_sum[:, None]
-    b = np.where(mask, g, 0.0)
+    row_sum = np.empty(mask.shape[0])
+    b = np.where(mask, g, 0.0).ravel()
     x.fill(0.0)
-    r[...] = b
-    z = r / precond  # +0.0 off the mask, as r is
+    b.take(cells, out=r)
+    grid_r[...] = b
+    z = r / diag
+    grid_z[cells] = z
     p[...] = z
-    rz = float(np.vdot(r, z))
-    b_norm = float(np.abs(b).max())
+    rz = float(np.vdot(grid_r, grid_z))
+    b_norm = float(np.abs(r).max(initial=0.0))
     if b_norm == 0.0 or rz <= 0.0:
-        return z
+        return grid_z.reshape(mask.shape)
     for _ in range(_MAX_CG):
-        # -H p = -(damping p + w (row sums of p) + v (column sums of p)), 0 off the mask
-        np.multiply(p, -damping, out=neg_hp)
-        np.add.reduce(p, axis=1, out=row_sum)
+        # -H p = -(damping p + w (row sums of p) + v (column sums of p))
+        grid_p[cells] = p
+        np.add.reduce(p_rows, axis=1, out=row_sum)
         row_sum *= w_el
-        neg_hp -= row_term
-        np.add.reduce(p, axis=0, out=col_sum)
+        if num_app > 1:
+            col_sum = np.bincount(col, p, num_app)
+        else:
+            col_sum = np.add.reduce(p_rows, axis=0)
         col_sum *= v_app
-        neg_hp -= col_sum
-        neg_hp *= keep
-        php = -float(np.vdot(p, neg_hp))
-        if php != php:
-            np.copyto(neg_hp, 0.0, where=~mask)
-            php = -float(np.vdot(p, neg_hp))
+        np.multiply(p, -damping, out=neg_hp)
+        neg_hp -= row_sum.take(row)
+        neg_hp -= col_sum.take(col)
+        grid_hp[cells] = neg_hp
+        php = -float(np.vdot(grid_p, grid_hp))
         if php <= 0.0:
-            return p if not x.any() else x
+            grid_x[cells] = x
+            return grid_x.reshape(mask.shape) if x.any() else p_rows
         alpha = rz / php
         xr += np.multiply(pn, alpha, out=tmp)
         # max |r| <= tol: no entry above tol or below -tol and none NaN, which both
         # reductions propagate; the first test alone rejects most steps
-        if (np.maximum.reduce(r, axis=None) <= 1e-2 * b_norm
-                and np.minimum.reduce(r, axis=None) >= -1e-2 * b_norm):
+        if (np.maximum.reduce(r) <= 1e-2 * b_norm
+                and np.minimum.reduce(r) >= -1e-2 * b_norm):
             break
-        np.divide(r, precond, out=z)
-        rz_new = float(np.vdot(r, z))
+        np.divide(r, diag, out=z)
+        grid_r[cells] = r
+        grid_z[cells] = z
+        rz_new = float(np.vdot(grid_r, grid_z))
         beta = rz_new / rz
         p *= beta
         p += z
         rz = rz_new
-    if float(np.vdot(x, b)) <= 0.0:
-        return z
-    return x
+    grid_x[cells] = x
+    if float(np.vdot(grid_x, b)) <= 0.0:
+        return grid_z.reshape(mask.shape)
+    return grid_x.reshape(mask.shape)
 
 
 def _grid_line_search(work: _InnerProblem, s, slacks, d, g, t: float, f_cur: float):

@@ -539,6 +539,20 @@ def _textbook_grid_search(work, s, slacks, d, g, t, f_cur, trials):
     return None
 
 
+def _same_bits(got, want):
+    """Whether two float arrays hold the same bits, signed zeros and NaN payloads included."""
+    return got.shape == want.shape and np.array_equal(got.view(np.int64), want.view(np.int64))
+
+
+def _replayed_exits(directions):
+    """Replays recorded (arguments, direction) pairs of the CG step against the textbook
+    form, asserting the same bits; returns how each ended."""
+    exits = []
+    for (terms, g, mask), got in directions:
+        assert _same_bits(got, _textbook_cg_direction(terms, g, mask, exits))
+    return exits
+
+
 def _assert_same_search(got, want):
     assert (got is None) == (want is None)
     if want is not None:
@@ -597,7 +611,9 @@ class TestLinearInnerIteration:
 
         def checked_direction(terms, g, mask):
             got = direction(terms, g, mask)
-            assert np.array_equal(got, _textbook_cg_direction(terms, g, mask, exits))
+            assert _same_bits(got, _textbook_cg_direction(terms, g, mask, exits))
+            # a direction is kept through the line search: it holds one grid, no more
+            assert (got if got.base is None else got.base).nbytes == got.nbytes
             return got
 
         def checked_search(work, s, slacks, d, g, t, f_cur):
@@ -632,22 +648,61 @@ class TestLinearInnerIteration:
         assert any(a == b for a, b in after)
         assert any(isinstance(b, tuple) and a != b for a, b in after)
 
-    def test_lookahead_matches_the_full_trial_search(self, monkeypatch):
-        # The searches of a solve at the desk-linear benchmark's size (5,000 flows), each
-        # replayed against the search that builds the full trial at every step: the same
-        # accepted trial, bit for bit.  Their witnesses pass at the first step of the
-        # look-ahead's stack and at step 8 or later; the hand cases below add one passing at
-        # step 20 and one that never passes.
-        searches, search = [], solver._grid_line_search
+    @pytest.fixture(scope="class")
+    def desk_solve_calls(self):
+        """The directions and searches of a solve at the desk-linear benchmark's size (5,000
+        flows, seed 1, eps 1.0, 40 inner iterations per outer one), each with its arguments
+        and result."""
+        directions, searches = [], []
+        direction, search = solver._newton_cg_direction, solver._grid_line_search
 
-        def recorded(*args):
+        def recorded_direction(*args):
+            directions.append((args, direction(*args)))
+            return directions[-1][1]
+
+        def recorded_search(*args):
             searches.append((args, search(*args)))
             return searches[-1][1]
 
-        monkeypatch.setattr(solver, "_grid_line_search", recorded)
-        monkeypatch.setattr(solver, "_MAX_INNER_ITERS", 40)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(solver, "_newton_cg_direction", recorded_direction)
+            patch.setattr(solver, "_grid_line_search", recorded_search)
+            patch.setattr(solver, "_MAX_INNER_ITERS", 40)
+            desk = build_instance(generate_scenario(ScenarioParams(num_flows=5000), 1), "linear")
+            solve(desk, SolverConfig(epsilon=1.0))
+        return directions, searches
+
+    def test_directions_match_the_textbook_form_at_benchmark_scale(self, desk_solve_calls):
+        # Every CG direction of the solve, replayed against the textbook form: the same bits,
+        # signed zeros included.  Each runs all _MAX_CG steps, as at the benchmark, on a
+        # mask of 36% to all of the 2,000 cells.
+        directions, _ = desk_solve_calls
+        assert set(_replayed_exits(directions)) == {"max_cg"} and len(directions) == 200
+        assert max(mask.mean() for (_, _, mask), _ in directions) == 1.0
+
+    def test_directions_match_the_textbook_form_on_sparse_masks(self, monkeypatch):
+        # The second inner loop of the same solve at full length (t = 10, from the first
+        # loop's end), where most cells are blocked: the median mask holds 7% of the grid,
+        # as in the benchmark's solves.
         desk = build_instance(generate_scenario(ScenarioParams(num_flows=5000), 1), "linear")
-        solve(desk, SolverConfig(epsilon=1.0))
+        start = solve_inner(desk, interior_start(desk), 1.0)
+        directions, direction = [], solver._newton_cg_direction
+
+        def recorded(*args):
+            directions.append((args, direction(*args)))
+            return directions[-1][1]
+
+        monkeypatch.setattr(solver, "_newton_cg_direction", recorded)
+        solve_inner(desk, start, 10.0)
+        assert set(_replayed_exits(directions)) == {"max_cg"} and len(directions) == 500
+        assert np.median([mask.mean() for (_, _, mask), _ in directions]) < 0.08
+
+    def test_lookahead_matches_the_full_trial_search(self, desk_solve_calls):
+        # The searches of the solve, each replayed against the search that builds the full
+        # trial at every step: the same accepted trial, bit for bit.  Their witnesses pass at
+        # the first step of the look-ahead's stack and at step 8 or later; the hand cases
+        # below add one passing at step 20 and one that never passes.
+        _, searches = desk_solve_calls
         stack_steps = []
         for (work, s, slacks, d, g, t, f_cur), got in searches:
             trials = []
@@ -734,6 +789,17 @@ class TestLinearInnerIteration:
                                         np.zeros(s.shape, bool))
         assert exits == ["zero"] and not d.any() and not np.signbit(d).any()
 
+    def test_one_column_grid_sums_its_column_on_the_grid(self, checked):
+        # numpy sums a one-column grid's column pairwise, as a row, not row by row as
+        # np.bincount does: the step must sum it on the grid to keep the textbook's bits
+        exits, _ = checked
+        rng = np.random.default_rng(181)
+        for rows in (9, 40, 200):
+            precond = rng.uniform(1.0, 3.0, (rows, 1))
+            solver._newton_cg_direction((rng.uniform(1.0, 2.0, rows), np.array([1.5]), precond),
+                                        rng.normal(size=(rows, 1)), rng.random((rows, 1)) < 0.9)
+        assert len(exits) == 3
+
     def test_negative_curvature_exits(self, checked):
         # weights of either sign: p^T H p <= 0 on the first product, or after some steps
         exits, _ = checked
@@ -785,8 +851,9 @@ def test_linear_inner_loop_stalls_after_one_failed_search(monkeypatch):
                                    129, 255, 256, 257, 1000])
 def test_row_slice_sum_is_the_row_of_the_grid_sum(width):
     # The witness row of the grid search is summed alone: its 1-D sum must be its entry of
-    # the grid's row sums.  A column has no such twin: the grid's column sums add row by
-    # row, but a strided 1-D column is summed pairwise.
+    # the grid's row sums.  A strided 1-D column is no such twin: it is summed pairwise,
+    # while the grid's column sums add row by row (the next test's np.bincount repeats
+    # those).
     rng = np.random.default_rng(width)
     grid = rng.uniform(0.0, 1.0, (300, width)) * 10.0 ** rng.uniform(-8, 8, (300, width))
     rows = grid.sum(axis=1)
@@ -803,6 +870,35 @@ def test_row_slice_sum_is_the_row_of_the_grid_sum(width):
         assert np.array_equal(grid.sum(axis=0), np.cumsum(grid, axis=0)[-1])
         assert not np.array_equal(np.array([np.add.reduce(col) for col in grid.T]),
                                   grid.sum(axis=0))
+
+
+@pytest.mark.parametrize("width", [1, 2, 3, 5, 7, 8, 9, 15, 16, 17, 20, 25, 100, 127, 128,
+                                   129, 255, 256, 257, 1000])
+def test_bincount_over_the_cells_is_the_grid_column_sum(width):
+    # The CG step sums p's columns over its unmasked cells: np.bincount adds each column's
+    # cells from +0.0 in row-major order, as the grid's axis-0 sum adds row by row from
+    # +0.0 (so a column of -0.0 sums to +0.0 both ways), and the +0.0 off the mask changes
+    # no sum.  On one column numpy sums the grid pairwise, as a row, and the step sums
+    # that column on the grid.
+    rng = np.random.default_rng(width)
+    pairwise_differs = False
+    for rows in range(1, 101):
+        grid = rng.normal(size=(rows, width)) * 10.0 ** rng.uniform(-8, 8, (rows, width))
+        grid[rng.random(grid.shape) < rng.uniform(0.0, 1.0)] = 0.0
+        grid[rng.random(rows) < 0.2] = 0.0  # all-zero rows
+        mask = (grid != 0.0) | (rng.random(grid.shape) < 0.1)  # and zeros on the mask
+        if rows % 3 == 0:  # a column of -0.0, all on the mask
+            grid[:, rows % width] = -0.0
+            mask[:, rows % width] = True
+        want = np.add.reduce(grid, axis=0)
+        for cells in (np.flatnonzero(grid), np.flatnonzero(mask)):
+            got = np.bincount(cells % width, grid.take(cells), width)
+            if width > 1:
+                assert _same_bits(got, want)
+            else:
+                assert _same_bits(want, np.add.reduce(grid.ravel(), keepdims=True))
+                pairwise_differs |= not _same_bits(got, want)
+    assert pairwise_differs == (width == 1)
 
 
 def _fresh_evaluation_solve(inst, cfg):
